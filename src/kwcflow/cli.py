@@ -30,7 +30,7 @@ from .grid import save_field
 from .model import validate_assumptions
 
 _SOLVER_TOLERANCES = {
-    "cg_rtol": CG_RTOL,
+    "theta_cg_rtol_2d": CG_RTOL,   # CG runs only on 2D theta systems; other solves are direct
     "linear_resolvent_residual": "1e-10 * |z|_H",
     "singular_resolvent_residual": "1e-10 * (|z|_H + 1)",
     "theta_step_residual": THETA_RESIDUAL_TOL,
@@ -78,7 +78,6 @@ def cmd_run(args) -> int:
         "config": serialize_config(config),
         "versions": _versions(),
         "solver_tolerances": dict(_SOLVER_TOLERANCES),
-        "threads": args.threads,
         "model_bounds": asdict(report.bounds),
         "assumption_checks": report.checks,
         "passed": False,
@@ -152,7 +151,6 @@ def cmd_experiment(args) -> int:
         "options": options,
         "config": serialize_config(config),
         "versions": _versions(),
-        "threads": args.threads,
         "wall_clock_seconds": wall,
         "passed": bool(report.passed),
         "report": report_to_jsonable(report),
@@ -194,9 +192,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="path to a JSON config (or manifest)")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker-thread budget for experiment sweeps "
-                             "(runs are deterministic regardless)")
 
 
 def main(argv=None) -> int:

@@ -13,13 +13,21 @@ Two problems are solved here, both with homogeneous Neumann walls:
   redistributed to faces by the adjoint averaging, so the discrete
   operator is exactly the gradient of the discrete energy.
 
+The linear resolvent is solved directly.  Its matrix ``lam*K + diag(m)``
+is factorized by sparse LU and the last factor is kept, keyed on
+``(grid, lam, m)``, so a time stepper that solves the same matrix every
+step back-substitutes only.
+
 The nonlinear solve is Newton with an exact Hessian and Armijo line
 search; on failure it falls back to damped lagged-diffusivity fixed-point
 iteration (freeze the gamma weight), which is globally convergent for
-this convex problem.  All inner linear systems are SPD and solved by
-Jacobi-preconditioned conjugate gradients.  Residuals reported back are
-re-evaluated from the stencil operators, independent of the solver's
-matrix algebra.
+this convex problem.  Both matrices are SPD and share the grid's fixed
+sparsity pattern (:attr:`Grid.jacobian_pattern`), so an iteration only
+refills a data array.  In 1D they are banded (bandwidth 2) and solved by
+banded Cholesky; in 2D by Jacobi-preconditioned conjugate gradients,
+which at these sizes is faster than a fresh sparse factorization per
+iteration.  Residuals reported back are re-evaluated from the stencil
+operators, independent of the solver's matrix algebra.
 """
 
 from __future__ import annotations
@@ -29,7 +37,8 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg
+from scipy.linalg import solveh_banded
+from scipy.sparse.linalg import cg, splu
 
 from .grid import Grid
 from .model import gamma_eps, grad_gamma_eps, hess_gamma_eps
@@ -90,6 +99,22 @@ def _cg_solve(A: sp.csr_matrix, b: np.ndarray, x0: Optional[np.ndarray] = None,
 # -- linear resolvent ------------------------------------------------------------
 
 
+_factor_key = None       # (grid, lam, m bytes) of the factor kept below
+_factor_solve = None
+
+
+def _resolvent_factor(grid: Grid, lam: float, m: np.ndarray):
+    """Solve function of ``lam*K + diag(m)``; the last factor is kept and
+    reused while the same matrix is asked for again."""
+    global _factor_key, _factor_solve
+    key = (grid, lam, m.tobytes())
+    if key != _factor_key:
+        A = lam * grid.stiffness_matrix + sp.diags(m.ravel())
+        # a symmetric ordering: on 2D grids about half the fill of splu's default
+        _factor_key, _factor_solve = key, splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+    return _factor_solve
+
+
 @dataclass
 class LinearResolventProblem:
     """(-lam * lap_N + m) w = z with inf m > 0 and lam >= 0."""
@@ -108,12 +133,12 @@ class LinearResolventProblem:
             raise ValueError(f"inf m must be positive, got {np.min(self.m)}")
 
 
-def linear_resolvent(problem: LinearResolventProblem,
-                     x0: Optional[np.ndarray] = None) -> tuple[np.ndarray, SolveReport]:
+def linear_resolvent(problem: LinearResolventProblem) -> tuple[np.ndarray, SolveReport]:
     """Solve the linear resolvent problem; non-convergence is flagged, not raised.
 
-    For ``lam = 0`` the solution is the pointwise quotient ``z / m``.  The
-    reported residual is recomputed from the stencil Laplacian.
+    For ``lam = 0`` the solution is the pointwise quotient ``z / m``;
+    otherwise it is a direct solve with the cached factor.  The reported
+    residual is recomputed from the stencil Laplacian.
     """
     grid = problem.grid
     if problem.lam == 0.0:
@@ -121,15 +146,11 @@ def linear_resolvent(problem: LinearResolventProblem,
         res = grid.norm_h(problem.m * w - problem.z)
         return w, SolveReport(0, res, True, method="pointwise")
 
-    A = problem.lam * grid.stiffness_matrix + sp.diags(problem.m.ravel())
-    b = problem.z.ravel()
-    guess = (problem.z / problem.m).ravel() if x0 is None else np.asarray(x0, dtype=float).ravel()
-    x, n_iter, ok = _cg_solve(A, b, x0=guess)
-    w = x.reshape(grid.shape)
+    solve = _resolvent_factor(grid, problem.lam, problem.m)
+    w = solve(problem.z.ravel()).reshape(grid.shape)
     res = grid.norm_h(-problem.lam * grid.laplacian(w) + problem.m * w - problem.z)
     tol = 1e-10 * grid.norm_h(problem.z) + 1e-14
-    return w, SolveReport(n_iter, res, bool(ok and res <= tol), method="cg",
-                          inner_iterations=n_iter)
+    return w, SolveReport(0, res, bool(res <= tol), method="direct")
 
 
 # -- singular-diffusion resolvent --------------------------------------------------
@@ -171,9 +192,13 @@ class _SingularSystem:
         self.vol = g.cell_volume
         self.G = g.cell_gradient_matrix          # (dim*nc, nc)
         self.Lpos = g.stiffness_matrix           # -laplacian, PSD
+        self.pattern = g.jacobian_pattern
         self.beta = p.beta.ravel()
         self.m = p.m.ravel()
         self.z = p.z.ravel()
+        # kappa_eff*K + diag(m): the part of every system matrix that w leaves alone
+        self.fixed_data = p.kappa_eff * self.pattern.stiffness_data
+        self.fixed_data[self.pattern.diagonal] += self.m
 
     def grad_cells(self, w: np.ndarray) -> np.ndarray:
         return (self.G @ w).reshape(self.dim, self.nc)
@@ -196,22 +221,29 @@ class _SingularSystem:
     def hnorm(self, r: np.ndarray) -> float:
         return float(np.sqrt(self.vol * np.sum(r * r)))
 
-    def jacobian(self, w: np.ndarray) -> sp.csr_matrix:
-        y = self.grad_cells(w)
-        H = hess_gamma_eps(y, self.p.epsilon)    # (dim, dim, nc)
-        blocks = [[sp.diags(self.beta * H[i, j]) for j in range(self.dim)]
-                  for i in range(self.dim)]
-        B = sp.bmat(blocks) if self.dim > 1 else blocks[0][0]
-        J = self.G.T @ (B @ self.G)
-        J = J + self.p.kappa_eff * self.Lpos + sp.diags(self.m)
-        return J.tocsr()
+    def matrix_data(self, B: np.ndarray) -> np.ndarray:
+        """Data of ``G^T B G + kappa_eff*K + diag(m)`` on the fixed pattern;
+        ``B`` has shape ``(dim, dim, nc)``."""
+        return self.pattern.coupling @ B.ravel() + self.fixed_data
 
-    def lagged_matrix(self, w: np.ndarray) -> sp.csr_matrix:
-        y = self.grad_cells(w)
-        weight = self.beta / gamma_eps(y, self.p.epsilon)
-        B = sp.diags(np.tile(weight, self.dim))
-        J = self.G.T @ (B @ self.G)
-        return (J + self.p.kappa_eff * self.Lpos + sp.diags(self.m)).tocsr()
+    def jacobian_data(self, w: np.ndarray) -> np.ndarray:
+        H = hess_gamma_eps(self.grad_cells(w), self.p.epsilon)    # (dim, dim, nc)
+        return self.matrix_data(self.beta * H)
+
+    def lagged_data(self, w: np.ndarray) -> np.ndarray:
+        B = np.zeros((self.dim, self.dim, self.nc))
+        B[range(self.dim), range(self.dim)] = (
+            self.beta / gamma_eps(self.grad_cells(w), self.p.epsilon))
+        return self.matrix_data(B)
+
+    def solve(self, data: np.ndarray, b: np.ndarray, x0: Optional[np.ndarray] = None):
+        """Solve the SPD system with matrix data ``data``; returns (x, cg_iters, ok)."""
+        if self.dim == 1:    # bandwidth 2: a direct solve is cheapest
+            try:
+                return solveh_banded(self.pattern.upper_band(data), b), 0, True
+            except np.linalg.LinAlgError:
+                return b, 0, False
+        return _cg_solve(self.pattern.matrix(data), b, x0=x0)
 
 
 def _stencil_residual_h(problem: SingularResolventProblem, w: np.ndarray) -> float:
@@ -264,8 +296,7 @@ def singular_resolvent(problem: SingularResolventProblem,
     for it in range(max_newton):
         if rh <= tol:
             return _done(it, "newton")
-        J = sys.jacobian(w)
-        delta, n_cg, ok = _cg_solve(J, -r)
+        delta, n_cg, ok = sys.solve(sys.jacobian_data(w), -r)
         inner_total += n_cg
         if not ok:
             break
@@ -293,8 +324,7 @@ def singular_resolvent(problem: SingularResolventProblem,
     for it in range(max_fixed_point):
         if rh <= tol:
             return _done(it, "lagged")
-        A = sys.lagged_matrix(w)
-        w_new, n_cg, ok = _cg_solve(A, sys.z, x0=w)
+        w_new, n_cg, ok = sys.solve(sys.lagged_data(w), sys.z, x0=w)
         inner_total += n_cg
         if not ok:
             break

@@ -272,7 +272,7 @@ def _advance(state: SystemState, model: ModelFunctions, params: Parameters,
     z_eta = state.eta - params.mu**2 * grid.laplacian(state.eta) + dt * (u_new - ghat)
     lam = dt + params.mu**2
     eta_new, rep_eta = linear_resolvent(
-        LinearResolventProblem(grid, lam, grid.constant(1.0), z_eta), x0=state.eta)
+        LinearResolventProblem(grid, lam, grid.constant(1.0), z_eta))
     if not rep_eta.converged:
         raise StepFailedError(
             f"eta solve failed at t={t_new:.6g} (residual {rep_eta.final_residual_h:.3e})",

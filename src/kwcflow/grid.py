@@ -319,6 +319,83 @@ class Grid:
         blocks = [A @ G for A, G in zip(self.averaging_matrices, self.gradient_matrices)]
         return sp.vstack(blocks).tocsr()
 
+    @cached_property
+    def jacobian_pattern(self) -> "JacobianPattern":
+        """Fixed sparsity pattern of ``G^T B G + K + I`` (see :class:`JacobianPattern`)."""
+        n = self.n_cells
+        G = self.cell_gradient_matrix.tocoo()
+        keep = G.data != 0.0
+        comp, cell = np.divmod(G.row[keep].astype(np.int64), n)
+        col = G.col[keep].astype(np.int64)
+        val = G.data[keep]
+        # Pair every two gradient entries that sit in the same cell: slot[c] lists
+        # the entries of cell c, padded with -1.
+        order = np.argsort(cell, kind="stable")
+        counts = np.bincount(cell, minlength=n)
+        rank = np.arange(order.size) - (np.cumsum(counts) - counts)[cell[order]]
+        slot = np.full((n, counts.max()), -1)
+        slot[cell[order], rank] = order
+        p, q = np.broadcast_arrays(slot[:, :, None], slot[:, None, :])
+        valid = (p >= 0) & (q >= 0)
+        p, q = p[valid], q[valid]
+        # Entry (col[p], col[q]) picks up val[p] * val[q] * B[comp[p], comp[q], cell].
+        pair_keys = col[p] * n + col[q]
+        source = (comp[p] * self.dim + comp[q]) * n + cell[p]
+
+        K = self.stiffness_matrix.tocoo()
+        K_keys = K.row.astype(np.int64) * n + K.col
+        diag_keys = np.arange(n, dtype=np.int64) * (n + 1)
+        keys = np.sort(np.concatenate([pair_keys, K_keys, diag_keys]))
+        keys = keys[np.concatenate([[True], np.diff(keys) != 0])]
+        rows, indices = np.divmod(keys, n)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        coupling = sp.csr_matrix(
+            (val[p] * val[q], (np.searchsorted(keys, pair_keys), source)),
+            shape=(keys.size, self.dim * self.dim * n))
+        stiffness_data = np.zeros(keys.size)
+        stiffness_data[np.searchsorted(keys, K_keys)] = K.data
+
+        upper = np.flatnonzero(indices >= rows)
+        bandwidth = int(np.max(indices[upper] - rows[upper]))
+        band_slots = (bandwidth + rows[upper] - indices[upper]) * n + indices[upper]
+        return JacobianPattern(
+            shape=(n, n), indptr=indptr, indices=indices, coupling=coupling,
+            stiffness_data=stiffness_data, diagonal=np.searchsorted(keys, diag_keys),
+            upper=upper, band_slots=band_slots, bandwidth=bandwidth)
+
+
+@dataclass(frozen=True)
+class JacobianPattern:
+    """Fixed CSR pattern for the matrices ``G^T B G + c*K + diag(m)``.
+
+    ``G`` is the stacked cell-gradient matrix, ``K`` the stiffness matrix and
+    ``B`` a block matrix of diagonal blocks, given as an array of shape
+    ``(dim, dim, n_cells)``.  The data array of such a matrix is
+
+        coupling @ B.ravel() + c * stiffness_data,  plus m at ``diagonal``,
+
+    so a Newton iteration updates one data array instead of assembling.
+    """
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    coupling: sp.csr_matrix          # sparse map from B.ravel() to data
+    stiffness_data: np.ndarray       # K on this pattern
+    diagonal: np.ndarray             # positions of the diagonal entries in data
+    upper: np.ndarray                # positions of the entries on or above the diagonal
+    band_slots: np.ndarray           # their flat positions in the upper band form
+    bandwidth: int
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+    def upper_band(self, data: np.ndarray) -> np.ndarray:
+        """Upper band form ``ab[bandwidth + i - j, j] = a[i, j]`` (LAPACK layout)."""
+        ab = np.zeros((self.bandwidth + 1) * self.shape[0])
+        ab[self.band_slots] = data[self.upper]
+        return ab.reshape(self.bandwidth + 1, self.shape[0])
+
 
 def build_grid(dim: int, cells_per_axis, extents) -> Grid:
     """Construct and validate a :class:`Grid`."""

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from kwcflow import (LinearResolventProblem, SingularResolventProblem,
-                     build_grid, check_h2_bound, grad_gamma_eps,
-                     linear_resolvent, singular_resolvent)
+                     build_grid, check_h2_bound, gamma_eps, grad_gamma_eps,
+                     hess_gamma_eps, linear_resolvent, singular_resolvent)
+from kwcflow.elliptic import _SingularSystem
 
 
 def minimize_by_gradient_descent(grid, beta, kappa_eff, m, z, epsilon,
@@ -221,3 +224,58 @@ def test_check_h2_bound_positive_and_verifies(grid1d):
     assert ratio > 0.0
     with pytest.raises(ValueError):
         check_h2_bound(grid1d, w + 0.5 * np.cos(3 * np.pi * x), z, beta, 0.25, 1.0)
+
+
+# -- factorized linear algebra ------------------------------------------------------
+
+
+@pytest.mark.parametrize("cells,extents", [([32], [1.0]), ([6, 5], [1.0, 0.7])])
+def test_fixed_pattern_matrices_match_explicit_assembly(cells, extents):
+    g = build_grid(len(cells), cells, extents)
+    rng = np.random.default_rng(5)
+    beta = rng.uniform(0.5, 1.5, g.shape)
+    m = rng.uniform(1.0, 2.0, g.shape)
+    kappa_eff, eps = 0.3, 0.1
+    system = _SingularSystem(SingularResolventProblem(g, beta, kappa_eff, m, g.zeros(), eps))
+    w = rng.standard_normal(g.n_cells)
+    G = g.cell_gradient_matrix
+    y = (G @ w).reshape(g.dim, g.n_cells)
+    rest = kappa_eff * g.stiffness_matrix + sp.diags(m.ravel())
+
+    H = hess_gamma_eps(y, eps)
+    B = sp.bmat([[sp.diags(beta.ravel() * H[i, j]) for j in range(g.dim)]
+                 for i in range(g.dim)])
+    lagged = sp.diags(np.tile(beta.ravel() / gamma_eps(y, eps), g.dim))
+    for data, B_ref in ((system.jacobian_data(w), B), (system.lagged_data(w), lagged)):
+        explicit = (G.T @ B_ref @ G + rest).toarray()
+        err = np.max(np.abs(system.pattern.matrix(data).toarray() - explicit))
+        assert err <= 1e-14 * np.max(np.abs(explicit))
+
+
+def test_banded_newton_solve_matches_spsolve(grid1d):
+    rng = np.random.default_rng(6)
+    x = grid1d.centers(0)
+    problem = SingularResolventProblem(grid1d, 1.0 + 0.5 * np.cos(2 * np.pi * x), 0.01,
+                                       grid1d.constant(1e3), grid1d.zeros(), 2.0**-8)
+    system = _SingularSystem(problem)
+    w = 0.5 * np.tanh((x - 0.5) / 0.01)
+    b = rng.standard_normal(grid1d.n_cells)
+    data = system.jacobian_data(w)
+    assert system.pattern.bandwidth == 2
+    x_banded, n_cg, ok = system.solve(data, b)
+    assert ok and n_cg == 0
+    x_ref = spsolve(system.pattern.matrix(data).tocsc(), b)
+    assert np.max(np.abs(x_banded - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+
+
+@pytest.mark.parametrize("cells", [[64], [12, 10]])
+def test_linear_resolvent_alternating_factors_stay_fresh(cells):
+    g = build_grid(len(cells), cells, [1.0] * len(cells))
+    rng = np.random.default_rng(7)
+    pairs = [(0.3, g.constant(1.0)), (0.05, 1.0 + rng.uniform(0.0, 2.0, g.shape))]
+    for k in range(6):
+        lam, m = pairs[k % 2]
+        z = rng.standard_normal(g.shape)
+        w, report = linear_resolvent(LinearResolventProblem(g, lam, m, z))
+        res = g.norm_h(-lam * g.laplacian(w) + m * w - z)
+        assert report.converged and res <= 1e-10 * g.norm_h(z)

@@ -254,3 +254,43 @@ def test_write_timeseries_columns(tmp_path, setup):
     assert lines[0] == ("t,E_dirichlet,E_potential,E_interfacial,E_total,"
                         "rate_eta_H,rate_theta_H,rate_eta_V,rate_theta_V,s4_residual")
     assert len(lines) == 1 + len(traj.snapshots)
+
+
+# -- singular limit on grain-boundary data ----------------------------------------
+
+
+def grain_boundary_run(center, eps_exponent):
+    """Five unforced steps: 1D n=128, kappa=1e-2, dt=1e-3, eta0=1,
+    theta0 = 0.5*tanh((x-c)/0.01).  Returns the trajectory and each step's
+    theta residual."""
+    g = build_grid(1, [128], [1.0])
+    model = reference_model()
+    params = Parameters(kappa=1e-2, epsilon=2.0**-eps_exponent, T=5e-3, dt=1e-3)
+    theta0 = 0.5 * np.tanh((g.centers(0) - center) / 0.01)
+    traj = run(SystemState(g, g.constant(1.0), theta0), model, params, Forcings(g))
+    residuals = [evolution._theta_pde_residual(g, model, params, old.theta, new.eta,
+                                               new.theta, g.zeros(), params.dt)
+                 for old, new in zip(traj.snapshots, traj.snapshots[1:])]
+    return traj, residuals
+
+
+def test_grain_boundary_step_at_eps_2_minus_8():
+    # ROADMAP item 4.  Stalled at 7.3e-10 > 5e-10 with CG inner solves.  With
+    # direct solves Newton still gives up on step 1 and the lagged fallback
+    # reaches 4.83e-10 against the 5e-10 target after ~370 iterations: a 3%
+    # margin, so rounding changes can break this test.  ROADMAP item 4(b)
+    # (primal-dual Newton) is the fix that would make it robust.  The method
+    # is checked so that a change in the path taken shows up here.
+    traj, residuals = grain_boundary_run(0.5, 8)
+    assert len(residuals) == 5
+    assert traj.solve_reports[0]["theta"].method == "lagged"
+    # run() already raises above this bound; it is restated so the test keeps
+    # the case's criterion if the step check ever changes.
+    assert max(residuals) <= evolution.THETA_RESIDUAL_TOL
+
+
+@pytest.mark.xfail(strict=True, raises=StepFailedError,
+                   reason="Newton and the lagged fallback stall at residual 2.3e-4 "
+                          "on face 89 at eps=2^-10")
+def test_grain_boundary_face_89_at_eps_2_minus_10():
+    grain_boundary_run(89 / 128, 10)
