@@ -31,8 +31,9 @@ from .model import validate_assumptions
 
 _SOLVER_TOLERANCES = {
     "theta_cg_rtol_2d": CG_RTOL,   # CG runs only on 2D theta systems; other solves are direct
-    "linear_resolvent_residual": "1e-10 * |z|_H",
-    "singular_resolvent_residual": "1e-10 * (|z|_H + 1)",
+    "linear_resolvent_residual": "1e-10 * |z|_H + 1e-14",
+    "singular_resolvent_residual": (f"min(1e-10 * (|z|_H + 1), {0.5 * THETA_RESIDUAL_TOL!r}) "
+                                    "in a step; 1e-10 * (|z|_H + 1) for the prepared theta0"),
     "theta_step_residual": THETA_RESIDUAL_TOL,
 }
 

@@ -185,14 +185,7 @@ def parse_config_dict(doc: dict) -> RunConfig:
     model_doc = _merge_section(doc.get("model", {}), defaults["model"], "model.", violations)
     forcings_doc = _merge_section(doc.get("forcings", {}), defaults["forcings"],
                                   "forcings.", violations)
-
-    init_in = doc.get("initial", {})
-    if not isinstance(init_in, dict):
-        violations.append("initial: expected an object")
-        init_in = {}
-    _check_keys(init_in, defaults["initial"].keys(), "initial.", violations)
-    init_doc = dict(defaults["initial"])
-    init_doc.update({k: v for k, v in init_in.items() if k in defaults["initial"]})
+    init_doc = _merge_section(doc.get("initial", {}), defaults["initial"], "initial.", violations)
     init_doc["eta"] = _normalize_field_spec(init_doc["eta"], "initial.eta", violations)
     init_doc["theta"] = _normalize_field_spec(init_doc["theta"], "initial.theta", violations)
 

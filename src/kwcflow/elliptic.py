@@ -41,7 +41,7 @@ from scipy.linalg import solveh_banded
 from scipy.sparse.linalg import cg, splu
 
 from .grid import Grid
-from .model import gamma_eps, grad_gamma_eps, hess_gamma_eps
+from .model import gamma_eps, grad_gamma_eps, hess_gamma_eps, interfacial_flux
 
 __all__ = [
     "SolveReport",
@@ -236,6 +236,19 @@ class _SingularSystem:
             self.beta / gamma_eps(self.grad_cells(w), self.p.epsilon))
         return self.matrix_data(B)
 
+    def backtrack(self, w: np.ndarray, direction: np.ndarray, tries: int, accept):
+        """Halve ``t`` from 1 until ``accept(t, w_t, |r(w_t)|_H)``, ``w_t = w + t*direction``;
+        returns ``(w_t, r(w_t), |r(w_t)|_H)``, or None after ``tries`` steps."""
+        t = 1.0
+        for _ in range(tries):
+            wt = w + t * direction
+            rt = self.residual(wt)
+            rht = self.hnorm(rt)
+            if accept(t, wt, rht):
+                return wt, rt, rht
+            t *= 0.5
+        return None
+
     def solve(self, data: np.ndarray, b: np.ndarray, x0: Optional[np.ndarray] = None):
         """Solve the SPD system with matrix data ``data``; returns (x, cg_iters, ok)."""
         if self.dim == 1:    # bandwidth 2: a direct solve is cheapest
@@ -249,13 +262,8 @@ class _SingularSystem:
 def _stencil_residual_h(problem: SingularResolventProblem, w: np.ndarray) -> float:
     """Residual of the quasilinear equation, evaluated with the grid stencils."""
     g = problem.grid
-    y = g.grad_cell(w)
-    flux_cells = problem.beta * grad_gamma_eps(y, problem.epsilon)
-    F = g.cell_to_face(flux_cells)
-    Gw = g.grad(w)
-    total = tuple(F[d] + problem.kappa_eff * Gw[d] for d in range(g.dim))
-    r = -g.div(total) + problem.m * w - problem.z
-    return g.norm_h(r)
+    flux = interfacial_flux(g, problem.beta, w, problem.epsilon, problem.kappa_eff)
+    return g.norm_h(-g.div(flux) + problem.m * w - problem.z)
 
 
 def singular_resolvent(problem: SingularResolventProblem,
@@ -302,21 +310,11 @@ def singular_resolvent(problem: SingularResolventProblem,
             break
         slope = sys.vol * float(r @ delta)   # directional derivative of the energy
         e0 = sys.energy(w)
-        t = 1.0
-        accepted = False
-        for _ in range(30):
-            wt = w + t * delta
-            rt = sys.residual(wt)
-            rht = sys.hnorm(rt)
-            if rht <= (1.0 - 1e-4 * t) * rh or (
-                slope < 0 and sys.energy(wt) <= e0 + 1e-4 * t * slope
-            ):
-                w, r, rh = wt, rt, rht
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
+        step = sys.backtrack(w, delta, 30, lambda t, wt, rht: rht <= (1.0 - 1e-4 * t) * rh
+                             or (slope < 0 and sys.energy(wt) <= e0 + 1e-4 * t * slope))
+        if step is None:
             break
+        w, r, rh = step
     if rh <= tol:
         return _done(max_newton, "newton")
 
@@ -328,19 +326,10 @@ def singular_resolvent(problem: SingularResolventProblem,
         inner_total += n_cg
         if not ok:
             break
-        omega = 1.0
-        accepted = False
-        for _ in range(25):
-            wt = w + omega * (w_new - w)
-            rt = sys.residual(wt)
-            rht = sys.hnorm(rt)
-            if rht < rh:
-                w, r, rh = wt, rt, rht
-                accepted = True
-                break
-            omega *= 0.5
-        if not accepted:
+        step = sys.backtrack(w, w_new - w, 25, lambda t, wt, rht: rht < rh)
+        if step is None:
             break
+        w, r, rh = step
 
     if rh <= tol:
         return _done(max_fixed_point, "lagged")

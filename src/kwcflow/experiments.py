@@ -131,14 +131,22 @@ def _default_initial(grid: Grid, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return eta0, theta0
 
 
+def _h_distances(a: Trajectory, b: Trajectory, weight=None) -> list:
+    """Per common snapshot, the H distances of eta and of ``weight(eta_a) * theta``
+    (of plain theta without a weight)."""
+    grid = a.grid
+    out = []
+    for k in range(min(len(a.snapshots), len(b.snapshots))):
+        w = 1.0 if weight is None else weight(a.eta_at(k))
+        out.append((grid.norm_h(a.eta_at(k) - b.eta_at(k)),
+                    grid.norm_h(w * (a.theta_at(k) - b.theta_at(k)))))
+    return out
+
+
 def _sup_h_distance(a: Trajectory, b: Trajectory) -> tuple[float, float, float]:
     """(sup-H eta, sup-H theta, sup-H combined) over common snapshots."""
-    grid = a.grid
-    n = min(len(a.snapshots), len(b.snapshots))
     de = dth = dc = 0.0
-    for k in range(n):
-        e = grid.norm_h(a.eta_at(k) - b.eta_at(k))
-        t = grid.norm_h(a.theta_at(k) - b.theta_at(k))
+    for e, t in _h_distances(a, b):
         de, dth = max(de, e), max(dth, t)
         dc = max(dc, float(np.hypot(e, t)))
     return de, dth, dc
@@ -394,13 +402,8 @@ def exp_continuous_dependence(dim: int = 1, cells=64, T: float = 1.0, dt: float 
     base_again = run(SystemState(grid, eta0, theta0), model, params, forcings)
 
     def J_of(a: Trajectory, b: Trajectory) -> np.ndarray:
-        out = []
-        for k in range(len(a.snapshots)):
-            de = a.eta_at(k) - b.eta_at(k)
-            dth = a.theta_at(k) - b.theta_at(k)
-            w = np.sqrt(model.alpha0(a.eta_at(k)))
-            out.append(grid.norm_h(de) ** 2 + grid.norm_h(w * dth) ** 2)
-        return np.array(out)
+        pairs = _h_distances(a, b, lambda eta: np.sqrt(model.alpha0(eta)))
+        return np.array([e ** 2 + t ** 2 for e, t in pairs])
 
     J = J_of(run_d, base)
     R = np.array(run_d.rate_eta_v) ** 2 + np.array(base.rate_theta_v) ** 2 + 1.0

@@ -39,6 +39,11 @@ __all__ = [
 ]
 
 
+def _along(axis: int, index) -> tuple:
+    """Index that applies ``index`` on ``axis`` and keeps every other axis whole."""
+    return (slice(None),) * axis + (index,)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform cell-centered mesh on (0, L1) x ... with Neumann walls.
@@ -137,13 +142,8 @@ class Grid:
         for d in range(self.dim):
             h = self.spacing[d]
             g = np.zeros(self.face_shapes()[d])
-            interior = [slice(None)] * self.dim
-            interior[d] = slice(1, self.cells[d])
-            lo = [slice(None)] * self.dim
-            lo[d] = slice(0, -1)
-            hi = [slice(None)] * self.dim
-            hi[d] = slice(1, None)
-            g[tuple(interior)] = (f[tuple(hi)] - f[tuple(lo)]) / h
+            g[_along(d, slice(1, self.cells[d]))] = (f[_along(d, slice(1, None))]
+                                                     - f[_along(d, slice(0, -1))]) / h
             comps.append(g)
         return tuple(comps)
 
@@ -158,17 +158,9 @@ class Grid:
         for d in range(self.dim):
             h = self.spacing[d]
             comp = F[d].copy()
-            first = [slice(None)] * self.dim
-            first[d] = 0
-            last = [slice(None)] * self.dim
-            last[d] = -1
-            comp[tuple(first)] = 0.0
-            comp[tuple(last)] = 0.0
-            hi = [slice(None)] * self.dim
-            hi[d] = slice(1, None)
-            lo = [slice(None)] * self.dim
-            lo[d] = slice(0, -1)
-            out += (comp[tuple(hi)] - comp[tuple(lo)]) / h
+            comp[_along(d, 0)] = 0.0
+            comp[_along(d, -1)] = 0.0
+            out += (comp[_along(d, slice(1, None))] - comp[_along(d, slice(0, -1))]) / h
         return out
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
@@ -180,11 +172,7 @@ class Grid:
         F = self.check_faces(F)
         out = np.zeros((self.dim,) + self.shape)
         for d in range(self.dim):
-            lo = [slice(None)] * self.dim
-            lo[d] = slice(0, -1)
-            hi = [slice(None)] * self.dim
-            hi[d] = slice(1, None)
-            out[d] = 0.5 * (F[d][tuple(lo)] + F[d][tuple(hi)])
+            out[d] = 0.5 * (F[d][_along(d, slice(0, -1))] + F[d][_along(d, slice(1, None))])
         return out
 
     def cell_to_face(self, V: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -195,19 +183,10 @@ class Grid:
         comps = []
         for d in range(self.dim):
             g = np.zeros(self.face_shapes()[d])
-            interior = [slice(None)] * self.dim
-            interior[d] = slice(1, self.cells[d])
-            lo = [slice(None)] * self.dim
-            lo[d] = slice(0, -1)
-            hi = [slice(None)] * self.dim
-            hi[d] = slice(1, None)
-            g[tuple(interior)] = 0.5 * (V[d][tuple(lo)] + V[d][tuple(hi)])
-            first = [slice(None)] * self.dim
-            first[d] = 0
-            last = [slice(None)] * self.dim
-            last[d] = -1
-            g[tuple(first)] = 0.5 * V[d][tuple(first)]
-            g[tuple(last)] = 0.5 * V[d][tuple(last)]
+            g[_along(d, slice(1, self.cells[d]))] = 0.5 * (V[d][_along(d, slice(0, -1))]
+                                                           + V[d][_along(d, slice(1, None))])
+            g[_along(d, 0)] = 0.5 * V[d][_along(d, 0)]
+            g[_along(d, -1)] = 0.5 * V[d][_along(d, -1)]
             comps.append(g)
         return tuple(comps)
 
@@ -257,15 +236,9 @@ class Grid:
             fshape = self.face_shapes()[d]
             nfaces = int(np.prod(fshape))
             fidx = np.arange(nfaces).reshape(fshape)
-            interior = [slice(None)] * self.dim
-            interior[d] = slice(1, self.cells[d])
-            rows = fidx[tuple(interior)].ravel()
-            lo = [slice(None)] * self.dim
-            lo[d] = slice(0, -1)
-            hi = [slice(None)] * self.dim
-            hi[d] = slice(1, None)
-            cols_lo = idx[tuple(lo)].ravel()
-            cols_hi = idx[tuple(hi)].ravel()
+            rows = fidx[_along(d, slice(1, self.cells[d]))].ravel()
+            cols_lo = idx[_along(d, slice(0, -1))].ravel()
+            cols_hi = idx[_along(d, slice(1, None))].ravel()
             data = np.full(rows.size, 1.0 / h)
             M = sp.coo_matrix(
                 (
@@ -286,13 +259,9 @@ class Grid:
             fshape = self.face_shapes()[d]
             nfaces = int(np.prod(fshape))
             fidx = np.arange(nfaces).reshape(fshape)
-            lo = [slice(None)] * self.dim
-            lo[d] = slice(0, -1)
-            hi = [slice(None)] * self.dim
-            hi[d] = slice(1, None)
             rows = idx.ravel()
-            cols_lo = fidx[tuple(lo)].ravel()
-            cols_hi = fidx[tuple(hi)].ravel()
+            cols_lo = fidx[_along(d, slice(0, -1))].ravel()
+            cols_hi = fidx[_along(d, slice(1, None))].ravel()
             data = np.full(rows.size, 0.5)
             M = sp.coo_matrix(
                 (
@@ -354,14 +323,10 @@ class Grid:
             shape=(keys.size, self.dim * self.dim * n))
         stiffness_data = np.zeros(keys.size)
         stiffness_data[np.searchsorted(keys, K_keys)] = K.data
-
-        upper = np.flatnonzero(indices >= rows)
-        bandwidth = int(np.max(indices[upper] - rows[upper]))
-        band_slots = (bandwidth + rows[upper] - indices[upper]) * n + indices[upper]
         return JacobianPattern(
             shape=(n, n), indptr=indptr, indices=indices, coupling=coupling,
             stiffness_data=stiffness_data, diagonal=np.searchsorted(keys, diag_keys),
-            upper=upper, band_slots=band_slots, bandwidth=bandwidth)
+            bandwidth=int(np.max(indices - rows)))
 
 
 @dataclass(frozen=True)
@@ -383,17 +348,26 @@ class JacobianPattern:
     coupling: sp.csr_matrix          # sparse map from B.ravel() to data
     stiffness_data: np.ndarray       # K on this pattern
     diagonal: np.ndarray             # positions of the diagonal entries in data
-    upper: np.ndarray                # positions of the entries on or above the diagonal
-    band_slots: np.ndarray           # their flat positions in the upper band form
     bandwidth: int
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
+    @cached_property
+    def _band_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the entries on or above the diagonal in data and in the flat
+        upper band form; built on first use, since only 1D theta solves use it."""
+        n = self.shape[0]
+        rows = np.repeat(np.arange(n), np.diff(self.indptr))
+        upper = np.flatnonzero(self.indices >= rows)
+        cols = self.indices[upper]
+        return upper, (self.bandwidth + rows[upper] - cols) * n + cols
+
     def upper_band(self, data: np.ndarray) -> np.ndarray:
         """Upper band form ``ab[bandwidth + i - j, j] = a[i, j]`` (LAPACK layout)."""
+        upper, band_slots = self._band_slots
         ab = np.zeros((self.bandwidth + 1) * self.shape[0])
-        ab[self.band_slots] = data[self.upper]
+        ab[band_slots] = data[upper]
         return ab.reshape(self.bandwidth + 1, self.shape[0])
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "grad_gamma_eps",
     "hess_gamma_eps",
     "interfacial_energy",
+    "interfacial_flux",
     "EnergyBreakdown",
     "kwc_energy",
     "validate_assumptions",
@@ -194,6 +195,15 @@ def interfacial_energy(grid: Grid, beta: np.ndarray, theta: np.ndarray,
     nonlinear = grid.inner(beta, gamma_eps(gc, epsilon))
     quadratic = 0.5 * kappa * grid.inner_faces(G, G)
     return nonlinear + quadratic
+
+
+def interfacial_flux(grid: Grid, beta: np.ndarray, theta: np.ndarray,
+                     epsilon: float, kappa: float) -> tuple[np.ndarray, ...]:
+    """Face flux ``beta*grad_gamma_eps(grad theta) + kappa*grad theta``; minus its
+    divergence is the first variation of :func:`interfacial_energy`."""
+    G = grid.grad(theta)
+    F = grid.cell_to_face(beta * grad_gamma_eps(grid.face_to_cell(G), epsilon))
+    return tuple(F[d] + kappa * G[d] for d in range(grid.dim))
 
 
 @dataclass

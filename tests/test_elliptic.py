@@ -3,10 +3,14 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from kwcflow import (LinearResolventProblem, SingularResolventProblem,
-                     build_grid, check_h2_bound, gamma_eps, grad_gamma_eps,
-                     hess_gamma_eps, linear_resolvent, singular_resolvent)
-from kwcflow.elliptic import _SingularSystem
+import kwcflow.evolution as evolution
+from kwcflow import (Forcings, LinearResolventProblem, Parameters,
+                     SingularResolventProblem, SystemState, build_grid,
+                     check_h2_bound, gamma_eps, grad_gamma_eps, hess_gamma_eps,
+                     interfacial_flux, linear_resolvent, reference_model,
+                     singular_resolvent, step_pseudo_parabolic)
+from kwcflow.elliptic import _SingularSystem, _stencil_residual_h
+from kwcflow.grid import random_smooth_field
 
 
 def minimize_by_gradient_descent(grid, beta, kappa_eff, m, z, epsilon,
@@ -279,3 +283,42 @@ def test_linear_resolvent_alternating_factors_stay_fresh(cells):
         w, report = linear_resolvent(LinearResolventProblem(g, lam, m, z))
         res = g.norm_h(-lam * g.laplacian(w) + m * w - z)
         assert report.converged and res <= 1e-10 * g.norm_h(z)
+
+
+# -- one theta operator: stencil form and matrix form ---------------------------------
+
+
+@pytest.mark.parametrize("cells,extents", [([32], [1.0]), ([12, 10], [1.0, 0.8])])
+def test_theta_operator_stencil_and_matrix_forms_agree(cells, extents, monkeypatch):
+    g = build_grid(len(cells), cells, extents)
+    rng = np.random.default_rng(11)
+    beta = rng.uniform(0.5, 1.5, g.shape)
+    m = rng.uniform(0.5, 2.0, g.shape)
+    z = rng.standard_normal(g.shape)
+    w = rng.standard_normal(g.shape)
+    kappa_eff, eps = 0.7, 0.1
+    problem = SingularResolventProblem(g, beta, kappa_eff, m, z, eps)
+    stencil = -g.div(interfacial_flux(g, beta, w, eps, kappa_eff)) + m * w - z
+    matrix = _SingularSystem(problem).residual(w.ravel()).reshape(g.shape)
+    assert g.norm_h(stencil - matrix) <= 1e-12 * g.norm_h(matrix)
+
+    # The step check of a damped step and the residual of the resolvent problem
+    # that _advance hands to the solver are the same equation.
+    model = reference_model()
+    params = Parameters(kappa=0.5, epsilon=eps, T=1e-2, dt=1e-3, mu=0.1, nu=0.1)
+    state = SystemState(g, random_smooth_field(g, rng, mean=1.0, amplitude=0.25),
+                        random_smooth_field(g, rng, mean=0.0, amplitude=0.5))
+    forcings = Forcings(g, v="cos(3*t)*cos(2*pi*x)")
+    problems = []
+
+    def recording_solve(problem, **kwargs):
+        problems.append(problem)
+        return singular_resolvent(problem, **kwargs)
+
+    monkeypatch.setattr(evolution, "singular_resolvent", recording_solve)
+    new = step_pseudo_parabolic(state, model, params, forcings)
+    theta_trial = new.theta + 0.01 * rng.standard_normal(g.shape)   # not a solution
+    pde = evolution._theta_pde_residual(g, model, params, state.theta, new.eta, theta_trial,
+                                        forcings.v(new.time), params.dt)
+    assert pde > 1.0
+    assert pde == pytest.approx(_stencil_residual_h(problems[0], theta_trial), rel=1e-10)
