@@ -18,12 +18,15 @@ is factorized by sparse LU and the last factor is kept, keyed on
 ``(grid, lam, m)``, so a time stepper that solves the same matrix every
 step back-substitutes only.
 
-The nonlinear solve is Newton with an exact Hessian and Armijo line
-search; on failure it falls back to damped lagged-diffusivity fixed-point
-iteration (freeze the gamma weight), which is globally convergent for
-this convex problem.  Both matrices are SPD and share the grid's fixed
-sparsity pattern (:attr:`Grid.jacobian_pattern`), so an iteration only
-refills a data array.  In 1D they are banded (bandwidth 2) and solved by
+The nonlinear solve is primal-dual Newton (Chan, Golub & Mulet) with an
+Armijo line search.  Beside ``w`` it carries a dual flux ``p`` (the
+cell-wise ``grad gamma_eps(grad w)``, kept in the unit ball) and solves
+with the linearization of the pair; at ``p = y/gamma_eps(y)`` its matrix
+is the exact Hessian.  It stays SPD with smallest eigenvalue at least
+``min m`` for every ``|p| <= 1``, also where the primal Hessian
+degenerates at small eps on step-like data.  The matrix shares the grid's
+fixed sparsity pattern (:attr:`Grid.jacobian_pattern`), so an iteration
+only refills a data array.  In 1D it is banded (bandwidth 2) and solved by
 banded Cholesky; in 2D by Jacobi-preconditioned conjugate gradients,
 which at these sizes is faster than a fresh sparse factorization per
 iteration.  Residuals reported back are re-evaluated from the stencil
@@ -55,7 +58,6 @@ __all__ = [
 
 CG_RTOL = 1e-12
 MAX_NEWTON = 50
-MAX_FIXED_POINT = 500
 
 
 @dataclass
@@ -68,7 +70,7 @@ class SolveReport:
 
 
 class SolverError(RuntimeError):
-    """Raised when the nonlinear solver and its fallback both fail."""
+    """Raised when the nonlinear solver fails to reach its residual tolerance."""
 
     def __init__(self, message: str, report: SolveReport):
         super().__init__(message)
@@ -81,8 +83,7 @@ def _as_weight(grid: Grid, m) -> np.ndarray:
     return grid.check_scalar(np.asarray(m, dtype=float), "m")
 
 
-def _cg_solve(A: sp.csr_matrix, b: np.ndarray, x0: Optional[np.ndarray] = None,
-              rtol: float = CG_RTOL):
+def _cg_solve(A: sp.csr_matrix, b: np.ndarray, rtol: float = CG_RTOL):
     """Jacobi-preconditioned CG; returns (x, n_iter, ok)."""
     diag = A.diagonal()
     M = sp.diags(1.0 / diag)
@@ -92,7 +93,7 @@ def _cg_solve(A: sp.csr_matrix, b: np.ndarray, x0: Optional[np.ndarray] = None,
         count[0] += 1
 
     maxiter = max(1000, A.shape[0])
-    x, info = cg(A, b, x0=x0, rtol=rtol, atol=0.0, maxiter=maxiter, M=M, callback=cb)
+    x, info = cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=M, callback=cb)
     return x, count[0], info == 0
 
 
@@ -134,7 +135,7 @@ class LinearResolventProblem:
 
 
 def linear_resolvent(problem: LinearResolventProblem) -> tuple[np.ndarray, SolveReport]:
-    """Solve the linear resolvent problem; non-convergence is flagged, not raised.
+    """Solve the linear resolvent problem; non-convergence is reported, not raised.
 
     For ``lam = 0`` the solution is the pointwise quotient ``z / m``;
     otherwise it is a direct solve with the cached factor.  The reported
@@ -226,37 +227,22 @@ class _SingularSystem:
         ``B`` has shape ``(dim, dim, nc)``."""
         return self.pattern.coupling @ B.ravel() + self.fixed_data
 
-    def jacobian_data(self, w: np.ndarray) -> np.ndarray:
-        H = hess_gamma_eps(self.grad_cells(w), self.p.epsilon)    # (dim, dim, nc)
-        return self.matrix_data(self.beta * H)
+    def jacobian_data(self, y: np.ndarray, gam: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Primal-dual Newton matrix: :meth:`matrix_data` of
+        ``B = beta*(hess_gamma_eps(y) + sym((y/gam - p) y^T)/gam^2)`` at cell gradient
+        ``y``, ``gam = gamma_eps(y)`` and dual flux ``p``; the exact Hessian at ``p = y/gam``."""
+        H = hess_gamma_eps(y, self.p.epsilon)                     # (dim, dim, nc)
+        S = ((y / gam - p) / (2.0 * gam * gam))[:, None] * y[None, :]
+        return self.matrix_data(self.beta * (H + S + S.transpose(1, 0, 2)))
 
-    def lagged_data(self, w: np.ndarray) -> np.ndarray:
-        B = np.zeros((self.dim, self.dim, self.nc))
-        B[range(self.dim), range(self.dim)] = (
-            self.beta / gamma_eps(self.grad_cells(w), self.p.epsilon))
-        return self.matrix_data(B)
-
-    def backtrack(self, w: np.ndarray, direction: np.ndarray, tries: int, accept):
-        """Halve ``t`` from 1 until ``accept(t, w_t, |r(w_t)|_H)``, ``w_t = w + t*direction``;
-        returns ``(w_t, r(w_t), |r(w_t)|_H)``, or None after ``tries`` steps."""
-        t = 1.0
-        for _ in range(tries):
-            wt = w + t * direction
-            rt = self.residual(wt)
-            rht = self.hnorm(rt)
-            if accept(t, wt, rht):
-                return wt, rt, rht
-            t *= 0.5
-        return None
-
-    def solve(self, data: np.ndarray, b: np.ndarray, x0: Optional[np.ndarray] = None):
+    def solve(self, data: np.ndarray, b: np.ndarray):
         """Solve the SPD system with matrix data ``data``; returns (x, cg_iters, ok)."""
         if self.dim == 1:    # bandwidth 2: a direct solve is cheapest
             try:
                 return solveh_banded(self.pattern.upper_band(data), b), 0, True
             except np.linalg.LinAlgError:
                 return b, 0, False
-        return _cg_solve(self.pattern.matrix(data), b, x0=x0)
+        return _cg_solve(self.pattern.matrix(data), b)
 
 
 def _stencil_residual_h(problem: SingularResolventProblem, w: np.ndarray) -> float:
@@ -269,17 +255,17 @@ def _stencil_residual_h(problem: SingularResolventProblem, w: np.ndarray) -> flo
 def singular_resolvent(problem: SingularResolventProblem,
                        tol_abs: Optional[float] = None,
                        initial_guess: Optional[np.ndarray] = None,
-                       max_newton: int = MAX_NEWTON,
-                       max_fixed_point: int = MAX_FIXED_POINT,
                        ) -> tuple[np.ndarray, SolveReport]:
     """Solve the singular-diffusion resolvent to a tight absolute residual.
 
-    The default tolerance is ``1e-10 * (|z|_H + 1)``.  Newton runs first;
-    if it stalls, the damped lagged-diffusivity iteration takes over.  If
-    both fail a :class:`SolverError` is raised with the report attached.
+    The default tolerance is ``1e-10 * (|z|_H + 1)``.  The solver is
+    primal-dual Newton with an Armijo line search, at most ``MAX_NEWTON``
+    iterations; if it stalls a :class:`SolverError` is raised with the
+    report attached.
     """
     grid = problem.grid
     sys = _SingularSystem(problem)
+    eps = problem.epsilon
     tol = 1e-10 * (grid.norm_h(problem.z) + 1.0) if tol_abs is None else float(tol_abs)
 
     if initial_guess is not None:
@@ -291,49 +277,55 @@ def singular_resolvent(problem: SingularResolventProblem,
 
     inner_total = 0
 
-    def _done(n_iter: int, method: str):
+    def _done(n_iter: int):
         final = _stencil_residual_h(problem, w.reshape(grid.shape))
-        return w.reshape(grid.shape), SolveReport(n_iter, final, True, method=method,
+        return w.reshape(grid.shape), SolveReport(n_iter, final, True, method="newton",
                                                   inner_iterations=inner_total)
 
-    # Newton with backtracking.  Acceptance is sufficient decrease of either
-    # the convex objective or the residual norm; near convergence the energy
-    # differences fall below evaluation noise and the residual test takes over.
     r = sys.residual(w)
     rh = sys.hnorm(r)
-    for it in range(max_newton):
+    y = sys.grad_cells(w)
+    gam = gamma_eps(y, eps)
+    p = y / gam                      # the dual flux, grad_gamma_eps(y)
+    for it in range(MAX_NEWTON):
         if rh <= tol:
-            return _done(it, "newton")
-        delta, n_cg, ok = sys.solve(sys.jacobian_data(w), -r)
+            return _done(it)
+        if it:
+            # Dual step of the last accepted primal step, linearized at the old
+            # (y, gam) and projected onto the unit ball.  It is made here, not
+            # after the step, so that a solve that has converged skips it.
+            y_new = sys.grad_cells(w)
+            p = (y_new - p * (np.sum(y * (y_new - y), axis=0) / gam)) / gam
+            p /= np.maximum(1.0, np.sqrt(np.sum(p * p, axis=0)))
+            y, gam = y_new, gamma_eps(y_new, eps)
+        delta, n_cg, ok = sys.solve(sys.jacobian_data(y, gam, p), -r)
         inner_total += n_cg
         if not ok:
             break
+        # Backtracking.  Acceptance is sufficient decrease of either the residual
+        # norm or the convex objective; near convergence the energy differences
+        # fall below evaluation noise and the residual test takes over.
         slope = sys.vol * float(r @ delta)   # directional derivative of the energy
-        e0 = sys.energy(w)
-        step = sys.backtrack(w, delta, 30, lambda t, wt, rht: rht <= (1.0 - 1e-4 * t) * rh
-                             or (slope < 0 and sys.energy(wt) <= e0 + 1e-4 * t * slope))
-        if step is None:
+        e0 = None                            # energy at w, needed only after a rejection
+        t = 1.0
+        for _ in range(30):
+            wt = w + t * delta
+            rt = sys.residual(wt)
+            rht = sys.hnorm(rt)
+            if rht <= (1.0 - 1e-4 * t) * rh:
+                break
+            if slope < 0:
+                if e0 is None:
+                    e0 = sys.energy(w)
+                if sys.energy(wt) <= e0 + 1e-4 * t * slope:
+                    break
+            t *= 0.5
+        else:                                # no acceptable step length
             break
-        w, r, rh = step
+        w, r, rh = wt, rt, rht
     if rh <= tol:
-        return _done(max_newton, "newton")
-
-    # Fallback: damped lagged diffusivity (frozen gamma weight)
-    for it in range(max_fixed_point):
-        if rh <= tol:
-            return _done(it, "lagged")
-        w_new, n_cg, ok = sys.solve(sys.lagged_data(w), sys.z, x0=w)
-        inner_total += n_cg
-        if not ok:
-            break
-        step = sys.backtrack(w, w_new - w, 25, lambda t, wt, rht: rht < rh)
-        if step is None:
-            break
-        w, r, rh = step
-
-    if rh <= tol:
-        return _done(max_fixed_point, "lagged")
-    report = SolveReport(max_newton + max_fixed_point, rh, False, method="failed",
+        return _done(MAX_NEWTON)
+    report = SolveReport(MAX_NEWTON, rh, False, method="failed",
                          inner_iterations=inner_total)
     raise SolverError(
         f"singular resolvent did not reach residual {tol:.3e} (got {rh:.3e})", report)

@@ -246,14 +246,34 @@ def test_fixed_pattern_matrices_match_explicit_assembly(cells, extents):
     y = (G @ w).reshape(g.dim, g.n_cells)
     rest = kappa_eff * g.stiffness_matrix + sp.diags(m.ravel())
 
+    gam = gamma_eps(y, eps)
     H = hess_gamma_eps(y, eps)
-    B = sp.bmat([[sp.diags(beta.ravel() * H[i, j]) for j in range(g.dim)]
-                 for i in range(g.dim)])
-    lagged = sp.diags(np.tile(beta.ravel() / gamma_eps(y, eps), g.dim))
-    for data, B_ref in ((system.jacobian_data(w), B), (system.lagged_data(w), lagged)):
-        explicit = (G.T @ B_ref @ G + rest).toarray()
-        err = np.max(np.abs(system.pattern.matrix(data).toarray() - explicit))
-        assert err <= 1e-14 * np.max(np.abs(explicit))
+    p = rng.uniform(-1.0, 1.0, y.shape)
+    p /= np.maximum(1.0, np.linalg.norm(p, axis=0))
+    p[:, ::3] /= np.linalg.norm(p[:, ::3], axis=0)     # some on the unit sphere
+    q = (y / gam - p) / gam**2
+    Bpd = [[H[i, j] + 0.5 * (q[i] * y[j] + q[j] * y[i]) for j in range(g.dim)]
+           for i in range(g.dim)]
+    B_ref = sp.bmat([[sp.diags(beta.ravel() * Bpd[i][j]) for j in range(g.dim)]
+                     for i in range(g.dim)])
+    explicit = (G.T @ B_ref @ G + rest).toarray()
+    err = np.max(np.abs(system.pattern.matrix(system.jacobian_data(y, gam, p)).toarray()
+                        - explicit))
+    assert err <= 1e-14 * np.max(np.abs(explicit))
+    # At p = y/gam the primal-dual matrix is the exact Hessian, bit for bit.
+    hessian = system.matrix_data(beta.ravel() * H)
+    assert np.array_equal(system.jacobian_data(y, gam, grad_gamma_eps(y, eps)), hessian)
+
+    # SPD with smallest eigenvalue >= min m for any |p| <= 1, down to eps = 2^-11.
+    if g.dim == 2:
+        for eps_small in (eps, 2.0**-6, 2.0**-11):
+            system = _SingularSystem(SingularResolventProblem(g, beta, kappa_eff, m, g.zeros(),
+                                                              eps_small))
+            A = system.pattern.matrix(system.jacobian_data(y, gamma_eps(y, eps_small), p))
+            A = A.toarray()
+            assert np.max(np.abs(A - A.T)) <= 1e-14 * np.max(np.abs(A))
+            smallest = np.linalg.eigvalsh(0.5 * (A + A.T))[0]
+            assert smallest >= np.min(m) - 1e-12 * np.max(np.abs(A))
 
 
 def test_banded_newton_solve_matches_spsolve(grid1d):
@@ -262,9 +282,9 @@ def test_banded_newton_solve_matches_spsolve(grid1d):
     problem = SingularResolventProblem(grid1d, 1.0 + 0.5 * np.cos(2 * np.pi * x), 0.01,
                                        grid1d.constant(1e3), grid1d.zeros(), 2.0**-8)
     system = _SingularSystem(problem)
-    w = 0.5 * np.tanh((x - 0.5) / 0.01)
+    y = system.grad_cells(0.5 * np.tanh((x - 0.5) / 0.01))
     b = rng.standard_normal(grid1d.n_cells)
-    data = system.jacobian_data(w)
+    data = system.jacobian_data(y, gamma_eps(y, 2.0**-8), -grad_gamma_eps(y, 2.0**-8))
     assert system.pattern.bandwidth == 2
     x_banded, n_cg, ok = system.solve(data, b)
     assert ok and n_cg == 0

@@ -274,23 +274,42 @@ def grain_boundary_run(center, eps_exponent):
     return traj, residuals
 
 
+def assert_newton_steps(traj):
+    # Primal-dual Newton takes at most 9 iterations a step on these cases; the
+    # bound makes a slide back to a slowly converging method show.
+    for reports in traj.solve_reports:
+        assert reports["theta"].method == "newton"
+        assert reports["theta"].iterations <= 15
+
+
 def test_grain_boundary_step_at_eps_2_minus_8():
-    # ROADMAP item 4.  Stalled at 7.3e-10 > 5e-10 with CG inner solves.  With
-    # direct solves Newton still gives up on step 1 and the lagged fallback
-    # reaches 4.83e-10 against the 5e-10 target after ~370 iterations: a 3%
-    # margin, so rounding changes can break this test.  ROADMAP item 4(b)
-    # (primal-dual Newton) is the fix that would make it robust.  The method
-    # is checked so that a change in the path taken shows up here.
+    # ROADMAP item 4: primal Newton stalls on step 1 here; primal-dual Newton
+    # reaches 6.0e-11 against the 5e-10 target in 8 iterations.
     traj, residuals = grain_boundary_run(0.5, 8)
     assert len(residuals) == 5
-    assert traj.solve_reports[0]["theta"].method == "lagged"
+    assert_newton_steps(traj)
     # run() already raises above this bound; it is restated so the test keeps
     # the case's criterion if the step check ever changes.
     assert max(residuals) <= evolution.THETA_RESIDUAL_TOL
 
 
-@pytest.mark.xfail(strict=True, raises=StepFailedError,
-                   reason="Newton and the lagged fallback stall at residual 2.3e-4 "
-                          "on face 89 at eps=2^-10")
 def test_grain_boundary_face_89_at_eps_2_minus_10():
-    grain_boundary_run(89 / 128, 10)
+    # Primal Newton gives up on step 1 here, and lagged diffusivity stalls at 2.3e-4.
+    traj, residuals = grain_boundary_run(89 / 128, 10)
+    assert len(residuals) == 5
+    assert_newton_steps(traj)
+    assert max(residuals) <= evolution.THETA_RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("cells", [[128], [48, 48]], ids=["1d-128", "2d-48x48"])
+@pytest.mark.parametrize("dt", [1e-3, 1e-2])
+@pytest.mark.parametrize("eps_exponent", [2, 4, 8, 10])
+def test_grain_boundary_stress_matrix(cells, dt, eps_exponent):
+    # ROADMAP item 4: small eps, step-like angle, large dt, 2D.
+    g = build_grid(len(cells), cells, [1.0] * len(cells))
+    params = Parameters(kappa=1e-2, epsilon=2.0**-eps_exponent, T=3 * dt, dt=dt)
+    theta0 = 0.5 * np.tanh((g.meshgrid()[0] - 89 / 128) / 0.01)
+    traj = run(SystemState(g, g.constant(1.0), theta0), reference_model(), params,
+               Forcings(g))
+    assert len(traj.solve_reports) == 3
+    assert_newton_steps(traj)
