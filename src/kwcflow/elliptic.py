@@ -27,10 +27,11 @@ is the exact Hessian.  It stays SPD with smallest eigenvalue at least
 degenerates at small eps on step-like data.  The matrix shares the grid's
 fixed sparsity pattern (:attr:`Grid.jacobian_pattern`), so an iteration
 only refills a data array.  In 1D it is banded (bandwidth 2) and solved by
-banded Cholesky; in 2D by Jacobi-preconditioned conjugate gradients,
-which at these sizes is faster than a fresh sparse factorization per
-iteration.  Residuals reported back are re-evaluated from the stencil
-operators, independent of the solver's matrix algebra.
+LAPACK's banded Cholesky ``dpbsv``, called directly; in 2D by
+Jacobi-preconditioned conjugate gradients, which at these sizes is faster
+than a fresh sparse factorization per iteration.  Residuals reported back
+are re-evaluated from the stencil operators, independent of the solver's
+matrix algebra.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpbsv
 from scipy.sparse.linalg import cg, splu
 
 from .grid import Grid
@@ -192,6 +193,7 @@ class _SingularSystem:
         self.nc = g.n_cells
         self.vol = g.cell_volume
         self.G = g.cell_gradient_matrix          # (dim*nc, nc)
+        self.GT = g.cell_gradient_transpose
         self.Lpos = g.stiffness_matrix           # -laplacian, PSD
         self.pattern = g.jacobian_pattern
         self.beta = p.beta.ravel()
@@ -214,13 +216,13 @@ class _SingularSystem:
     def residual(self, w: np.ndarray) -> np.ndarray:
         y = self.grad_cells(w)
         flux = self.beta * grad_gamma_eps(y, self.p.epsilon)
-        r = self.G.T @ flux.ravel()
+        r = self.GT @ flux.ravel()
         r += self.p.kappa_eff * (self.Lpos @ w)
         r += self.m * w - self.z
         return r
 
     def hnorm(self, r: np.ndarray) -> float:
-        return float(np.sqrt(self.vol * np.sum(r * r)))
+        return float(np.sqrt(self.vol * (r * r).sum()))
 
     def matrix_data(self, B: np.ndarray) -> np.ndarray:
         """Data of ``G^T B G + kappa_eff*K + diag(m)`` on the fixed pattern;
@@ -238,10 +240,13 @@ class _SingularSystem:
     def solve(self, data: np.ndarray, b: np.ndarray):
         """Solve the SPD system with matrix data ``data``; returns (x, cg_iters, ok)."""
         if self.dim == 1:    # bandwidth 2: a direct solve is cheapest
-            try:
-                return solveh_banded(self.pattern.upper_band(data), b), 0, True
-            except np.linalg.LinAlgError:
-                return b, 0, False
+            ab = self.pattern.upper_band(data)
+            if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+                raise ValueError("array must not contain infs or NaNs")
+            _, x, info = dpbsv(ab, b)
+            if info < 0:
+                raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
+            return (x, 0, True) if info == 0 else (b, 0, False)
         return _cg_solve(self.pattern.matrix(data), b)
 
 

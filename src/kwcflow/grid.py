@@ -69,8 +69,10 @@ class Grid:
             raise ValueError(f"extents must be positive, got {self.extents}")
 
     # -- geometry -----------------------------------------------------------
+    # Cached: the grid is frozen and a step asks for its geometry many times.
+    # The caches live in the instance dict, outside ``==`` and ``hash``.
 
-    @property
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.extents, self.cells))
 
@@ -78,11 +80,11 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return self.cells
 
-    @property
+    @cached_property
     def n_cells(self) -> int:
         return int(np.prod(self.cells))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
@@ -108,17 +110,17 @@ class Grid:
         f = np.asarray(f, dtype=float)
         if f.shape != self.shape:
             raise ValueError(f"{name}: expected shape {self.shape}, got {f.shape}")
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f).all():
             raise ValueError(f"{name}: contains non-finite values")
         return f
 
     def face_shapes(self) -> tuple[tuple[int, ...], ...]:
-        shapes = []
-        for d in range(self.dim):
-            s = list(self.shape)
-            s[d] += 1
-            shapes.append(tuple(s))
-        return tuple(shapes)
+        return self._face_shapes
+
+    @cached_property
+    def _face_shapes(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.shape[:d] + (self.shape[d] + 1,) + self.shape[d + 1:]
+                     for d in range(self.dim))
 
     def check_faces(self, F, name: str = "vector field"):
         if len(F) != self.dim:
@@ -128,7 +130,7 @@ class Grid:
             comp = np.asarray(comp, dtype=float)
             if comp.shape != shp:
                 raise ValueError(f"{name}: axis-{d} faces must have shape {shp}, got {comp.shape}")
-            if not np.all(np.isfinite(comp)):
+            if not np.isfinite(comp).all():
                 raise ValueError(f"{name}: non-finite values on axis-{d} faces")
             out.append(comp)
         return tuple(out)
@@ -201,13 +203,13 @@ class Grid:
         f, g = np.asarray(f), np.asarray(g)
         if f.shape != self.shape or g.shape != self.shape:
             raise ValueError(f"fields do not share this grid: {f.shape}, {g.shape} vs {self.shape}")
-        return float(np.sum(f * g) * self.cell_volume)
+        return float((f * g).sum() * self.cell_volume)
 
     def inner_faces(self, F, G) -> float:
         """Face pairing with cell-volume weights (matches the adjoint identity)."""
         total = 0.0
         for d in range(self.dim):
-            total += float(np.sum(np.asarray(F[d]) * np.asarray(G[d])))
+            total += float((np.asarray(F[d]) * np.asarray(G[d])).sum())
         return total * self.cell_volume
 
     def norm_h(self, f: np.ndarray) -> float:
@@ -289,14 +291,23 @@ class Grid:
         return sp.vstack(blocks).tocsr()
 
     @cached_property
+    def cell_gradient_transpose(self) -> sp.csr_matrix:
+        """``cell_gradient_matrix.T`` in CSR form: ``G.T @ x`` would build a CSC
+        matrix on every call.  The product is bitwise the same (same summation order)."""
+        return self.cell_gradient_matrix.T.tocsr()
+
+    @cached_property
     def jacobian_pattern(self) -> "JacobianPattern":
         """Fixed sparsity pattern of ``G^T B G + K + I`` (see :class:`JacobianPattern`)."""
         n = self.n_cells
+        # Each full-size temporary is deleted after its last use, which keeps
+        # the peak of the build near the size of the pattern it returns.
         G = self.cell_gradient_matrix.tocoo()
         keep = G.data != 0.0
         comp, cell = np.divmod(G.row[keep].astype(np.int64), n)
         col = G.col[keep].astype(np.int64)
         val = G.data[keep]
+        del G, keep
         # Pair every two gradient entries that sit in the same cell: slot[c] lists
         # the entries of cell c, padded with -1.
         order = np.argsort(cell, kind="stable")
@@ -304,29 +315,36 @@ class Grid:
         rank = np.arange(order.size) - (np.cumsum(counts) - counts)[cell[order]]
         slot = np.full((n, counts.max()), -1)
         slot[cell[order], rank] = order
+        del order, rank
         p, q = np.broadcast_arrays(slot[:, :, None], slot[:, None, :])
         valid = (p >= 0) & (q >= 0)
         p, q = p[valid], q[valid]
+        del slot, valid
         # Entry (col[p], col[q]) picks up val[p] * val[q] * B[comp[p], comp[q], cell].
         pair_keys = col[p] * n + col[q]
         source = (comp[p] * self.dim + comp[q]) * n + cell[p]
+        weights = val[p] * val[q]
+        del p, q, comp, cell, col, val
 
         K = self.stiffness_matrix.tocoo()
         K_keys = K.row.astype(np.int64) * n + K.col
         diag_keys = np.arange(n, dtype=np.int64) * (n + 1)
-        keys = np.sort(np.concatenate([pair_keys, K_keys, diag_keys]))
-        keys = keys[np.concatenate([[True], np.diff(keys) != 0])]
+        keys = np.unique(np.concatenate([pair_keys, K_keys, diag_keys]))
         rows, indices = np.divmod(keys, n)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        coupling = sp.csr_matrix(
-            (val[p] * val[q], (np.searchsorted(keys, pair_keys), source)),
-            shape=(keys.size, self.dim * self.dim * n))
+        bandwidth = int(np.max(indices - rows))
+        del rows
+        pair_slots = np.searchsorted(keys, pair_keys)
+        del pair_keys
+        coupling = sp.csr_matrix((weights, (pair_slots, source)),
+                                 shape=(keys.size, self.dim * self.dim * n))
+        del weights, pair_slots, source
         stiffness_data = np.zeros(keys.size)
         stiffness_data[np.searchsorted(keys, K_keys)] = K.data
         return JacobianPattern(
             shape=(n, n), indptr=indptr, indices=indices, coupling=coupling,
             stiffness_data=stiffness_data, diagonal=np.searchsorted(keys, diag_keys),
-            bandwidth=int(np.max(indices - rows)))
+            bandwidth=bandwidth)
 
 
 @dataclass(frozen=True)

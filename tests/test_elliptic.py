@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import solveh_banded
 from scipy.sparse.linalg import spsolve
 
 import kwcflow.evolution as evolution
@@ -290,6 +293,28 @@ def test_banded_newton_solve_matches_spsolve(grid1d):
     assert ok and n_cg == 0
     x_ref = spsolve(system.pattern.matrix(data).tocsc(), b)
     assert np.max(np.abs(x_banded - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+
+
+def test_direct_banded_solve_matches_solveh_banded(grid1d):
+    # The 1D solve calls LAPACK's dpbsv directly; it must behave as the
+    # solveh_banded wrapper did: same bits, failure reported, NaN rejected.
+    x = grid1d.centers(0)
+    problem = SingularResolventProblem(grid1d, 1.0 + 0.5 * np.cos(2 * np.pi * x), 0.01,
+                                       grid1d.constant(1e3), grid1d.zeros(), 2.0**-8)
+    system = _SingularSystem(problem)
+    y = system.grad_cells(0.5 * np.tanh((x - 0.5) / 0.01))
+    b = np.random.default_rng(13).standard_normal(grid1d.n_cells)
+    data = system.jacobian_data(y, gamma_eps(y, 2.0**-8), grad_gamma_eps(y, 2.0**-8))
+    x_direct, n_cg, ok = system.solve(data, b)
+    assert ok and n_cg == 0
+    assert x_direct.tobytes() == solveh_banded(system.pattern.upper_band(data), b).tobytes()
+    assert not system.solve(-data, b)[2]
+    bad = data.copy()
+    bad[5] = np.nan
+    with pytest.raises(ValueError) as wrapper:
+        solveh_banded(system.pattern.upper_band(bad), b)
+    with pytest.raises(ValueError, match=re.escape(str(wrapper.value))):
+        system.solve(bad, b)
 
 
 @pytest.mark.parametrize("cells", [[64], [12, 10]])

@@ -1,8 +1,11 @@
+import tracemalloc
+from functools import cached_property
+
 import numpy as np
 import pytest
 
 from kwcflow import build_grid, load_field, save_field
-from kwcflow.grid import bump_field, cosine_field, random_smooth_field
+from kwcflow.grid import Grid, bump_field, cosine_field, random_smooth_field
 
 
 @pytest.fixture(params=[1, 2], ids=["1d", "2d"])
@@ -153,6 +156,49 @@ def test_operator_matrices_match_stencils(grid):
     assert np.allclose(
         (grid.cell_gradient_matrix @ w.ravel()).reshape((grid.dim,) + grid.shape),
         gc, atol=1e-14)
+
+
+def test_cell_gradient_transpose_is_the_csr_transpose(grid):
+    G = grid.cell_gradient_matrix
+    GT = grid.cell_gradient_transpose
+    assert GT.format == "csr"
+    assert GT.shape == G.T.shape
+    assert np.array_equal(GT.toarray(), G.T.toarray())
+    x = np.random.default_rng(12).standard_normal(G.shape[0])
+    assert (GT @ x).tobytes() == (G.T @ x).tobytes()
+
+
+def test_cached_geometry_leaves_grid_identity_alone(grid):
+    # The kept eta factor is keyed on (grid, lam, m), so a grid whose caches are
+    # filled must still compare and hash like a fresh one.
+    for name, attr in vars(Grid).items():
+        if isinstance(attr, cached_property):
+            getattr(grid, name)
+    fresh = build_grid(grid.dim, grid.cells, grid.extents)
+    assert grid == fresh and hash(grid) == hash(fresh)
+    assert grid.spacing == tuple(L / n for L, n in zip(grid.extents, grid.cells))
+    assert grid.n_cells == int(np.prod(grid.cells))
+    assert grid.cell_volume == float(np.prod(grid.spacing))
+    shapes = []
+    for d in range(grid.dim):
+        s = list(grid.shape)
+        s[d] += 1
+        shapes.append(tuple(s))
+    assert grid.face_shapes() == tuple(shapes)
+
+
+def test_jacobian_pattern_build_peak_memory():
+    # The pattern of a 2D 128^2 grid keeps 7.6 MB; a build that held all of its
+    # full-size temporaries at once peaked at 29 MB.
+    g = build_grid(2, [128, 128], [1.0, 1.0])
+    g.cell_gradient_matrix, g.stiffness_matrix
+    tracemalloc.start()
+    try:
+        g.jacobian_pattern
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 21e6
 
 
 def test_cell_to_face_is_adjoint_of_face_to_cell(grid):
