@@ -21,7 +21,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import ConfigError, RunConfig, parse_config, serialize_config
+from .config import (ConfigError, RunConfig, parse_config, parse_config_dict,
+                     serialize_config)
 from .elliptic import CG_RTOL
 from .evolution import (StepFailedError, THETA_RESIDUAL_TOL, run,
                         write_timeseries)
@@ -57,7 +58,6 @@ def _load_config(args) -> RunConfig:
     if args.seed is not None:
         doc = serialize_config(config)
         doc["seed"] = args.seed
-        from .config import parse_config_dict
         config = parse_config_dict(doc)
     return config
 

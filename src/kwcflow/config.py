@@ -11,6 +11,7 @@ a config is accepted, which is how runs are reproduced bit-for-bit.
 from __future__ import annotations
 
 import difflib
+import inspect
 import json
 from dataclasses import dataclass, field as dc_field
 
@@ -20,6 +21,7 @@ from .grid import (Grid, build_grid, bump_field, cosine_field, load_field,
                    random_smooth_field)
 from .model import ModelFunctions, Parameters, reference_model
 from .evolution import Forcings, SystemState, prepare_initial_theta
+from .experiments import EXPERIMENTS
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_dict",
            "serialize_config", "default_config_dict"]
@@ -236,8 +238,6 @@ def parse_config_dict(doc: dict) -> RunConfig:
         violations.append("experiment: expected an object keyed by experiment name")
         experiment = {}
     else:
-        from .experiments import EXPERIMENTS
-        import inspect
         for name, opts in experiment.items():
             if name not in EXPERIMENTS:
                 hint = difflib.get_close_matches(name, list(EXPERIMENTS), n=1)

@@ -337,22 +337,21 @@ def singular_resolvent(problem: SingularResolventProblem,
 
 
 def check_h2_bound(grid: Grid, w: np.ndarray, z: np.ndarray, beta: np.ndarray,
-                   epsilon: float, kappa: float, verify_solution: bool = True) -> float:
+                   epsilon: float, kappa: float) -> float:
     """Ratio |w|_H2^2 / (|z|_H^2 + |beta|_V^2) for a unit-weight resolvent solution.
 
     The epsilon-uniformity experiment tracks this ratio over a decreasing
-    epsilon ladder; the bound it discretizes is epsilon-independent.  When
-    ``verify_solution`` is set, the quasilinear residual is re-evaluated
-    and a mismatch raises, guarding against passing a stale field.
+    epsilon ladder; the bound it discretizes is epsilon-independent.  The
+    quasilinear residual is re-evaluated and a mismatch raises, guarding
+    against passing a stale field.
     """
     w = grid.check_scalar(np.asarray(w, dtype=float), "w")
     z = grid.check_scalar(np.asarray(z, dtype=float), "z")
     beta = grid.check_scalar(np.asarray(beta, dtype=float), "beta")
-    if verify_solution:
-        problem = SingularResolventProblem(grid, beta, kappa, grid.constant(1.0), z, epsilon)
-        res = _stencil_residual_h(problem, w)
-        if res > 1e-6 * (grid.norm_h(z) + 1.0):
-            raise ValueError(f"w does not solve the resolvent problem (residual {res:.3e})")
+    problem = SingularResolventProblem(grid, beta, kappa, grid.constant(1.0), z, epsilon)
+    res = _stencil_residual_h(problem, w)
+    if res > 1e-6 * (grid.norm_h(z) + 1.0):
+        raise ValueError(f"w does not solve the resolvent problem (residual {res:.3e})")
     denom = grid.norm_h(z) ** 2 + grid.norm_v(beta) ** 2
     if denom == 0.0:
         raise ValueError("z and beta are both identically zero")

@@ -245,11 +245,10 @@ def _theta_pde_residual(grid: Grid, model: ModelFunctions, params: Parameters,
     """Backward-difference residual of the theta equation, assembled from scratch."""
     rate = (theta_new - theta_old) / dt
     flux = interfacial_flux(grid, model.alpha(eta_new), theta_new, params.epsilon, params.kappa)
-    Gn = grid.grad(theta_new)
-    Go = grid.grad(theta_old)
-    nu2dt = params.nu**2 / dt
-    total = tuple(flux[d] + nu2dt * (Gn[d] - Go[d]) for d in range(grid.dim))
-    r = model.alpha0(eta_new) * rate - grid.div(total) - v_new
+    if params.nu:
+        Gn, Go = grid.grad(theta_new), grid.grad(theta_old)
+        flux = tuple(f + params.nu**2 / dt * (n - o) for f, n, o in zip(flux, Gn, Go))
+    r = model.alpha0(eta_new) * rate - grid.div(flux) - v_new
     return grid.norm_h(r)
 
 
@@ -264,7 +263,9 @@ def _advance(state: SystemState, model: ModelFunctions, params: Parameters,
     # eta step: implicit Laplacian (plus damping), explicit nonlinearity
     gam = gamma_eps(grid.grad_cell(state.theta), params.epsilon)
     ghat = model.g(state.eta) + model.alpha_d1(state.eta) * gam
-    z_eta = state.eta - params.mu**2 * grid.laplacian(state.eta) + dt * (u_new - ghat)
+    # damping terms are computed only when their weight is nonzero (x - 0.0 is x)
+    damp_eta = params.mu**2 * grid.laplacian(state.eta) if params.mu else 0.0
+    z_eta = state.eta - damp_eta + dt * (u_new - ghat)
     lam = dt + params.mu**2
     eta_new, rep_eta = linear_resolvent(
         LinearResolventProblem(grid, lam, grid.constant(1.0), z_eta))
@@ -276,7 +277,8 @@ def _advance(state: SystemState, model: ModelFunctions, params: Parameters,
     # theta step: fully implicit convex solve given eta_new
     m = model.alpha0(eta_new) / dt
     kappa_eff = params.kappa + params.nu**2 / dt
-    z_theta = v_new + m * state.theta - (params.nu**2 / dt) * grid.laplacian(state.theta)
+    damp_theta = (params.nu**2 / dt) * grid.laplacian(state.theta) if params.nu else 0.0
+    z_theta = v_new + m * state.theta - damp_theta
     problem = SingularResolventProblem(grid, model.alpha(eta_new), kappa_eff, m,
                                        z_theta, params.epsilon)
     tol = min(1e-10 * (grid.norm_h(z_theta) + 1.0), 0.5 * THETA_RESIDUAL_TOL)

@@ -16,15 +16,13 @@ T = 0.25).  All randomness is seeded.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
-import sympy
 
 from .grid import Grid, build_grid, bump_field, random_smooth_field
-from .model import Parameters, reference_model
+from .model import ModelFunctions, Parameters, reference_model
 from .elliptic import SingularResolventProblem, check_h2_bound, singular_resolvent
 from .evolution import (Forcings, SystemState, Trajectory,
                         energy_inequality_residual, prepare_initial_theta, run,
@@ -561,38 +559,31 @@ def exp_h2_uniformity(dim: int = 1, cells=128, kappa: float = 1.0,
 # -- manufactured solutions --------------------------------------------------------------------
 
 
-def _manufactured_forcings(model_name: str, epsilon: float, kappa: float):
-    """Closed-form forcings for the cosine manufactured pair, via symbolic
-    substitution into the strong equations (1D reference model)."""
-    if model_name != "reference":
-        raise ValueError("manufactured forcings are derived for the reference model")
-    t, x = sympy.symbols("t x")
-    eta = 1 + sympy.Rational(1, 4) * sympy.exp(-t) * sympy.cos(sympy.pi * x)
-    theta = (sympy.Rational(3, 10)
-             + sympy.Rational(1, 10) * sympy.exp(-t) * sympy.cos(2 * sympy.pi * x))
+def _manufactured_forcings(model: ModelFunctions, epsilon: float, kappa: float,
+                           t: float, x: np.ndarray):
+    """Forcings u, v and fields eta, theta of the cosine manufactured pair (1D).
 
-    g_expr = eta - 1
+    With a = e^-t cos(pi x)/4, b = e^-t cos(2 pi x)/10, eta = 1 + a,
+    theta = 3/10 + b and gam = sqrt(eps^2 + theta_x^2), substituting the
+    pair into the strong equations gives, in closed form,
 
-    def alpha_of(r):
-        return sympy.Rational(1, 10) + sympy.sqrt(sympy.Rational(1, 100) + r**2)
-
-    def alpha_d1_of(r):
-        return r / sympy.sqrt(sympy.Rational(1, 100) + r**2)
-
-    def alpha0_of(r):
-        return 1 + 1 / (1 + r**2)
-
-    tx = theta.diff(x)
-    gam = sympy.sqrt(epsilon**2 + tx**2)
-    u = (eta.diff(t) - eta.diff(x, 2) + g_expr + alpha_d1_of(eta) * gam)
-    flux = alpha_of(eta) * tx / gam + kappa * tx
-    v = alpha0_of(eta) * theta.diff(t) - flux.diff(x)
-
-    fu = sympy.lambdify((t, x), u, "numpy")
-    fv = sympy.lambdify((t, x), v, "numpy")
-    feta = sympy.lambdify((t, x), eta, "numpy")
-    ftheta = sympy.lambdify((t, x), theta, "numpy")
-    return fu, fv, feta, ftheta
+        u = (pi^2 - 1) a + g(eta) + alpha'(eta) gam,
+        v = -alpha0(eta) b - [alpha'(eta) eta_x theta_x / gam
+                              + alpha(eta) eps^2 theta_xx / gam^3 + kappa theta_xx].
+    """
+    pi = np.pi
+    a = 0.25 * np.exp(-t) * np.cos(pi * x)
+    b = 0.1 * np.exp(-t) * np.cos(2 * pi * x)
+    eta, theta = 1.0 + a, 0.3 + b
+    eta_x = -0.25 * pi * np.exp(-t) * np.sin(pi * x)
+    theta_x = -0.2 * pi * np.exp(-t) * np.sin(2 * pi * x)
+    theta_xx = -4.0 * pi**2 * b
+    gam = np.sqrt(epsilon**2 + theta_x**2)
+    u = (pi**2 - 1.0) * a + model.g(eta) + model.alpha_d1(eta) * gam
+    v = -model.alpha0(eta) * b - (model.alpha_d1(eta) * eta_x * theta_x / gam
+                                  + model.alpha(eta) * epsilon**2 * theta_xx / gam**3
+                                  + kappa * theta_xx)
+    return u, v, eta, theta
 
 
 def exp_manufactured_convergence(spatial_cells=(32, 64, 128), base_dt: float = 2e-3,
@@ -609,16 +600,18 @@ def exp_manufactured_convergence(spatial_cells=(32, 64, 128), base_dt: float = 2
     grid, errors measured against a small-dt reference run on the same
     grid so the spatial component cancels and the ratio sits near 2.
     """
-    fu, fv, feta, ftheta = _manufactured_forcings("reference", epsilon, kappa)
     model = reference_model()
 
+    def manufactured(t: float, x: np.ndarray):
+        return _manufactured_forcings(model, epsilon, kappa, t, x)
+
     def exact_state(grid: Grid, t: float) -> tuple[np.ndarray, np.ndarray]:
-        x = grid.meshgrid()[0]
-        return feta(t, x), ftheta(t, x)
+        return manufactured(t, grid.meshgrid()[0])[2:]
 
     def forcing_pair(grid: Grid) -> Forcings:
         x = grid.meshgrid()[0]
-        return Forcings(grid, u=lambda tt: fu(tt, x), v=lambda tt: fv(tt, x))
+        return Forcings(grid, u=lambda tt: manufactured(tt, x)[0],
+                        v=lambda tt: manufactured(tt, x)[1])
 
     # spatial ladder, dt ~ h^2
     spatial_errors = []
@@ -730,11 +723,3 @@ def report_to_jsonable(report):
         return obj
     return convert(report)
 
-
-def write_report_json(outdir, name: str, report) -> str:
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "report.json")
-    payload = {"experiment": name, "report": report_to_jsonable(report)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-    return path

@@ -154,6 +154,7 @@ def test_cli_experiment(tmp_path):
                  "--out", str(out)]) == 0
     payload = json.loads((out / "report.json").read_text())
     assert payload["passed"] is True
+    assert payload["report"]["passed"] == payload["passed"]
     assert payload["experiment"] == "h2_uniformity"
     assert main(["experiment", "nope", "--config", cfg]) == 2
 

@@ -8,7 +8,7 @@ from kwcflow import (Forcings, Parameters, SolverError, SystemState,
                      prepare_initial_theta, reference_model, run,
                      step_parabolic, step_pseudo_parabolic)
 from kwcflow.evolution import StepFailedError, write_timeseries
-from kwcflow.grid import random_smooth_field
+from kwcflow.grid import Grid, random_smooth_field
 
 
 @pytest.fixture
@@ -138,6 +138,25 @@ def test_steppers_identical_at_zero_damping(setup):
     b = step_pseudo_parabolic(st, model, params, f)
     assert np.array_equal(a.eta, b.eta)
     assert np.array_equal(a.theta, b.theta)
+
+
+def test_zero_damping_weights_skip_their_laplacians(setup, monkeypatch):
+    # Each nonzero damping weight costs one Laplacian; the eta solve's
+    # residual re-check costs the one left at mu = nu = 0.
+    g, model, eta0, theta0 = setup
+    calls = []
+    laplacian = Grid.laplacian
+
+    def counted(self, f):
+        calls.append(1)
+        return laplacian(self, f)
+
+    monkeypatch.setattr(Grid, "laplacian", counted)
+    for mu, nu, expected in ((0.0, 0.0, 1), (0.1, 0.0, 2), (0.0, 0.1, 2), (0.1, 0.1, 3)):
+        calls.clear()
+        params = Parameters(kappa=1.0, epsilon=0.25, T=1.0, dt=1e-3, mu=mu, nu=nu)
+        step_pseudo_parabolic(SystemState(g, eta0, theta0), model, params, Forcings(g))
+        assert len(calls) == expected, (mu, nu)
 
 
 def test_eta_step_matches_explicit_euler_oracle(setup):

@@ -1,15 +1,13 @@
-import json
-
 import numpy as np
 import pytest
 
-from kwcflow import build_grid
-from kwcflow.experiments import (estimate_embedding_constant,
+from kwcflow import build_grid, reference_model
+from kwcflow.experiments import (_manufactured_forcings,
+                                 estimate_embedding_constant,
                                  exp_continuous_dependence,
                                  exp_energy_dissipation, exp_epsilon_limit,
                                  exp_h2_uniformity, exp_munu_limit,
-                                 report_to_jsonable, run_experiment,
-                                 write_report_json)
+                                 report_to_jsonable, run_experiment)
 
 # Smoke-scale options; the full desk-scale versions run in the acceptance suite.
 SHORT = dict(T=0.05, dt=1e-3, cells=48)
@@ -93,12 +91,8 @@ def test_h2_uniformity_short():
 def test_experiment_registry_and_reports(tmp_path):
     with pytest.raises(ValueError):
         run_experiment("not_an_experiment")
-    r = run_experiment("h2_uniformity", outdir=str(tmp_path), cells=64,
-                       eps_values=(1.0, 0.5), trajectory_check=False)
-    path = write_report_json(str(tmp_path), "h2_uniformity", r)
-    payload = json.loads(open(path).read())
-    assert payload["experiment"] == "h2_uniformity"
-    assert payload["report"]["passed"] == r.passed
+    run_experiment("h2_uniformity", outdir=str(tmp_path), cells=64,
+                   eps_values=(1.0, 0.5), trajectory_check=False)
     assert (tmp_path / "h2_ratios.csv").exists()
 
 
@@ -108,3 +102,49 @@ def test_reports_deterministic_given_seed():
     b = exp_epsilon_limit(T=0.02, dt=1e-3, cells=32, eps_values=(0.3, 0.2),
                           eps0=0.1, seed=5)
     assert report_to_jsonable(a) == report_to_jsonable(b)
+
+
+def _d1(f, s, h):
+    """Fourth-order central first difference of ``f`` at ``s``."""
+    return (f(s - 2 * h) - 8 * f(s - h) + 8 * f(s + h) - f(s + 2 * h)) / (12 * h)
+
+
+def _d2(f, s, h):
+    """Fourth-order central second difference of ``f`` at ``s``."""
+    return (-f(s - 2 * h) + 16 * f(s - h) - 30 * f(s) + 16 * f(s + h)
+            - f(s + 2 * h)) / (12 * h * h)
+
+
+@pytest.mark.parametrize("epsilon", [0.25, 2.0**-6])
+@pytest.mark.parametrize("kappa", [1.0, 1e-2])
+def test_manufactured_forcings_solve_the_strong_equations(epsilon, kappa):
+    # The closed-form u and v against the strong equations evaluated by
+    # finite differences of the returned eta and theta.  The flux varies on
+    # the scale eps where theta_x vanishes, so its steps shrink with eps.
+    model = reference_model()
+
+    def feta(t, x):
+        return _manufactured_forcings(model, epsilon, kappa, t, x)[2]
+
+    def ftheta(t, x):
+        return _manufactured_forcings(model, epsilon, kappa, t, x)[3]
+
+    x = np.linspace(0.0, 1.0, 41)
+    h, h_flux = 1e-3, epsilon / 500
+    for t in (0.0, 0.17, 0.4):
+        fu, fv, eta, _ = _manufactured_forcings(model, epsilon, kappa, t, x)
+        eta_t = _d1(lambda s: feta(s, x), t, h)
+        eta_xx = _d2(lambda s: feta(t, s), x, h)
+
+        def theta_x(s):
+            return _d1(lambda r: ftheta(t, r), s, h_flux)
+
+        def flux(s):
+            tx = theta_x(s)
+            return model.alpha(feta(t, s)) * tx / np.sqrt(epsilon**2 + tx**2) + kappa * tx
+
+        gam = np.sqrt(epsilon**2 + theta_x(x) ** 2)
+        u = eta_t - eta_xx + model.g(eta) + model.alpha_d1(eta) * gam
+        v = model.alpha0(eta) * _d1(lambda s: ftheta(s, x), t, h) - _d1(flux, x, h_flux)
+        np.testing.assert_allclose(fu, u, rtol=0, atol=1e-8 * np.max(np.abs(u)))
+        np.testing.assert_allclose(fv, v, rtol=0, atol=1e-7 * np.max(np.abs(v)))
