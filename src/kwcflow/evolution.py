@@ -412,27 +412,36 @@ def energy_inequality_residual(trajectory: Trajectory, model: ModelFunctions,
     and delta_alpha the sampled infimum of alpha0.  Nonnegative up to a
     first-order-in-dt tolerance for the implicit-splitting scheme.
     """
-    bounds = model.ensure_bounds()
-    delta_alpha = bounds.delta_alpha
+    return np.array([slack for slack, _, _ in _interval_slack(trajectory, model, params,
+                                                               forcings)])
+
+
+def _interval_slack(trajectory: Trajectory, model: ModelFunctions, params: Parameters,
+                    forcings: Forcings):
+    """Per snapshot interval: the dissipation slack and the backward-difference
+    rates of eta and theta it used."""
+    delta_alpha = model.ensure_bounds().delta_alpha
     grid = trajectory.grid
-    out = []
+
+    def grad_sq(f):
+        G = grid.grad(f)
+        return grid.inner_faces(G, G)
+
     for k in range(len(trajectory.times) - 1):
         s, t = trajectory.times[k], trajectory.times[k + 1]
         dt = t - s
         de = (trajectory.eta_at(k + 1) - trajectory.eta_at(k)) / dt
         dth = (trajectory.theta_at(k + 1) - trajectory.theta_at(k)) / dt
-        Gde = grid.grad(de)
-        Gdth = grid.grad(dth)
+        # the damping terms are computed only when their weight is nonzero (x + 0.0 is x)
         lhs = (0.25 * dt * grid.norm_h(de) ** 2
-               + params.mu**2 * dt * grid.inner_faces(Gde, Gde)
+               + (params.mu**2 * dt * grad_sq(de) if params.mu else 0.0)
                + 0.5 * delta_alpha * dt * grid.norm_h(dth) ** 2
-               + params.nu**2 * dt * grid.inner_faces(Gdth, Gdth)
+               + (params.nu**2 * dt * grad_sq(dth) if params.nu else 0.0)
                + trajectory.energies[k + 1].total)
         rhs = (trajectory.energies[k].total
                + 0.5 * dt * grid.norm_h(forcings.u(t)) ** 2
                + dt / (2.0 * delta_alpha) * grid.norm_h(forcings.v(t)) ** 2)
-        out.append(rhs - lhs)
-    return np.array(out)
+        yield rhs - lhs, de, dth
 
 
 TIMESERIES_COLUMNS = [
@@ -446,7 +455,7 @@ def write_timeseries(path, trajectory: Trajectory, model: ModelFunctions,
     """One CSV row per snapshot; rates and the dissipation residual refer to
     the interval ending at that snapshot (zeros on the first row)."""
     grid = trajectory.grid
-    residuals = energy_inequality_residual(trajectory, model, params, forcings)
+    intervals = list(_interval_slack(trajectory, model, params, forcings))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TIMESERIES_COLUMNS)
@@ -455,12 +464,8 @@ def write_timeseries(path, trajectory: Trajectory, model: ModelFunctions,
                 rates = (0.0, 0.0, 0.0, 0.0)
                 s4 = 0.0
             else:
-                dt = trajectory.times[k] - trajectory.times[k - 1]
-                de = (trajectory.eta_at(k) - trajectory.eta_at(k - 1)) / dt
-                dth = (trajectory.theta_at(k) - trajectory.theta_at(k - 1)) / dt
+                s4, de, dth = intervals[k - 1]
                 rates = (grid.norm_h(de), grid.norm_h(dth),
                          grid.norm_v(de), grid.norm_v(dth))
-                s4 = residuals[k - 1]
             writer.writerow([repr(float(v)) for v in
-                             (t, e.dirichlet, e.potential, e.interfacial, e.total,
-                              rates[0], rates[1], rates[2], rates[3], s4)])
+                             (t, e.dirichlet, e.potential, e.interfacial, e.total, *rates, s4)])

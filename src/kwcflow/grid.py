@@ -21,6 +21,7 @@ rest of the package rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -137,15 +138,21 @@ class Grid:
 
     # -- discrete calculus ----------------------------------------------------
 
+    @cached_property
+    def _stencil_index(self) -> tuple[tuple, ...]:
+        """Per axis, the stencils' index tuples: interior faces, lower and upper
+        neighbours, first and last entry.  Built once; a step uses them many times."""
+        return tuple((_along(d, slice(1, n)), _along(d, slice(0, -1)), _along(d, slice(1, None)),
+                      _along(d, 0), _along(d, -1)) for d, n in enumerate(self.cells))
+
     def grad(self, f: np.ndarray) -> tuple[np.ndarray, ...]:
         """Face-valued gradient; boundary faces are exactly zero (mirror ghosts)."""
         f = self.check_scalar(f)
         comps = []
-        for d in range(self.dim):
-            h = self.spacing[d]
-            g = np.zeros(self.face_shapes()[d])
-            g[_along(d, slice(1, self.cells[d]))] = (f[_along(d, slice(1, None))]
-                                                     - f[_along(d, slice(0, -1))]) / h
+        for h, shape, (inner, lo, hi, _, _) in zip(self.spacing, self._face_shapes,
+                                                   self._stencil_index):
+            g = np.zeros(shape)
+            g[inner] = (f[hi] - f[lo]) / h
             comps.append(g)
         return tuple(comps)
 
@@ -157,12 +164,11 @@ class Grid:
         """
         F = self.check_faces(F)
         out = np.zeros(self.shape)
-        for d in range(self.dim):
-            h = self.spacing[d]
-            comp = F[d].copy()
-            comp[_along(d, 0)] = 0.0
-            comp[_along(d, -1)] = 0.0
-            out += (comp[_along(d, slice(1, None))] - comp[_along(d, slice(0, -1))]) / h
+        for h, comp, (_, lo, hi, first, last) in zip(self.spacing, F, self._stencil_index):
+            comp = comp.copy()
+            comp[first] = 0.0
+            comp[last] = 0.0
+            out += (comp[hi] - comp[lo]) / h
         return out
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
@@ -173,8 +179,8 @@ class Grid:
         """Average face values back onto cells; shape ``(dim,) + grid.shape``."""
         F = self.check_faces(F)
         out = np.zeros((self.dim,) + self.shape)
-        for d in range(self.dim):
-            out[d] = 0.5 * (F[d][_along(d, slice(0, -1))] + F[d][_along(d, slice(1, None))])
+        for d, (_, lo, hi, _, _) in enumerate(self._stencil_index):
+            out[d] = 0.5 * (F[d][lo] + F[d][hi])
         return out
 
     def cell_to_face(self, V: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -183,12 +189,12 @@ class Grid:
         if V.shape != (self.dim,) + self.shape:
             raise ValueError(f"expected cell-vector shape {(self.dim,) + self.shape}, got {V.shape}")
         comps = []
-        for d in range(self.dim):
-            g = np.zeros(self.face_shapes()[d])
-            g[_along(d, slice(1, self.cells[d]))] = 0.5 * (V[d][_along(d, slice(0, -1))]
-                                                           + V[d][_along(d, slice(1, None))])
-            g[_along(d, 0)] = 0.5 * V[d][_along(d, 0)]
-            g[_along(d, -1)] = 0.5 * V[d][_along(d, -1)]
+        for v, shape, (inner, lo, hi, first, last) in zip(V, self._face_shapes,
+                                                          self._stencil_index):
+            g = np.zeros(shape)
+            g[inner] = 0.5 * (v[lo] + v[hi])
+            g[first] = 0.5 * v[first]
+            g[last] = 0.5 * v[last]
             comps.append(g)
         return tuple(comps)
 
@@ -213,11 +219,11 @@ class Grid:
         return total * self.cell_volume
 
     def norm_h(self, f: np.ndarray) -> float:
-        return float(np.sqrt(max(self.inner(f, f), 0.0)))
+        return math.sqrt(max(self.inner(f, f), 0.0))
 
     def norm_v(self, f: np.ndarray) -> float:
         G = self.grad(f)
-        return float(np.sqrt(max(self.inner(f, f) + self.inner_faces(G, G), 0.0)))
+        return math.sqrt(max(self.inner(f, f) + self.inner_faces(G, G), 0.0))
 
     def norm_h2(self, f: np.ndarray) -> float:
         """H2 surrogate via the elliptic-regularity identity ``|-lap f + f|_H``."""

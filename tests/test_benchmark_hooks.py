@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from kwcflow import SingularResolventProblem, build_grid, elliptic, hess_gamma_eps
+from kwcflow import (Forcings, Parameters, SingularResolventProblem, SystemState, build_grid,
+                     elliptic, evolution, hess_gamma_eps, reference_model)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,3 +41,26 @@ def test_one_hessian_evaluation_per_newton_iteration(monkeypatch):
     _, report = elliptic.singular_resolvent(problem, initial_guess=theta)
     assert report.converged and report.iterations > 1
     assert len(calls) == report.iterations
+
+
+def test_newton_reuses_the_gradient_of_its_residual(monkeypatch):
+    # Each cell gradient serves one residual or energy evaluation: the Newton loop
+    # takes the accepted trial's gradient and gamma instead of recomputing them.
+    calls = {"grad_cells": 0, "residual_parts": 0, "energy": 0}
+    for name in calls:
+        method = getattr(elliptic._SingularSystem, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(elliptic._SingularSystem, name, counted)
+    # ROADMAP item-4 case, step 1: kappa=1e-2, eps=2^-8, step-like angle at c=0.5.
+    g = build_grid(1, [128], [1.0])
+    params = Parameters(kappa=1e-2, epsilon=2.0**-8, T=5e-3, dt=1e-3)
+    theta0 = 0.5 * np.tanh((g.centers(0) - 0.5) / 0.01)
+    _, _, report = evolution._advance(SystemState(g, g.constant(1.0), theta0),
+                                      reference_model(), params, Forcings(g))
+    assert report.iterations > 1
+    assert calls["residual_parts"] > report.iterations
+    assert calls["grad_cells"] == calls["residual_parts"] + calls["energy"]

@@ -12,7 +12,7 @@ from kwcflow import (Forcings, LinearResolventProblem, Parameters,
                      check_h2_bound, gamma_eps, grad_gamma_eps, hess_gamma_eps,
                      interfacial_flux, linear_resolvent, reference_model,
                      singular_resolvent, step_pseudo_parabolic)
-from kwcflow.elliptic import _SingularSystem, _stencil_residual_h
+from kwcflow.elliptic import _matvec, _SingularSystem, _stencil_residual_h
 from kwcflow.grid import random_smooth_field
 
 
@@ -277,6 +277,21 @@ def test_fixed_pattern_matrices_match_explicit_assembly(cells, extents):
             assert np.max(np.abs(A - A.T)) <= 1e-14 * np.max(np.abs(A))
             smallest = np.linalg.eigvalsh(0.5 * (A + A.T))[0]
             assert smallest >= np.min(m) - 1e-12 * np.max(np.abs(A))
+
+
+@pytest.mark.parametrize("cells,extents", [([48], [1.0]), ([6, 5], [1.0, 0.7])])
+def test_direct_csr_product_is_bitwise_the_operator_product(cells, extents):
+    # The solver's products call scipy's CSR kernel directly; the kernel adds
+    # into its output, so a NaN-filled buffer shows that it is zeroed first.
+    g = build_grid(len(cells), cells, extents)
+    rng = np.random.default_rng(12)
+    pattern = g.jacobian_pattern
+    for A in (g.cell_gradient_matrix, g.cell_gradient_transpose, g.stiffness_matrix,
+              pattern.coupling):
+        x = rng.standard_normal(A.shape[1])
+        out = np.full(A.shape[0], np.nan)
+        assert _matvec(A, x, out) is out
+        assert out.tobytes() == (A @ x).tobytes()
 
 
 def test_banded_newton_solve_matches_spsolve(grid1d):
