@@ -20,7 +20,8 @@ import numpy as np
 from .grid import (Grid, build_grid, bump_field, cosine_field, load_field,
                    random_smooth_field)
 from .model import ModelFunctions, Parameters, reference_model
-from .evolution import Forcings, SystemState, prepare_initial_theta
+from .evolution import (Forcings, SystemState, compile_expression, prepare_initial_theta,
+                        run_preconditions)
 from .experiments import EXPERIMENTS
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_dict",
@@ -34,13 +35,6 @@ class ConfigError(ValueError):
         self.violations = list(violations)
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {v}" for v in self.violations))
 
-
-_PROFILE_KEYS = {
-    "constant": {"value"},
-    "cosine": {"mean", "amplitude", "mode"},
-    "random_smooth": {"mean", "amplitude", "max_mode", "seed_offset"},
-    "bump": {"center", "width", "amplitude", "baseline"},
-}
 
 _PROFILE_DEFAULTS = {
     "constant": {"value": 0.0},
@@ -103,16 +97,17 @@ def _normalize_field_spec(spec, path: str, violations: list):
             violations.append(f"{path}.file: expected a path string")
         return {"file": spec.get("file", "")}
     profile = spec.get("profile")
-    if profile not in _PROFILE_KEYS:
-        hint = difflib.get_close_matches(str(profile), list(_PROFILE_KEYS), n=1)
+    if profile not in _PROFILE_DEFAULTS:
+        hint = difflib.get_close_matches(str(profile), list(_PROFILE_DEFAULTS), n=1)
         suggestion = f" (did you mean {hint[0]!r}?)" if hint else ""
-        violations.append(
-            f"{path}.profile: expected one of {sorted(_PROFILE_KEYS)}, got {profile!r}{suggestion}")
+        violations.append(f"{path}.profile: expected one of {sorted(_PROFILE_DEFAULTS)}, "
+                          f"got {profile!r}{suggestion}")
         return {"profile": "constant", "value": 0.0}
-    _check_keys(spec, _PROFILE_KEYS[profile] | {"profile"}, path + ".", violations)
+    defaults = _PROFILE_DEFAULTS[profile]
+    _check_keys(spec, defaults.keys() | {"profile"}, path + ".", violations)
     out = {"profile": profile}
-    out.update(_PROFILE_DEFAULTS[profile])
-    out.update({k: v for k, v in spec.items() if k in _PROFILE_KEYS[profile]})
+    out.update(defaults)
+    out.update({k: v for k, v in spec.items() if k in defaults})
     return out
 
 
@@ -225,6 +220,9 @@ def parse_config_dict(doc: dict) -> RunConfig:
     if stepper not in ("parabolic", "pseudo_parabolic"):
         violations.append(f"stepper: expected 'parabolic' or 'pseudo_parabolic', got {stepper!r}")
 
+    if params is not None:
+        violations.extend(f"{key}: {msg}" for key, msg in run_preconditions(params, stepper))
+
     stride = doc.get("snapshot_stride", defaults["snapshot_stride"])
     if not (isinstance(stride, int) and stride >= 1):
         violations.append(f"snapshot_stride: expected a positive integer, got {stride!r}")
@@ -253,6 +251,11 @@ def parse_config_dict(doc: dict) -> RunConfig:
     for key, expr in (("u", forcings_doc["u"]), ("v", forcings_doc["v"])):
         if expr is not None and not isinstance(expr, (int, float, str)):
             violations.append(f"forcings.{key}: expected null, a number, or an expression string")
+        elif isinstance(expr, str) and grid is not None:
+            try:
+                compile_expression(expr, grid)
+            except (SyntaxError, ValueError) as exc:
+                violations.append(f"forcings.{key}: {exc}")
 
     if violations:
         raise ConfigError(violations)

@@ -238,9 +238,6 @@ class _SingularSystem:
         r += self.m * w - self.z
         return r, y, gam
 
-    def residual(self, w: np.ndarray) -> np.ndarray:
-        return self.residual_parts(w)[0]
-
     def hnorm(self, r: np.ndarray) -> float:
         return math.sqrt(self.vol * (r * r).sum())
 

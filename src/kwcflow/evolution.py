@@ -8,9 +8,10 @@ damping parameters mu or nu positive switches on the pseudo-parabolic
 variant, which adds linear diffusion of the time derivatives; mu = nu = 0
 reproduces the plain parabolic stepper through the identical code path.
 
-Per-step bookkeeping (energy breakdowns, backward-difference rate norms,
-solver reports) feeds the dissipation-inequality residual and the
-continuous-dependence diagnostics.
+A run records its snapshots, their energy breakdowns and each step's
+solver reports.  The rates over each snapshot interval, and with them the
+dissipation-inequality residual, are derived afterwards from the stored
+snapshots.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "step_parabolic",
     "step_pseudo_parabolic",
     "run",
+    "run_preconditions",
     "energy_inequality_residual",
     "write_timeseries",
     "TIMESERIES_COLUMNS",
@@ -80,8 +82,8 @@ _EXPR_NODES = (
 def compile_expression(expr: str, grid: Grid) -> Callable[[float], np.ndarray]:
     """Compile a closed-form forcing in t, x (and y in 2D) into a field provider.
 
-    Only arithmetic, the listed elementary functions, and the names
-    t/x/y/pi/e are admitted; anything else is rejected up front.
+    Only arithmetic, numeric constants, the listed elementary functions,
+    and the names t/x/y/pi/e are admitted; anything else is rejected up front.
     """
     tree = ast.parse(expr, mode="eval")
     allowed_names = set(_EXPR_FUNCS) | set(_EXPR_CONSTS) | {"t", "x"}
@@ -90,6 +92,8 @@ def compile_expression(expr: str, grid: Grid) -> Callable[[float], np.ndarray]:
     for node in ast.walk(tree):
         if not isinstance(node, _EXPR_NODES):
             raise ValueError(f"expression {expr!r}: construct {type(node).__name__} not allowed")
+        if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
+            raise ValueError(f"expression {expr!r}: constant {node.value!r} is not a number")
         if isinstance(node, ast.Name) and node.id not in allowed_names:
             raise ValueError(f"expression {expr!r}: unknown name {node.id!r}")
         if isinstance(node, ast.Call) and (
@@ -322,17 +326,10 @@ def step_pseudo_parabolic(state: SystemState, model: ModelFunctions, params: Par
 @dataclass
 class Trajectory:
     grid: Grid
-    stepper: str
     times: list = dc_field(default_factory=list)
     snapshots: list = dc_field(default_factory=list)
     energies: list = dc_field(default_factory=list)
-    step_times: list = dc_field(default_factory=list)
-    rate_eta_h: list = dc_field(default_factory=list)
-    rate_theta_h: list = dc_field(default_factory=list)
-    rate_eta_v: list = dc_field(default_factory=list)
-    rate_theta_v: list = dc_field(default_factory=list)
     solve_reports: list = dc_field(default_factory=list)
-    meta: dict = dc_field(default_factory=dict)
 
     def eta_at(self, k: int) -> np.ndarray:
         return self.snapshots[k].eta
@@ -344,32 +341,40 @@ class Trajectory:
         return np.array([e.total for e in self.energies])
 
 
+def run_preconditions(params: Parameters, stepper: str) -> list[tuple[str, str]]:
+    """Why :func:`run` would refuse ``params`` with ``stepper`` before its first
+    step, as (config key, message) pairs; empty when it can start."""
+    problems = []
+    if stepper == "parabolic" and (params.mu != 0.0 or params.nu != 0.0):
+        problems.append(("stepper", "parabolic stepper requires mu = nu = 0"))
+    n_steps = int(round(params.T / params.dt))
+    if abs(n_steps * params.dt - params.T) > 1e-9 * max(params.T, 1.0):
+        problems.append(("params.dt", f"dt={params.dt} does not divide T={params.T}"))
+    return problems
+
+
 def run(initial: SystemState, model: ModelFunctions, params: Parameters,
         forcings: Forcings, stepper: str = "parabolic",
         snapshot_stride: int = 1) -> Trajectory:
     """March from t = 0 to T, recording snapshots every ``snapshot_stride`` steps.
 
-    Rate norms are recorded for every step regardless of stride.  If a
+    Solver reports are recorded for every step regardless of stride.  If a
     step fails, the partial trajectory is attached to the raised
     :class:`StepFailedError` for diagnosis.
     """
     if stepper not in ("parabolic", "pseudo_parabolic"):
         raise ValueError(f"unknown stepper {stepper!r}")
-    if stepper == "parabolic" and (params.mu != 0.0 or params.nu != 0.0):
-        raise ValueError("parabolic stepper requires mu = nu = 0")
+    problems = run_preconditions(params, stepper)
+    if problems:
+        raise ValueError(problems[0][1])
     model.ensure_bounds()
 
     n_steps = int(round(params.T / params.dt))
-    if abs(n_steps * params.dt - params.T) > 1e-9 * max(params.T, 1.0):
-        raise ValueError(f"dt={params.dt} does not divide T={params.T}")
     stride = max(int(snapshot_stride), 1)
 
     grid = initial.grid
     state = SystemState(grid, initial.eta.copy(), initial.theta.copy(), 0.0)
-    traj = Trajectory(grid=grid, stepper=stepper)
-    traj.meta["eta0_norm_h2"] = grid.norm_h2(state.eta)
-    traj.meta["theta0_norm_h2"] = grid.norm_h2(state.theta)
-    traj.meta["n_steps"] = n_steps
+    traj = Trajectory(grid=grid)
     traj.times.append(0.0)
     traj.snapshots.append(state)
     traj.energies.append(kwc_energy(grid, state.eta, state.theta, model, params))
@@ -380,14 +385,6 @@ def run(initial: SystemState, model: ModelFunctions, params: Parameters,
         except StepFailedError as exc:
             exc.trajectory = traj
             raise
-        dt = params.dt
-        de = (new_state.eta - state.eta) / dt
-        dth = (new_state.theta - state.theta) / dt
-        traj.step_times.append(new_state.time)
-        traj.rate_eta_h.append(grid.norm_h(de))
-        traj.rate_theta_h.append(grid.norm_h(dth))
-        traj.rate_eta_v.append(grid.norm_v(de))
-        traj.rate_theta_v.append(grid.norm_v(dth))
         traj.solve_reports.append({"eta": rep_eta, "theta": rep_theta})
         state = new_state
         if k % stride == 0 or k == n_steps:
@@ -412,14 +409,14 @@ def energy_inequality_residual(trajectory: Trajectory, model: ModelFunctions,
     and delta_alpha the sampled infimum of alpha0.  Nonnegative up to a
     first-order-in-dt tolerance for the implicit-splitting scheme.
     """
-    return np.array([slack for slack, _, _ in _interval_slack(trajectory, model, params,
-                                                               forcings)])
+    return np.array([slack for slack, *_ in _interval_slack(trajectory, model, params,
+                                                             forcings)])
 
 
 def _interval_slack(trajectory: Trajectory, model: ModelFunctions, params: Parameters,
                     forcings: Forcings):
-    """Per snapshot interval: the dissipation slack and the backward-difference
-    rates of eta and theta it used."""
+    """Per snapshot interval: the dissipation slack, the backward-difference
+    rates of eta and theta it used, and their H norms."""
     delta_alpha = model.ensure_bounds().delta_alpha
     grid = trajectory.grid
 
@@ -432,16 +429,17 @@ def _interval_slack(trajectory: Trajectory, model: ModelFunctions, params: Param
         dt = t - s
         de = (trajectory.eta_at(k + 1) - trajectory.eta_at(k)) / dt
         dth = (trajectory.theta_at(k + 1) - trajectory.theta_at(k)) / dt
+        de_h, dth_h = grid.norm_h(de), grid.norm_h(dth)
         # the damping terms are computed only when their weight is nonzero (x + 0.0 is x)
-        lhs = (0.25 * dt * grid.norm_h(de) ** 2
+        lhs = (0.25 * dt * de_h ** 2
                + (params.mu**2 * dt * grad_sq(de) if params.mu else 0.0)
-               + 0.5 * delta_alpha * dt * grid.norm_h(dth) ** 2
+               + 0.5 * delta_alpha * dt * dth_h ** 2
                + (params.nu**2 * dt * grad_sq(dth) if params.nu else 0.0)
                + trajectory.energies[k + 1].total)
         rhs = (trajectory.energies[k].total
                + 0.5 * dt * grid.norm_h(forcings.u(t)) ** 2
                + dt / (2.0 * delta_alpha) * grid.norm_h(forcings.v(t)) ** 2)
-        yield rhs - lhs, de, dth
+        yield rhs - lhs, de, dth, de_h, dth_h
 
 
 TIMESERIES_COLUMNS = [
@@ -464,8 +462,7 @@ def write_timeseries(path, trajectory: Trajectory, model: ModelFunctions,
                 rates = (0.0, 0.0, 0.0, 0.0)
                 s4 = 0.0
             else:
-                s4, de, dth = intervals[k - 1]
-                rates = (grid.norm_h(de), grid.norm_h(dth),
-                         grid.norm_v(de), grid.norm_v(dth))
+                s4, de, dth, de_h, dth_h = intervals[k - 1]
+                rates = (de_h, dth_h, grid.norm_v(de), grid.norm_v(dth))
             writer.writerow([repr(float(v)) for v in
                              (t, e.dirichlet, e.potential, e.interfacial, e.total, *rates, s4)])

@@ -112,14 +112,10 @@ class ManufacturedReport:
 # -- shared setup ------------------------------------------------------------------
 
 
-def _desk_grid(dim: int, cells, extents=None) -> Grid:
+def _desk_grid(dim: int, cells) -> Grid:
     if np.isscalar(cells):
         cells = (int(cells),) * dim
-    if extents is None:
-        extents = (1.0,) * dim
-    elif np.isscalar(extents):
-        extents = (float(extents),) * dim
-    return build_grid(dim, cells, extents)
+    return build_grid(dim, cells, (1.0,) * dim)
 
 
 def _default_initial(grid: Grid, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -403,8 +399,13 @@ def exp_continuous_dependence(dim: int = 1, cells=64, T: float = 1.0, dt: float 
         pairs = _h_distances(a, b, lambda eta: np.sqrt(model.alpha0(eta)))
         return np.array([e ** 2 + t ** 2 for e, t in pairs])
 
+    def rate_v(fields: list) -> np.ndarray:
+        # every step is a snapshot (stride 1), so these are the per-step rates
+        return np.array([grid.norm_v((b - a) / params.dt) for a, b in zip(fields, fields[1:])])
+
     J = J_of(run_d, base)
-    R = np.array(run_d.rate_eta_v) ** 2 + np.array(base.rate_theta_v) ** 2 + 1.0
+    R = (rate_v([s.eta for s in run_d.snapshots]) ** 2
+         + rate_v([s.theta for s in base.snapshots]) ** 2 + 1.0)
 
     C_hat = 0.0
     for k in range(len(J) - 1):

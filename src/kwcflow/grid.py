@@ -234,52 +234,38 @@ class Grid:
     def _flat_index(self) -> np.ndarray:
         return np.arange(self.n_cells).reshape(self.shape)
 
-    @cached_property
-    def gradient_matrices(self) -> tuple[sp.csr_matrix, ...]:
-        """Per-axis face-gradient matrices acting on flat cell vectors."""
-        idx = self._flat_index()
+    def _two_point_matrices(self, rows_are_faces: bool, weights) -> tuple[sp.csr_matrix, ...]:
+        """Per axis, a matrix with two entries in each row: an interior face's
+        lower and upper cells (``rows_are_faces``) or a cell's lower and upper
+        faces, weighted by ``weights(h) = (w_lower, w_upper)``."""
+        cell_idx = self._flat_index()
         mats = []
-        for d in range(self.dim):
-            h = self.spacing[d]
-            fshape = self.face_shapes()[d]
-            nfaces = int(np.prod(fshape))
-            fidx = np.arange(nfaces).reshape(fshape)
-            rows = fidx[_along(d, slice(1, self.cells[d]))].ravel()
-            cols_lo = idx[_along(d, slice(0, -1))].ravel()
-            cols_hi = idx[_along(d, slice(1, None))].ravel()
-            data = np.full(rows.size, 1.0 / h)
-            M = sp.coo_matrix(
-                (
-                    np.concatenate([data, -data]),
-                    (np.concatenate([rows, rows]), np.concatenate([cols_hi, cols_lo])),
-                ),
-                shape=(nfaces, self.n_cells),
-            )
+        for d, fshape in enumerate(self.face_shapes()):
+            face_idx = np.arange(int(np.prod(fshape))).reshape(fshape)
+            if rows_are_faces:
+                rows, nbrs = face_idx[_along(d, slice(1, self.cells[d]))].ravel(), cell_idx
+                shape = (face_idx.size, self.n_cells)
+            else:
+                rows, nbrs = cell_idx.ravel(), face_idx
+                shape = (self.n_cells, face_idx.size)
+            lo = nbrs[_along(d, slice(0, -1))].ravel()
+            hi = nbrs[_along(d, slice(1, None))].ravel()
+            w_lo, w_hi = weights(self.spacing[d])
+            data = np.concatenate([np.full(rows.size, w_lo), np.full(rows.size, w_hi)])
+            M = sp.coo_matrix((data, (np.concatenate([rows, rows]), np.concatenate([lo, hi]))),
+                              shape=shape)
             mats.append(M.tocsr())
         return tuple(mats)
 
     @cached_property
+    def gradient_matrices(self) -> tuple[sp.csr_matrix, ...]:
+        """Per-axis face-gradient matrices acting on flat cell vectors."""
+        return self._two_point_matrices(True, lambda h: (-1.0 / h, 1.0 / h))
+
+    @cached_property
     def averaging_matrices(self) -> tuple[sp.csr_matrix, ...]:
         """Per-axis face-to-cell averaging matrices."""
-        idx = self._flat_index()
-        mats = []
-        for d in range(self.dim):
-            fshape = self.face_shapes()[d]
-            nfaces = int(np.prod(fshape))
-            fidx = np.arange(nfaces).reshape(fshape)
-            rows = idx.ravel()
-            cols_lo = fidx[_along(d, slice(0, -1))].ravel()
-            cols_hi = fidx[_along(d, slice(1, None))].ravel()
-            data = np.full(rows.size, 0.5)
-            M = sp.coo_matrix(
-                (
-                    np.concatenate([data, data]),
-                    (np.concatenate([rows, rows]), np.concatenate([cols_lo, cols_hi])),
-                ),
-                shape=(self.n_cells, nfaces),
-            )
-            mats.append(M.tocsr())
-        return tuple(mats)
+        return self._two_point_matrices(False, lambda h: (0.5, 0.5))
 
     @cached_property
     def stiffness_matrix(self) -> sp.csr_matrix:

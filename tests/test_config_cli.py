@@ -175,6 +175,23 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(notjson)]) == 2
 
 
+@pytest.mark.parametrize("doc,key", [
+    ({"forcings": {"u": "foo(x)"}}, "forcings.u"),
+    ({"forcings": {"v": "'abc'"}}, "forcings.v"),
+    ({"params": {"T": 0.01, "dt": 0.003}}, "params.dt"),
+    ({"params": {"mu": 0.1}, "stepper": "parabolic"}, "stepper"),
+])
+def test_inputs_run_cannot_start_are_config_violations(tmp_path, doc, key):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config_dict(doc)
+    assert any(v.startswith(key + ": ") for v in excinfo.value.violations)
+    cfg = write_json(tmp_path / "bad.json", doc)
+    out = tmp_path / "out"
+    assert main(["validate", "--config", cfg]) == 2
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_cli_seed_override(tmp_path):
     cfg = run_config(tmp_path, initial={
         "eta": {"profile": "random_smooth", "mean": 1.0, "amplitude": 0.2},

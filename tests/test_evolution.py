@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -228,7 +230,7 @@ def test_run_snapshot_stride(setup):
     traj = run(SystemState(g, eta0, theta0), model, params, Forcings(g),
                snapshot_stride=4)
     assert traj.times == pytest.approx([0.0, 4e-3, 8e-3, 10e-3])
-    assert len(traj.step_times) == 10   # rates recorded for every step
+    assert len(traj.solve_reports) == 10   # reports recorded for every step
     assert all(t2 > t1 for t1, t2 in zip(traj.times, traj.times[1:]))
     assert traj.times[0] == 0.0
 
@@ -273,6 +275,28 @@ def test_write_timeseries_columns(tmp_path, setup):
     assert lines[0] == ("t,E_dirichlet,E_potential,E_interfacial,E_total,"
                         "rate_eta_H,rate_theta_H,rate_eta_V,rate_theta_V,s4_residual")
     assert len(lines) == 1 + len(traj.snapshots)
+
+
+def test_timeseries_and_residual_share_the_snapshot_intervals(tmp_path, setup):
+    g, model, eta0, theta0 = setup
+    params = Parameters(kappa=1.0, epsilon=0.25, T=0.01, dt=1e-3, mu=0.1, nu=0.1)
+    f = Forcings(g, u="0.1*sin(t)*cos(pi*x)", v="0.05*t")
+    traj = run(SystemState(g, eta0, theta0), model, params, f,
+               stepper="pseudo_parabolic", snapshot_stride=4)
+    path = tmp_path / "timeseries.csv"
+    write_timeseries(path, traj, model, params, f)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))[1:]
+    res = energy_inequality_residual(traj, model, params, f)
+    assert [float(row["s4_residual"]) for row in rows] == list(res)
+    assert len(rows) == 3   # intervals of 4, 4 and 2 steps
+    for k, row in enumerate(rows):
+        a, b = traj.snapshots[k], traj.snapshots[k + 1]
+        dt = traj.times[k + 1] - traj.times[k]
+        for name in ("eta", "theta"):
+            rate = (getattr(b, name) - getattr(a, name)) / dt
+            assert float(row[f"rate_{name}_H"]) == g.norm_h(rate)
+            assert float(row[f"rate_{name}_V"]) == g.norm_v(rate)
 
 
 # -- singular limit on grain-boundary data ----------------------------------------
