@@ -10,6 +10,7 @@ also leave a machine-readable report in the output directory.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -143,7 +144,8 @@ def cmd_experiment(args) -> int:
         return 2
     outdir = _outdir(args, config, f"kwcflow_{name}")
     options = dict(config.experiment.get(name, {}))
-    options.setdefault("seed", config.seed)
+    if "seed" in inspect.signature(EXPERIMENTS[name]).parameters:
+        options.setdefault("seed", config.seed)
     t0 = time.perf_counter()
     report = run_experiment(name, outdir=outdir, **options)
     wall = time.perf_counter() - t0

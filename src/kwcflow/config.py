@@ -20,7 +20,7 @@ import numpy as np
 from .grid import (Grid, build_grid, bump_field, cosine_field, load_field,
                    random_smooth_field)
 from .model import ModelFunctions, Parameters, reference_model
-from .evolution import (Forcings, SystemState, compile_expression, prepare_initial_theta,
+from .evolution import (Forcings, SystemState, check_expression, prepare_initial_theta,
                         run_preconditions)
 from .experiments import EXPERIMENTS
 
@@ -155,7 +155,7 @@ class RunConfig:
         if init["prepare_theta"]:
             wstar = None
             if init["wstar"] is not None:
-                _, wstar = load_field(init["wstar"])
+                wstar = self._realize_field({"file": init["wstar"]}, self.seed)
             theta0 = prepare_initial_theta(self.grid, eta0, theta0, self.model,
                                            self.params.epsilon, self.params.kappa,
                                            wstar=wstar)
@@ -253,7 +253,7 @@ def parse_config_dict(doc: dict) -> RunConfig:
             violations.append(f"forcings.{key}: expected null, a number, or an expression string")
         elif isinstance(expr, str) and grid is not None:
             try:
-                compile_expression(expr, grid)
+                check_expression(expr, grid.dim)
             except (SyntaxError, ValueError) as exc:
                 violations.append(f"forcings.{key}: {exc}")
 

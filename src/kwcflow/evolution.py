@@ -35,6 +35,7 @@ __all__ = [
     "SystemState",
     "Forcings",
     "TabulatedForcing",
+    "check_expression",
     "compile_expression",
     "Trajectory",
     "StepFailedError",
@@ -79,15 +80,15 @@ _EXPR_NODES = (
 )
 
 
-def compile_expression(expr: str, grid: Grid) -> Callable[[float], np.ndarray]:
-    """Compile a closed-form forcing in t, x (and y in 2D) into a field provider.
+def check_expression(expr: str, dim: int):
+    """Code object of a closed-form forcing in t, x (and y in 2D).
 
     Only arithmetic, numeric constants, the listed elementary functions,
     and the names t/x/y/pi/e are admitted; anything else is rejected up front.
     """
     tree = ast.parse(expr, mode="eval")
     allowed_names = set(_EXPR_FUNCS) | set(_EXPR_CONSTS) | {"t", "x"}
-    if grid.dim == 2:
+    if dim == 2:
         allowed_names.add("y")
     for node in ast.walk(tree):
         if not isinstance(node, _EXPR_NODES):
@@ -100,7 +101,12 @@ def compile_expression(expr: str, grid: Grid) -> Callable[[float], np.ndarray]:
             not isinstance(node.func, ast.Name) or node.func.id not in _EXPR_FUNCS
         ):
             raise ValueError(f"expression {expr!r}: only {sorted(_EXPR_FUNCS)} may be called")
-    code = compile(tree, "<forcing>", "eval")
+    return compile(tree, "<forcing>", "eval")
+
+
+def compile_expression(expr: str, grid: Grid) -> Callable[[float], np.ndarray]:
+    """Field provider of a checked forcing expression on ``grid``."""
+    code = check_expression(expr, grid.dim)
     coords = grid.meshgrid()
     namespace = dict(_EXPR_FUNCS)
     namespace.update(_EXPR_CONSTS)

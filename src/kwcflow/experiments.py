@@ -118,11 +118,26 @@ def _desk_grid(dim: int, cells) -> Grid:
     return build_grid(dim, cells, (1.0,) * dim)
 
 
-def _default_initial(grid: Grid, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _desk_setup(dim: int, cells, seed: int):
+    """(grid, model, eta0, theta0, forcings) of a desk study: the reference
+    model, seeded smooth initial data and zero forcings."""
+    grid = _desk_grid(dim, cells)
     rng = np.random.default_rng(seed)
     eta0 = random_smooth_field(grid, rng, mean=1.0, amplitude=0.25)
     theta0 = random_smooth_field(grid, rng, mean=0.0, amplitude=0.5)
-    return eta0, theta0
+    return grid, reference_model(), eta0, theta0, Forcings(grid)
+
+
+def _write_csv(outdir, filename, header, rows) -> None:
+    """Write numeric ``rows`` as exact ``repr`` floats below ``header``;
+    nothing without an ``outdir``."""
+    if outdir is None:
+        return
+    os.makedirs(outdir, exist_ok=True)
+    with open(os.path.join(outdir, filename), "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _h_distances(a: Trajectory, b: Trajectory, weight=None) -> list:
@@ -150,11 +165,38 @@ def _strictly_decreasing(xs) -> bool:
     return all(b < a for a, b in zip(xs, xs[1:]))
 
 
-def _log_ratios(errs) -> list:
-    out = []
-    for a, b in zip(errs, errs[1:]):
-        out.append(float(np.log(a / b)) if a > 0 and b > 0 else float("nan"))
-    return out
+def _limit_table(parameter, values, errors, extra, checks, outdir,
+                 filename) -> ConvergenceTable:
+    """Distance table of a limit study with log-ratio rates, also written to
+    ``outdir/filename``.  ``checks`` maps the note of each pass condition to
+    whether it holds; the notes name every condition that fails."""
+    errors = [float(e) for e in errors]
+    table = ConvergenceTable(
+        parameter=parameter,
+        values=list(values),
+        errors=errors,
+        observed_rates=[float(np.log(a / b)) if a > 0 and b > 0 else float("nan")
+                        for a, b in zip(errors, errors[1:])],
+        extra=extra,
+        passed=all(checks.values()),
+        notes="; ".join(note for note, ok in checks.items() if not ok),
+    )
+    _write_csv(outdir, filename, [parameter, "error"], zip(table.values, errors))
+    return table
+
+
+def _order_table(parameter, values, errors, band, extra) -> ConvergenceTable:
+    """Manufactured-order table: passes when every error ratio under
+    refinement lies in ``band``."""
+    ratios = [a / b for a, b in zip(errors, errors[1:])]
+    return ConvergenceTable(
+        parameter=parameter,
+        values=values,
+        errors=errors,
+        observed_rates=[float(np.log2(r)) for r in ratios],
+        extra={"ratios": ratios, **extra},
+        passed=all(band[0] <= r <= band[1] for r in ratios),
+    )
 
 
 # -- energy dissipation --------------------------------------------------------------
@@ -172,20 +214,16 @@ def exp_energy_dissipation(dim: int = 1, cells=64, T: float = 1.0, dt: float = 1
     ``3 |worst residual| / dt`` and rechecked on the dt-halved run; the
     worst residual itself must shrink by about half under dt-halving.
     """
-    grid = _desk_grid(dim, cells)
-    model = reference_model()
-    eta0, theta0 = _default_initial(grid, seed)
-    forcings = Forcings(grid)   # u = v = 0 enforced by construction
-    results = {}
-    for label, step in (("base", dt), ("halved", dt / 2.0)):
+    grid, model, eta0, theta0, forcings = _desk_setup(dim, cells, seed)
+
+    def slack_run(step: float):
         params = Parameters(kappa=kappa, epsilon=epsilon, T=T, dt=step, mu=mu, nu=nu)
         traj = run(SystemState(grid, eta0, theta0), model, params, forcings,
                    stepper=stepper)
-        res = energy_inequality_residual(traj, model, params, forcings)
-        results[label] = (traj, res, params)
+        return traj, energy_inequality_residual(traj, model, params, forcings), params
 
-    traj, res, params = results["base"]
-    traj2, res2, _ = results["halved"]
+    traj, res, params = slack_run(dt)
+    _, res2, _ = slack_run(dt / 2.0)
     dE = np.diff(traj.total_energies())
     monotone = bool(np.max(dE) <= 1e-9)
     worst = float(np.min(res))
@@ -231,10 +269,7 @@ def exp_epsilon_limit(dim: int = 1, cells=64, T: float = 1.0, dt: float = 1e-3,
     prepared data and the sup-H trajectory distance to the eps0 reference
     must decrease strictly towards the limit.
     """
-    grid = _desk_grid(dim, cells)
-    model = reference_model()
-    eta0, theta0_raw = _default_initial(grid, seed)
-    forcings = Forcings(grid)
+    grid, model, eta0, theta0_raw, forcings = _desk_setup(dim, cells, seed)
 
     def member(eps: float):
         theta0 = prepare_initial_theta(grid, eta0, theta0_raw, model, eps, kappa)
@@ -252,28 +287,18 @@ def exp_epsilon_limit(dim: int = 1, cells=64, T: float = 1.0, dt: float = 1e-3,
         theta_errs.append(dth)
         traj_errs.append(dc)
 
-    dec_traj = _strictly_decreasing(traj_errs)
-    dec_init = _strictly_decreasing(init_errs)
-    rates = _log_ratios(traj_errs)
-    table = ConvergenceTable(
-        parameter="epsilon",
-        values=list(eps_values),
-        errors=[float(e) for e in traj_errs],
-        observed_rates=rates,
-        extra={
-            "init_error_V": [float(e) for e in init_errs],
-            "eta_sup_H": [float(e) for e in eta_errs],
-            "theta_sup_H": [float(e) for e in theta_errs],
-            "eps0": eps0,
-            "inputs": {"dim": dim, "cells": cells, "T": T, "dt": dt,
-                       "kappa": kappa, "seed": seed},
-        },
-        passed=dec_traj and dec_init,
-        notes="" if (dec_traj and dec_init) else "table not strictly decreasing",
-    )
-    if outdir is not None:
-        _write_table_csv(outdir, "epsilon_limit.csv", table)
-    return table
+    decreasing = _strictly_decreasing(traj_errs) and _strictly_decreasing(init_errs)
+    extra = {
+        "init_error_V": [float(e) for e in init_errs],
+        "eta_sup_H": [float(e) for e in eta_errs],
+        "theta_sup_H": [float(e) for e in theta_errs],
+        "eps0": eps0,
+        "inputs": {"dim": dim, "cells": cells, "T": T, "dt": dt,
+                   "kappa": kappa, "seed": seed},
+    }
+    return _limit_table("epsilon", eps_values, traj_errs, extra,
+                        {"table not strictly decreasing": decreasing},
+                        outdir, "epsilon_limit.csv")
 
 
 # -- (mu, nu) limit ----------------------------------------------------------------------
@@ -284,10 +309,7 @@ def exp_munu_limit(dim: int = 1, cells=64, T: float = 1.0, dt: float = 1e-3,
                    munu_values=(0.2, 0.1, 0.05, 0.025), seed: int = 1234,
                    outdir=None) -> ConvergenceTable:
     """Pseudo-parabolic runs against the parabolic reference as mu = nu -> 0."""
-    grid = _desk_grid(dim, cells)
-    model = reference_model()
-    eta0, theta0 = _default_initial(grid, seed)
-    forcings = Forcings(grid)
+    grid, model, eta0, theta0, forcings = _desk_setup(dim, cells, seed)
     initial = SystemState(grid, eta0, theta0)
 
     params0 = Parameters(kappa=kappa, epsilon=epsilon, T=T, dt=dt)
@@ -305,24 +327,15 @@ def exp_munu_limit(dim: int = 1, cells=64, T: float = 1.0, dt: float = 1e-3,
         traj = run(initial, model, params, forcings, stepper="pseudo_parabolic")
         errors.append(_sup_h_distance(traj, ref)[2])
 
-    decreasing = _strictly_decreasing(errors)
-    rates = _log_ratios(errors)
-    table = ConvergenceTable(
-        parameter="mu=nu",
-        values=list(munu_values),
-        errors=[float(e) for e in errors],
-        observed_rates=rates,
-        extra={
-            "zero_damping_identical": identical,
-            "inputs": {"dim": dim, "cells": cells, "T": T, "dt": dt,
-                       "epsilon": epsilon, "kappa": kappa, "seed": seed},
-        },
-        passed=decreasing and identical,
-        notes="" if decreasing else "distances not strictly decreasing",
-    )
-    if outdir is not None:
-        _write_table_csv(outdir, "munu_limit.csv", table)
-    return table
+    extra = {
+        "zero_damping_identical": identical,
+        "inputs": {"dim": dim, "cells": cells, "T": T, "dt": dt,
+                   "epsilon": epsilon, "kappa": kappa, "seed": seed},
+    }
+    return _limit_table("mu=nu", munu_values, errors, extra,
+                        {"distances not strictly decreasing": _strictly_decreasing(errors),
+                         "zero-damping run not identical to the parabolic path": identical},
+                        outdir, "munu_limit.csv")
 
 
 # -- continuous dependence ------------------------------------------------------------------
@@ -375,19 +388,19 @@ def exp_continuous_dependence(dim: int = 1, cells=64, T: float = 1.0, dt: float 
     non-computable analytic constant is reported alongside for comparison,
     using the sampled model bounds and the V-to-L4 estimate.
     """
-    grid = _desk_grid(dim, cells)
-    model = reference_model()
-    model.ensure_bounds()
-    eta0, theta0 = _default_initial(grid, seed)
-    forcings = Forcings(grid)
+    grid, model, eta0, theta0, forcings = _desk_setup(dim, cells, seed)
     params = Parameters(kappa=kappa, epsilon=epsilon, T=T, dt=dt)
 
     shape_pert = bump_field(grid, center=0.4, width=0.08, amplitude=1.0)
     shape_pert /= np.max(np.abs(shape_pert))
 
+    def perturbation(size: float) -> tuple[np.ndarray, np.ndarray]:
+        de = size * shape_pert if perturb in ("eta", "both") else grid.zeros()
+        dth = size * shape_pert if perturb in ("theta", "both") else grid.zeros()
+        return de, dth
+
     def perturbed(size: float) -> SystemState:
-        de = size * shape_pert if perturb in ("eta", "both") else 0.0
-        dth = size * shape_pert if perturb in ("theta", "both") else 0.0
+        de, dth = perturbation(size)
         return SystemState(grid, eta0 + de, theta0 + dth)
 
     base = run(SystemState(grid, eta0, theta0), model, params, forcings)
@@ -426,8 +439,7 @@ def exp_continuous_dependence(dim: int = 1, cells=64, T: float = 1.0, dt: float 
     zero_ok = bool(np.all(J_zero == 0.0))
 
     # J(0) must equal the injected perturbation size
-    de0 = delta * shape_pert if perturb in ("eta", "both") else grid.zeros()
-    dth0 = delta * shape_pert if perturb in ("theta", "both") else grid.zeros()
+    de0, dth0 = perturbation(delta)
     w0 = np.sqrt(model.alpha0(eta0 + de0))
     expected_J0 = grid.norm_h(de0) ** 2 + grid.norm_h(w0 * dth0) ** 2
     j0_ok = bool(abs(J[0] - expected_J0) <= 1e-12 * (1.0 + expected_J0))
@@ -459,12 +471,8 @@ def exp_continuous_dependence(dim: int = 1, cells=64, T: float = 1.0, dt: float 
             "embedding_estimate": asdict(emb),
         },
     )
-    if outdir is not None:
-        os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "gronwall.csv"), "w", encoding="utf-8") as fh:
-            fh.write("t,J,envelope\n")
-            for t, j, e in zip(report.times, report.J, envelope):
-                fh.write(f"{float(t)!r},{float(j)!r},{float(e)!r}\n")
+    _write_csv(outdir, "gronwall.csv", ["t", "J", "envelope"],
+               zip(report.times, report.J, envelope))
     return report
 
 
@@ -515,11 +523,7 @@ def exp_h2_uniformity(dim: int = 1, cells=128, kappa: float = 1.0,
 
     traj_info = {}
     if trajectory_check:
-        model = reference_model()
-        model.ensure_bounds()
-        gsmall = _desk_grid(dim, 64)
-        eta0, theta0 = _default_initial(gsmall, seed)
-        forcings = Forcings(gsmall)
+        gsmall, model, eta0, theta0, forcings = _desk_setup(dim, 64, seed)
         sups, cfits = [], []
         for step in (dt, dt / 2.0):
             params = Parameters(kappa=kappa, epsilon=0.25, T=T, dt=step)
@@ -548,12 +552,8 @@ def exp_h2_uniformity(dim: int = 1, cells=128, kappa: float = 1.0,
         spread=spread,
         trajectory=traj_info,
     )
-    if outdir is not None:
-        os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "h2_ratios.csv"), "w", encoding="utf-8") as fh:
-            fh.write("epsilon," + ",".join(ratios) + "\n")
-            for i, eps in enumerate(report.epsilons):
-                fh.write(",".join([repr(eps)] + [repr(ratios[n][i]) for n in ratios]) + "\n")
+    _write_csv(outdir, "h2_ratios.csv", ["epsilon", *ratios],
+               zip(report.epsilons, *ratios.values()))
     return report
 
 
@@ -609,87 +609,46 @@ def exp_manufactured_convergence(spatial_cells=(32, 64, 128), base_dt: float = 2
     def exact_state(grid: Grid, t: float) -> tuple[np.ndarray, np.ndarray]:
         return manufactured(t, grid.meshgrid()[0])[2:]
 
-    def forcing_pair(grid: Grid) -> Forcings:
+    def final_state(grid: Grid, T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        # dt is rounded to divide T; only the end state is kept
+        steps = int(round(T / dt))
+        params = Parameters(kappa=kappa, epsilon=epsilon, T=T, dt=T / steps)
         x = grid.meshgrid()[0]
-        return Forcings(grid, u=lambda tt: manufactured(tt, x)[0],
-                        v=lambda tt: manufactured(tt, x)[1])
+        forcings = Forcings(grid, u=lambda tt: manufactured(tt, x)[0],
+                            v=lambda tt: manufactured(tt, x)[1])
+        traj = run(SystemState(grid, *exact_state(grid, 0.0)), model, params, forcings,
+                   snapshot_stride=steps)
+        return traj.eta_at(-1), traj.theta_at(-1)
+
+    def distance(grid: Grid, a, b) -> float:
+        return float(np.hypot(grid.norm_h(a[0] - b[0]), grid.norm_h(a[1] - b[1])))
 
     # spatial ladder, dt ~ h^2
     spatial_errors = []
     h0 = 1.0 / spatial_cells[0]
     for n in spatial_cells:
         grid = _desk_grid(1, n)
-        h = 1.0 / n
-        dt = base_dt * (h / h0) ** 2
-        steps = int(round(T_spatial / dt))
-        dt = T_spatial / steps
-        params = Parameters(kappa=kappa, epsilon=epsilon, T=T_spatial, dt=dt)
-        e0, t0 = exact_state(grid, 0.0)
-        traj = run(SystemState(grid, e0, t0), model, params, forcing_pair(grid),
-                   snapshot_stride=steps)
-        eT, tT = exact_state(grid, T_spatial)
-        err = float(np.hypot(grid.norm_h(traj.eta_at(-1) - eT),
-                             grid.norm_h(traj.theta_at(-1) - tT)))
-        spatial_errors.append(err)
-    spatial_ratios = [a / b for a, b in zip(spatial_errors, spatial_errors[1:])]
-    spatial_ok = all(3.5 <= r <= 4.5 for r in spatial_ratios)
-    spatial = ConvergenceTable(
-        parameter="h",
-        values=[1.0 / n for n in spatial_cells],
-        errors=spatial_errors,
-        observed_rates=[float(np.log2(r)) for r in spatial_ratios],
-        extra={"ratios": spatial_ratios, "dt_scaling": "dt ~ h^2", "base_dt": base_dt},
-        passed=spatial_ok,
-    )
+        end = final_state(grid, T_spatial, base_dt * ((1.0 / n) / h0) ** 2)
+        spatial_errors.append(distance(grid, end, exact_state(grid, T_spatial)))
+    spatial = _order_table("h", [1.0 / n for n in spatial_cells], spatial_errors, (3.5, 4.5),
+                           {"dt_scaling": "dt ~ h^2", "base_dt": base_dt})
 
     # temporal ladder at fixed fine grid, reference = dt_min / 16
     grid = _desk_grid(1, temporal_cells)
-    e0, t0 = exact_state(grid, 0.0)
-    forc = forcing_pair(grid)
+    reference = final_state(grid, T_temporal, min(temporal_dts) / 16.0)
+    temporal_errors = [distance(grid, final_state(grid, T_temporal, dt), reference)
+                       for dt in temporal_dts]
+    temporal = _order_table("dt", list(temporal_dts), temporal_errors, (1.7, 2.3),
+                            {"cells": temporal_cells, "reference_dt": min(temporal_dts) / 16.0})
 
-    def final_state(dt: float):
-        steps = int(round(T_temporal / dt))
-        params = Parameters(kappa=kappa, epsilon=epsilon, T=T_temporal,
-                            dt=T_temporal / steps)
-        traj = run(SystemState(grid, e0, t0), model, params, forc,
-                   snapshot_stride=steps)
-        return traj.eta_at(-1), traj.theta_at(-1)
-
-    ref_eta, ref_theta = final_state(min(temporal_dts) / 16.0)
-    temporal_errors = []
-    for dt in temporal_dts:
-        e, th = final_state(dt)
-        temporal_errors.append(float(np.hypot(grid.norm_h(e - ref_eta),
-                                              grid.norm_h(th - ref_theta))))
-    temporal_ratios = [a / b for a, b in zip(temporal_errors, temporal_errors[1:])]
-    temporal_ok = all(1.7 <= r <= 2.3 for r in temporal_ratios)
-    temporal = ConvergenceTable(
-        parameter="dt",
-        values=list(temporal_dts),
-        errors=temporal_errors,
-        observed_rates=[float(np.log2(r)) for r in temporal_ratios],
-        extra={"ratios": temporal_ratios, "cells": temporal_cells,
-               "reference_dt": min(temporal_dts) / 16.0},
-        passed=temporal_ok,
-    )
-
-    report = ManufacturedReport(passed=spatial_ok and temporal_ok,
-                                spatial=spatial, temporal=temporal)
-    if outdir is not None:
-        _write_table_csv(outdir, "mms_spatial.csv", spatial)
-        _write_table_csv(outdir, "mms_temporal.csv", temporal)
-    return report
+    for filename, table in (("mms_spatial.csv", spatial), ("mms_temporal.csv", temporal)):
+        _write_csv(outdir, filename, [table.parameter, "error"],
+                   zip(table.values, table.errors))
+    return ManufacturedReport(passed=spatial.passed and temporal.passed,
+                              spatial=spatial, temporal=temporal)
 
 
 # -- registry and serialization ---------------------------------------------------
-
-
-def _write_table_csv(outdir, filename, table: ConvergenceTable) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, filename), "w", encoding="utf-8") as fh:
-        fh.write(f"{table.parameter},error\n")
-        for v, e in zip(table.values, table.errors):
-            fh.write(f"{float(v)!r},{float(e)!r}\n")
 
 
 EXPERIMENTS = {

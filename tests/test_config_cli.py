@@ -206,3 +206,59 @@ def test_cli_seed_override(tmp_path):
     tsC = (outC / "timeseries.csv").read_bytes()
     assert tsB != tsA    # different seed, different initial data
     assert tsB == tsC    # same seed reproduces
+
+
+_SMOKE_EXPERIMENTS = {
+    "energy_dissipation": {"T": 0.05, "cells": 32},
+    "epsilon_limit": {"T": 0.02, "cells": 32, "eps_values": [0.5, 0.3], "eps0": 0.2},
+    "munu_limit": {"T": 0.02, "cells": 32, "munu_values": [0.2, 0.1]},
+    "continuous_dependence": {"T": 0.02, "cells": 32},
+    "h2_uniformity": {"cells": 32, "eps_values": [1.0, 0.5], "T": 0.02},
+    "manufactured_convergence": {"spatial_cells": [16, 32], "base_dt": 4e-3,
+                                 "T_spatial": 0.04, "temporal_cells": 32,
+                                 "temporal_dts": [8e-3, 4e-3], "T_temporal": 0.08},
+}
+
+# per experiment: CSV file -> the report columns it holds, in order (None: not read back)
+_ARTIFACT_COLUMNS = {
+    "energy_dissipation": lambda r: {"timeseries.csv": None},
+    "epsilon_limit": lambda r: {"epsilon_limit.csv": [r["values"], r["errors"]]},
+    "munu_limit": lambda r: {"munu_limit.csv": [r["values"], r["errors"]]},
+    "continuous_dependence": lambda r: {"gronwall.csv": [r["times"], r["J"]]},
+    "h2_uniformity": lambda r: {"h2_ratios.csv": [r["epsilons"], *r["ratios"].values()]},
+    "manufactured_convergence": lambda r: {
+        f"mms_{kind}.csv": [r[kind]["values"], r[kind]["errors"]]
+        for kind in ("spatial", "temporal")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMOKE_EXPERIMENTS))
+def test_cli_every_experiment_writes_report_and_exact_tables(tmp_path, name):
+    cfg = write_json(tmp_path / "cfg.json", {"experiment": {name: _SMOKE_EXPERIMENTS[name]}})
+    out = tmp_path / "exp"
+    code = main(["experiment", name, "--config", cfg, "--out", str(out)])
+    payload = json.loads((out / "report.json").read_text())
+    assert code == int(not payload["passed"])
+    artifacts = _ARTIFACT_COLUMNS[name](payload["report"])
+    assert sorted(p.name for p in out.iterdir()) == sorted(["report.json", *artifacts])
+    for filename, columns in artifacts.items():
+        if columns is None:
+            continue
+        rows = [line.split(",") for line in (out / filename).read_text().splitlines()[1:]]
+        for i, expected in enumerate(columns):
+            assert [float(row[i]) for row in rows] == expected
+
+
+@pytest.mark.parametrize("cells,extents", [([32], [1.0]), ([64], [2.0])])
+def test_wstar_file_on_another_grid_is_a_config_error(tmp_path, capsys, cells, extents):
+    other = build_grid(1, cells, extents)
+    wstar = tmp_path / "wstar.csv"
+    save_field(wstar, other, other.constant(0.1))
+    cfg = run_config(tmp_path, grid={"dim": 1, "cells": [64], "extents": [1.0]}, initial={
+        "eta": {"profile": "constant", "value": 1.0},
+        "theta": {"profile": "cosine", "mean": 0.0, "amplitude": 0.3, "mode": 1},
+        "prepare_theta": True,
+        "wstar": str(wstar),
+    })
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert str(wstar) in capsys.readouterr().err

@@ -148,3 +148,21 @@ def test_manufactured_forcings_solve_the_strong_equations(epsilon, kappa):
         v = model.alpha0(eta) * _d1(lambda s: ftheta(s, x), t, h) - _d1(flux, x, h_flux)
         np.testing.assert_allclose(fu, u, rtol=0, atol=1e-8 * np.max(np.abs(u)))
         np.testing.assert_allclose(fv, v, rtol=0, atol=1e-7 * np.max(np.abs(v)))
+
+
+def test_munu_limit_note_names_failed_zero_damping_identity(monkeypatch):
+    from kwcflow import experiments
+    real_run = experiments.run
+
+    def nudged_run(initial, model, params, forcings, stepper="parabolic", **kwargs):
+        traj = real_run(initial, model, params, forcings, stepper=stepper, **kwargs)
+        if stepper == "pseudo_parabolic" and params.mu == 0.0 and params.nu == 0.0:
+            traj.snapshots[-1].eta = traj.snapshots[-1].eta + 1e-15
+        return traj
+
+    monkeypatch.setattr(experiments, "run", nudged_run)
+    table = exp_munu_limit(T=0.05, dt=1e-3, cells=48, munu_values=(0.2, 0.1, 0.05))
+    assert table.extra["zero_damping_identical"] is False
+    assert table.passed is False
+    assert "zero-damping" in table.notes
+    assert "decreasing" not in table.notes
