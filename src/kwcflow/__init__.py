@@ -4,7 +4,7 @@ from .grid import (Grid, build_grid, save_field, load_field, constant_field,
                    cosine_field, bump_field, random_smooth_field)
 from .model import (Parameters, ModelFunctions, ModelBounds, AssumptionReport,
                     reference_model, gamma_eps, grad_gamma_eps, hess_gamma_eps,
-                    interfacial_energy, interfacial_flux, kwc_energy,
+                    angle_gradient, interfacial_energy, interfacial_flux, kwc_energy,
                     EnergyBreakdown, validate_assumptions)
 from .elliptic import (SolveReport, SolverError, LinearResolventProblem,
                        linear_resolvent, SingularResolventProblem,

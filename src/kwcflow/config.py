@@ -133,8 +133,9 @@ class RunConfig:
         if "file" in spec:
             fgrid, values = load_field(spec["file"])
             if fgrid != grid:
-                raise ConfigError([f"field file {spec['file']}: grid mismatch "
-                                   f"({fgrid.cells} vs {grid.cells})"])
+                raise ConfigError([f"field file {spec['file']}: grid mismatch (file: cells "
+                                   f"{fgrid.cells}, extents {fgrid.extents}; config: cells "
+                                   f"{grid.cells}, extents {grid.extents})"])
             return values
         profile = spec["profile"]
         if profile == "constant":

@@ -14,9 +14,9 @@ Two problems are solved here, both with homogeneous Neumann walls:
   operator is exactly the gradient of the discrete energy.
 
 The linear resolvent is solved directly.  Its matrix ``lam*K + diag(m)``
-is factorized by sparse LU and the last factor is kept, keyed on
-``(grid, lam, m)``, so a time stepper that solves the same matrix every
-step back-substitutes only.
+is factorized by sparse LU and the last factor is kept in a
+:class:`~kwcflow.grid.KeepLast`, keyed on ``(grid, lam, m bytes)``, so a
+time stepper that solves the same matrix every step back-substitutes only.
 
 The nonlinear solve is primal-dual Newton (Chan, Golub & Mulet) with an
 Armijo line search.  Beside ``w`` it carries a dual flux ``p`` (the
@@ -34,7 +34,9 @@ and sparse products call scipy's CSR kernel ``csr_matvec`` directly (what
 directly; in 2D by Jacobi-preconditioned conjugate gradients, which at
 these sizes is faster than a fresh sparse factorization per iteration.
 Residuals reported back are re-evaluated from the stencil operators,
-independent of the solver's matrix algebra.
+independent of the solver's matrix algebra.  The singular resolvent's
+re-check takes its flux from :func:`~kwcflow.model.interfacial_flux`, which
+keeps it: the time stepper's step check at nu = 0 asks for the same flux.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from scipy.linalg.lapack import dpbsv
 from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import cg, splu
 
-from .grid import Grid
+from .grid import Grid, KeepLast
 # grad_gamma_eps is not called here; it stays bound because the benchmark's tracer wraps it by name
 from .model import gamma_eps, grad_gamma_eps, hess_gamma_eps, interfacial_flux
 
@@ -115,20 +117,19 @@ def _cg_solve(A: sp.csr_matrix, b: np.ndarray, rtol: float = CG_RTOL):
 # -- linear resolvent ------------------------------------------------------------
 
 
-_factor_key = None       # (grid, lam, m bytes) of the factor kept below
-_factor_solve = None
+_last_factor = KeepLast()    # keyed on (grid, lam, m bytes)
+
+
+def _factorize(grid: Grid, lam: float, m: np.ndarray):
+    A = lam * grid.stiffness_matrix + sp.diags(m.ravel())
+    # a symmetric ordering: on 2D grids about half the fill of splu's default
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
 
 
 def _resolvent_factor(grid: Grid, lam: float, m: np.ndarray):
     """Solve function of ``lam*K + diag(m)``; the last factor is kept and
     reused while the same matrix is asked for again."""
-    global _factor_key, _factor_solve
-    key = (grid, lam, m.tobytes())
-    if key != _factor_key:
-        A = lam * grid.stiffness_matrix + sp.diags(m.ravel())
-        # a symmetric ordering: on 2D grids about half the fill of splu's default
-        _factor_key, _factor_solve = key, splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
-    return _factor_solve
+    return _last_factor.get((grid, lam, m.tobytes()), _factorize, grid, lam, m)
 
 
 @dataclass

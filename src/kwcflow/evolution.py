@@ -24,8 +24,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid import Grid
-# grad_gamma_eps is not called here; it stays bound because the benchmark's tracer wraps it by name
-from .model import (ModelFunctions, Parameters, gamma_eps, grad_gamma_eps,
+# gamma_eps and grad_gamma_eps are not called here; they stay bound because the
+# benchmark's tracer wraps them by name
+from .model import (ModelFunctions, Parameters, angle_gradient, gamma_eps, grad_gamma_eps,
                     interfacial_flux, kwc_energy)
 from .elliptic import (LinearResolventProblem, SingularResolventProblem,
                        SolveReport, SolverError, linear_resolvent,
@@ -217,7 +218,7 @@ def initial_velocities(state0: SystemState, model: ModelFunctions, params: Param
     and alpha0(eta0) respectively.
     """
     grid = state0.grid
-    gam = gamma_eps(grid.grad_cell(state0.theta), params.epsilon)
+    _, _, gam = angle_gradient(grid, state0.theta, params.epsilon)
 
     z_p = (grid.laplacian(state0.eta) - model.g(state0.eta)
            - model.alpha_d1(state0.eta) * gam + forcings.u(0.0))
@@ -271,7 +272,7 @@ def _advance(state: SystemState, model: ModelFunctions, params: Parameters,
     v_new = forcings.v(t_new)
 
     # eta step: implicit Laplacian (plus damping), explicit nonlinearity
-    gam = gamma_eps(grid.grad_cell(state.theta), params.epsilon)
+    _, _, gam = angle_gradient(grid, state.theta, params.epsilon)
     ghat = model.g(state.eta) + model.alpha_d1(state.eta) * gam
     # damping terms are computed only when their weight is nonzero (x - 0.0 is x)
     damp_eta = params.mu**2 * grid.laplacian(state.eta) if params.mu else 0.0

@@ -30,6 +30,7 @@ import scipy.sparse as sp
 
 __all__ = [
     "Grid",
+    "KeepLast",
     "build_grid",
     "save_field",
     "load_field",
@@ -43,6 +44,28 @@ __all__ = [
 def _along(axis: int, index) -> tuple:
     """Index that applies ``index`` on ``axis`` and keeps every other axis whole."""
     return (slice(None),) * axis + (index,)
+
+
+class KeepLast:
+    """One-entry memo: the value computed for the last key, returned again while
+    the same key is asked for; another key replaces it.
+
+    Keys hold the exact bytes of the array inputs, so a hit returns what a fresh
+    evaluation would.  One entry bounds the memory kept to one result.
+    """
+
+    __slots__ = ("_entry",)
+
+    def __init__(self):
+        self._entry = (None, None)    # (key, value), replaced as one
+
+    def get(self, key, compute, *args):
+        """The value kept for ``key``, or ``compute(*args)``, kept in its place."""
+        kept_key, value = self._entry
+        if key != kept_key:
+            value = compute(*args)
+            self._entry = (key, value)
+        return value
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,13 @@ energies, and the validator for the standing assumptions:
     (A1) kappa > 0,
     (A2) G is a nonnegative primitive of g,
     (A3) alpha is convex and inf alpha0 > 0.
+
+Two results are kept: the angle gradient of :func:`angle_gradient` (face
+gradient, cell gradient and ``gamma_eps`` of the cell gradient) and the
+flux of :func:`interfacial_flux`, each the last one asked for, keyed on
+the exact bytes of its input arrays (a :class:`~kwcflow.grid.KeepLast`).
+A time step asks for both of its new angle more than once; they are
+evaluated once.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, KeepLast
 
 __all__ = [
     "Parameters",
@@ -35,6 +42,7 @@ __all__ = [
     "gamma_eps",
     "grad_gamma_eps",
     "hess_gamma_eps",
+    "angle_gradient",
     "interfacial_energy",
     "interfacial_flux",
     "EnergyBreakdown",
@@ -145,6 +153,8 @@ class ModelFunctions:
     bounds: Optional[ModelBounds] = None
 
     def ensure_bounds(self, sample_range=(-10.0, 10.0), n_samples: int = 100_000) -> ModelBounds:
+        """The recorded bounds; a model without them is validated first, and
+        raises ``ValueError`` naming the failed assumptions."""
         if self.bounds is None:
             report = validate_assumptions(self, sample_range, n_samples)
             if not report.passed:
@@ -177,6 +187,34 @@ def reference_model(alpha_offset: float = 0.1, alpha0_offset: float = 1.0,
 
 # -- energies -------------------------------------------------------------------
 
+_last_angle_gradient = KeepLast()    # keyed on (grid, epsilon, theta bytes)
+_last_flux = KeepLast()              # keyed on (grid, epsilon, kappa, beta and theta bytes)
+
+
+def _read_only(arrays) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _angle_gradient(grid: Grid, theta: np.ndarray, epsilon: float):
+    G = grid.grad(theta)
+    gc = grid.face_to_cell(G)
+    gam = gamma_eps(gc, epsilon)
+    _read_only((*G, gc, gam))
+    return G, gc, gam
+
+
+def angle_gradient(grid: Grid, theta: np.ndarray,
+                   epsilon: float) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """Face gradient ``G``, cell gradient ``gc`` and ``gamma_eps(gc)`` of ``theta``.
+
+    The last result is kept and returned again, read-only, while the same
+    grid, epsilon and bytes of ``theta`` are asked for.
+    """
+    theta = np.asarray(theta, dtype=float)
+    key = (grid, epsilon, theta.shape, theta.tobytes())
+    return _last_angle_gradient.get(key, _angle_gradient, grid, theta, epsilon)
+
 
 def interfacial_energy(grid: Grid, beta: np.ndarray, theta: np.ndarray,
                        epsilon: float, kappa: float) -> float:
@@ -190,20 +228,33 @@ def interfacial_energy(grid: Grid, beta: np.ndarray, theta: np.ndarray,
     theta = grid.check_scalar(theta, "theta")
     if np.min(beta) < 0:
         raise ValueError(f"beta must be nonnegative, min = {np.min(beta)}")
-    G = grid.grad(theta)
-    gc = grid.face_to_cell(G)
-    nonlinear = grid.inner(beta, gamma_eps(gc, epsilon))
+    G, _, gam = angle_gradient(grid, theta, epsilon)
+    nonlinear = grid.inner(beta, gam)
     quadratic = 0.5 * kappa * grid.inner_faces(G, G)
     return nonlinear + quadratic
+
+
+def _interfacial_flux(grid: Grid, beta: np.ndarray, theta: np.ndarray,
+                      epsilon: float, kappa: float) -> tuple[np.ndarray, ...]:
+    G, gc, gam = angle_gradient(grid, theta, epsilon)
+    # gc / gam is the expression grad_gamma_eps(gc) evaluates
+    F = grid.cell_to_face(beta * (gc / gam))
+    flux = tuple(F[d] + kappa * G[d] for d in range(grid.dim))
+    _read_only(flux)
+    return flux
 
 
 def interfacial_flux(grid: Grid, beta: np.ndarray, theta: np.ndarray,
                      epsilon: float, kappa: float) -> tuple[np.ndarray, ...]:
     """Face flux ``beta*grad_gamma_eps(grad theta) + kappa*grad theta``; minus its
-    divergence is the first variation of :func:`interfacial_energy`."""
-    G = grid.grad(theta)
-    F = grid.cell_to_face(beta * grad_gamma_eps(grid.face_to_cell(G), epsilon))
-    return tuple(F[d] + kappa * G[d] for d in range(grid.dim))
+    divergence is the first variation of :func:`interfacial_energy`.
+
+    The last flux is kept and returned again, read-only, while the same grid,
+    epsilon, kappa and bytes of ``beta`` and ``theta`` are asked for.
+    """
+    beta, theta = np.asarray(beta, dtype=float), np.asarray(theta, dtype=float)
+    key = (grid, epsilon, kappa, beta.shape, beta.tobytes(), theta.shape, theta.tobytes())
+    return _last_flux.get(key, _interfacial_flux, grid, beta, theta, epsilon, kappa)
 
 
 @dataclass
@@ -248,70 +299,103 @@ def _central_diff(f, r, h):
     return (f(r + h) - f(r - h)) / (2.0 * h)
 
 
+# Samples per block of validate_assumptions: a block's temporaries stay in cache.
+_VALIDATION_BLOCK = 8192
+
+
+def _block_extrema(model: ModelFunctions, r: np.ndarray, inner_limit: float) -> dict:
+    """The minima (keys ``min_*``) and maxima (``max_*``) that validation takes
+    over the sample points ``r``."""
+    h = 1e-5 * (1.0 + np.abs(r))
+    g_vals = model.g(r)
+    a2_vals = model.alpha_d2(r)
+    a0_vals = model.alpha0(r)
+    a1_abs = np.abs(model.alpha_d1(r))
+    inner = np.abs(r) <= inner_limit
+    return {
+        "min_G": np.min(model.G(r)),
+        "max_primitive_err": np.max(np.abs(_central_diff(model.G, r, h) - g_vals)
+                                    / (1.0 + np.abs(g_vals))),
+        "min_alpha_d2": np.min(a2_vals),
+        "max_abs_alpha_d2": np.max(np.abs(a2_vals)),
+        "min_alpha": np.min(model.alpha(r)),
+        "min_alpha0": np.min(a0_vals),
+        "max_abs_alpha0": np.max(np.abs(a0_vals)),
+        "max_abs_alpha_d1": np.max(a1_abs),
+        # -inf when no sample of the block is inner
+        "max_abs_alpha_d1_inner": np.max(a1_abs[inner]) if np.any(inner) else -np.inf,
+        "max_abs_g_d1": np.max(np.abs(_central_diff(model.g, r, h))),
+        "max_abs_alpha0_d1": np.max(np.abs(model.alpha0_d1(r))),
+    }
+
+
 def validate_assumptions(model: ModelFunctions, sample_range=(-10.0, 10.0),
                          n_samples: int = 100_000) -> AssumptionReport:
     """Check (A2)-(A3) by dense sampling and record the sampled bound constants.
 
-    The report carries pass/fail per check; the sampled sup-norms are also
-    stored on ``model.bounds``.  A warning (not a failure) is raised when
+    The report carries pass/fail per check.  The sampled sup-norms are
+    stored on ``model.bounds`` when every check passes, and ``model.bounds``
+    is cleared when one fails.  A warning (not a failure) is raised when
     the sampled |alpha'| keeps growing towards the ends of the range,
     since the estimates downstream treat it as finite.
+
+    The samples are evaluated in blocks of ``_VALIDATION_BLOCK`` points.
+    Every statistic taken is a minimum or a maximum, which does not depend
+    on the blocks (a NaN in any block propagates).
     """
     lo, hi = float(sample_range[0]), float(sample_range[1])
     if not hi > lo:
         raise ValueError("sample_range must be a nonempty interval")
+    if int(n_samples) < 1:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
     r = np.linspace(lo, hi, int(n_samples))
-    h = 1e-5 * (1.0 + np.abs(r))
+    inner_limit = 0.5 * max(abs(lo), abs(hi))
+    blocks = [_block_extrema(model, r[i:i + _VALIDATION_BLOCK], inner_limit)
+              for i in range(0, r.size, _VALIDATION_BLOCK)]
+    ext = {key: (np.min if key.startswith("min_") else np.max)([b[key] for b in blocks])
+           for key in blocks[0]}
 
     checks = {}
     failures = []
     warnings = []
 
-    G_vals = model.G(r)
-    checks["a2_G_nonnegative"] = bool(np.min(G_vals) >= -1e-12)
+    checks["a2_G_nonnegative"] = bool(ext["min_G"] >= -1e-12)
     if not checks["a2_G_nonnegative"]:
-        failures.append(f"(A2): G attains negative values (min {np.min(G_vals):.3e})")
+        failures.append(f"(A2): G attains negative values (min {ext['min_G']:.3e})")
 
-    g_vals = model.g(r)
-    fd_G = _central_diff(model.G, r, h)
-    err = np.abs(fd_G - g_vals) / (1.0 + np.abs(g_vals))
-    checks["a2_G_primitive_of_g"] = bool(np.max(err) <= 1e-6)
+    checks["a2_G_primitive_of_g"] = bool(ext["max_primitive_err"] <= 1e-6)
     if not checks["a2_G_primitive_of_g"]:
-        failures.append(f"(A2): G' != g (max relative mismatch {np.max(err):.3e})")
+        failures.append(f"(A2): G' != g (max relative mismatch {ext['max_primitive_err']:.3e})")
 
-    a2_vals = model.alpha_d2(r)
-    checks["a3_alpha_convex"] = bool(np.min(a2_vals) >= -1e-12)
+    checks["a3_alpha_convex"] = bool(ext["min_alpha_d2"] >= -1e-12)
     if not checks["a3_alpha_convex"]:
-        failures.append(f"(A3): alpha'' < 0 somewhere (min {np.min(a2_vals):.3e})")
+        failures.append(f"(A3): alpha'' < 0 somewhere (min {ext['min_alpha_d2']:.3e})")
 
-    a_vals = model.alpha(r)
-    checks["a3_alpha_nonnegative"] = bool(np.min(a_vals) >= 0.0)
+    checks["a3_alpha_nonnegative"] = bool(ext["min_alpha"] >= 0.0)
     if not checks["a3_alpha_nonnegative"]:
-        failures.append(f"(A3): alpha attains negative values (min {np.min(a_vals):.3e})")
+        failures.append(f"(A3): alpha attains negative values (min {ext['min_alpha']:.3e})")
 
-    a0_vals = model.alpha0(r)
-    delta_alpha = float(np.min(a0_vals))
+    delta_alpha = float(ext["min_alpha0"])
     checks["a3_delta_alpha_positive"] = bool(delta_alpha > 0.0)
     if not checks["a3_delta_alpha_positive"]:
         failures.append(f"(A3): inf alpha0 = {delta_alpha:.3e} is not positive")
 
-    a1_abs = np.abs(model.alpha_d1(r))
-    inner = np.abs(r) <= 0.5 * max(abs(lo), abs(hi))
-    if np.any(inner) and np.max(a1_abs) > 1.02 * max(np.max(a1_abs[inner]), 1e-300):
+    inner_sup = ext["max_abs_alpha_d1_inner"]
+    if inner_sup > -np.inf and ext["max_abs_alpha_d1"] > 1.02 * max(inner_sup, 1e-300):
         warnings.append("|alpha'| still grows near the ends of the sample range; "
                         "treat the recorded sup as a lower estimate")
 
     bounds = ModelBounds(
-        g_d1_sup=float(np.max(np.abs(_central_diff(model.g, r, h)))),
-        alpha_d1_sup=float(np.max(a1_abs)),
-        alpha_d2_sup=float(np.max(np.abs(a2_vals))),
-        alpha0_sup=float(np.max(np.abs(a0_vals))),
-        alpha0_d1_sup=float(np.max(np.abs(model.alpha0_d1(r)))),
+        g_d1_sup=float(ext["max_abs_g_d1"]),
+        alpha_d1_sup=float(ext["max_abs_alpha_d1"]),
+        alpha_d2_sup=float(ext["max_abs_alpha_d2"]),
+        alpha0_sup=float(ext["max_abs_alpha0"]),
+        alpha0_d1_sup=float(ext["max_abs_alpha0_d1"]),
         delta_alpha=delta_alpha,
         sample_range=(lo, hi),
         n_samples=int(n_samples),
     )
-    model.bounds = bounds
+    model.bounds = None if failures else bounds
 
     return AssumptionReport(
         passed=not failures,

@@ -261,4 +261,7 @@ def test_wstar_file_on_another_grid_is_a_config_error(tmp_path, capsys, cells, e
         "wstar": str(wstar),
     })
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert str(wstar) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(wstar) in err
+    assert (f"file: cells {other.cells}, extents {other.extents}; "
+            "config: cells (64,), extents (1.0,)") in err

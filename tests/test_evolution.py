@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from kwcflow import (Forcings, Parameters, SolverError, SystemState,
                      TabulatedForcing, build_grid, compile_expression,
                      energy_inequality_residual, gamma_eps, initial_velocities,
                      prepare_initial_theta, reference_model, run,
-                     step_parabolic, step_pseudo_parabolic)
+                     step_parabolic, step_pseudo_parabolic, validate_assumptions)
 from kwcflow.evolution import StepFailedError, write_timeseries
-from kwcflow.grid import Grid, random_smooth_field
+from kwcflow.grid import Grid, KeepLast, random_smooth_field
+
+from .test_model import VALIDATION_MODELS
 
 
 @pytest.fixture
@@ -356,3 +359,79 @@ def test_grain_boundary_stress_matrix(cells, dt, eps_exponent):
                Forcings(g))
     assert len(traj.solve_reports) == 3
     assert_newton_steps(traj)
+
+
+# -- one evaluation of the new angle's gradient and flux per step -------------------
+
+
+@pytest.mark.parametrize("mu,nu,fluxes_per_step", [(0.0, 0.0, 1), (0.1, 0.1, 2)])
+def test_run_evaluates_one_face_gradient_per_new_angle(setup, monkeypatch, mu, nu,
+                                                       fluxes_per_step):
+    # The solver's residual, the step check, the snapshot energy and the next eta
+    # update share the new angle's gradient; at nu = 0 the check shares the flux too.
+    g, model, eta0, theta0 = setup
+    calls = {"face_to_cell": 0, "cell_to_face": 0}
+    for name in calls:
+        method = getattr(Grid, name)
+
+        def counted(self, F, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, F)
+
+        monkeypatch.setattr(Grid, name, counted)
+    params = Parameters(kappa=1.0, epsilon=0.25, T=3e-3, dt=1e-3, mu=mu, nu=nu)
+    # an angle no other test has asked for, so the initial energy evaluates its gradient
+    traj = run(SystemState(g, eta0, theta0 + 0.125 + mu), model, params, Forcings(g),
+               stepper="pseudo_parabolic", snapshot_stride=1)
+    assert len(traj.snapshots) == 4
+    assert calls["face_to_cell"] == 3 + 1
+    assert calls["cell_to_face"] == 3 * fluxes_per_step
+
+
+@pytest.mark.parametrize("case", ["grain-1d", "damped-2d"])
+def test_trajectories_do_not_depend_on_the_memos(monkeypatch, case):
+    if case == "grain-1d":
+        g = build_grid(1, [128], [1.0])
+        params = Parameters(kappa=1e-2, epsilon=2.0**-6, T=5e-3, dt=1e-3)
+        eta0, theta0 = g.constant(1.0), 0.5 * np.tanh((g.centers(0) - 89 / 128) / 0.01)
+        forcings, stepper = Forcings(g), "parabolic"
+    else:
+        g = build_grid(2, [12, 12], [1.0, 1.0])
+        params = Parameters(kappa=0.5, epsilon=0.2, T=5e-3, dt=1e-3, mu=0.1, nu=0.1)
+        rng = np.random.default_rng(3)
+        eta0 = random_smooth_field(g, rng, mean=1.0, amplitude=0.25)
+        theta0 = random_smooth_field(g, rng, mean=0.0, amplitude=0.5)
+        forcings = Forcings(g, u="0.2*sin(t)*cos(pi*x)", v="0.1*cos(pi*y)")
+        stepper = "pseudo_parabolic"
+    residual = evolution._theta_pde_residual
+    residuals = []
+
+    def recorded(*args):
+        residuals.append(residual(*args))
+        return residuals[-1]
+
+    monkeypatch.setattr(evolution, "_theta_pde_residual", recorded)
+
+    def bits():
+        residuals.clear()
+        traj = run(SystemState(g, eta0, theta0), reference_model(), params, forcings,
+                   stepper=stepper, snapshot_stride=1)
+        return ([s.eta.tobytes() + s.theta.tobytes() for s in traj.snapshots],
+                [vars(e) for e in traj.energies],
+                [{k: vars(r) for k, r in reports.items()} for reports in traj.solve_reports],
+                [float(r).hex() for r in residuals])
+
+    kept = bits()
+    monkeypatch.setattr(KeepLast, "get", lambda self, key, compute, *args: compute(*args))
+    assert bits() == kept
+
+
+@pytest.mark.parametrize("name,assumption", [("a2_fails", "(A2)"), ("a3_fails", "(A3)")])
+def test_run_refuses_a_model_that_failed_validation(setup, name, assumption):
+    # Validating first (as `kwcflow run` does) must not let run() start anyway.
+    g, _, eta0, theta0 = setup
+    model = VALIDATION_MODELS[name]()
+    validate_assumptions(model)
+    params = Parameters(kappa=1.0, epsilon=0.25, T=2e-3, dt=1e-3)
+    with pytest.raises(ValueError, match=re.escape(assumption)):
+        run(SystemState(g, eta0, theta0), model, params, Forcings(g))

@@ -1,10 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
+from dataclasses import asdict
+
 from kwcflow import (Parameters, build_grid, gamma_eps, grad_gamma_eps,
-                     hess_gamma_eps, interfacial_energy, kwc_energy,
+                     hess_gamma_eps, interfacial_energy, interfacial_flux, kwc_energy,
                      reference_model, validate_assumptions)
-from kwcflow.model import ModelFunctions
+from kwcflow import model as model_module
+from kwcflow.model import ModelFunctions, angle_gradient
 
 # value of the arc-length-style oracle integral int_0^1 sqrt(1 + pi^2 sin^2(pi x)) dx,
 # computed with scipy.integrate.quad (epsabs=1e-14) and cross-checked with mpmath
@@ -175,9 +180,9 @@ def test_validate_flags_alpha0_zero():
     assert not report.checks["a3_delta_alpha_positive"]
 
 
-def test_validate_flags_bad_primitive():
-    # G(r) = r can be negative: (A2) fails
-    model = ModelFunctions(
+def negative_primitive_model():
+    # G(r) = r can be negative: only (A2) fails
+    return ModelFunctions(
         g=lambda r: np.ones_like(np.asarray(r, dtype=float)),
         G=lambda r: np.asarray(r, dtype=float),
         alpha=lambda r: np.ones_like(np.asarray(r, dtype=float)),
@@ -186,15 +191,94 @@ def test_validate_flags_bad_primitive():
         alpha0=lambda r: np.ones_like(np.asarray(r, dtype=float)),
         alpha0_d1=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
     )
-    report = validate_assumptions(model)
+
+
+def growing_alpha_model():
+    model = reference_model()
+    model.alpha = lambda r: r**2
+    model.alpha_d1 = lambda r: 2.0 * np.asarray(r, dtype=float)
+    model.alpha_d2 = lambda r: 2.0 * np.ones_like(np.asarray(r, dtype=float))
+    return model
+
+
+def test_validate_flags_bad_primitive():
+    report = validate_assumptions(negative_primitive_model())
     assert not report.passed
     assert not report.checks["a2_G_nonnegative"]
 
 
 def test_validate_warns_on_growing_alpha_derivative():
-    model = reference_model()
-    model.alpha = lambda r: r**2
-    model.alpha_d1 = lambda r: 2.0 * np.asarray(r, dtype=float)
-    model.alpha_d2 = lambda r: 2.0 * np.ones_like(np.asarray(r, dtype=float))
-    report = validate_assumptions(model)
+    report = validate_assumptions(growing_alpha_model())
     assert report.warnings
+
+
+VALIDATION_MODELS = {
+    "reference": reference_model,
+    "a2_fails": negative_primitive_model,
+    "a3_fails": lambda: reference_model(alpha0_offset=0.0, alpha0_scale=0.0),
+    "warns": growing_alpha_model,
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATION_MODELS))
+@pytest.mark.parametrize("n_samples,block", [(3, 2), (777, 100), (100_000, None)])
+def test_blocked_validation_equals_one_block(monkeypatch, name, n_samples, block):
+    # Every statistic is a min or a max, so the blocks must not change the report.
+    def report(block_size):
+        if block_size is not None:
+            monkeypatch.setattr(model_module, "_VALIDATION_BLOCK", block_size)
+        r = validate_assumptions(VALIDATION_MODELS[name](), n_samples=n_samples)
+        return r.passed, r.checks, r.failures, r.warnings, asdict(r.bounds)
+
+    blocked = report(block)
+    assert report(10**9) == blocked
+    assert blocked[0] == (name in ("reference", "warns"))
+    assert blocked[3] or name != "warns"
+
+
+@pytest.mark.parametrize("make_model,assumption", [
+    (negative_primitive_model, "(A2)"),
+    (lambda: reference_model(alpha0_offset=0.0, alpha0_scale=0.0), "(A3)"),
+])
+def test_a_failed_model_fails_every_ensure_bounds(make_model, assumption):
+    model = make_model()
+    assert not validate_assumptions(model).passed
+    assert model.bounds is None
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape(assumption)):
+            model.ensure_bounds()
+
+
+# -- memos of the angle gradient and the flux ---------------------------------------
+
+
+@pytest.mark.parametrize("dim,cells", [(1, [40]), (2, [9, 7])])
+def test_memo_hits_are_fresh_bits_and_read_only(dim, cells):
+    g = build_grid(dim, cells, [1.0] * dim)
+    rng = np.random.default_rng(11)
+
+    def fresh(beta, theta, eps, kappa):
+        # G, gc, gamma_eps(gc) and the flux from the grid and gamma primitives
+        G = g.grad(theta)
+        gc = g.face_to_cell(G)
+        F = g.cell_to_face(beta * grad_gamma_eps(gc, eps))
+        return (*G, gc, gamma_eps(gc, eps), *(F[d] + kappa * G[d] for d in range(dim)))
+
+    def kept(beta, theta, eps, kappa):
+        G, gc, gam = angle_gradient(g, theta, eps)
+        return (*G, gc, gam, *interfacial_flux(g, beta, theta, eps, kappa))
+
+    args = [1.0 + rng.random(g.shape), rng.standard_normal(g.shape), 0.3, 0.7]
+    first = kept(*args)
+    hit = kept(args[0].copy(), args[1].copy(), *args[2:])
+    assert all(a is b for a, b in zip(hit, first))
+    for got, want in zip(hit, fresh(*args)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            got[...] = 0.0
+    # Each input is part of the key; the key holds copies of the input bytes, so
+    # writing to an input afterwards is a miss too.
+    args[1][(0,) * dim] += 1e-3
+    for i, changed in ((1, args[1]), (0, 2.0 * args[0]), (2, 0.4), (3, 1.1)):
+        args[i] = changed
+        assert [a.tobytes() for a in kept(*args)] == [a.tobytes() for a in fresh(*args)]
