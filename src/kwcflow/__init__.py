@@ -9,7 +9,7 @@ from .model import (Parameters, ModelFunctions, ModelBounds, AssumptionReport,
 from .elliptic import (SolveReport, SolverError, LinearResolventProblem,
                        linear_resolvent, SingularResolventProblem,
                        singular_resolvent, check_h2_bound)
-from .evolution import (SystemState, Forcings, TabulatedForcing, Trajectory,
+from .evolution import (SystemState, Forcings, Trajectory,
                         StepFailedError, compile_expression,
                         prepare_initial_theta, initial_velocities,
                         step_parabolic, step_pseudo_parabolic, run,

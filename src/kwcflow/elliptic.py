@@ -51,7 +51,7 @@ from scipy.linalg.lapack import dpbsv
 from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import cg, splu
 
-from .grid import Grid, KeepLast
+from .grid import Grid, KeepLast, _row_of_entries
 # grad_gamma_eps is not called here; it stays bound because the benchmark's tracer wraps it by name
 from .model import gamma_eps, grad_gamma_eps, hess_gamma_eps, interfacial_flux
 
@@ -94,9 +94,10 @@ def _as_weight(grid: Grid, m) -> np.ndarray:
 
 def _matvec(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``A @ x`` written into ``out``: the CSR kernel that ``@`` calls, without
-    scipy's dispatch around it.  The kernel adds into ``out``, so it is zeroed first."""
+    scipy's dispatch around it.  The kernel adds into ``out``, so it is zeroed first;
+    the sizes of ``out`` and ``x`` are the matrix's shape."""
     out.fill(0.0)
-    csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
+    csr_matvec(out.size, x.size, A.indptr, A.indices, A.data, x, out)
     return out
 
 
@@ -121,9 +122,14 @@ _last_factor = KeepLast()    # keyed on (grid, lam, m bytes)
 
 
 def _factorize(grid: Grid, lam: float, m: np.ndarray):
-    A = lam * grid.stiffness_matrix + sp.diags(m.ravel())
+    # lam*K + diag(m) on the pattern of K, which is symmetric with sorted indices:
+    # its CSR arrays are its CSC arrays.
+    K = grid.stiffness_matrix
+    data = lam * K.data
+    data[K.indices == _row_of_entries(K)] += m.ravel()
+    A = sp.csc_matrix((data, K.indices, K.indptr), shape=K.shape)
     # a symmetric ordering: on 2D grids about half the fill of splu's default
-    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+    return splu(A, permc_spec="MMD_AT_PLUS_A").solve
 
 
 def _resolvent_factor(grid: Grid, lam: float, m: np.ndarray):
@@ -240,7 +246,7 @@ class _SingularSystem:
         return r, y, gam
 
     def hnorm(self, r: np.ndarray) -> float:
-        return math.sqrt(self.vol * (r * r).sum())
+        return math.sqrt(self.vol * np.add.reduce(r * r, axis=None))
 
     def matrix_data(self, B: np.ndarray) -> np.ndarray:
         """Data of ``G^T B G + kappa_eff*K + diag(m)`` on the fixed pattern;
@@ -260,7 +266,8 @@ class _SingularSystem:
         """Solve the SPD system with matrix data ``data``; returns (x, cg_iters, ok)."""
         if self.dim == 1:    # bandwidth 2: a direct solve is cheapest
             ab = self.pattern.upper_band(data)
-            if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+            if not (np.logical_and.reduce(np.isfinite(ab), axis=None)
+                    and np.logical_and.reduce(np.isfinite(b), axis=None)):
                 raise ValueError("array must not contain infs or NaNs")
             _, x, info = dpbsv(ab, b)
             if info < 0:
@@ -316,8 +323,8 @@ def singular_resolvent(problem: SingularResolventProblem,
             # (y, gam) and projected onto the unit ball.  It is made here, not
             # after the step, so that a solve that has converged skips it.
             # (y_new, gam_new) are those the accepted trial's residual used.
-            p = (y_new - p * (np.sum(y * (y_new - y), axis=0) / gam)) / gam
-            p /= np.maximum(1.0, np.sqrt(np.sum(p * p, axis=0)))
+            p = (y_new - p * (np.add.reduce(y * (y_new - y), axis=0) / gam)) / gam
+            p /= np.maximum(1.0, np.sqrt(np.add.reduce(p * p, axis=0)))
             y, gam = y_new, gam_new
         delta, n_cg, ok = sys.solve(sys.jacobian_data(y, gam, p), -r)
         inner_total += n_cg

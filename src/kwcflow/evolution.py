@@ -35,7 +35,6 @@ from .elliptic import (LinearResolventProblem, SingularResolventProblem,
 __all__ = [
     "SystemState",
     "Forcings",
-    "TabulatedForcing",
     "check_expression",
     "compile_expression",
     "Trajectory",
@@ -125,30 +124,6 @@ def compile_expression(expr: str, grid: Grid) -> Callable[[float], np.ndarray]:
         return out
 
     return provider
-
-
-class TabulatedForcing:
-    """Forcing defined by sampled fields, linearly interpolated in time."""
-
-    def __init__(self, times, fields, grid: Grid):
-        self.times = np.asarray(times, dtype=float)
-        if self.times.ndim != 1 or self.times.size < 1:
-            raise ValueError("need at least one sample time")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("sample times must be strictly increasing")
-        self.fields = [grid.check_scalar(np.asarray(f, dtype=float)) for f in fields]
-        if len(self.fields) != self.times.size:
-            raise ValueError("one field per sample time required")
-
-    def __call__(self, t: float) -> np.ndarray:
-        ts = self.times
-        if t <= ts[0]:
-            return self.fields[0]
-        if t >= ts[-1]:
-            return self.fields[-1]
-        k = int(np.searchsorted(ts, t) - 1)
-        w = (t - ts[k]) / (ts[k + 1] - ts[k])
-        return (1.0 - w) * self.fields[k] + w * self.fields[k + 1]
 
 
 class Forcings:
@@ -252,13 +227,15 @@ class StepFailedError(RuntimeError):
 
 def _theta_pde_residual(grid: Grid, model: ModelFunctions, params: Parameters,
                         theta_old: np.ndarray, eta_new: np.ndarray,
-                        theta_new: np.ndarray, v_new: np.ndarray, dt: float) -> float:
-    """Backward-difference residual of the theta equation, assembled from scratch."""
+                        theta_new: np.ndarray, v_new: np.ndarray, dt: float,
+                        grad_old: tuple[np.ndarray, ...]) -> float:
+    """Backward-difference residual of the theta equation, assembled from the stencils;
+    ``grad_old`` is the old angle's face gradient, which only damping reads."""
     rate = (theta_new - theta_old) / dt
     flux = interfacial_flux(grid, model.alpha(eta_new), theta_new, params.epsilon, params.kappa)
     if params.nu:
-        Gn, Go = grid.grad(theta_new), grid.grad(theta_old)
-        flux = tuple(f + params.nu**2 / dt * (n - o) for f, n, o in zip(flux, Gn, Go))
+        Gn = angle_gradient(grid, theta_new, params.epsilon)[0]
+        flux = tuple(f + params.nu**2 / dt * (n - o) for f, n, o in zip(flux, Gn, grad_old))
     r = model.alpha0(eta_new) * rate - grid.div(flux) - v_new
     return grid.norm_h(r)
 
@@ -272,7 +249,7 @@ def _advance(state: SystemState, model: ModelFunctions, params: Parameters,
     v_new = forcings.v(t_new)
 
     # eta step: implicit Laplacian (plus damping), explicit nonlinearity
-    _, _, gam = angle_gradient(grid, state.theta, params.epsilon)
+    G_old, _, gam = angle_gradient(grid, state.theta, params.epsilon)
     ghat = model.g(state.eta) + model.alpha_d1(state.eta) * gam
     # damping terms are computed only when their weight is nonzero (x - 0.0 is x)
     damp_eta = params.mu**2 * grid.laplacian(state.eta) if params.mu else 0.0
@@ -301,7 +278,7 @@ def _advance(state: SystemState, model: ModelFunctions, params: Parameters,
                               exc.report) from exc
 
     res = _theta_pde_residual(grid, model, params, state.theta, eta_new, theta_new,
-                              v_new, dt)
+                              v_new, dt, G_old)
     if res > THETA_RESIDUAL_TOL:
         raise StepFailedError(
             f"theta equation residual {res:.3e} exceeds {THETA_RESIDUAL_TOL} at t={t_new:.6g}",

@@ -17,6 +17,10 @@ the divergence enforces the matching zero-flux convention.  With the face
 inner product weighted by the cell volume this makes ``div`` exactly the
 negative adjoint of ``grad``, which the energy-dissipation checks in the
 rest of the package rely on.
+
+The solvers' sparse operators are built on first use and kept on the grid,
+written directly in CSR form from each cell's neighbours with the entries,
+and their order in each row, of the sparse products that define them.
 """
 
 from __future__ import annotations
@@ -134,7 +138,7 @@ class Grid:
         f = np.asarray(f, dtype=float)
         if f.shape != self.shape:
             raise ValueError(f"{name}: expected shape {self.shape}, got {f.shape}")
-        if not np.isfinite(f).all():
+        if not np.logical_and.reduce(np.isfinite(f), axis=None):
             raise ValueError(f"{name}: contains non-finite values")
         return f
 
@@ -232,7 +236,7 @@ class Grid:
         f, g = np.asarray(f), np.asarray(g)
         if f.shape != self.shape or g.shape != self.shape:
             raise ValueError(f"fields do not share this grid: {f.shape}, {g.shape} vs {self.shape}")
-        return float((f * g).sum() * self.cell_volume)
+        return float(np.add.reduce(f * g, axis=None) * self.cell_volume)
 
     def inner_faces(self, F, G) -> float:
         """Face pairing with cell-volume weights (matches the adjoint identity)."""
@@ -254,56 +258,48 @@ class Grid:
 
     # -- sparse operator assembly (used by the elliptic solvers) --------------
 
-    def _flat_index(self) -> np.ndarray:
-        return np.arange(self.n_cells).reshape(self.shape)
-
-    def _two_point_matrices(self, rows_are_faces: bool, weights) -> tuple[sp.csr_matrix, ...]:
-        """Per axis, a matrix with two entries in each row: an interior face's
-        lower and upper cells (``rows_are_faces``) or a cell's lower and upper
-        faces, weighted by ``weights(h) = (w_lower, w_upper)``."""
-        cell_idx = self._flat_index()
-        mats = []
-        for d, fshape in enumerate(self.face_shapes()):
-            face_idx = np.arange(int(np.prod(fshape))).reshape(fshape)
-            if rows_are_faces:
-                rows, nbrs = face_idx[_along(d, slice(1, self.cells[d]))].ravel(), cell_idx
-                shape = (face_idx.size, self.n_cells)
-            else:
-                rows, nbrs = cell_idx.ravel(), face_idx
-                shape = (self.n_cells, face_idx.size)
-            lo = nbrs[_along(d, slice(0, -1))].ravel()
-            hi = nbrs[_along(d, slice(1, None))].ravel()
-            w_lo, w_hi = weights(self.spacing[d])
-            data = np.concatenate([np.full(rows.size, w_lo), np.full(rows.size, w_hi)])
-            M = sp.coo_matrix((data, (np.concatenate([rows, rows]), np.concatenate([lo, hi]))),
-                              shape=shape)
-            mats.append(M.tocsr())
-        return tuple(mats)
-
     @cached_property
-    def gradient_matrices(self) -> tuple[sp.csr_matrix, ...]:
-        """Per-axis face-gradient matrices acting on flat cell vectors."""
-        return self._two_point_matrices(True, lambda h: (-1.0 / h, 1.0 / h))
-
-    @cached_property
-    def averaging_matrices(self) -> tuple[sp.csr_matrix, ...]:
-        """Per-axis face-to-cell averaging matrices."""
-        return self._two_point_matrices(False, lambda h: (0.5, 0.5))
+    def _neighbours(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+        """Flat index of every cell and, per axis, of its lower and upper neighbour;
+        a cell on a wall stands in for the missing neighbour across it."""
+        idx = np.arange(self.n_cells).reshape(self.shape)
+        pairs = []
+        for d in range(self.dim):
+            lo = np.concatenate([idx[_along(d, slice(0, 1))], idx[_along(d, slice(0, -1))]], axis=d)
+            hi = np.concatenate([idx[_along(d, slice(1, None))], idx[_along(d, slice(-1, None))]],
+                                axis=d)
+            pairs.append((lo.ravel(), hi.ravel()))
+        return idx.ravel(), tuple(pairs)
 
     @cached_property
     def stiffness_matrix(self) -> sp.csr_matrix:
-        """Positive-semidefinite matrix of ``-laplacian`` on flat cell vectors."""
-        mats = self.gradient_matrices
-        A = mats[0].T @ mats[0]
-        for d in range(1, self.dim):
-            A = A + mats[d].T @ mats[d]
-        return A.tocsr()
+        """Positive-semidefinite matrix of ``-laplacian`` on flat cell vectors: per
+        axis, ``-1/h^2`` for each neighbour of a cell and ``1/h^2`` on the diagonal for
+        each of its interior faces; bit for bit the entries of ``sum_d G_d^T G_d``
+        with ``G_d`` the face gradient along axis d."""
+        own, pairs = self._neighbours
+        lower, upper, weights, diag = [], [], [], 0.0
+        for (lo, hi), h in zip(pairs, self.spacing):
+            s = (1.0 / h) * (1.0 / h)
+            lower.append(np.where(lo != own, lo, -1))
+            upper.append(np.where(hi != own, hi, -1))
+            weights.append(np.full(own.size, -s))
+            diag = diag + ((lo != own).astype(float) + (hi != own)) * s
+        # columns in increasing order: the coarsest axis first below the diagonal
+        cols = np.stack(lower + [own] + upper[::-1], axis=1)
+        vals = np.stack(weights + [diag] + weights[::-1], axis=1)
+        return _csr(cols, vals, self.n_cells)
 
     @cached_property
     def cell_gradient_matrix(self) -> sp.csr_matrix:
-        """Stacked cell-gradient matrix (dim * n_cells rows)."""
-        blocks = [A @ G for A, G in zip(self.averaging_matrices, self.gradient_matrices)]
-        return sp.vstack(blocks).tocsr()
+        """Stacked cell-gradient matrix (dim * n_cells rows): per axis, the average
+        of a cell's two face gradients, ``(f[hi] - f[lo]) / (2h)`` with a one-sided
+        difference at the walls.  Entries are stored upper neighbour first."""
+        _, pairs = self._neighbours
+        cols = np.concatenate([np.stack([hi, lo], axis=1) for lo, hi in pairs])
+        vals = np.concatenate([np.broadcast_to((0.5 * (1.0 / h), 0.5 * (-1.0 / h)), (lo.size, 2))
+                               for (lo, _), h in zip(pairs, self.spacing)])
+        return _csr(cols, vals, self.n_cells)
 
     @cached_property
     def cell_gradient_transpose(self) -> sp.csr_matrix:
@@ -317,12 +313,11 @@ class Grid:
         n = self.n_cells
         # Each full-size temporary is deleted after its last use, which keeps
         # the peak of the build near the size of the pattern it returns.
-        G = self.cell_gradient_matrix.tocoo()
-        keep = G.data != 0.0
-        comp, cell = np.divmod(G.row[keep].astype(np.int64), n)
-        col = G.col[keep].astype(np.int64)
-        val = G.data[keep]
-        del G, keep
+        G = self.cell_gradient_matrix          # stores no zeros
+        comp, cell = np.divmod(_row_of_entries(G), n)
+        col = G.indices.astype(np.int64)
+        val = G.data
+        del G
         # Pair every two gradient entries that sit in the same cell: slot[c] lists
         # the entries of cell c, padded with -1.
         order = np.argsort(cell, kind="stable")
@@ -341,8 +336,8 @@ class Grid:
         weights = val[p] * val[q]
         del p, q, comp, cell, col, val
 
-        K = self.stiffness_matrix.tocoo()
-        K_keys = K.row.astype(np.int64) * n + K.col
+        K = self.stiffness_matrix
+        K_keys = _row_of_entries(K) * n + K.indices
         diag_keys = np.arange(n, dtype=np.int64) * (n + 1)
         keys = np.unique(np.concatenate([pair_keys, K_keys, diag_keys]))
         rows, indices = np.divmod(keys, n)
@@ -351,15 +346,34 @@ class Grid:
         del rows
         pair_slots = np.searchsorted(keys, pair_keys)
         del pair_keys
-        coupling = sp.csr_matrix((weights, (pair_slots, source)),
-                                 shape=(keys.size, self.dim * self.dim * n))
-        del weights, pair_slots, source
+        # One entry per (slot, source): no two pairs share both, so nothing is summed.
+        order = np.lexsort((source, pair_slots))
+        coupling = sp.csr_matrix(
+            (weights[order], source[order],
+             np.concatenate([[0], np.cumsum(np.bincount(pair_slots, minlength=keys.size))])),
+            shape=(keys.size, self.dim * self.dim * n))
+        del weights, pair_slots, source, order
         stiffness_data = np.zeros(keys.size)
         stiffness_data[np.searchsorted(keys, K_keys)] = K.data
         return JacobianPattern(
             shape=(n, n), indptr=indptr, indices=indices, coupling=coupling,
             stiffness_data=stiffness_data, diagonal=np.searchsorted(keys, diag_keys),
             bandwidth=bandwidth)
+
+
+def _row_of_entries(A: sp.csr_matrix) -> np.ndarray:
+    """Row index of every stored entry of ``A``, in storage order."""
+    return np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(A.indptr))
+
+
+def _csr(cols: np.ndarray, vals, n_cols: int) -> sp.csr_matrix:
+    """CSR matrix with one row per leading index of ``cols``: row i holds the values
+    ``vals[i, k]`` at columns ``cols[i, k] >= 0``, in that order (-1 pads a row)."""
+    cols = cols.reshape(-1, cols.shape[-1])
+    vals = np.broadcast_to(vals, cols.shape)
+    keep = cols >= 0
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(cols.shape[0], n_cols))
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,7 @@ def gamma_eps(y, epsilon: float):
     y = _as_vector(y)
     if epsilon < 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    out = np.sqrt(epsilon**2 + (y * y).sum(axis=0))
+    out = np.sqrt(epsilon**2 + np.add.reduce(y * y, axis=0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -100,7 +100,7 @@ def grad_gamma_eps(y, epsilon: float):
     y = _as_vector(y)
     if epsilon <= 0:
         raise ValueError("grad_gamma_eps requires epsilon > 0 (the eps=0 case is set-valued)")
-    return y / np.sqrt(epsilon**2 + (y * y).sum(axis=0))
+    return y / np.sqrt(epsilon**2 + np.add.reduce(y * y, axis=0))
 
 
 def hess_gamma_eps(y, epsilon: float):
@@ -112,7 +112,7 @@ def hess_gamma_eps(y, epsilon: float):
     if epsilon <= 0:
         raise ValueError("hess_gamma_eps requires epsilon > 0")
     n = y.shape[0]
-    s = epsilon**2 + (y * y).sum(axis=0)
+    s = epsilon**2 + np.add.reduce(y * y, axis=0)
     denom = s ** 1.5
     out = np.empty((n, n) + y.shape[1:])
     for i in range(n):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import solveh_banded
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 import kwcflow.evolution as evolution
 from kwcflow import (Forcings, LinearResolventProblem, Parameters,
@@ -12,7 +12,7 @@ from kwcflow import (Forcings, LinearResolventProblem, Parameters,
                      check_h2_bound, gamma_eps, grad_gamma_eps, hess_gamma_eps,
                      interfacial_flux, linear_resolvent, reference_model,
                      singular_resolvent, step_pseudo_parabolic)
-from kwcflow.elliptic import _matvec, _SingularSystem, _stencil_residual_h
+from kwcflow.elliptic import _factorize, _matvec, _SingularSystem, _stencil_residual_h
 from kwcflow.grid import random_smooth_field
 
 
@@ -280,6 +280,20 @@ def test_fixed_pattern_matrices_match_explicit_assembly(cells, extents):
 
 
 @pytest.mark.parametrize("cells,extents", [([48], [1.0]), ([6, 5], [1.0, 0.7])])
+def test_eta_factor_solves_bitwise_like_the_assembled_matrix(cells, extents):
+    # The factor is made from lam*K + diag(m) written on K's pattern; its solves
+    # must be those of the matrix the sparse sum gives, converted to CSC.
+    g = build_grid(len(cells), cells, extents)
+    rng = np.random.default_rng(13)
+    for lam, m in ((1e-3, g.constant(1.0)), (0.5, rng.uniform(0.5, 2.0, g.shape))):
+        A = (lam * g.stiffness_matrix + sp.diags(m.ravel())).tocsc()
+        reference = splu(A, permc_spec="MMD_AT_PLUS_A").solve
+        solve = _factorize(g, lam, m)
+        z = rng.standard_normal(g.n_cells)
+        assert solve(z).tobytes() == reference(z).tobytes()
+
+
+@pytest.mark.parametrize("cells,extents", [([48], [1.0]), ([6, 5], [1.0, 0.7])])
 def test_direct_csr_product_is_bitwise_the_operator_product(cells, extents):
     # The solver's products call scipy's CSR kernel directly; the kernel adds
     # into its output, so a NaN-filled buffer shows that it is zeroed first.
@@ -379,6 +393,6 @@ def test_theta_operator_stencil_and_matrix_forms_agree(cells, extents, monkeypat
     new = step_pseudo_parabolic(state, model, params, forcings)
     theta_trial = new.theta + 0.01 * rng.standard_normal(g.shape)   # not a solution
     pde = evolution._theta_pde_residual(g, model, params, state.theta, new.eta, theta_trial,
-                                        forcings.v(new.time), params.dt)
+                                        forcings.v(new.time), params.dt, g.grad(state.theta))
     assert pde > 1.0
     assert pde == pytest.approx(_stencil_residual_h(problems[0], theta_trial), rel=1e-10)

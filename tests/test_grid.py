@@ -3,6 +3,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kwcflow import build_grid, load_field, save_field
 from kwcflow.grid import Grid, bump_field, cosine_field, random_smooth_field
@@ -146,10 +147,6 @@ def test_norm_h_unit_domain():
 def test_operator_matrices_match_stencils(grid):
     rng = np.random.default_rng(9)
     w = rng.standard_normal(grid.shape)
-    G = grid.grad(w)
-    for d, M in enumerate(grid.gradient_matrices):
-        assert np.allclose((M @ w.ravel()).reshape(grid.face_shapes()[d]), G[d],
-                           atol=1e-14)
     assert np.allclose((grid.stiffness_matrix @ w.ravel()).reshape(grid.shape),
                        -grid.laplacian(w), atol=1e-12)
     gc = grid.grad_cell(w)
@@ -166,6 +163,51 @@ def test_cell_gradient_transpose_is_the_csr_transpose(grid):
     assert np.array_equal(GT.toarray(), G.T.toarray())
     x = np.random.default_rng(12).standard_normal(G.shape[0])
     assert (GT @ x).tobytes() == (G.T @ x).tobytes()
+
+
+def csr_arrays(A):
+    return A.format, A.shape, A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes()
+
+
+def two_point_matrices(g, rows_are_faces, weights):
+    """Per axis, the sparse matrix of an interior face's two cells (face gradient)
+    or of a cell's two faces (face-to-cell averaging), built from coordinates."""
+    cells = np.arange(g.n_cells).reshape(g.shape)
+    mats = []
+    for d, fshape in enumerate(g.face_shapes()):
+        faces = np.arange(int(np.prod(fshape))).reshape(fshape)
+        along = (slice(None),) * d
+        if rows_are_faces:
+            rows, nbrs, shape = faces[along + (slice(1, -1),)].ravel(), cells, (faces.size, g.n_cells)
+        else:
+            rows, nbrs, shape = cells.ravel(), faces, (g.n_cells, faces.size)
+        lo, hi = nbrs[along + (slice(0, -1),)].ravel(), nbrs[along + (slice(1, None),)].ravel()
+        w_lo, w_hi = weights(g.spacing[d])
+        data = np.concatenate([np.full(rows.size, w_lo), np.full(rows.size, w_hi)])
+        mats.append(sp.coo_matrix((data, (np.concatenate([rows, rows]), np.concatenate([lo, hi]))),
+                                  shape=shape).tocsr())
+    return mats
+
+
+@pytest.mark.parametrize("cells,extents", [((4,), (1.0,)), ((37,), (1.3,)),
+                                           ((4, 5), (1.0, 2.0)), ((12, 9), (1.0, 1.5))])
+def test_operators_are_bitwise_the_sparse_products(cells, extents):
+    # The operators are written directly in CSR form.  Each must hold the entries,
+    # in the order within a row and with the values, that the sparse products
+    # sum_d G_d^T G_d and A_d G_d of the face gradients G_d and the face-to-cell
+    # averagings A_d give, so that every product with them sums in the same order.
+    g = Grid(len(cells), cells, extents)
+    G = two_point_matrices(g, True, lambda h: (-1.0 / h, 1.0 / h))
+    A = two_point_matrices(g, False, lambda h: (0.5, 0.5))
+    w = np.random.default_rng(9).standard_normal(g.shape)
+    for d, M in enumerate(G):
+        assert np.allclose((M @ w.ravel()).reshape(g.face_shapes()[d]), g.grad(w)[d], atol=1e-14)
+    K = G[0].T @ G[0]
+    for d in range(1, g.dim):
+        K = K + G[d].T @ G[d]
+    assert csr_arrays(g.stiffness_matrix) == csr_arrays(K.tocsr())
+    cell_G = sp.vstack([A_d @ G_d for A_d, G_d in zip(A, G)]).tocsr()
+    assert csr_arrays(g.cell_gradient_matrix) == csr_arrays(cell_G)
 
 
 def test_cached_geometry_leaves_grid_identity_alone(grid):
