@@ -27,7 +27,7 @@ from .config import (ConfigError, RunConfig, parse_config, parse_config_dict,
 from .elliptic import CG_RTOL
 from .evolution import (StepFailedError, THETA_RESIDUAL_TOL, run,
                         write_timeseries)
-from .experiments import EXPERIMENTS, report_to_jsonable, run_experiment
+from .experiments import EXPERIMENTS, report_to_jsonable
 from .grid import save_field
 from .model import validate_assumptions
 
@@ -147,7 +147,7 @@ def cmd_experiment(args) -> int:
     if "seed" in inspect.signature(EXPERIMENTS[name]).parameters:
         options.setdefault("seed", config.seed)
     t0 = time.perf_counter()
-    report = run_experiment(name, outdir=outdir, **options)
+    report = EXPERIMENTS[name](outdir=outdir, **options)
     wall = time.perf_counter() - t0
     payload = {
         "experiment": name,

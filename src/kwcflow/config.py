@@ -131,7 +131,10 @@ class RunConfig:
     def _realize_field(self, spec: dict, seed_base: int) -> np.ndarray:
         grid = self.grid
         if "file" in spec:
-            fgrid, values = load_field(spec["file"])
+            try:
+                fgrid, values = load_field(spec["file"])
+            except ValueError as exc:
+                raise ConfigError([f"field file {spec['file']}: {exc}"]) from exc
             if fgrid != grid:
                 raise ConfigError([f"field file {spec['file']}: grid mismatch (file: cells "
                                    f"{fgrid.cells}, extents {fgrid.extents}; config: cells "

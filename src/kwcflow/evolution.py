@@ -6,7 +6,7 @@ a fully implicit theta update through the singular-diffusion resolvent
 with the unknown-dependent mobility weight alpha0(eta+)/dt.  Setting the
 damping parameters mu or nu positive switches on the pseudo-parabolic
 variant, which adds linear diffusion of the time derivatives; mu = nu = 0
-reproduces the plain parabolic stepper through the identical code path.
+is the plain parabolic system, stepped by the same code.
 
 A run records its snapshots, their energy breakdowns and each step's
 solver reports.  The rates over each snapshot interval, and with them the
@@ -41,8 +41,6 @@ __all__ = [
     "StepFailedError",
     "prepare_initial_theta",
     "initial_velocities",
-    "step_parabolic",
-    "step_pseudo_parabolic",
     "run",
     "run_preconditions",
     "energy_inequality_residual",
@@ -265,7 +263,8 @@ def _advance(state: SystemState, model: ModelFunctions, params: Parameters,
     # theta step: fully implicit convex solve given eta_new
     m = model.alpha0(eta_new) / dt
     kappa_eff = params.kappa + params.nu**2 / dt
-    damp_theta = (params.nu**2 / dt) * grid.laplacian(state.theta) if params.nu else 0.0
+    # the old angle's Laplacian, from the face gradient already in hand
+    damp_theta = (params.nu**2 / dt) * grid.div(G_old) if params.nu else 0.0
     z_theta = v_new + m * state.theta - damp_theta
     problem = SingularResolventProblem(grid, model.alpha(eta_new), kappa_eff, m,
                                        z_theta, params.epsilon)
@@ -285,23 +284,6 @@ def _advance(state: SystemState, model: ModelFunctions, params: Parameters,
             rep_theta)
 
     return SystemState(grid, eta_new, theta_new, t_new), rep_eta, rep_theta
-
-
-def step_parabolic(state: SystemState, model: ModelFunctions, params: Parameters,
-                   forcings: Forcings) -> SystemState:
-    """One step of the undamped system; requires mu = nu = 0."""
-    if params.mu != 0.0 or params.nu != 0.0:
-        raise ValueError("step_parabolic requires mu = nu = 0")
-    new_state, _, _ = _advance(state, model, params, forcings)
-    return new_state
-
-
-def step_pseudo_parabolic(state: SystemState, model: ModelFunctions, params: Parameters,
-                          forcings: Forcings) -> SystemState:
-    """One step with pseudo-parabolic damping; mu = nu = 0 reproduces
-    step_parabolic exactly (identical code path)."""
-    new_state, _, _ = _advance(state, model, params, forcings)
-    return new_state
 
 
 # -- trajectories -------------------------------------------------------------------

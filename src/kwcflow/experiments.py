@@ -43,7 +43,6 @@ __all__ = [
     "exp_manufactured_convergence",
     "estimate_embedding_constant",
     "EXPERIMENTS",
-    "run_experiment",
     "report_to_jsonable",
 ]
 
@@ -659,12 +658,6 @@ EXPERIMENTS = {
     "h2_uniformity": exp_h2_uniformity,
     "manufactured_convergence": exp_manufactured_convergence,
 }
-
-
-def run_experiment(name: str, outdir=None, **options):
-    if name not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
-    return EXPERIMENTS[name](outdir=outdir, **options)
 
 
 def report_to_jsonable(report):

@@ -25,6 +25,7 @@ and their order in each row, of the sparse products that define them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,7 +40,6 @@ __all__ = [
     "save_field",
     "load_field",
     "cosine_field",
-    "constant_field",
     "bump_field",
     "random_smooth_field",
 ]
@@ -441,7 +441,8 @@ def save_field(path, grid: Grid, values: np.ndarray) -> None:
 
 
 def load_field(path) -> tuple[Grid, np.ndarray]:
-    """Read a field snapshot written by :func:`save_field`."""
+    """Read a field snapshot written by :func:`save_field`; each cell's row must
+    appear exactly once."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("# grid"):
@@ -455,25 +456,25 @@ def load_field(path) -> tuple[Grid, np.ndarray]:
         extents = tuple(float(s) for s in meta["extents"].split(","))
         grid = Grid(dim=dim, cells=cells, extents=extents)
         flat = np.empty(grid.n_cells)
-        seen = 0
-        for line in fh:
+        seen = np.zeros(grid.n_cells, dtype=bool)
+        for row, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
             i = int(parts[0])
+            if not 0 <= i < grid.n_cells or seen[i]:
+                raise ValueError(f"{path}: line {row}: cell index {i} is outside "
+                                 f"[0, {grid.n_cells}) or repeats an earlier row")
             flat[i] = float(parts[-1])
-            seen += 1
-        if seen != grid.n_cells:
-            raise ValueError(f"{path}: expected {grid.n_cells} rows, got {seen}")
+            seen[i] = True
+        if not seen.all():
+            raise ValueError(f"{path}: expected {grid.n_cells} rows, "
+                             f"got {np.count_nonzero(seen)}")
     return grid, flat.reshape(grid.shape)
 
 
 # -- field constructors --------------------------------------------------------
-
-
-def constant_field(grid: Grid, value: float) -> np.ndarray:
-    return grid.constant(value)
 
 
 def cosine_field(grid: Grid, mean: float = 0.0, amplitude: float = 1.0, mode=1) -> np.ndarray:
@@ -505,21 +506,12 @@ def random_smooth_field(grid: Grid, rng, mean: float = 0.0, amplitude: float = 1
     """
     out = grid.constant(0.0)
     coords = grid.meshgrid()
-    if grid.dim == 1:
-        for k in range(1, max_mode + 1):
-            c = rng.uniform(-1.0, 1.0)
-            out += (c / k**2) * np.cos(k * np.pi * coords[0] / grid.extents[0])
-    else:
-        for kx in range(0, max_mode + 1):
-            for ky in range(0, max_mode + 1):
-                if kx == 0 and ky == 0:
-                    continue
-                c = rng.uniform(-1.0, 1.0)
-                decay = (kx**2 + ky**2)
-                out += (c / decay) * (
-                    np.cos(kx * np.pi * coords[0] / grid.extents[0])
-                    * np.cos(ky * np.pi * coords[1] / grid.extents[1])
-                )
+    for modes in itertools.product(range(max_mode + 1), repeat=grid.dim):
+        if not any(modes):
+            continue
+        c = rng.uniform(-1.0, 1.0)
+        waves = (np.cos(k * np.pi * x / L) for k, x, L in zip(modes, coords, grid.extents))
+        out += (c / sum(k**2 for k in modes)) * math.prod(waves)
     peak = np.max(np.abs(out))
     if peak > 0:
         out *= 1.0 / peak

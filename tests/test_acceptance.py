@@ -12,8 +12,7 @@ import pytest
 from kwcflow import (Forcings, LinearResolventProblem, Parameters,
                      SingularResolventProblem, SystemState, build_grid,
                      gamma_eps, grad_gamma_eps, hess_gamma_eps,
-                     linear_resolvent, reference_model, singular_resolvent,
-                     step_parabolic, step_pseudo_parabolic)
+                     linear_resolvent, reference_model, run, singular_resolvent)
 from kwcflow.experiments import (exp_continuous_dependence,
                                  exp_energy_dissipation, exp_epsilon_limit,
                                  exp_h2_uniformity,
@@ -185,11 +184,11 @@ def test_criterion_08_stationary_preservation():
         runs = [("parabolic", 0.0, 0.0)]
         runs += [("pseudo_parabolic", mu, nu) for mu in (0.0, 0.1) for nu in (0.0, 0.1)]
         for stepper, mu, nu in runs:
-            params = Parameters(kappa=1.0, epsilon=eps, T=1.0, dt=1e-3, mu=mu, nu=nu)
-            step = step_parabolic if stepper == "parabolic" else step_pseudo_parabolic
-            s = SystemState(g, g.constant(c), g.constant(tc))
-            for _ in range(100):
-                s = step(s, model, params, forcings)
+            params = Parameters(kappa=1.0, epsilon=eps, T=0.1, dt=1e-3, mu=mu, nu=nu)
+            initial = SystemState(g, g.constant(c), g.constant(tc))
+            s = run(initial, model, params, forcings, stepper=stepper,
+                    snapshot_stride=100).snapshots[-1]
+            assert s.time == pytest.approx(0.1)
             assert np.max(np.abs(s.eta - c)) <= 1e-10, (stepper, mu, nu)
             assert np.max(np.abs(s.theta - tc)) <= 1e-10, (stepper, mu, nu)
 

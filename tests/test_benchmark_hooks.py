@@ -64,3 +64,20 @@ def test_newton_reuses_the_gradient_of_its_residual(monkeypatch):
     assert report.iterations > 1
     assert calls["residual_parts"] > report.iterations
     assert calls["grad_cells"] == calls["residual_parts"] + calls["energy"]
+
+
+def test_benchmark_ops_run_on_these_sources(monkeypatch, tmp_path):
+    # perfbench's own tests are not in this suite, so a change that breaks a name
+    # perfbench imports or calls would otherwise go unnoticed here.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+
+    ops = [workloads.grain_boundary_op(51, 6), workloads.grain_boundary_op(89, 10)]
+    with np.load(workloads.REFERENCE_PATH) as reference:
+        for op in ops:
+            assert workloads.run_op(op, str(tmp_path), reference).failure is None, op.key
+        with tracing.Tracer().installed() as tracer:
+            for op in ops:
+                assert workloads.run_op(op, str(tmp_path), reference, tracer).failure is None
+    assert tracer.spans

@@ -265,3 +265,16 @@ def test_wstar_file_on_another_grid_is_a_config_error(tmp_path, capsys, cells, e
     assert str(wstar) in err
     assert (f"file: cells {other.cells}, extents {other.extents}; "
             "config: cells (64,), extents (1.0,)") in err
+
+
+def test_field_file_with_a_repeated_row_is_a_config_error(tmp_path, capsys):
+    g = build_grid(1, [32], [1.0])
+    theta = tmp_path / "theta0.csv"
+    save_field(theta, g, g.constant(0.1))
+    rows = theta.read_text().splitlines()
+    theta.write_text("\n".join(rows[:2] + [rows[1]] + rows[3:]) + "\n")   # cell 1 lost
+    cfg = run_config(tmp_path, initial={"eta": {"profile": "constant", "value": 1.0},
+                                        "theta": {"file": str(theta)}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(theta) in err and "line 3: cell index 0" in err

@@ -11,7 +11,7 @@ from kwcflow import (Forcings, LinearResolventProblem, Parameters,
                      SingularResolventProblem, SystemState, build_grid,
                      check_h2_bound, gamma_eps, grad_gamma_eps, hess_gamma_eps,
                      interfacial_flux, linear_resolvent, reference_model,
-                     singular_resolvent, step_pseudo_parabolic)
+                     singular_resolvent)
 from kwcflow.elliptic import _factorize, _matvec, _SingularSystem, _stencil_residual_h
 from kwcflow.grid import random_smooth_field
 
@@ -390,7 +390,7 @@ def test_theta_operator_stencil_and_matrix_forms_agree(cells, extents, monkeypat
         return singular_resolvent(problem, **kwargs)
 
     monkeypatch.setattr(evolution, "singular_resolvent", recording_solve)
-    new = step_pseudo_parabolic(state, model, params, forcings)
+    new = evolution._advance(state, model, params, forcings)[0]
     theta_trial = new.theta + 0.01 * rng.standard_normal(g.shape)   # not a solution
     pde = evolution._theta_pde_residual(g, model, params, state.theta, new.eta, theta_trial,
                                         forcings.v(new.time), params.dt, g.grad(state.theta))

@@ -8,8 +8,7 @@ import kwcflow.evolution as evolution
 from kwcflow import (Forcings, Parameters, SolverError, SystemState,
                      build_grid, compile_expression,
                      energy_inequality_residual, gamma_eps, initial_velocities,
-                     prepare_initial_theta, reference_model, run,
-                     step_parabolic, step_pseudo_parabolic, validate_assumptions)
+                     prepare_initial_theta, reference_model, run, validate_assumptions)
 from kwcflow.evolution import StepFailedError, write_timeseries
 from kwcflow.grid import Grid, KeepLast, random_smooth_field
 
@@ -107,6 +106,11 @@ def test_initial_velocities_worked_examples(setup):
 # -- stepping ---------------------------------------------------------------------
 
 
+def step(state, model, params, forcings):
+    """One step of ``run``, without its bookkeeping."""
+    return evolution._advance(state, model, params, forcings)[0]
+
+
 def test_stationary_state_preserved(setup):
     g, model, _, _ = setup
     c, tc = 1.3, 0.7
@@ -115,7 +119,7 @@ def test_stationary_state_preserved(setup):
         params = Parameters(kappa=1.0, epsilon=0.25, T=1.0, dt=1e-3, mu=mu, nu=nu)
         s = SystemState(g, g.constant(c), g.constant(tc))
         for _ in range(20):
-            s = step_pseudo_parabolic(s, model, params, f)
+            s = step(s, model, params, f)
         assert np.max(np.abs(s.eta - c)) <= 1e-10
         assert np.max(np.abs(s.theta - tc)) <= 1e-10
 
@@ -123,38 +127,30 @@ def test_stationary_state_preserved(setup):
 def test_parabolic_requires_zero_damping(setup):
     g, model, eta0, theta0 = setup
     params = Parameters(kappa=1.0, epsilon=0.25, T=1.0, dt=1e-3, mu=0.1)
-    with pytest.raises(ValueError):
-        step_parabolic(SystemState(g, eta0, theta0), model, params, Forcings(g))
-
-
-def test_steppers_identical_at_zero_damping(setup):
-    g, model, eta0, theta0 = setup
-    params = Parameters(kappa=1.0, epsilon=0.25, T=1.0, dt=1e-3)
-    st = SystemState(g, eta0, theta0)
-    f = Forcings(g)
-    a = step_parabolic(st, model, params, f)
-    b = step_pseudo_parabolic(st, model, params, f)
-    assert np.array_equal(a.eta, b.eta)
-    assert np.array_equal(a.theta, b.theta)
+    with pytest.raises(ValueError, match="mu = nu = 0"):
+        run(SystemState(g, eta0, theta0), model, params, Forcings(g), stepper="parabolic")
 
 
 def test_zero_damping_weights_skip_their_laplacians(setup, monkeypatch):
-    # Each nonzero damping weight costs one Laplacian; the eta solve's
-    # residual re-check costs the one left at mu = nu = 0.
+    # Each nonzero damping weight costs one operator call: mu a Laplacian of the
+    # old eta, nu a divergence of the old angle's face gradient.  The eta solve's
+    # residual re-check costs the Laplacian left at mu = nu = 0.
     g, model, eta0, theta0 = setup
-    calls = []
-    laplacian = Grid.laplacian
+    calls = {"laplacian": 0, "div": 0}
+    for name in calls:
+        method = getattr(Grid, name)
 
-    def counted(self, f):
-        calls.append(1)
-        return laplacian(self, f)
+        def counted(self, f, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, f)
 
-    monkeypatch.setattr(Grid, "laplacian", counted)
-    for mu, nu, expected in ((0.0, 0.0, 1), (0.1, 0.0, 2), (0.0, 0.1, 2), (0.1, 0.1, 3)):
-        calls.clear()
+        monkeypatch.setattr(Grid, name, counted)
+    for mu, nu, laplacians, divs in ((0.0, 0.0, 1, 3), (0.1, 0.0, 2, 4),
+                                     (0.0, 0.1, 1, 4), (0.1, 0.1, 2, 5)):
+        calls.update(laplacian=0, div=0)
         params = Parameters(kappa=1.0, epsilon=0.25, T=1.0, dt=1e-3, mu=mu, nu=nu)
-        step_pseudo_parabolic(SystemState(g, eta0, theta0), model, params, Forcings(g))
-        assert len(calls) == expected, (mu, nu)
+        step(SystemState(g, eta0, theta0), model, params, Forcings(g))
+        assert (calls["laplacian"], calls["div"]) == (laplacians, divs), (mu, nu)
 
 
 def test_eta_step_matches_explicit_euler_oracle(setup):
@@ -164,7 +160,7 @@ def test_eta_step_matches_explicit_euler_oracle(setup):
     diffs = []
     for dt in (1e-5, 1e-6):
         params = Parameters(kappa=1.0, epsilon=0.25, T=1.0, dt=dt)
-        new = step_parabolic(SystemState(g, eta0, theta0), model, params, f)
+        new = step(SystemState(g, eta0, theta0), model, params, f)
         ghat = (model.g(eta0)
                 + model.alpha_d1(eta0) * gamma_eps(g.grad_cell(theta0), 0.25))
         explicit = eta0 + dt * (g.laplacian(eta0) - ghat)

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from kwcflow import build_grid, reference_model
-from kwcflow.experiments import (_manufactured_forcings,
+from kwcflow.experiments import (EXPERIMENTS, _manufactured_forcings,
                                  estimate_embedding_constant,
                                  exp_continuous_dependence,
                                  exp_energy_dissipation, exp_epsilon_limit,
                                  exp_h2_uniformity, exp_munu_limit,
-                                 report_to_jsonable, run_experiment)
+                                 report_to_jsonable)
 
 # Smoke-scale options; the full desk-scale versions run in the acceptance suite.
 SHORT = dict(T=0.05, dt=1e-3, cells=48)
@@ -89,10 +89,9 @@ def test_h2_uniformity_short():
 
 
 def test_experiment_registry_and_reports(tmp_path):
-    with pytest.raises(ValueError):
-        run_experiment("not_an_experiment")
-    run_experiment("h2_uniformity", outdir=str(tmp_path), cells=64,
-                   eps_values=(1.0, 0.5), trajectory_check=False)
+    assert EXPERIMENTS["h2_uniformity"] is exp_h2_uniformity
+    EXPERIMENTS["h2_uniformity"](outdir=str(tmp_path), cells=64,
+                                 eps_values=(1.0, 0.5), trajectory_check=False)
     assert (tmp_path / "h2_ratios.csv").exists()
 
 

@@ -275,6 +275,55 @@ def test_snapshot_roundtrip(tmp_path, grid):
     assert header.startswith("# grid dim=")
 
 
+@pytest.mark.parametrize("lines,message", [
+    (["0,0.1,1.0", "0,0.1,2.0", "2,0.6,3.0", "3,0.9,4.0"], "line 3: cell index 0"),
+    (["0,0.1,1.0", "-1,0.9,2.0", "2,0.6,3.0", "3,0.9,4.0"], "line 3: cell index -1"),
+    (["0,0.1,1.0", "1,0.4,2.0", "4,0.9,3.0", "3,0.9,4.0"], "line 4: cell index 4"),
+], ids=["duplicate", "negative", "out-of-range"])
+def test_load_field_rejects_bad_row_indices(tmp_path, lines, message):
+    path = tmp_path / "field.csv"
+    path.write_text("# grid dim=1 cells=4 extents=1.0\n" + "\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message) as info:
+        load_field(path)
+    assert str(path) in str(info.value)
+
+
+def _random_smooth_reference(grid, rng, mean, amplitude, max_mode):
+    """The separate 1D and 2D cosine sums that random_smooth_field must reproduce bit for bit."""
+    out = grid.constant(0.0)
+    coords = grid.meshgrid()
+    if grid.dim == 1:
+        for k in range(1, max_mode + 1):
+            c = rng.uniform(-1.0, 1.0)
+            out += (c / k**2) * np.cos(k * np.pi * coords[0] / grid.extents[0])
+    else:
+        for kx in range(0, max_mode + 1):
+            for ky in range(0, max_mode + 1):
+                if kx == 0 and ky == 0:
+                    continue
+                c = rng.uniform(-1.0, 1.0)
+                out += (c / (kx**2 + ky**2)) * (
+                    np.cos(kx * np.pi * coords[0] / grid.extents[0])
+                    * np.cos(ky * np.pi * coords[1] / grid.extents[1]))
+    peak = np.max(np.abs(out))
+    if peak > 0:
+        out *= 1.0 / peak
+    return mean + amplitude * out
+
+
+@pytest.mark.parametrize("cells,extents", [([37], [1.0]), ([64], [2.5]), ([32, 32], [1.0, 1.0]),
+                                           ([12, 9], [2.0, 0.7])])
+@pytest.mark.parametrize("max_mode", [1, 3, 6])
+def test_random_smooth_field_is_the_explicit_cosine_sum(cells, extents, max_mode):
+    g = build_grid(len(cells), cells, extents)
+    for seed in range(3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):      # a second draw checks the generator is left where it was
+            got = random_smooth_field(g, rng, mean=0.3, amplitude=0.7, max_mode=max_mode)
+            want = _random_smooth_reference(g, ref_rng, 0.3, 0.7, max_mode)
+            assert got.tobytes() == want.tobytes()
+
+
 def test_field_constructors():
     g = build_grid(1, [64], [1.0])
     f = cosine_field(g, mean=1.0, amplitude=0.5, mode=2)
