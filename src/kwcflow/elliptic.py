@@ -24,15 +24,16 @@ cell-wise ``grad gamma_eps(grad w)``, kept in the unit ball) and solves
 with the linearization of the pair; at ``p = y/gamma_eps(y)`` its matrix
 is the exact Hessian.  It stays SPD with smallest eigenvalue at least
 ``min m`` for every ``|p| <= 1``, also where the primal Hessian
-degenerates at small eps on step-like data.  The matrix shares the grid's
-fixed sparsity pattern (:attr:`Grid.jacobian_pattern`), so an iteration
-only refills a data array.  The dual update and the next matrix take the
-cell gradient and ``gamma_eps`` that the accepted trial's residual used,
-and sparse products call scipy's CSR kernel ``csr_matvec`` directly (what
-``A @ x`` runs, without its dispatch).  In 1D the matrix is banded
-(bandwidth 2) and solved by LAPACK's banded Cholesky ``dpbsv``, called
-directly; in 2D by Jacobi-preconditioned conjugate gradients, which at
-these sizes is faster than a fresh sparse factorization per iteration.
+degenerates at small eps on step-like data.  The dual update and the next
+matrix take the cell gradient and ``gamma_eps`` that the accepted trial's
+residual used, and sparse products call scipy's CSR kernel ``csr_matvec``
+directly (what ``A @ x`` runs, without its dispatch).  In 1D an iteration
+writes the matrix's upper band (bandwidth 2, LAPACK's layout) from the
+cell-gradient stencil, and LAPACK's banded Cholesky ``dpbsv``, called
+directly, solves it in place.  In 2D it refills the data array of the grid's
+fixed sparsity pattern (:attr:`Grid.jacobian_pattern`), and
+Jacobi-preconditioned CG solves it, which at these sizes is faster than a
+fresh sparse factorization per iteration.
 Residuals reported back are re-evaluated from the stencil operators,
 independent of the solver's matrix algebra.  The singular resolvent's
 re-check takes its flux from :func:`~kwcflow.model.interfacial_flux`, which
@@ -216,13 +217,23 @@ class _SingularSystem:
         self.G = g.cell_gradient_matrix          # (dim*nc, nc)
         self.GT = g.cell_gradient_transpose
         self.Lpos = g.stiffness_matrix           # -laplacian, PSD
-        self.pattern = g.jacobian_pattern
         self.beta = p.beta.ravel()
         self.m = p.m.ravel()
         self.z = p.z.ravel()
         # kappa_eff*K + diag(m): the part of every system matrix that w leaves alone
-        self.fixed_data = p.kappa_eff * self.pattern.stiffness_data
-        self.fixed_data[self.pattern.diagonal] += self.m
+        if self.dim == 1:
+            # LAPACK's upper band form, ab[2 + i - j, j] = A[i, j], in Fortran order
+            diag, upper = g.stiffness_diagonals
+            self.fixed = np.zeros((3, self.nc), order="F")
+            self.fixed[1, 1:] = p.kappa_eff * upper
+            self.fixed[2] = p.kappa_eff * diag + self.m
+            a = 0.5 * (1.0 / g.spacing[0])     # the cell gradient's weight
+            self.a2 = a * a
+            self.lo, self.hi = g._neighbours[1][0]    # each cell's neighbours on the axis
+        else:
+            self.pattern = g.jacobian_pattern
+            self.fixed = p.kappa_eff * self.pattern.stiffness_data
+            self.fixed[self.pattern.diagonal] += self.m
 
     def grad_cells(self, w: np.ndarray) -> np.ndarray:
         return _matvec(self.G, w, np.empty(self.dim * self.nc)).reshape(self.dim, self.nc)
@@ -248,32 +259,46 @@ class _SingularSystem:
     def hnorm(self, r: np.ndarray) -> float:
         return math.sqrt(self.vol * np.add.reduce(r * r, axis=None))
 
-    def matrix_data(self, B: np.ndarray) -> np.ndarray:
-        """Data of ``G^T B G + kappa_eff*K + diag(m)`` on the fixed pattern;
-        ``B`` has shape ``(dim, dim, nc)``."""
-        data = _matvec(self.pattern.coupling, B.ravel(), np.empty(self.fixed_data.size))
-        return data + self.fixed_data
+    def matrix(self, B: np.ndarray):
+        """``G^T B G + kappa_eff*K + diag(m)`` for ``B`` of shape ``(dim, dim, nc)``: in
+        2D a CSR matrix on the grid's fixed pattern, in 1D its upper band.
 
-    def jacobian_data(self, y: np.ndarray, gam: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Primal-dual Newton matrix: :meth:`matrix_data` of
+        The band comes from the cell-gradient stencil: cell c's gradient is
+        ``a*(w[hi] - w[lo])``, so ``a^2 B[c]`` enters ``(lo, lo)`` and ``(hi, hi)`` and,
+        negated, ``(lo, hi)``.  Diagonal j collects cells ``lo[j] < hi[j]`` (at a wall,
+        itself and the next cell), lower cell first: the order of the CSR product on
+        the pattern, so the band holds the bits that product gives."""
+        if self.dim == 2:
+            data = _matvec(self.pattern.coupling, B.ravel(), np.empty(self.fixed.size))
+            return self.pattern.matrix(data + self.fixed)
+        aB = self.a2 * B[0, 0]
+        ab = self.fixed.copy(order="F")
+        ab[2] += aB[self.lo] + aB[self.hi]
+        ab[0, 2:] = 0.0 - aB[1:-1]      # interior cells couple their two neighbours
+        ab[1, 1] -= aB[0]               # the wall cells couple themselves and the next
+        ab[1, -1] -= aB[-1]
+        return ab
+
+    def jacobian(self, y: np.ndarray, gam: np.ndarray, p: np.ndarray):
+        """Primal-dual Newton matrix: :meth:`matrix` of
         ``B = beta*(hess_gamma_eps(y) + sym((y/gam - p) y^T)/gam^2)`` at cell gradient
         ``y``, ``gam = gamma_eps(y)`` and dual flux ``p``; the exact Hessian at ``p = y/gam``."""
         H = hess_gamma_eps(y, self.p.epsilon)                     # (dim, dim, nc)
         S = ((y / gam - p) / (2.0 * gam * gam))[:, None] * y[None, :]
-        return self.matrix_data(self.beta * (H + S + S.transpose(1, 0, 2)))
+        return self.matrix(self.beta * (H + S + S.transpose(1, 0, 2)))
 
-    def solve(self, data: np.ndarray, b: np.ndarray):
-        """Solve the SPD system with matrix data ``data``; returns (x, cg_iters, ok)."""
+    def solve(self, A, b: np.ndarray):
+        """Solve the SPD system with the matrix :meth:`matrix` gives; returns
+        (x, cg_iters, ok).  A 1D band is overwritten."""
         if self.dim == 1:    # bandwidth 2: a direct solve is cheapest
-            ab = self.pattern.upper_band(data)
-            if not (np.logical_and.reduce(np.isfinite(ab), axis=None)
+            if not (np.logical_and.reduce(np.isfinite(A), axis=None)
                     and np.logical_and.reduce(np.isfinite(b), axis=None)):
                 raise ValueError("array must not contain infs or NaNs")
-            _, x, info = dpbsv(ab, b)
+            _, x, info = dpbsv(A, b, overwrite_ab=1)
             if info < 0:
                 raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
             return (x, 0, True) if info == 0 else (b, 0, False)
-        return _cg_solve(self.pattern.matrix(data), b)
+        return _cg_solve(A, b)
 
 
 def _stencil_residual_h(problem: SingularResolventProblem, w: np.ndarray) -> float:
@@ -326,7 +351,7 @@ def singular_resolvent(problem: SingularResolventProblem,
             p = (y_new - p * (np.add.reduce(y * (y_new - y), axis=0) / gam)) / gam
             p /= np.maximum(1.0, np.sqrt(np.add.reduce(p * p, axis=0)))
             y, gam = y_new, gam_new
-        delta, n_cg, ok = sys.solve(sys.jacobian_data(y, gam, p), -r)
+        delta, n_cg, ok = sys.solve(sys.jacobian(y, gam, p), -r)
         inner_total += n_cg
         if not ok:
             break

@@ -223,18 +223,19 @@ class StepFailedError(RuntimeError):
         self.trajectory = trajectory
 
 
-def _theta_pde_residual(grid: Grid, model: ModelFunctions, params: Parameters,
-                        theta_old: np.ndarray, eta_new: np.ndarray,
+def _theta_pde_residual(grid: Grid, params: Parameters, theta_old: np.ndarray,
+                        alpha0_new: np.ndarray, alpha_new: np.ndarray,
                         theta_new: np.ndarray, v_new: np.ndarray, dt: float,
                         grad_old: tuple[np.ndarray, ...]) -> float:
     """Backward-difference residual of the theta equation, assembled from the stencils;
-    ``grad_old`` is the old angle's face gradient, which only damping reads."""
+    ``alpha0_new`` and ``alpha_new`` are the mobility and the weight ``alpha`` at the
+    new eta, ``grad_old`` the old angle's face gradient, which only damping reads."""
     rate = (theta_new - theta_old) / dt
-    flux = interfacial_flux(grid, model.alpha(eta_new), theta_new, params.epsilon, params.kappa)
+    flux = interfacial_flux(grid, alpha_new, theta_new, params.epsilon, params.kappa)
     if params.nu:
         Gn = angle_gradient(grid, theta_new, params.epsilon)[0]
         flux = tuple(f + params.nu**2 / dt * (n - o) for f, n, o in zip(flux, Gn, grad_old))
-    r = model.alpha0(eta_new) * rate - grid.div(flux) - v_new
+    r = alpha0_new * rate - grid.div(flux) - v_new
     return grid.norm_h(r)
 
 
@@ -261,7 +262,8 @@ def _advance(state: SystemState, model: ModelFunctions, params: Parameters,
             rep_eta)
 
     # theta step: fully implicit convex solve given eta_new
-    m = model.alpha0(eta_new) / dt
+    alpha0_new = model.alpha0(eta_new)
+    m = alpha0_new / dt
     kappa_eff = params.kappa + params.nu**2 / dt
     # the old angle's Laplacian, from the face gradient already in hand
     damp_theta = (params.nu**2 / dt) * grid.div(G_old) if params.nu else 0.0
@@ -276,7 +278,7 @@ def _advance(state: SystemState, model: ModelFunctions, params: Parameters,
         raise StepFailedError(f"theta solve failed at t={t_new:.6g}: {exc}",
                               exc.report) from exc
 
-    res = _theta_pde_residual(grid, model, params, state.theta, eta_new, theta_new,
+    res = _theta_pde_residual(grid, params, state.theta, alpha0_new, problem.beta, theta_new,
                               v_new, dt, G_old)
     if res > THETA_RESIDUAL_TOL:
         raise StepFailedError(

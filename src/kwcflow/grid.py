@@ -20,7 +20,9 @@ rest of the package rely on.
 
 The solvers' sparse operators are built on first use and kept on the grid,
 written directly in CSR form from each cell's neighbours with the entries,
-and their order in each row, of the sparse products that define them.
+and their order in each row, of the sparse products that define them.  The
+Newton matrix pattern (:class:`JacobianPattern`) serves the 2D solves; 1D
+solves assemble their band from the cell-gradient stencil and build none.
 """
 
 from __future__ import annotations
@@ -291,6 +293,13 @@ class Grid:
         return _csr(cols, vals, self.n_cells)
 
     @cached_property
+    def stiffness_diagonals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Main and first upper diagonal of :attr:`stiffness_matrix`, its stored
+        values; on a 1D grid they are all of it above the diagonal."""
+        K = self.stiffness_matrix
+        return K.diagonal(), K.diagonal(1)
+
+    @cached_property
     def cell_gradient_matrix(self) -> sp.csr_matrix:
         """Stacked cell-gradient matrix (dim * n_cells rows): per axis, the average
         of a cell's two face gradients, ``(f[hi] - f[lo]) / (2h)`` with a one-sided
@@ -309,7 +318,8 @@ class Grid:
 
     @cached_property
     def jacobian_pattern(self) -> "JacobianPattern":
-        """Fixed sparsity pattern of ``G^T B G + K + I`` (see :class:`JacobianPattern`)."""
+        """Fixed sparsity pattern of ``G^T B G + K + I`` (see :class:`JacobianPattern`),
+        which the 2D Newton solves refill."""
         n = self.n_cells
         # Each full-size temporary is deleted after its last use, which keeps
         # the peak of the build near the size of the pattern it returns.
@@ -342,7 +352,6 @@ class Grid:
         keys = np.unique(np.concatenate([pair_keys, K_keys, diag_keys]))
         rows, indices = np.divmod(keys, n)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        bandwidth = int(np.max(indices - rows))
         del rows
         pair_slots = np.searchsorted(keys, pair_keys)
         del pair_keys
@@ -357,8 +366,7 @@ class Grid:
         stiffness_data[np.searchsorted(keys, K_keys)] = K.data
         return JacobianPattern(
             shape=(n, n), indptr=indptr, indices=indices, coupling=coupling,
-            stiffness_data=stiffness_data, diagonal=np.searchsorted(keys, diag_keys),
-            bandwidth=bandwidth)
+            stiffness_data=stiffness_data, diagonal=np.searchsorted(keys, diag_keys))
 
 
 def _row_of_entries(A: sp.csr_matrix) -> np.ndarray:
@@ -395,27 +403,9 @@ class JacobianPattern:
     coupling: sp.csr_matrix          # sparse map from B.ravel() to data
     stiffness_data: np.ndarray       # K on this pattern
     diagonal: np.ndarray             # positions of the diagonal entries in data
-    bandwidth: int
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
-
-    @cached_property
-    def _band_slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """Positions of the entries on or above the diagonal in data and in the flat
-        upper band form; built on first use, since only 1D theta solves use it."""
-        n = self.shape[0]
-        rows = np.repeat(np.arange(n), np.diff(self.indptr))
-        upper = np.flatnonzero(self.indices >= rows)
-        cols = self.indices[upper]
-        return upper, (self.bandwidth + rows[upper] - cols) * n + cols
-
-    def upper_band(self, data: np.ndarray) -> np.ndarray:
-        """Upper band form ``ab[bandwidth + i - j, j] = a[i, j]`` (LAPACK layout)."""
-        upper, band_slots = self._band_slots
-        ab = np.zeros((self.bandwidth + 1) * self.shape[0])
-        ab[band_slots] = data[upper]
-        return ab.reshape(self.bandwidth + 1, self.shape[0])
 
 
 def build_grid(dim: int, cells_per_axis, extents) -> Grid:
@@ -442,7 +432,7 @@ def save_field(path, grid: Grid, values: np.ndarray) -> None:
 
 def load_field(path) -> tuple[Grid, np.ndarray]:
     """Read a field snapshot written by :func:`save_field`; each cell's row must
-    appear exactly once."""
+    appear exactly once, with a finite value."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("# grid"):
@@ -467,6 +457,8 @@ def load_field(path) -> tuple[Grid, np.ndarray]:
                 raise ValueError(f"{path}: line {row}: cell index {i} is outside "
                                  f"[0, {grid.n_cells}) or repeats an earlier row")
             flat[i] = float(parts[-1])
+            if not math.isfinite(flat[i]):
+                raise ValueError(f"{path}: line {row}: value {parts[-1]} is not finite")
             seen[i] = True
         if not seen.all():
             raise ValueError(f"{path}: expected {grid.n_cells} rows, "

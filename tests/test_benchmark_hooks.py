@@ -34,13 +34,16 @@ def test_one_hessian_evaluation_per_newton_iteration(monkeypatch):
         return hess_gamma_eps(*args, **kwargs)
 
     monkeypatch.setattr(elliptic, "hess_gamma_eps", counted)
-    g = build_grid(1, [128], [1.0])
-    theta = 0.5 * np.tanh((g.centers(0) - 89 / 128) / 0.01)
-    problem = SingularResolventProblem(g, g.constant(1.0), 1e-5, g.constant(1.0), theta,
-                                       2.0**-10)
-    _, report = elliptic.singular_resolvent(problem, initial_guess=theta)
-    assert report.converged and report.iterations > 1
-    assert len(calls) == report.iterations
+    # the 1D band and the 2D pattern assemble the Newton matrix on separate paths
+    for g, eps in ((build_grid(1, [128], [1.0]), 2.0**-10),
+                   (build_grid(2, [12, 10], [1.0, 0.8]), 2.0**-6)):
+        calls.clear()
+        theta = 0.5 * np.tanh((g.meshgrid()[0] - 89 / 128) / 0.01)
+        problem = SingularResolventProblem(g, g.constant(1.0), 1e-5, g.constant(1.0), theta,
+                                           eps)
+        _, report = elliptic.singular_resolvent(problem, initial_guess=theta)
+        assert report.converged and report.iterations > 1
+        assert len(calls) == report.iterations
 
 
 def test_newton_reuses_the_gradient_of_its_residual(monkeypatch):

@@ -278,3 +278,17 @@ def test_field_file_with_a_repeated_row_is_a_config_error(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert str(theta) in err and "line 3: cell index 0" in err
+
+
+def test_field_file_with_a_non_finite_value_is_a_config_error(tmp_path, capsys):
+    g = build_grid(1, [32], [1.0])
+    theta = tmp_path / "theta0.csv"
+    save_field(theta, g, g.constant(0.1))
+    rows = theta.read_text().splitlines()
+    rows[5] = rows[5].rpartition(",")[0] + ",nan"
+    theta.write_text("\n".join(rows) + "\n")
+    cfg = run_config(tmp_path, initial={"eta": {"profile": "constant", "value": 1.0},
+                                        "theta": {"file": str(theta)}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(theta) in err and "line 6: value nan is not finite" in err

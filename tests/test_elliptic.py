@@ -236,6 +236,44 @@ def test_check_h2_bound_positive_and_verifies(grid1d):
 # -- factorized linear algebra ------------------------------------------------------
 
 
+def pattern_matrix(system, B):
+    """``G^T B G + kappa_eff*K + diag(m)`` written on the grid's fixed pattern, as the
+    2D solves assemble it; on a 1D grid it is the reference for the band."""
+    pattern = system.p.grid.jacobian_pattern
+    fixed = system.p.kappa_eff * pattern.stiffness_data
+    fixed[pattern.diagonal] += system.m
+    return pattern.matrix(_matvec(pattern.coupling, B.ravel(), np.empty(fixed.size)) + fixed)
+
+
+def upper_band(A: sp.csr_matrix) -> np.ndarray:
+    """LAPACK's upper band form ``ab[2 + i - j, j] = A[i, j]`` of a bandwidth-2 matrix."""
+    A = A.toarray()
+    ab = np.zeros((3, A.shape[0]))
+    for k in range(3):
+        ab[2 - k, k:] = np.diagonal(A, k)
+    return ab
+
+
+def dense(A) -> np.ndarray:
+    """Full matrix of a system matrix: a CSR matrix or, in 1D, an upper band."""
+    if sp.issparse(A):
+        return A.toarray()
+    upper = np.diag(A[1, 1:], 1) + np.diag(A[0, 2:], 2)
+    return np.diag(A[2]) + upper + upper.T
+
+
+def stored(A) -> np.ndarray:
+    """The stored values of a system matrix: CSR data or the band."""
+    return A.data if sp.issparse(A) else A
+
+
+def newton_weight(system, y, gam, p):
+    """``B`` of the primal-dual Newton matrix, as :meth:`_SingularSystem.jacobian` forms it."""
+    H = hess_gamma_eps(y, system.p.epsilon)
+    S = ((y / gam - p) / (2.0 * gam * gam))[:, None] * y[None, :]
+    return system.beta * (H + S + S.transpose(1, 0, 2))
+
+
 @pytest.mark.parametrize("cells,extents", [([32], [1.0]), ([6, 5], [1.0, 0.7])])
 def test_fixed_pattern_matrices_match_explicit_assembly(cells, extents):
     g = build_grid(len(cells), cells, extents)
@@ -260,20 +298,18 @@ def test_fixed_pattern_matrices_match_explicit_assembly(cells, extents):
     B_ref = sp.bmat([[sp.diags(beta.ravel() * Bpd[i][j]) for j in range(g.dim)]
                      for i in range(g.dim)])
     explicit = (G.T @ B_ref @ G + rest).toarray()
-    err = np.max(np.abs(system.pattern.matrix(system.jacobian_data(y, gam, p)).toarray()
-                        - explicit))
+    err = np.max(np.abs(dense(system.jacobian(y, gam, p)) - explicit))
     assert err <= 1e-14 * np.max(np.abs(explicit))
     # At p = y/gam the primal-dual matrix is the exact Hessian, bit for bit.
-    hessian = system.matrix_data(beta.ravel() * H)
-    assert np.array_equal(system.jacobian_data(y, gam, grad_gamma_eps(y, eps)), hessian)
+    hessian = stored(system.matrix(beta.ravel() * H))
+    assert np.array_equal(stored(system.jacobian(y, gam, grad_gamma_eps(y, eps))), hessian)
 
     # SPD with smallest eigenvalue >= min m for any |p| <= 1, down to eps = 2^-11.
     if g.dim == 2:
         for eps_small in (eps, 2.0**-6, 2.0**-11):
             system = _SingularSystem(SingularResolventProblem(g, beta, kappa_eff, m, g.zeros(),
                                                               eps_small))
-            A = system.pattern.matrix(system.jacobian_data(y, gamma_eps(y, eps_small), p))
-            A = A.toarray()
+            A = system.jacobian(y, gamma_eps(y, eps_small), p).toarray()
             assert np.max(np.abs(A - A.T)) <= 1e-14 * np.max(np.abs(A))
             smallest = np.linalg.eigvalsh(0.5 * (A + A.T))[0]
             assert smallest >= np.min(m) - 1e-12 * np.max(np.abs(A))
@@ -308,6 +344,40 @@ def test_direct_csr_product_is_bitwise_the_operator_product(cells, extents):
         assert out.tobytes() == (A @ x).tobytes()
 
 
+@pytest.mark.parametrize("n", [4, 5, 37, 128])
+def test_1d_band_is_bitwise_the_band_of_the_pattern_matrix(n):
+    # The 1D band is assembled from the cell-gradient stencil; it must hold the bits
+    # of the upper band of the matrix the fixed pattern gives, for |p| < 1 and |p| = 1.
+    g = build_grid(1, [n], [0.7])
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        beta = rng.uniform(0.0, 2.0, n)
+        beta[::4] = 0.0
+        m = rng.uniform(0.5, 3.0, n)
+        eps = 2.0 ** -int(rng.integers(2, 11))
+        system = _SingularSystem(SingularResolventProblem(g, beta, rng.uniform(0.01, 1.0), m,
+                                                          g.zeros(), eps))
+        y = system.grad_cells(10.0 * rng.standard_normal(n))
+        gam = gamma_eps(y, eps)
+        p = rng.uniform(-1.0, 1.0, y.shape)
+        p[:, ::3] = np.sign(p[:, ::3])          # some on the unit sphere
+        band = system.jacobian(y, gam, p)
+        assert band.flags.f_contiguous          # dpbsv takes it without a copy
+        reference = upper_band(pattern_matrix(system, newton_weight(system, y, gam, p)))
+        assert band.tobytes() == reference.tobytes()
+
+
+def test_1d_solves_leave_the_jacobian_pattern_unbuilt():
+    for cells in ([64], [12, 10]):
+        g = build_grid(len(cells), cells, [1.0] * len(cells))
+        x = g.meshgrid()[0]
+        problem = SingularResolventProblem(g, g.constant(1.0), 0.01, g.constant(1.0),
+                                           0.5 * np.tanh((x - 0.5) / 0.05), 2.0**-6)
+        _, report = singular_resolvent(problem)
+        assert report.converged and report.iterations > 0
+        assert ("jacobian_pattern" in vars(g)) == (g.dim == 2)
+
+
 def test_banded_newton_solve_matches_spsolve(grid1d):
     rng = np.random.default_rng(6)
     x = grid1d.centers(0)
@@ -316,11 +386,12 @@ def test_banded_newton_solve_matches_spsolve(grid1d):
     system = _SingularSystem(problem)
     y = system.grad_cells(0.5 * np.tanh((x - 0.5) / 0.01))
     b = rng.standard_normal(grid1d.n_cells)
-    data = system.jacobian_data(y, gamma_eps(y, 2.0**-8), -grad_gamma_eps(y, 2.0**-8))
-    assert system.pattern.bandwidth == 2
-    x_banded, n_cg, ok = system.solve(data, b)
+    gam, p = gamma_eps(y, 2.0**-8), -grad_gamma_eps(y, 2.0**-8)
+    band = system.jacobian(y, gam, p)
+    assert band.shape == (3, grid1d.n_cells)
+    x_ref = spsolve(pattern_matrix(system, newton_weight(system, y, gam, p)).tocsc(), b)
+    x_banded, n_cg, ok = system.solve(band, b)
     assert ok and n_cg == 0
-    x_ref = spsolve(system.pattern.matrix(data).tocsc(), b)
     assert np.max(np.abs(x_banded - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
 
 
@@ -333,15 +404,16 @@ def test_direct_banded_solve_matches_solveh_banded(grid1d):
     system = _SingularSystem(problem)
     y = system.grad_cells(0.5 * np.tanh((x - 0.5) / 0.01))
     b = np.random.default_rng(13).standard_normal(grid1d.n_cells)
-    data = system.jacobian_data(y, gamma_eps(y, 2.0**-8), grad_gamma_eps(y, 2.0**-8))
-    x_direct, n_cg, ok = system.solve(data, b)
+    band = system.jacobian(y, gamma_eps(y, 2.0**-8), grad_gamma_eps(y, 2.0**-8))
+    expected = solveh_banded(band, b)
+    x_direct, n_cg, ok = system.solve(band.copy(order="F"), b)   # the solve overwrites it
     assert ok and n_cg == 0
-    assert x_direct.tobytes() == solveh_banded(system.pattern.upper_band(data), b).tobytes()
-    assert not system.solve(-data, b)[2]
-    bad = data.copy()
-    bad[5] = np.nan
+    assert x_direct.tobytes() == expected.tobytes()
+    assert not system.solve(-band, b)[2]
+    bad = band.copy(order="F")
+    bad[1, 2] = np.nan
     with pytest.raises(ValueError) as wrapper:
-        solveh_banded(system.pattern.upper_band(bad), b)
+        solveh_banded(bad, b)
     with pytest.raises(ValueError, match=re.escape(str(wrapper.value))):
         system.solve(bad, b)
 
@@ -392,7 +464,8 @@ def test_theta_operator_stencil_and_matrix_forms_agree(cells, extents, monkeypat
     monkeypatch.setattr(evolution, "singular_resolvent", recording_solve)
     new = evolution._advance(state, model, params, forcings)[0]
     theta_trial = new.theta + 0.01 * rng.standard_normal(g.shape)   # not a solution
-    pde = evolution._theta_pde_residual(g, model, params, state.theta, new.eta, theta_trial,
+    pde = evolution._theta_pde_residual(g, params, state.theta, model.alpha0(new.eta),
+                                        model.alpha(new.eta), theta_trial,
                                         forcings.v(new.time), params.dt, g.grad(state.theta))
     assert pde > 1.0
     assert pde == pytest.approx(_stencil_residual_h(problems[0], theta_trial), rel=1e-10)

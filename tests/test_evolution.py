@@ -303,9 +303,9 @@ def grain_boundary_run(center, eps_exponent):
     params = Parameters(kappa=1e-2, epsilon=2.0**-eps_exponent, T=5e-3, dt=1e-3)
     theta0 = 0.5 * np.tanh((g.centers(0) - center) / 0.01)
     traj = run(SystemState(g, g.constant(1.0), theta0), model, params, Forcings(g))
-    residuals = [evolution._theta_pde_residual(g, model, params, old.theta, new.eta,
-                                               new.theta, g.zeros(), params.dt,
-                                               g.grad(old.theta))
+    residuals = [evolution._theta_pde_residual(g, params, old.theta, model.alpha0(new.eta),
+                                               model.alpha(new.eta), new.theta, g.zeros(),
+                                               params.dt, g.grad(old.theta))
                  for old, new in zip(traj.snapshots, traj.snapshots[1:])]
     return traj, residuals
 

@@ -288,6 +288,16 @@ def test_load_field_rejects_bad_row_indices(tmp_path, lines, message):
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_load_field_rejects_non_finite_values(tmp_path, value):
+    path = tmp_path / "field.csv"
+    path.write_text(f"# grid dim=1 cells=4 extents=1.0\n0,0.1,1.0\n1,0.4,{value}\n"
+                    "2,0.6,3.0\n3,0.9,4.0\n")
+    with pytest.raises(ValueError, match=f"line 3: value {value} is not finite") as info:
+        load_field(path)
+    assert str(path) in str(info.value)
+
+
 def _random_smooth_reference(grid, rng, mean, amplitude, max_mode):
     """The separate 1D and 2D cosine sums that random_smooth_field must reproduce bit for bit."""
     out = grid.constant(0.0)
