@@ -87,7 +87,30 @@ def _merge_section(user: dict, defaults: dict, path: str, violations: list) -> d
     return out
 
 
-def _normalize_field_spec(spec, path: str, violations: list):
+def _fits(value, default) -> bool:
+    """A bool stands only for a bool, an int for an int or a float, a float only for a float."""
+    kinds = (int, float) if type(default) is float else type(default)
+    return isinstance(value, kinds) and isinstance(value, bool) == isinstance(default, bool)
+
+
+def _check_leaves(doc: dict, defaults: dict, path: str, violations: list, axes=None) -> bool:
+    """Check by :func:`_fits` each value whose default is a bool, an int or a float;
+    ``mode`` and ``center`` also take one per axis.  True when every one fits."""
+    ok = True
+    for key, default in defaults.items():
+        value = doc[key]
+        per_axis = (key in ("mode", "center") and isinstance(value, list)
+                    and len(value) == (axes or len(value)))
+        if type(default) in (bool, int, float) and not all(
+                _fits(v, default) for v in (value if per_axis else [value])):
+            kind = {bool: "a boolean", int: "an integer"}.get(type(default), "a number")
+            per = " or one per axis" if key in ("mode", "center") else ""
+            violations.append(f"{path}{key}: expected {kind}{per}, got {value!r}")
+            ok = False
+    return ok
+
+
+def _normalize_field_spec(spec, path: str, violations: list, axes):
     if not isinstance(spec, dict):
         violations.append(f"{path}: expected an object with 'profile' or 'file'")
         return {"profile": "constant", "value": 0.0}
@@ -108,6 +131,7 @@ def _normalize_field_spec(spec, path: str, violations: list):
     out = {"profile": profile}
     out.update(defaults)
     out.update({k: v for k, v in spec.items() if k in defaults})
+    _check_leaves(out, defaults, path + ".", violations, axes)
     return out
 
 
@@ -133,7 +157,7 @@ class RunConfig:
         if "file" in spec:
             try:
                 fgrid, values = load_field(spec["file"])
-            except ValueError as exc:
+            except (OSError, ValueError) as exc:
                 raise ConfigError([f"field file {spec['file']}: {exc}"]) from exc
             if fgrid != grid:
                 raise ConfigError([f"field file {spec['file']}: grid mismatch (file: cells "
@@ -187,8 +211,19 @@ def parse_config_dict(doc: dict) -> RunConfig:
     forcings_doc = _merge_section(doc.get("forcings", {}), defaults["forcings"],
                                   "forcings.", violations)
     init_doc = _merge_section(doc.get("initial", {}), defaults["initial"], "initial.", violations)
-    init_doc["eta"] = _normalize_field_spec(init_doc["eta"], "initial.eta", violations)
-    init_doc["theta"] = _normalize_field_spec(init_doc["theta"], "initial.theta", violations)
+
+    grid = None
+    try:
+        if _check_leaves(grid_doc, defaults["grid"], "grid.", violations):
+            grid = build_grid(grid_doc["dim"], grid_doc["cells"], grid_doc["extents"])
+    except (ValueError, TypeError) as exc:
+        violations.append(f"grid: {exc}")
+    for name in ("eta", "theta"):
+        init_doc[name] = _normalize_field_spec(init_doc[name], f"initial.{name}", violations,
+                                               grid and grid.dim)
+    _check_leaves(init_doc, defaults["initial"], "initial.", violations)
+    if not (init_doc["wstar"] is None or isinstance(init_doc["wstar"], str)):
+        violations.append(f"initial.wstar: expected null or a path, got {init_doc['wstar']!r}")
 
     if params_doc["dt"] is None:
         try:
@@ -196,29 +231,29 @@ def parse_config_dict(doc: dict) -> RunConfig:
         except (TypeError, ValueError):
             violations.append("params.T: expected a number")
 
-    grid = None
-    try:
-        grid = build_grid(grid_doc["dim"], grid_doc["cells"], grid_doc["extents"])
-    except (ValueError, TypeError) as exc:
-        violations.append(f"grid: {exc}")
-
     params = None
     try:
-        params = Parameters(kappa=params_doc["kappa"], epsilon=params_doc["epsilon"],
-                            T=params_doc["T"], dt=params_doc["dt"],
-                            mu=params_doc["mu"], nu=params_doc["nu"])
+        if _check_leaves(params_doc, defaults["params"], "params.", violations):
+            params = Parameters(kappa=params_doc["kappa"], epsilon=params_doc["epsilon"],
+                                T=params_doc["T"], dt=params_doc["dt"],
+                                mu=params_doc["mu"], nu=params_doc["nu"])
     except (ValueError, TypeError) as exc:
         violations.append(f"params: {exc}")
 
     model = None
+    lo_hi = model_doc["sample_range"]
+    if not (isinstance(lo_hi, (list, tuple)) and len(lo_hi) == 2
+            and all(_fits(v, 0.0) for v in lo_hi) and lo_hi[0] < lo_hi[1]):
+        violations.append(f"model.sample_range: expected two numbers lo < hi, got {lo_hi!r}")
     if model_doc["name"] != "reference":
         violations.append(f"model.name: unknown model {model_doc['name']!r} "
                           "(available: 'reference')")
-    else:
-        model = reference_model(alpha_offset=model_doc["alpha_offset"],
-                                alpha0_offset=model_doc["alpha0_offset"],
-                                alpha_scale=model_doc["alpha_scale"],
-                                alpha0_scale=model_doc["alpha0_scale"])
+    elif _check_leaves(model_doc, defaults["model"], "model.", violations):
+        try:
+            model = reference_model(**{key: model_doc[key] for key in (
+                "alpha_offset", "alpha0_offset", "alpha_scale", "alpha0_scale")})
+        except (ValueError, TypeError) as exc:
+            violations.append(f"model: {exc}")
 
     stepper = doc.get("stepper", defaults["stepper"])
     if stepper not in ("parabolic", "pseudo_parabolic"):
@@ -228,11 +263,11 @@ def parse_config_dict(doc: dict) -> RunConfig:
         violations.extend(f"{key}: {msg}" for key, msg in run_preconditions(params, stepper))
 
     stride = doc.get("snapshot_stride", defaults["snapshot_stride"])
-    if not (isinstance(stride, int) and stride >= 1):
+    if not (_fits(stride, defaults["snapshot_stride"]) and stride >= 1):
         violations.append(f"snapshot_stride: expected a positive integer, got {stride!r}")
 
     seed = doc.get("seed", defaults["seed"])
-    if not (isinstance(seed, int) and seed >= 0):
+    if not (_fits(seed, defaults["seed"]) and seed >= 0):
         violations.append(f"seed: expected a nonnegative integer, got {seed!r}")
 
     experiment = doc.get("experiment", {})

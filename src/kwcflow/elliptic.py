@@ -28,12 +28,13 @@ degenerates at small eps on step-like data.  The dual update and the next
 matrix take the cell gradient and ``gamma_eps`` that the accepted trial's
 residual used, and sparse products call scipy's CSR kernel ``csr_matvec``
 directly (what ``A @ x`` runs, without its dispatch).  In 1D an iteration
-writes the matrix's upper band (bandwidth 2, LAPACK's layout) from the
+writes the matrix's upper band (bandwidth 2, LAPACK's layout) from the grid's
 cell-gradient stencil, and LAPACK's banded Cholesky ``dpbsv``, called
-directly, solves it in place.  In 2D it refills the data array of the grid's
-fixed sparsity pattern (:attr:`Grid.jacobian_pattern`), and
+directly, solves it in place.  In 2D it refills the data array of the fixed
+pattern written from that stencil (:attr:`Grid.jacobian_pattern`), and
 Jacobi-preconditioned CG solves it, which at these sizes is faster than a
-fresh sparse factorization per iteration.
+fresh sparse factorization per iteration.  The line search's energy is
+:func:`~kwcflow.model.interfacial_energy` plus ``(m w, w)/2 - (z, w)``.
 Residuals reported back are re-evaluated from the stencil operators,
 independent of the solver's matrix algebra.  The singular resolvent's
 re-check takes its flux from :func:`~kwcflow.model.interfacial_flux`, which
@@ -54,7 +55,7 @@ from scipy.sparse.linalg import cg, splu
 
 from .grid import Grid, KeepLast, _row_of_entries
 # grad_gamma_eps is not called here; it stays bound because the benchmark's tracer wraps it by name
-from .model import gamma_eps, grad_gamma_eps, hess_gamma_eps, interfacial_flux
+from .model import gamma_eps, grad_gamma_eps, hess_gamma_eps, interfacial_energy, interfacial_flux
 
 __all__ = [
     "SolveReport",
@@ -227,9 +228,9 @@ class _SingularSystem:
             self.fixed = np.zeros((3, self.nc), order="F")
             self.fixed[1, 1:] = p.kappa_eff * upper
             self.fixed[2] = p.kappa_eff * diag + self.m
-            a = 0.5 * (1.0 / g.spacing[0])     # the cell gradient's weight
-            self.a2 = a * a
-            self.lo, self.hi = g._neighbours[1][0]    # each cell's neighbours on the axis
+            neighbours, weights = g.cell_gradient_stencil
+            self.hi, self.lo = neighbours[0]        # each cell's neighbours on the axis
+            self.a2 = float(weights[0, 0] * weights[0, 0])
         else:
             self.pattern = g.jacobian_pattern
             self.fixed = p.kappa_eff * self.pattern.stiffness_data
@@ -239,11 +240,11 @@ class _SingularSystem:
         return _matvec(self.G, w, np.empty(self.dim * self.nc)).reshape(self.dim, self.nc)
 
     def energy(self, w: np.ndarray) -> float:
-        y = self.grad_cells(w)
-        nl = np.sum(self.beta * gamma_eps(y, self.p.epsilon))
-        quad = 0.5 * self.p.kappa_eff * float(w @ _matvec(self.Lpos, w, np.empty(self.nc)))
-        zero = 0.5 * np.sum(self.m * w * w) - np.sum(self.z * w)
-        return self.vol * (nl + quad + zero)
+        """The minimized functional; :meth:`residual_parts` is its gradient over the cell volume."""
+        p, g = self.p, self.p.grid
+        w = w.reshape(g.shape)
+        return (interfacial_energy(g, p.beta, w, p.epsilon, p.kappa_eff)
+                + 0.5 * g.inner(p.m * w, w) - g.inner(p.z, w))
 
     def residual_parts(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Residual at ``w`` with the cell gradient ``y`` and ``gam = gamma_eps(y)``

@@ -19,10 +19,11 @@ negative adjoint of ``grad``, which the energy-dissipation checks in the
 rest of the package rely on.
 
 The solvers' sparse operators are built on first use and kept on the grid,
-written directly in CSR form from each cell's neighbours with the entries,
-and their order in each row, of the sparse products that define them.  The
-Newton matrix pattern (:class:`JacobianPattern`) serves the 2D solves; 1D
-solves assemble their band from the cell-gradient stencil and build none.
+written directly in CSR form with the entries, and their order in each row,
+of the sparse products that define them.  One cell-gradient stencil
+(:attr:`Grid.cell_gradient_stencil`) gives the cell-gradient matrix, the 2D
+Newton matrix pattern (:class:`JacobianPattern`) and the 1D solves' band; a
+1D grid builds no pattern.
 """
 
 from __future__ import annotations
@@ -261,17 +262,17 @@ class Grid:
     # -- sparse operator assembly (used by the elliptic solvers) --------------
 
     @cached_property
-    def _neighbours(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-        """Flat index of every cell and, per axis, of its lower and upper neighbour;
-        a cell on a wall stands in for the missing neighbour across it."""
+    def cell_gradient_stencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cell gradient's stencil ``(neighbours, weights)``: along axis d the gradient
+        at cell c is ``weights[d, 0]*f[hi] + weights[d, 1]*f[lo]``, the average of its two
+        face gradients, with ``hi, lo = neighbours[d, :, c]`` the cell's upper and lower
+        neighbour (a cell on a wall stands in for the one missing across it) and weights
+        ``(1/(2h), -1/(2h))``."""
         idx = np.arange(self.n_cells).reshape(self.shape)
-        pairs = []
-        for d in range(self.dim):
-            lo = np.concatenate([idx[_along(d, slice(0, 1))], idx[_along(d, slice(0, -1))]], axis=d)
-            hi = np.concatenate([idx[_along(d, slice(1, None))], idx[_along(d, slice(-1, None))]],
-                                axis=d)
-            pairs.append((lo.ravel(), hi.ravel()))
-        return idx.ravel(), tuple(pairs)
+        neighbours = np.array([[np.take(idx, np.clip(np.arange(n) + step, 0, n - 1), axis=d).ravel()
+                                for step in (1, -1)] for d, n in enumerate(self.cells)])
+        weights = np.array([(0.5 * (1.0 / h), 0.5 * (-1.0 / h)) for h in self.spacing])
+        return neighbours, weights
 
     @cached_property
     def stiffness_matrix(self) -> sp.csr_matrix:
@@ -279,9 +280,9 @@ class Grid:
         axis, ``-1/h^2`` for each neighbour of a cell and ``1/h^2`` on the diagonal for
         each of its interior faces; bit for bit the entries of ``sum_d G_d^T G_d``
         with ``G_d`` the face gradient along axis d."""
-        own, pairs = self._neighbours
+        own = np.arange(self.n_cells)
         lower, upper, weights, diag = [], [], [], 0.0
-        for (lo, hi), h in zip(pairs, self.spacing):
+        for (hi, lo), h in zip(self.cell_gradient_stencil[0], self.spacing):
             s = (1.0 / h) * (1.0 / h)
             lower.append(np.where(lo != own, lo, -1))
             upper.append(np.where(hi != own, hi, -1))
@@ -301,14 +302,10 @@ class Grid:
 
     @cached_property
     def cell_gradient_matrix(self) -> sp.csr_matrix:
-        """Stacked cell-gradient matrix (dim * n_cells rows): per axis, the average
-        of a cell's two face gradients, ``(f[hi] - f[lo]) / (2h)`` with a one-sided
-        difference at the walls.  Entries are stored upper neighbour first."""
-        _, pairs = self._neighbours
-        cols = np.concatenate([np.stack([hi, lo], axis=1) for lo, hi in pairs])
-        vals = np.concatenate([np.broadcast_to((0.5 * (1.0 / h), 0.5 * (-1.0 / h)), (lo.size, 2))
-                               for (lo, _), h in zip(pairs, self.spacing)])
-        return _csr(cols, vals, self.n_cells)
+        """Stacked cell-gradient matrix (dim * n_cells rows) of
+        :attr:`cell_gradient_stencil`; entries are stored upper neighbour first."""
+        neighbours, weights = self.cell_gradient_stencil
+        return _csr(neighbours.transpose(0, 2, 1), weights[:, None, :], self.n_cells)
 
     @cached_property
     def cell_gradient_transpose(self) -> sp.csr_matrix:
@@ -320,31 +317,17 @@ class Grid:
     def jacobian_pattern(self) -> "JacobianPattern":
         """Fixed sparsity pattern of ``G^T B G + K + I`` (see :class:`JacobianPattern`),
         which the 2D Newton solves refill."""
-        n = self.n_cells
+        n, dim = self.n_cells, self.dim
+        cols, w = self.cell_gradient_stencil
         # Each full-size temporary is deleted after its last use, which keeps
         # the peak of the build near the size of the pattern it returns.
-        G = self.cell_gradient_matrix          # stores no zeros
-        comp, cell = np.divmod(_row_of_entries(G), n)
-        col = G.indices.astype(np.int64)
-        val = G.data
-        del G
-        # Pair every two gradient entries that sit in the same cell: slot[c] lists
-        # the entries of cell c, padded with -1.
-        order = np.argsort(cell, kind="stable")
-        counts = np.bincount(cell, minlength=n)
-        rank = np.arange(order.size) - (np.cumsum(counts) - counts)[cell[order]]
-        slot = np.full((n, counts.max()), -1)
-        slot[cell[order], rank] = order
-        del order, rank
-        p, q = np.broadcast_arrays(slot[:, :, None], slot[:, None, :])
-        valid = (p >= 0) & (q >= 0)
-        p, q = p[valid], q[valid]
-        del slot, valid
-        # Entry (col[p], col[q]) picks up val[p] * val[q] * B[comp[p], comp[q], cell].
-        pair_keys = col[p] * n + col[q]
-        source = (comp[p] * self.dim + comp[q]) * n + cell[p]
-        weights = val[p] * val[q]
-        del p, q, comp, cell, col, val
+        # Cell c's stencil entries (d, i) and (e, j) put w[d, i] * w[e, j] * B[d, e, c]
+        # at entry (cols[d, i, c], cols[e, j, c]): one term per index of ``shape``.
+        shape = (dim, 2, dim, 2, n)
+        d, i, e, j, c = np.indices(shape, sparse=True)
+        pair_keys = (cols[d, i, c] * n + cols[e, j, c]).ravel()
+        weights = np.broadcast_to(w[d, i] * w[e, j], shape).ravel()
+        source = np.broadcast_to((d * dim + e) * n + c, shape).ravel()
 
         K = self.stiffness_matrix
         K_keys = _row_of_entries(K) * n + K.indices
@@ -355,12 +338,12 @@ class Grid:
         del rows
         pair_slots = np.searchsorted(keys, pair_keys)
         del pair_keys
-        # One entry per (slot, source): no two pairs share both, so nothing is summed.
+        # One entry per (slot, source): no two terms share both, so nothing is summed.
         order = np.lexsort((source, pair_slots))
         coupling = sp.csr_matrix(
             (weights[order], source[order],
              np.concatenate([[0], np.cumsum(np.bincount(pair_slots, minlength=keys.size))])),
-            shape=(keys.size, self.dim * self.dim * n))
+            shape=(keys.size, dim * dim * n))
         del weights, pair_slots, source, order
         stiffness_data = np.zeros(keys.size)
         stiffness_data[np.searchsorted(keys, K_keys)] = K.data
@@ -377,8 +360,8 @@ def _row_of_entries(A: sp.csr_matrix) -> np.ndarray:
 def _csr(cols: np.ndarray, vals, n_cols: int) -> sp.csr_matrix:
     """CSR matrix with one row per leading index of ``cols``: row i holds the values
     ``vals[i, k]`` at columns ``cols[i, k] >= 0``, in that order (-1 pads a row)."""
+    vals = np.broadcast_to(vals, cols.shape).reshape(-1, cols.shape[-1])
     cols = cols.reshape(-1, cols.shape[-1])
-    vals = np.broadcast_to(vals, cols.shape)
     keep = cols >= 0
     indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
     return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(cols.shape[0], n_cols))
@@ -432,7 +415,7 @@ def save_field(path, grid: Grid, values: np.ndarray) -> None:
 
 def load_field(path) -> tuple[Grid, np.ndarray]:
     """Read a field snapshot written by :func:`save_field`; each cell's row must
-    appear exactly once, with a finite value."""
+    appear exactly once, with ``dim + 2`` columns and a finite value."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("# grid"):
@@ -441,10 +424,11 @@ def load_field(path) -> tuple[Grid, np.ndarray]:
         for token in header[len("# grid"):].split():
             key, _, val = token.partition("=")
             meta[key] = val
-        dim = int(meta["dim"])
-        cells = tuple(int(s) for s in meta["cells"].split(","))
-        extents = tuple(float(s) for s in meta["extents"].split(","))
-        grid = Grid(dim=dim, cells=cells, extents=extents)
+        try:
+            grid = Grid(dim=int(meta["dim"]), cells=tuple(int(s) for s in meta["cells"].split(",")),
+                        extents=tuple(float(s) for s in meta["extents"].split(",")))
+        except KeyError as exc:
+            raise ValueError(f"{path}: header line has no {exc.args[0]}= entry") from None
         flat = np.empty(grid.n_cells)
         seen = np.zeros(grid.n_cells, dtype=bool)
         for row, line in enumerate(fh, start=2):
@@ -452,6 +436,9 @@ def load_field(path) -> tuple[Grid, np.ndarray]:
             if not line:
                 continue
             parts = line.split(",")
+            if len(parts) != grid.dim + 2:
+                raise ValueError(f"{path}: line {row}: expected {grid.dim + 2} columns "
+                                 f"(index, coordinates, value), got {len(parts)}")
             i = int(parts[0])
             if not 0 <= i < grid.n_cells or seen[i]:
                 raise ValueError(f"{path}: line {row}: cell index {i} is outside "

@@ -47,8 +47,9 @@ def test_one_hessian_evaluation_per_newton_iteration(monkeypatch):
 
 
 def test_newton_reuses_the_gradient_of_its_residual(monkeypatch):
-    # Each cell gradient serves one residual or energy evaluation: the Newton loop
-    # takes the accepted trial's gradient and gamma instead of recomputing them.
+    # Each cell gradient serves one residual evaluation: the Newton loop takes the
+    # accepted trial's gradient and gamma instead of recomputing them.  The line
+    # search's energy comes from the model and takes no cell gradient here.
     calls = {"grad_cells": 0, "residual_parts": 0, "energy": 0}
     for name in calls:
         method = getattr(elliptic._SingularSystem, name)
@@ -66,7 +67,8 @@ def test_newton_reuses_the_gradient_of_its_residual(monkeypatch):
                                       reference_model(), params, Forcings(g))
     assert report.iterations > 1
     assert calls["residual_parts"] > report.iterations
-    assert calls["grad_cells"] == calls["residual_parts"] + calls["energy"]
+    assert calls["energy"] > 0
+    assert calls["grad_cells"] == calls["residual_parts"]
 
 
 def test_benchmark_ops_run_on_these_sources(monkeypatch, tmp_path):

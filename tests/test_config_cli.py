@@ -292,3 +292,45 @@ def test_field_file_with_a_non_finite_value_is_a_config_error(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert str(theta) in err and "line 6: value nan is not finite" in err
+
+
+def test_missing_field_file_is_a_config_error(tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    cfg = run_config(tmp_path, initial={"eta": {"profile": "constant", "value": 1.0},
+                                        "theta": {"file": str(missing)}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(missing) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"model": {"alpha_offset": "x"}}, "model.alpha_offset"),
+    ({"model": {"n_samples": "many"}}, "model.n_samples"),
+    ({"model": {"sample_range": 3}}, "model.sample_range"),
+    ({"model": {"sample_range": [1.0, -1.0]}}, "model.sample_range"),
+    ({"initial": {"eta": {"profile": "constant", "value": "x"}}}, "initial.eta.value"),
+    ({"initial": {"theta": {"profile": "cosine", "mode": "x"}}}, "initial.theta.mode"),
+    ({"initial": {"theta": {"profile": "cosine", "mode": [1, 2]}}}, "initial.theta.mode"),
+    ({"initial": {"prepare_theta": "yes"}}, "initial.prepare_theta"),
+    ({"initial": {"wstar": 3}}, "initial.wstar"),
+    ({"params": {"kappa": True}}, "params.kappa"),
+    ({"snapshot_stride": True}, "snapshot_stride"),
+    ({"seed": True}, "seed"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_wrong_typed_values_are_config_violations(tmp_path, capsys, doc, key):
+    cfg = write_json(tmp_path / "bad.json", doc)
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main(command + ["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"  - {key}: expected" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_per_axis_mode_and_center_are_accepted():
+    cfg = parse_config_dict({
+        "grid": {"dim": 2, "cells": [8, 6], "extents": [1.0, 0.75]},
+        "initial": {"eta": {"profile": "bump", "center": [0.5, 0.25], "baseline": 1},
+                    "theta": {"profile": "cosine", "mode": [1, 2]}}})
+    state = cfg.make_initial_state()
+    x, y = cfg.grid.meshgrid()
+    assert np.array_equal(state.theta, np.cos(np.pi * x) * np.cos(2 * np.pi * y / 0.75))

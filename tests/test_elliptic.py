@@ -344,6 +344,27 @@ def test_direct_csr_product_is_bitwise_the_operator_product(cells, extents):
         assert out.tobytes() == (A @ x).tobytes()
 
 
+@pytest.mark.parametrize("eps", [2.0**-2, 2.0**-8], ids=["eps=2^-2", "eps=2^-8"])
+@pytest.mark.parametrize("cells,extents", [([37], [1.0]), ([12, 10], [1.0, 0.8])])
+def test_line_search_energy_has_the_residual_as_gradient(cells, extents, eps):
+    # The line search's energy is the model's interfacial energy plus the resolvent's
+    # quadratic terms; its derivative along d must be vol * r.d with the residual r
+    # the Newton loop drives to zero.  Smooth directions keep the truncation error small.
+    g = build_grid(len(cells), cells, extents)
+    rng = np.random.default_rng(3)
+    problem = SingularResolventProblem(g, rng.uniform(0.5, 2.0, g.shape), 0.05,
+                                       rng.uniform(0.5, 2.0, g.shape),
+                                       rng.standard_normal(g.shape), eps)
+    system = _SingularSystem(problem)
+    w = random_smooth_field(g, rng).ravel()
+    r = system.residual_parts(w)[0]
+    h = 1e-5
+    for _ in range(3):
+        d = random_smooth_field(g, rng).ravel()
+        slope = (system.energy(w + h * d) - system.energy(w - h * d)) / (2.0 * h)
+        assert slope == pytest.approx(system.vol * float(r @ d), rel=1e-7, abs=0.0)
+
+
 @pytest.mark.parametrize("n", [4, 5, 37, 128])
 def test_1d_band_is_bitwise_the_band_of_the_pattern_matrix(n):
     # The 1D band is assembled from the cell-gradient stencil; it must hold the bits

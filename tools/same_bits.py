@@ -1,0 +1,241 @@
+"""Print one ``key sha256`` line per case of a fixed set of kwcflow runs.
+
+Run it on two source trees and diff the outputs; no differing line means the
+two trees give the same bits on every case:
+
+    python3 tools/same_bits.py old/src > old.txt
+    python3 tools/same_bits.py src > new.txt
+    diff old.txt new.txt
+
+The cases:
+
+* the benchmark's 40 ops (``perfbench/workloads.py`` of this checkout, only
+  imported): snapshots, times, energies, every solve report, every
+  ``_theta_pde_residual`` value, the failure text and the bytes of every file
+  the op writes;
+* 1D n=64 and 2D 16x16 runs at mu, nu in {0, 0.1}^2, forced and unforced;
+* 2D circular-grain runs (radius 0.3, tanh width 0.01, kappa 1e-2, eta 1) on
+  32^2 and 48^2 grids, eps 2^-4..2^-10, dt 1e-3 and 1e-2, damped and undamped;
+* the output files of ``kwcflow run`` on three configs (manifests without
+  ``wall_clock_seconds``).
+
+BLAS is pinned to one thread, which fixes the reduction order.  A summary
+(case count, line-search energy evaluations) goes to standard error.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from dataclasses import asdict, is_dataclass
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _feed(h, obj) -> None:
+    """Hash ``obj`` by type and exact value: arrays by dtype, shape and bytes."""
+    import numpy as np
+    if is_dataclass(obj) and not isinstance(obj, type):
+        obj = asdict(obj)
+    if isinstance(obj, np.ndarray):
+        h.update(f"a{obj.dtype.str}{obj.shape}".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif isinstance(obj, dict):
+        h.update(b"{")
+        for key in sorted(obj):
+            _feed(h, key)
+            _feed(h, obj[key])
+        h.update(b"}")
+    elif isinstance(obj, (list, tuple)):
+        h.update(b"[")
+        for item in obj:
+            _feed(h, item)
+        h.update(b"]")
+    elif isinstance(obj, bytes):
+        h.update(b"b%d:" % len(obj) + obj)
+    else:
+        h.update(f"{type(obj).__name__}:{obj!r};".encode())
+
+
+def digest(obj) -> str:
+    h = hashlib.sha256()
+    _feed(h, obj)
+    return h.hexdigest()
+
+
+def tree_files(root: str) -> dict:
+    """Bytes of every file under ``root``, keyed by relative path."""
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+class Recorder:
+    """Wraps ``evolution.run`` and ``evolution._theta_pde_residual`` to keep
+    what a case produced, and counts the singular solver's energy evaluations."""
+
+    def __init__(self, evolution, elliptic):
+        self.residuals, self.trajectories, self.energy_calls = [], [], 0
+        run, residual = evolution.run, evolution._theta_pde_residual
+        energy = elliptic._SingularSystem.energy
+
+        def recorded_run(*args, **kwargs):
+            try:
+                traj = run(*args, **kwargs)
+            except evolution.StepFailedError as exc:
+                self.trajectories.append(exc.trajectory)
+                raise
+            self.trajectories.append(traj)
+            return traj
+
+        def recorded_residual(*args, **kwargs):
+            value = residual(*args, **kwargs)
+            self.residuals.append(value)
+            return value
+
+        def counted_energy(system, w):
+            self.energy_calls += 1
+            return energy(system, w)
+
+        evolution.run = recorded_run
+        evolution._theta_pde_residual = recorded_residual
+        elliptic._SingularSystem.energy = counted_energy
+
+    def take(self) -> dict:
+        """What was recorded since the last call, as hashable data."""
+        trajs = [None if t is None else {
+            "times": t.times, "energies": t.energies, "reports": t.solve_reports,
+            "snapshots": [(s.time, s.eta, s.theta) for s in t.snapshots]}
+            for t in self.trajectories]
+        out = {"trajectories": trajs, "residuals": self.residuals}
+        self.residuals, self.trajectories = [], []
+        return out
+
+
+def benchmark_cases(recorder):
+    import numpy as np
+    sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
+    with np.load(workloads.REFERENCE_PATH) as reference:
+        for name in workloads.WORKLOADS:
+            for op in workloads.workload_ops(name):
+                with tempfile.TemporaryDirectory() as workdir:
+                    result = workloads.run_op(op, workdir, reference)
+                    files = tree_files(workdir)
+                yield op.key, {"failure": result.failure, "steps": result.steps,
+                               "attempted": result.attempted_steps, "files": files,
+                               **recorder.take()}
+
+
+def march(recorder, grid, eta, theta, params, forcings):
+    from kwcflow import evolution, reference_model
+    stepper = "pseudo_parabolic" if params.mu or params.nu else "parabolic"
+    failure = None
+    try:
+        evolution.run(evolution.SystemState(grid, eta, theta), reference_model(), params,
+                      forcings, stepper=stepper, snapshot_stride=1)
+    except evolution.StepFailedError as exc:
+        failure = str(exc)
+    return {"failure": failure, **recorder.take()}
+
+
+def damping_cases(recorder):
+    import numpy as np
+    from kwcflow import Forcings, Parameters, build_grid, random_smooth_field
+    for grid, u, v in ((build_grid(1, [64], [1.0]), "0.1*sin(t)*cos(pi*x)", "0.2*cos(2*pi*x)"),
+                       (build_grid(2, [16, 16], [1.0, 1.0]), "0.1*sin(t)*cos(pi*x)*cos(pi*y)",
+                        "0.2*cos(2*pi*x)+0.1*cos(pi*y)")):
+        rng = np.random.default_rng(7)
+        eta = random_smooth_field(grid, rng, 1.0, 0.25)
+        theta = random_smooth_field(grid, rng, 0.0, 0.5)
+        for mu in (0.0, 0.1):
+            for nu in (0.0, 0.1):
+                for forced in (False, True):
+                    params = Parameters(kappa=0.5, epsilon=0.1, T=0.02, dt=1e-3, mu=mu, nu=nu)
+                    forcings = Forcings(grid, u=u if forced else None, v=v if forced else None)
+                    key = f"damping:{grid.dim}d:mu={mu}:nu={nu}:forced={forced}"
+                    yield key, march(recorder, grid, eta, theta, params, forcings)
+
+
+def grain_cases(recorder, steps: int = 3):
+    import numpy as np
+    from kwcflow import Forcings, Parameters, build_grid
+    for n in (32, 48):
+        grid = build_grid(2, [n, n], [1.0, 1.0])
+        x, y = grid.meshgrid()
+        theta = 0.5 * np.tanh((np.hypot(x - 0.5, y - 0.5) - 0.3) / 0.01)
+        for k in (4, 6, 8, 10):
+            for dt in (1e-3, 1e-2):
+                for damp in (0.0, 0.1):
+                    params = Parameters(kappa=1e-2, epsilon=2.0**-k, T=steps * dt, dt=dt,
+                                        mu=damp, nu=damp)
+                    key = f"grain-2d:{n}x{n}:eps=2^-{k}:dt={dt}:damping={damp}"
+                    yield key, march(recorder, grid, grid.constant(1.0), theta, params,
+                                     Forcings(grid))
+
+
+CLI_CONFIGS = {
+    "default": {},
+    "damped-forced-2d": {
+        "grid": {"dim": 2, "cells": [12, 10], "extents": [1.0, 0.8]},
+        "params": {"kappa": 0.5, "epsilon": 0.1, "T": 0.05, "dt": 1e-3, "mu": 0.1, "nu": 0.1},
+        "forcings": {"u": "0.1*sin(t)*cos(pi*x)*cos(pi*y)", "v": "0.05*cos(pi*x)"},
+        "stepper": "pseudo_parabolic", "snapshot_stride": 10},
+    "nu-only-1d": {
+        "params": {"kappa": 0.2, "epsilon": 2.0**-6, "T": 0.1, "dt": 1e-3, "nu": 0.2},
+        "initial": {"theta": {"profile": "cosine", "amplitude": 0.4, "mode": 3}},
+        "stepper": "pseudo_parabolic", "snapshot_stride": 20},
+}
+
+
+def cli_cases(recorder):
+    from kwcflow.cli import main
+    for name, doc in CLI_CONFIGS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            with redirect_stdout(sys.stderr):     # its summary line shows the wall clock
+                code = main(["run", "--config", path, "--out", out])
+            files = tree_files(out)
+        manifest = json.loads(files.pop("manifest.json"))
+        manifest.pop("wall_clock_seconds", None)
+        recorder.take()
+        yield f"cli:{name}", {"exit": code, "manifest": manifest, "files": files}
+
+
+def main(src: str) -> int:
+    src = os.path.abspath(src)
+    sys.path.insert(0, src)
+    import kwcflow
+    from kwcflow import elliptic, evolution
+    if not kwcflow.__file__.startswith(src + os.sep):
+        raise SystemExit(f"imported kwcflow from {kwcflow.__file__}, not from {src}")
+    recorder = Recorder(evolution, elliptic)
+    count = 0
+    for cases in (benchmark_cases, damping_cases, grain_cases, cli_cases):
+        for key, value in cases(recorder):
+            print(key, digest(value), flush=True)
+            count += 1
+    print(f"{count} cases; {recorder.energy_calls} line-search energy evaluations",
+          file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit("usage: python3 tools/same_bits.py <src dir>")
+    raise SystemExit(main(sys.argv[1]))
