@@ -93,19 +93,27 @@ def _fits(value, default) -> bool:
     return isinstance(value, kinds) and isinstance(value, bool) == isinstance(default, bool)
 
 
+_KINDS = {bool: ("a boolean", "booleans"), int: ("an integer", "integers"),
+          float: ("a number", "numbers")}
+
+
 def _check_leaves(doc: dict, defaults: dict, path: str, violations: list, axes=None) -> bool:
-    """Check by :func:`_fits` each value whose default is a bool, an int or a float;
-    ``mode`` and ``center`` also take one per axis.  True when every one fits."""
+    """Check by :func:`_fits` each value whose default is a bool, an int or a float,
+    and each element of a list whose default is a list, against the default's first
+    element; ``mode`` and ``center`` also take one per axis.  True when every one fits."""
     ok = True
     for key, default in defaults.items():
-        value = doc[key]
-        per_axis = (key in ("mode", "center") and isinstance(value, list)
-                    and len(value) == (axes or len(value)))
-        if type(default) in (bool, int, float) and not all(
-                _fits(v, default) for v in (value if per_axis else [value])):
-            kind = {bool: "a boolean", int: "an integer"}.get(type(default), "a number")
-            per = " or one per axis" if key in ("mode", "center") else ""
-            violations.append(f"{path}{key}: expected {kind}{per}, got {value!r}")
+        value, listed = doc[key], isinstance(default, list)
+        per_axis = key in ("mode", "center")
+        if listed:          # None stands for a value that is not a list: it fits no default
+            default, values = default[0], value if isinstance(value, list) else [None]
+        else:
+            several = per_axis and isinstance(value, list) and len(value) == (axes or len(value))
+            values = value if several else [value]
+        if type(default) in (bool, int, float) and not all(_fits(v, default) for v in values):
+            one, many = _KINDS[type(default)]
+            kind = f"a list of {many}" if listed else one + (" or one per axis" if per_axis else "")
+            violations.append(f"{path}{key}: expected {kind}, got {value!r}")
             ok = False
     return ok
 
@@ -241,14 +249,16 @@ def parse_config_dict(doc: dict) -> RunConfig:
         violations.append(f"params: {exc}")
 
     model = None
-    lo_hi = model_doc["sample_range"]
-    if not (isinstance(lo_hi, (list, tuple)) and len(lo_hi) == 2
-            and all(_fits(v, 0.0) for v in lo_hi) and lo_hi[0] < lo_hi[1]):
+    model_leaves_ok = _check_leaves(model_doc, defaults["model"], "model.", violations)
+    lo_hi, n_samples = model_doc["sample_range"], model_doc["n_samples"]
+    if model_leaves_ok and not (len(lo_hi) == 2 and lo_hi[0] < lo_hi[1]):
         violations.append(f"model.sample_range: expected two numbers lo < hi, got {lo_hi!r}")
+    if model_leaves_ok and n_samples < 1:
+        violations.append(f"model.n_samples: expected a positive integer, got {n_samples!r}")
     if model_doc["name"] != "reference":
         violations.append(f"model.name: unknown model {model_doc['name']!r} "
                           "(available: 'reference')")
-    elif _check_leaves(model_doc, defaults["model"], "model.", violations):
+    elif model_leaves_ok:
         try:
             model = reference_model(**{key: model_doc[key] for key in (
                 "alpha_offset", "alpha0_offset", "alpha_scale", "alpha0_scale")})

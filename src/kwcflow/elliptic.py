@@ -35,10 +35,12 @@ pattern written from that stencil (:attr:`Grid.jacobian_pattern`), and
 Jacobi-preconditioned CG solves it, which at these sizes is faster than a
 fresh sparse factorization per iteration.  The line search's energy is
 :func:`~kwcflow.model.interfacial_energy` plus ``(m w, w)/2 - (z, w)``.
-Residuals reported back are re-evaluated from the stencil operators,
-independent of the solver's matrix algebra.  The singular resolvent's
-re-check takes its flux from :func:`~kwcflow.model.interfacial_flux`, which
-keeps it: the time stepper's step check at nu = 0 asks for the same flux.
+Residuals are re-evaluated from the stencil operators, independent of the
+solver's matrix algebra, and every solve has one outcome: a solution that met
+its tolerance (named once, by the constants below), or a :class:`SolverError`
+with the report attached.  The singular resolvent's re-check takes its flux
+from :func:`~kwcflow.model.interfacial_flux`, which keeps it: the time
+stepper's step check at nu = 0 asks for the same flux.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ __all__ = [
 ]
 
 CG_RTOL = 1e-12
+RESIDUAL_RTOL = 1e-10
+LINEAR_RESIDUAL_ATOL = 1e-14
 MAX_NEWTON = 50
 
 
@@ -81,7 +85,7 @@ class SolveReport:
 
 
 class SolverError(RuntimeError):
-    """Raised when the nonlinear solver fails to reach its residual tolerance."""
+    """Raised when a solve fails to reach its residual tolerance."""
 
     def __init__(self, message: str, report: SolveReport):
         super().__init__(message)
@@ -159,23 +163,25 @@ class LinearResolventProblem:
 
 
 def linear_resolvent(problem: LinearResolventProblem) -> tuple[np.ndarray, SolveReport]:
-    """Solve the linear resolvent problem; non-convergence is reported, not raised.
+    """Solve the linear resolvent problem to ``RESIDUAL_RTOL * |z|_H + LINEAR_RESIDUAL_ATOL``.
 
     For ``lam = 0`` the solution is the pointwise quotient ``z / m``;
-    otherwise it is a direct solve with the cached factor.  The reported
-    residual is recomputed from the stencil Laplacian.
+    otherwise it is a direct solve with the cached factor.  The residual is
+    recomputed from the stencil Laplacian; one that misses the tolerance, NaN
+    included, raises :class:`SolverError` with the report attached.
     """
-    grid = problem.grid
-    if problem.lam == 0.0:
-        w = problem.z / problem.m
-        res = grid.norm_h(problem.m * w - problem.z)
-        return w, SolveReport(0, res, True, method="pointwise")
-
-    solve = _resolvent_factor(grid, problem.lam, problem.m)
-    w = solve(problem.z.ravel()).reshape(grid.shape)
-    res = grid.norm_h(-problem.lam * grid.laplacian(w) + problem.m * w - problem.z)
-    tol = 1e-10 * grid.norm_h(problem.z) + 1e-14
-    return w, SolveReport(0, res, bool(res <= tol), method="direct")
+    grid, lam, m, z = problem.grid, problem.lam, problem.m, problem.z
+    if lam == 0.0:
+        w, method = z / m, "pointwise"
+        res = grid.norm_h(m * w - z)
+    else:
+        w, method = _resolvent_factor(grid, lam, m)(z.ravel()).reshape(grid.shape), "direct"
+        res = grid.norm_h(-lam * grid.laplacian(w) + m * w - z)
+    tol = RESIDUAL_RTOL * grid.norm_h(z) + LINEAR_RESIDUAL_ATOL
+    if not res <= tol:
+        raise SolverError(f"linear resolvent did not reach residual {tol:.3e} (got {res:.3e})",
+                          SolveReport(0, res, False, method="failed"))
+    return w, SolveReport(0, res, True, method=method)
 
 
 # -- singular-diffusion resolvent --------------------------------------------------
@@ -315,35 +321,25 @@ def singular_resolvent(problem: SingularResolventProblem,
                        ) -> tuple[np.ndarray, SolveReport]:
     """Solve the singular-diffusion resolvent to a tight absolute residual.
 
-    The default tolerance is ``1e-10 * (|z|_H + 1)``.  The solver is
-    primal-dual Newton with an Armijo line search, at most ``MAX_NEWTON``
-    iterations; if it stalls a :class:`SolverError` is raised with the
-    report attached.
+    The default tolerance is ``RESIDUAL_RTOL * (|z|_H + 1)``, the default start
+    the linear resolvent with ``lam = kappa_eff``.  The solver is primal-dual
+    Newton with an Armijo line search, at most ``MAX_NEWTON`` iterations; if it
+    stalls a :class:`SolverError` is raised with the report attached.
     """
     grid = problem.grid
     sys = _SingularSystem(problem)
-    tol = 1e-10 * (grid.norm_h(problem.z) + 1.0) if tol_abs is None else float(tol_abs)
+    tol = RESIDUAL_RTOL * (grid.norm_h(problem.z) + 1.0) if tol_abs is None else float(tol_abs)
 
     if initial_guess is not None:
         w = grid.check_scalar(np.asarray(initial_guess, dtype=float), "initial_guess").ravel().copy()
     else:
-        lin = LinearResolventProblem(grid, problem.kappa_eff, problem.m, problem.z)
-        w0, _ = linear_resolvent(lin)
-        w = w0.ravel()
-
-    inner_total = 0
-
-    def _done(n_iter: int):
-        final = _stencil_residual_h(problem, w.reshape(grid.shape))
-        return w.reshape(grid.shape), SolveReport(n_iter, final, True, method="newton",
-                                                  inner_iterations=inner_total)
+        w = _resolvent_factor(grid, problem.kappa_eff, problem.m)(problem.z.ravel())
 
     r, y, gam = sys.residual_parts(w)
     rh = sys.hnorm(r)
     p = y / gam                      # the dual flux, grad_gamma_eps(y)
-    for it in range(MAX_NEWTON):
-        if rh <= tol:
-            return _done(it)
+    it = inner_total = 0
+    while not rh <= tol and it < MAX_NEWTON:
         if it:
             # Dual step of the last accepted primal step, linearized at the old
             # (y, gam) and projected onto the unit ball.  It is made here, not
@@ -377,12 +373,14 @@ def singular_resolvent(problem: SingularResolventProblem,
         else:                                # no acceptable step length
             break
         w, r, rh, y_new, gam_new = wt, rt, rht, yt, gamt
-    if rh <= tol:
-        return _done(MAX_NEWTON)
-    report = SolveReport(MAX_NEWTON, rh, False, method="failed",
-                         inner_iterations=inner_total)
-    raise SolverError(
-        f"singular resolvent did not reach residual {tol:.3e} (got {rh:.3e})", report)
+        it += 1
+    if not rh <= tol:
+        report = SolveReport(MAX_NEWTON, rh, False, method="failed", inner_iterations=inner_total)
+        raise SolverError(
+            f"singular resolvent did not reach residual {tol:.3e} (got {rh:.3e})", report)
+    w = w.reshape(grid.shape)
+    return w, SolveReport(it, _stencil_residual_h(problem, w), True, method="newton",
+                          inner_iterations=inner_total)
 
 
 def check_h2_bound(grid: Grid, w: np.ndarray, z: np.ndarray, beta: np.ndarray,

@@ -28,9 +28,8 @@ from .grid import Grid
 # benchmark's tracer wraps them by name
 from .model import (ModelFunctions, Parameters, angle_gradient, gamma_eps, grad_gamma_eps,
                     interfacial_flux, kwc_energy)
-from .elliptic import (LinearResolventProblem, SingularResolventProblem,
-                       SolveReport, SolverError, linear_resolvent,
-                       singular_resolvent)
+from .elliptic import (RESIDUAL_RTOL, LinearResolventProblem, SingularResolventProblem,
+                       SolveReport, SolverError, linear_resolvent, singular_resolvent)
 
 __all__ = [
     "SystemState",
@@ -177,10 +176,7 @@ def prepare_initial_theta(grid: Grid, eta0: np.ndarray, theta0_raw: np.ndarray,
         grid, beta=model.alpha(eta0), kappa_eff=kappa, m=grid.constant(1.0),
         z=w + theta0_raw, epsilon=epsilon,
     )
-    theta0, report = singular_resolvent(problem, initial_guess=theta0_raw)
-    if not report.converged:
-        raise SolverError("initial-theta preparation did not converge", report)
-    return theta0
+    return singular_resolvent(problem, initial_guess=theta0_raw)[0]
 
 
 def initial_velocities(state0: SystemState, model: ModelFunctions, params: Parameters,
@@ -195,17 +191,12 @@ def initial_velocities(state0: SystemState, model: ModelFunctions, params: Param
 
     z_p = (grid.laplacian(state0.eta) - model.g(state0.eta)
            - model.alpha_d1(state0.eta) * gam + forcings.u(0.0))
-    p0, rep_p = linear_resolvent(
-        LinearResolventProblem(grid, params.mu**2, grid.constant(1.0), z_p))
-    if not rep_p.converged:
-        raise SolverError("initial eta-velocity solve failed", rep_p)
+    p0, _ = linear_resolvent(LinearResolventProblem(grid, params.mu**2, grid.constant(1.0), z_p))
 
     z_z = grid.div(interfacial_flux(grid, model.alpha(state0.eta), state0.theta,
                                     params.epsilon, params.kappa)) + forcings.v(0.0)
-    z0, rep_z = linear_resolvent(
+    z0, _ = linear_resolvent(
         LinearResolventProblem(grid, params.nu**2, model.alpha0(state0.eta), z_z))
-    if not rep_z.converged:
-        raise SolverError("initial theta-velocity solve failed", rep_z)
     return p0, z0
 
 
@@ -254,12 +245,12 @@ def _advance(state: SystemState, model: ModelFunctions, params: Parameters,
     damp_eta = params.mu**2 * grid.laplacian(state.eta) if params.mu else 0.0
     z_eta = state.eta - damp_eta + dt * (u_new - ghat)
     lam = dt + params.mu**2
-    eta_new, rep_eta = linear_resolvent(
-        LinearResolventProblem(grid, lam, grid.constant(1.0), z_eta))
-    if not rep_eta.converged:
-        raise StepFailedError(
-            f"eta solve failed at t={t_new:.6g} (residual {rep_eta.final_residual_h:.3e})",
-            rep_eta)
+    try:
+        eta_new, rep_eta = linear_resolvent(
+            LinearResolventProblem(grid, lam, grid.constant(1.0), z_eta))
+    except SolverError as exc:
+        raise StepFailedError(f"eta solve failed at t={t_new:.6g} "
+                              f"(residual {exc.report.final_residual_h:.3e})", exc.report) from exc
 
     # theta step: fully implicit convex solve given eta_new
     alpha0_new = model.alpha0(eta_new)
@@ -270,7 +261,7 @@ def _advance(state: SystemState, model: ModelFunctions, params: Parameters,
     z_theta = v_new + m * state.theta - damp_theta
     problem = SingularResolventProblem(grid, model.alpha(eta_new), kappa_eff, m,
                                        z_theta, params.epsilon)
-    tol = min(1e-10 * (grid.norm_h(z_theta) + 1.0), 0.5 * THETA_RESIDUAL_TOL)
+    tol = min(RESIDUAL_RTOL * (grid.norm_h(z_theta) + 1.0), 0.5 * THETA_RESIDUAL_TOL)
     try:
         theta_new, rep_theta = singular_resolvent(problem, tol_abs=tol,
                                                   initial_guess=state.theta)

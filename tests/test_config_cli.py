@@ -316,6 +316,10 @@ def test_missing_field_file_is_a_config_error(tmp_path, capsys):
     ({"params": {"kappa": True}}, "params.kappa"),
     ({"snapshot_stride": True}, "snapshot_stride"),
     ({"seed": True}, "seed"),
+    ({"model": {"n_samples": 0}}, "model.n_samples"),
+    ({"model": {"n_samples": -3}}, "model.n_samples"),
+    ({"grid": {"dim": 1, "cells": [4.5], "extents": [1.0]}}, "grid.cells"),
+    ({"grid": {"dim": 1, "cells": [4], "extents": ["1.0"]}}, "grid.extents"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_wrong_typed_values_are_config_violations(tmp_path, capsys, doc, key):
     cfg = write_json(tmp_path / "bad.json", doc)

@@ -6,14 +6,15 @@ import scipy.sparse as sp
 from scipy.linalg import solveh_banded
 from scipy.sparse.linalg import splu, spsolve
 
+import kwcflow.elliptic as elliptic
 import kwcflow.evolution as evolution
 from kwcflow import (Forcings, LinearResolventProblem, Parameters,
-                     SingularResolventProblem, SystemState, build_grid,
+                     SingularResolventProblem, SolverError, SystemState, build_grid,
                      check_h2_bound, gamma_eps, grad_gamma_eps, hess_gamma_eps,
                      interfacial_flux, linear_resolvent, reference_model,
                      singular_resolvent)
 from kwcflow.elliptic import _factorize, _matvec, _SingularSystem, _stencil_residual_h
-from kwcflow.grid import random_smooth_field
+from kwcflow.grid import Grid, random_smooth_field
 
 
 def minimize_by_gradient_descent(grid, beta, kappa_eff, m, z, epsilon,
@@ -104,6 +105,36 @@ def test_linear_resolvent_residual_contract(grid1d):
     res = grid1d.norm_h(-0.7 * grid1d.laplacian(w) + m * w - z)
     assert res <= 1e-10 * grid1d.norm_h(z)
     assert report.final_residual_h == pytest.approx(res)
+
+
+def test_linear_resolvent_raises_on_a_missed_residual(grid1d, monkeypatch):
+    """A direct solve off by 1% misses the residual tolerance and raises with its
+    report attached; nothing is returned for a caller to re-check."""
+    factor = elliptic._resolvent_factor
+    monkeypatch.setattr(elliptic, "_resolvent_factor",
+                        lambda *args: lambda b: 1.01 * factor(*args)(b))
+    z = random_smooth_field(grid1d, np.random.default_rng(3), 0.0, 1.0)
+    with pytest.raises(SolverError) as excinfo:
+        linear_resolvent(LinearResolventProblem(grid1d, 0.7, 1.0, z))
+    report = excinfo.value.report
+    assert not report.converged and report.method == "failed"
+    w = 1.01 * factor(grid1d, 0.7, grid1d.constant(1.0))(z.ravel()).reshape(grid1d.shape)
+    missed = grid1d.norm_h(-0.7 * grid1d.laplacian(w) + w - z)
+    assert report.final_residual_h == missed > 1e-10 * grid1d.norm_h(z) + 1e-14
+
+
+def test_linear_resolvent_raises_on_a_nan_residual(grid1d, monkeypatch):
+    monkeypatch.setattr(Grid, "laplacian", lambda self, f: np.full(self.shape, np.nan))
+    with pytest.raises(SolverError) as excinfo:
+        linear_resolvent(LinearResolventProblem(grid1d, 0.7, 1.0, grid1d.constant(1.0)))
+    assert np.isnan(excinfo.value.report.final_residual_h)
+
+
+def test_linear_resolvent_pointwise_overflow_raises(grid1d):
+    """z / m overflows to inf for a tiny weight: the residual is inf, not a pass."""
+    with pytest.raises(SolverError) as excinfo, np.errstate(over="ignore"):
+        linear_resolvent(LinearResolventProblem(grid1d, 0.0, 1e-300, grid1d.constant(1e10)))
+    assert excinfo.value.report.final_residual_h == np.inf
 
 
 def test_linear_resolvent_problem_validation(grid1d):

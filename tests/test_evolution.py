@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import kwcflow.elliptic as elliptic
 import kwcflow.evolution as evolution
 from kwcflow import (Forcings, Parameters, SolverError, SystemState,
                      build_grid, compile_expression,
@@ -254,6 +255,27 @@ def test_run_failure_carries_partial_trajectory(setup, monkeypatch):
     traj = excinfo.value.trajectory
     assert traj is not None
     assert len(traj.snapshots) == 4   # initial + 3 completed steps
+
+
+def test_run_eta_solve_failure_carries_partial_trajectory(setup, monkeypatch):
+    g, model, eta0, theta0 = setup
+    params = Parameters(kappa=1.0, epsilon=0.25, T=0.01, dt=1e-3)
+    factor = elliptic._resolvent_factor
+    calls = {"n": 0}
+
+    def off_after_three(*args):     # the eta solve of step 4 on is 1% off
+        calls["n"] += 1
+        solve = factor(*args)
+        return solve if calls["n"] <= 3 else (lambda b: 1.01 * solve(b))
+
+    monkeypatch.setattr(elliptic, "_resolvent_factor", off_after_three)
+    with pytest.raises(StepFailedError) as excinfo:
+        run(SystemState(g, eta0, theta0), model, params, Forcings(g))
+    exc = excinfo.value
+    assert str(exc).startswith("eta solve failed at t=0.004 (residual ")
+    assert isinstance(exc.__cause__, SolverError) and exc.report is exc.__cause__.report
+    assert not exc.report.converged
+    assert len(exc.trajectory.snapshots) == 4   # initial + 3 completed steps
 
 
 def test_write_timeseries_columns(tmp_path, setup):

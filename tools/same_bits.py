@@ -16,6 +16,10 @@ The cases:
 * 1D n=64 and 2D 16x16 runs at mu, nu in {0, 0.1}^2, forced and unforced;
 * 2D circular-grain runs (radius 0.3, tanh width 0.01, kappa 1e-2, eta 1) on
   32^2 and 48^2 grids, eps 2^-4..2^-10, dt 1e-3 and 1e-2, damped and undamped;
+* the solves outside a step: ``singular_resolvent`` from its own start (no
+  initial guess) on 1D n=64, n=128 and 2D 16x16 grids at eps 2^-2 and 2^-6,
+  ``prepare_initial_theta`` on desk data, and ``initial_velocities`` at
+  mu, nu in {0, 0.1}^2 (solutions and reports, or the failure text);
 * the output files of ``kwcflow run`` on three configs (manifests without
   ``wall_clock_seconds``).
 
@@ -187,6 +191,49 @@ def grain_cases(recorder, steps: int = 3):
                                      Forcings(grid))
 
 
+def _outcome(call, *args, **kwargs):
+    """What ``call`` returned, or the text and report of the SolverError it raised."""
+    from kwcflow import SolverError
+    try:
+        return {"value": call(*args, **kwargs)}
+    except SolverError as exc:
+        return {"failure": str(exc), "report": exc.report}
+
+
+def resolvent_cases(recorder):
+    """The solves outside a step; they call no ``run``, so the recorder stays empty."""
+    import numpy as np
+    from kwcflow import (Forcings, Parameters, SingularResolventProblem, SystemState, build_grid,
+                         initial_velocities, prepare_initial_theta, random_smooth_field,
+                         reference_model, singular_resolvent)
+    model = reference_model()
+    for cells in ([64], [128], [16, 16]):
+        grid = build_grid(len(cells), cells, [1.0] * len(cells))
+        rng = np.random.default_rng(5)
+        eta = random_smooth_field(grid, rng, 1.0, 0.25)
+        z = random_smooth_field(grid, rng, 0.0, 0.5)
+        for k in (2, 6):
+            problem = SingularResolventProblem(grid, model.alpha(eta), 0.5,
+                                               model.alpha0(eta) / 1e-3, z, 2.0**-k)
+            key = f"resolvent:{'x'.join(map(str, cells))}:eps=2^-{k}"
+            yield key, _outcome(singular_resolvent, problem)
+    for dim, cells in ((1, [64]), (2, [16, 16])):
+        grid = build_grid(dim, cells, [1.0] * dim)
+        rng = np.random.default_rng(1234)       # the desk studies' data
+        eta0 = random_smooth_field(grid, rng, mean=1.0, amplitude=0.25)
+        theta0 = random_smooth_field(grid, rng, mean=0.0, amplitude=0.5)
+        for eps in (0.5, 2.0**-4):
+            yield f"prepare:{dim}d:eps={eps}", _outcome(prepare_initial_theta, grid, eta0,
+                                                        theta0, model, eps, 1.0)
+        forcings = Forcings(grid, u=0.3, v=0.2)
+        for mu in (0.0, 0.1):
+            for nu in (0.0, 0.1):
+                params = Parameters(kappa=1.0, epsilon=0.25, T=1.0, dt=1e-3, mu=mu, nu=nu)
+                yield f"velocities:{dim}d:mu={mu}:nu={nu}", _outcome(
+                    initial_velocities, SystemState(grid, eta0, theta0), model, params,
+                    forcings)
+
+
 CLI_CONFIGS = {
     "default": {},
     "damped-forced-2d": {
@@ -226,7 +273,8 @@ def main(src: str) -> int:
         raise SystemExit(f"imported kwcflow from {kwcflow.__file__}, not from {src}")
     recorder = Recorder(evolution, elliptic)
     count = 0
-    for cases in (benchmark_cases, damping_cases, grain_cases, cli_cases):
+    for cases in (benchmark_cases, damping_cases, grain_cases, resolvent_cases,
+                  cli_cases):
         for key, value in cases(recorder):
             print(key, digest(value), flush=True)
             count += 1
