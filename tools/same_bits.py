@@ -16,6 +16,8 @@ The cases:
 * 1D n=64 and 2D 16x16 runs at mu, nu in {0, 0.1}^2, forced and unforced;
 * 2D circular-grain runs (radius 0.3, tanh width 0.01, kappa 1e-2, eta 1) on
   32^2 and 48^2 grids, eps 2^-4..2^-10, dt 1e-3 and 1e-2, damped and undamped;
+* damped 1D grain-boundary runs (n=128, the benchmark's step at face 89,
+  kappa 1e-2, eta 1) at eps 2^-4 and 2^-10, mu = nu = 0.1, dt 1e-3, 5 steps;
 * the solves outside a step: ``singular_resolvent`` from its own start (no
   initial guess) on 1D n=64, n=128 and 2D 16x16 grids at eps 2^-2 and 2^-6,
   ``prepare_initial_theta`` on desk data, and ``initial_velocities`` at
@@ -177,6 +179,12 @@ def damping_cases(recorder):
 def grain_cases(recorder, steps: int = 3):
     import numpy as np
     from kwcflow import Forcings, Parameters, build_grid
+    grid = build_grid(1, [128], [1.0])
+    theta = 0.5 * np.tanh((grid.centers(0) - 89 / 128) / 0.01)
+    for k in (4, 10):
+        params = Parameters(kappa=1e-2, epsilon=2.0**-k, T=5e-3, dt=1e-3, mu=0.1, nu=0.1)
+        yield f"grain-1d:128:face=89:eps=2^-{k}:damping=0.1", march(
+            recorder, grid, grid.constant(1.0), theta, params, Forcings(grid))
     for n in (32, 48):
         grid = build_grid(2, [n, n], [1.0, 1.0])
         x, y = grid.meshgrid()
