@@ -28,9 +28,11 @@ degenerates at small eps on step-like data.  The dual update and the next
 matrix take the cell gradient and ``gamma_eps`` that the accepted trial's
 residual used, and sparse products call scipy's CSR kernel ``csr_matvec``
 directly (what ``A @ x`` runs, without its dispatch).  In 1D an iteration
-writes the matrix's upper band (bandwidth 2, LAPACK's layout) from the grid's
-cell-gradient stencil, and LAPACK's banded Cholesky ``dpbsv``, called
-directly, solves it in place.  In 2D it refills the data array of the fixed
+forms the matrix's one weight per cell without the ``(dim, dim, nc)`` tensor
+and takes a vector's one component where 2D sums over the component axis
+(the same bits), writes the upper band (bandwidth 2, LAPACK's layout) from
+the grid's cell-gradient stencil, and LAPACK's banded Cholesky ``dpbsv``,
+called directly, solves it in place.  In 2D it refills the data array of the fixed
 pattern written from that stencil (:attr:`Grid.jacobian_pattern`), and
 Jacobi-preconditioned CG solves it, which at these sizes is faster than a
 fresh sparse factorization per iteration.  The line search's energy is
@@ -38,9 +40,10 @@ fresh sparse factorization per iteration.  The line search's energy is
 Residuals are re-evaluated from the stencil operators, independent of the
 solver's matrix algebra, and every solve has one outcome: a solution that met
 its tolerance (named once, by the constants below), or a :class:`SolverError`
-with the report attached.  The singular resolvent's re-check takes its flux
-from :func:`~kwcflow.model.interfacial_flux`, which keeps it: the time
-stepper's step check at nu = 0 asks for the same flux.
+with the report attached; a non-finite direct solve of the linear resolvent
+raises before its re-check.  The singular resolvent's re-check takes the
+flux's divergence from :func:`~kwcflow.model.interfacial_force`, which keeps
+it beside the flux: the time stepper's step check at nu = 0 asks for the same.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ from scipy.sparse.linalg import cg, splu
 
 from .grid import Grid, KeepLast, _row_of_entries
 # grad_gamma_eps is not called here; it stays bound because the benchmark's tracer wraps it by name
-from .model import gamma_eps, grad_gamma_eps, hess_gamma_eps, interfacial_energy, interfacial_flux
+from .model import (_component_sum, gamma_eps, grad_gamma_eps, hess_gamma_eps, interfacial_energy,
+                    interfacial_force)
 
 __all__ = [
     "SolveReport",
@@ -176,6 +180,9 @@ def linear_resolvent(problem: LinearResolventProblem) -> tuple[np.ndarray, Solve
         res = grid.norm_h(m * w - z)
     else:
         w, method = _resolvent_factor(grid, lam, m)(z.ravel()).reshape(grid.shape), "direct"
+        if not np.isfinite(w).all():
+            raise SolverError("linear resolvent: the direct solve is not finite",
+                              SolveReport(0, math.nan, False, method="failed"))
         res = grid.norm_h(-lam * grid.laplacian(w) + m * w - z)
     tol = RESIDUAL_RTOL * grid.norm_h(z) + LINEAR_RESIDUAL_ATOL
     if not res <= tol:
@@ -202,11 +209,11 @@ class SingularResolventProblem:
         self.beta = self.grid.check_scalar(np.asarray(self.beta, dtype=float), "beta")
         self.m = _as_weight(self.grid, self.m)
         self.z = self.grid.check_scalar(np.asarray(self.z, dtype=float), "z")
-        if self.beta.min() < 0:
+        if np.minimum.reduce(self.beta, axis=None) < 0:
             raise ValueError(f"beta must be nonnegative, min = {self.beta.min()}")
         if not self.kappa_eff > 0:
             raise ValueError(f"kappa_eff must be positive, got {self.kappa_eff}")
-        if self.m.min() <= 0:
+        if np.minimum.reduce(self.m, axis=None) <= 0:
             raise ValueError(f"inf m must be positive, got {self.m.min()}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
@@ -291,6 +298,9 @@ class _SingularSystem:
         ``B = beta*(hess_gamma_eps(y) + sym((y/gam - p) y^T)/gam^2)`` at cell gradient
         ``y``, ``gam = gamma_eps(y)`` and dual flux ``p``; the exact Hessian at ``p = y/gam``."""
         H = hess_gamma_eps(y, self.p.epsilon)                     # (dim, dim, nc)
+        if self.dim == 1:    # the sum below at its one entry, in its order
+            S = ((y[0] / gam - p[0]) / (2.0 * gam * gam)) * y[0]
+            return self.matrix((self.beta * ((H[0, 0] + S) + S))[None, None])
         S = ((y / gam - p) / (2.0 * gam * gam))[:, None] * y[None, :]
         return self.matrix(self.beta * (H + S + S.transpose(1, 0, 2)))
 
@@ -298,8 +308,7 @@ class _SingularSystem:
         """Solve the SPD system with the matrix :meth:`matrix` gives; returns
         (x, cg_iters, ok).  A 1D band is overwritten."""
         if self.dim == 1:    # bandwidth 2: a direct solve is cheapest
-            if not (np.logical_and.reduce(np.isfinite(A), axis=None)
-                    and np.logical_and.reduce(np.isfinite(b), axis=None)):
+            if not (np.isfinite(A).all() and np.isfinite(b).all()):
                 raise ValueError("array must not contain infs or NaNs")
             _, x, info = dpbsv(A, b, overwrite_ab=1)
             if info < 0:
@@ -310,9 +319,17 @@ class _SingularSystem:
 
 def _stencil_residual_h(problem: SingularResolventProblem, w: np.ndarray) -> float:
     """Residual of the quasilinear equation, evaluated with the grid stencils."""
-    g = problem.grid
-    flux = interfacial_flux(g, problem.beta, w, problem.epsilon, problem.kappa_eff)
-    return g.norm_h(-g.div(flux) + problem.m * w - problem.z)
+    force = interfacial_force(problem.grid, problem.beta, w, problem.epsilon, problem.kappa_eff)
+    return problem.grid.norm_h(-force + problem.m * w - problem.z)
+
+
+def _dual_step(p: np.ndarray, y: np.ndarray, gam: np.ndarray, y_new: np.ndarray) -> np.ndarray:
+    """Dual flux after a primal step from cell gradient ``y`` (``gam = gamma_eps(y)``) to
+    ``y_new``: ``y/gam`` linearized at the old pair, projected onto the unit ball."""
+    # + 0.0 turns a lone -0.0 component into +0.0, as np.add.reduce does
+    p = (y_new - p * ((_component_sum(y * (y_new - y)) + 0.0) / gam)) / gam
+    p /= np.maximum(1.0, np.sqrt(_component_sum(p * p)))
+    return p
 
 
 def singular_resolvent(problem: SingularResolventProblem,
@@ -341,12 +358,10 @@ def singular_resolvent(problem: SingularResolventProblem,
     it = inner_total = 0
     while not rh <= tol and it < MAX_NEWTON:
         if it:
-            # Dual step of the last accepted primal step, linearized at the old
-            # (y, gam) and projected onto the unit ball.  It is made here, not
-            # after the step, so that a solve that has converged skips it.
-            # (y_new, gam_new) are those the accepted trial's residual used.
-            p = (y_new - p * (np.add.reduce(y * (y_new - y), axis=0) / gam)) / gam
-            p /= np.maximum(1.0, np.sqrt(np.add.reduce(p * p, axis=0)))
+            # Dual step of the last accepted primal step, made here, not after the
+            # step, so that a solve that has converged skips it.  (y_new, gam_new)
+            # are those the accepted trial's residual used.
+            p = _dual_step(p, y, gam, y_new)
             y, gam = y_new, gam_new
         delta, n_cg, ok = sys.solve(sys.jacobian(y, gam, p), -r)
         inner_total += n_cg

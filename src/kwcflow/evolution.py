@@ -27,7 +27,7 @@ from .grid import Grid
 # gamma_eps and grad_gamma_eps are not called here; they stay bound because the
 # benchmark's tracer wraps them by name
 from .model import (ModelFunctions, Parameters, angle_gradient, gamma_eps, grad_gamma_eps,
-                    interfacial_flux, kwc_energy)
+                    interfacial_flux, interfacial_force, kwc_energy)
 from .elliptic import (RESIDUAL_RTOL, LinearResolventProblem, SingularResolventProblem,
                        SolveReport, SolverError, linear_resolvent, singular_resolvent)
 
@@ -193,8 +193,8 @@ def initial_velocities(state0: SystemState, model: ModelFunctions, params: Param
            - model.alpha_d1(state0.eta) * gam + forcings.u(0.0))
     p0, _ = linear_resolvent(LinearResolventProblem(grid, params.mu**2, grid.constant(1.0), z_p))
 
-    z_z = grid.div(interfacial_flux(grid, model.alpha(state0.eta), state0.theta,
-                                    params.epsilon, params.kappa)) + forcings.v(0.0)
+    z_z = interfacial_force(grid, model.alpha(state0.eta), state0.theta,
+                            params.epsilon, params.kappa) + forcings.v(0.0)
     z0, _ = linear_resolvent(
         LinearResolventProblem(grid, params.nu**2, model.alpha0(state0.eta), z_z))
     return p0, z0
@@ -222,11 +222,14 @@ def _theta_pde_residual(grid: Grid, params: Parameters, theta_old: np.ndarray,
     ``alpha0_new`` and ``alpha_new`` are the mobility and the weight ``alpha`` at the
     new eta, ``grad_old`` the old angle's face gradient, which only damping reads."""
     rate = (theta_new - theta_old) / dt
-    flux = interfacial_flux(grid, alpha_new, theta_new, params.epsilon, params.kappa)
     if params.nu:
+        flux = interfacial_flux(grid, alpha_new, theta_new, params.epsilon, params.kappa)
         Gn = angle_gradient(grid, theta_new, params.epsilon)[0]
-        flux = tuple(f + params.nu**2 / dt * (n - o) for f, n, o in zip(flux, Gn, grad_old))
-    r = alpha0_new * rate - grid.div(flux) - v_new
+        force = grid.div(tuple(f + params.nu**2 / dt * (n - o)
+                               for f, n, o in zip(flux, Gn, grad_old)))
+    else:    # the divergence the resolvent's re-check took
+        force = interfacial_force(grid, alpha_new, theta_new, params.epsilon, params.kappa)
+    r = alpha0_new * rate - force - v_new
     return grid.norm_h(r)
 
 

@@ -90,6 +90,8 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
+        if any(n != int(n) for n in self.cells):
+            raise ValueError(f"cells must be whole numbers, got {self.cells}")
         object.__setattr__(self, "cells", tuple(int(n) for n in self.cells))
         object.__setattr__(self, "extents", tuple(float(L) for L in self.extents))
         if len(self.cells) != self.dim or len(self.extents) != self.dim:

@@ -18,10 +18,12 @@ energies, and the validator for the standing assumptions:
 
 Two results are kept: the angle gradient of :func:`angle_gradient` (face
 gradient, cell gradient and ``gamma_eps`` of the cell gradient) and the
-flux of :func:`interfacial_flux`, each the last one asked for, keyed on
-the exact bytes of its input arrays (a :class:`~kwcflow.grid.KeepLast`).
-A time step asks for both of its new angle more than once; they are
-evaluated once.
+flux of :func:`interfacial_flux` with its divergence
+(:func:`interfacial_force`, taken when first asked for), each the last one
+asked for, keyed on the exact bytes of its input arrays (a
+:class:`~kwcflow.grid.KeepLast`).  A time step asks for both of its new
+angle more than once; they are evaluated once, and an undamped step takes
+the flux's divergence once.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "angle_gradient",
     "interfacial_energy",
     "interfacial_flux",
+    "interfacial_force",
     "EnergyBreakdown",
     "kwc_energy",
     "validate_assumptions",
@@ -86,12 +89,19 @@ def _as_vector(y):
     return y
 
 
+def _component_sum(a: np.ndarray):
+    """Sum over the component axis 0; with one component, that component itself.
+    That is the reduction's value bit for bit, except for a -0.0, which the
+    reduction (it adds to +0.0) returns as +0.0; a square is never -0.0."""
+    return a[0] if len(a) == 1 else np.add.reduce(a, axis=0)
+
+
 def gamma_eps(y, epsilon: float):
     """sqrt(eps^2 + |y|^2); component axis is axis 0, batch axes follow."""
     y = _as_vector(y)
     if epsilon < 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    out = np.sqrt(epsilon**2 + np.add.reduce(y * y, axis=0))
+    out = np.sqrt(epsilon**2 + _component_sum(y * y))
     return float(out) if out.ndim == 0 else out
 
 
@@ -100,7 +110,7 @@ def grad_gamma_eps(y, epsilon: float):
     y = _as_vector(y)
     if epsilon <= 0:
         raise ValueError("grad_gamma_eps requires epsilon > 0 (the eps=0 case is set-valued)")
-    return y / np.sqrt(epsilon**2 + np.add.reduce(y * y, axis=0))
+    return y / np.sqrt(epsilon**2 + _component_sum(y * y))
 
 
 def hess_gamma_eps(y, epsilon: float):
@@ -112,7 +122,7 @@ def hess_gamma_eps(y, epsilon: float):
     if epsilon <= 0:
         raise ValueError("hess_gamma_eps requires epsilon > 0")
     n = y.shape[0]
-    s = epsilon**2 + np.add.reduce(y * y, axis=0)
+    s = epsilon**2 + _component_sum(y * y)
     denom = s ** 1.5
     out = np.empty((n, n) + y.shape[1:])
     for i in range(n):
@@ -226,7 +236,7 @@ def interfacial_energy(grid: Grid, beta: np.ndarray, theta: np.ndarray,
     """
     beta = grid.check_scalar(beta, "beta")
     theta = grid.check_scalar(theta, "theta")
-    if np.min(beta) < 0:
+    if np.minimum.reduce(beta, axis=None) < 0:
         raise ValueError(f"beta must be nonnegative, min = {np.min(beta)}")
     G, _, gam = angle_gradient(grid, theta, epsilon)
     nonlinear = grid.inner(beta, gam)
@@ -235,13 +245,19 @@ def interfacial_energy(grid: Grid, beta: np.ndarray, theta: np.ndarray,
 
 
 def _interfacial_flux(grid: Grid, beta: np.ndarray, theta: np.ndarray,
-                      epsilon: float, kappa: float) -> tuple[np.ndarray, ...]:
+                      epsilon: float, kappa: float) -> list:
     G, gc, gam = angle_gradient(grid, theta, epsilon)
     # gc / gam is the expression grad_gamma_eps(gc) evaluates
     F = grid.cell_to_face(beta * (gc / gam))
     flux = tuple(F[d] + kappa * G[d] for d in range(grid.dim))
     _read_only(flux)
-    return flux
+    return [flux, None]      # the divergence is taken when it is first asked for
+
+
+def _kept_flux(grid: Grid, beta, theta, epsilon: float, kappa: float) -> list:
+    beta, theta = np.asarray(beta, dtype=float), np.asarray(theta, dtype=float)
+    key = (grid, epsilon, kappa, beta.shape, beta.tobytes(), theta.shape, theta.tobytes())
+    return _last_flux.get(key, _interfacial_flux, grid, beta, theta, epsilon, kappa)
 
 
 def interfacial_flux(grid: Grid, beta: np.ndarray, theta: np.ndarray,
@@ -252,9 +268,18 @@ def interfacial_flux(grid: Grid, beta: np.ndarray, theta: np.ndarray,
     The last flux is kept and returned again, read-only, while the same grid,
     epsilon, kappa and bytes of ``beta`` and ``theta`` are asked for.
     """
-    beta, theta = np.asarray(beta, dtype=float), np.asarray(theta, dtype=float)
-    key = (grid, epsilon, kappa, beta.shape, beta.tobytes(), theta.shape, theta.tobytes())
-    return _last_flux.get(key, _interfacial_flux, grid, beta, theta, epsilon, kappa)
+    return _kept_flux(grid, beta, theta, epsilon, kappa)[0]
+
+
+def interfacial_force(grid: Grid, beta: np.ndarray, theta: np.ndarray,
+                      epsilon: float, kappa: float) -> np.ndarray:
+    """``grid.div(interfacial_flux(...))``, kept beside the flux it is taken of and
+    returned again, read-only, while that flux is."""
+    kept = _kept_flux(grid, beta, theta, epsilon, kappa)
+    if kept[1] is None:
+        kept[1] = grid.div(kept[0])
+        _read_only((kept[1],))
+    return kept[1]
 
 
 @dataclass
@@ -272,7 +297,7 @@ def kwc_energy(grid: Grid, eta: np.ndarray, theta: np.ndarray,
     theta = grid.check_scalar(theta, "theta")
     Ge = grid.grad(eta)
     dirichlet = 0.5 * grid.inner_faces(Ge, Ge)
-    potential = float(np.sum(model.G(eta)) * grid.cell_volume)
+    potential = float(np.add.reduce(model.G(eta), axis=None) * grid.cell_volume)
     interfacial = interfacial_energy(grid, model.alpha(eta), theta,
                                      params.epsilon, params.kappa)
     return EnergyBreakdown(

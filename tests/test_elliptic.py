@@ -13,7 +13,8 @@ from kwcflow import (Forcings, LinearResolventProblem, Parameters,
                      check_h2_bound, gamma_eps, grad_gamma_eps, hess_gamma_eps,
                      interfacial_flux, linear_resolvent, reference_model,
                      singular_resolvent)
-from kwcflow.elliptic import _factorize, _matvec, _SingularSystem, _stencil_residual_h
+from kwcflow.elliptic import (_dual_step, _factorize, _matvec, _SingularSystem,
+                              _stencil_residual_h)
 from kwcflow.grid import Grid, random_smooth_field
 
 
@@ -128,6 +129,18 @@ def test_linear_resolvent_raises_on_a_nan_residual(grid1d, monkeypatch):
     with pytest.raises(SolverError) as excinfo:
         linear_resolvent(LinearResolventProblem(grid1d, 0.7, 1.0, grid1d.constant(1.0)))
     assert np.isnan(excinfo.value.report.final_residual_h)
+
+
+def test_linear_resolvent_raises_on_a_non_finite_solve(grid1d, monkeypatch):
+    # A NaN solution must not reach the stencil re-check, whose Laplacian rejects
+    # non-finite fields with a ValueError instead of the solver's SolverError.
+    monkeypatch.setattr(elliptic, "_resolvent_factor",
+                        lambda *args: lambda b: np.full(b.shape, np.nan))
+    with pytest.raises(SolverError) as excinfo:
+        linear_resolvent(LinearResolventProblem(grid1d, 0.7, 1.0, grid1d.constant(1.0)))
+    report = excinfo.value.report
+    assert not report.converged and report.method == "failed"
+    assert np.isnan(report.final_residual_h)
 
 
 def test_linear_resolvent_pointwise_overflow_raises(grid1d):
@@ -394,6 +407,27 @@ def test_line_search_energy_has_the_residual_as_gradient(cells, extents, eps):
         d = random_smooth_field(g, rng).ravel()
         slope = (system.energy(w + h * d) - system.energy(w - h * d)) / (2.0 * h)
         assert slope == pytest.approx(system.vol * float(r @ d), rel=1e-7, abs=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dual_step_is_bitwise_the_projected_linearized_flux(dim):
+    # In 1D the dual step takes its one component where the generic expression
+    # reduces over an axis of length one; the bits must be the same, also for
+    # signed zeros (flat cells) and where the projection onto the unit ball acts.
+    rng = np.random.default_rng(dim)
+    n = 400
+    y, y_new = rng.standard_normal((2, dim, n))
+    y[:, ::7] = 0.0
+    y_new[:, ::7] = -0.0                        # y*(y_new - y) is -0.0 there
+    y_new[:, 3::11] = y[:, 3::11]               # unchanged cells: y*0.0
+    gam = gamma_eps(y, 2.0**-6)
+    p = rng.uniform(-1.0, 1.0, (dim, n))
+    p[:, ::5] *= 50.0                           # pushes the linearized flux past |p| = 1
+    linearized = (y_new - p * (np.add.reduce(y * (y_new - y), axis=0) / gam)) / gam
+    scale = np.maximum(1.0, np.sqrt(np.add.reduce(linearized * linearized, axis=0)))
+    assert np.count_nonzero(scale > 1.0) > n // 10
+    expected = linearized / scale
+    assert _dual_step(p.copy(), y, gam, y_new).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", [4, 5, 37, 128])

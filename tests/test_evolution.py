@@ -9,7 +9,8 @@ import kwcflow.evolution as evolution
 from kwcflow import (Forcings, Parameters, SolverError, SystemState,
                      build_grid, compile_expression,
                      energy_inequality_residual, gamma_eps, initial_velocities,
-                     prepare_initial_theta, reference_model, run, validate_assumptions)
+                     interfacial_flux, interfacial_force, prepare_initial_theta,
+                     reference_model, run, validate_assumptions)
 from kwcflow.evolution import StepFailedError, write_timeseries
 from kwcflow.grid import Grid, KeepLast, random_smooth_field
 
@@ -134,8 +135,10 @@ def test_parabolic_requires_zero_damping(setup):
 
 def test_zero_damping_weights_skip_their_laplacians(setup, monkeypatch):
     # Each nonzero damping weight costs one operator call: mu a Laplacian of the
-    # old eta, nu a divergence of the old angle's face gradient.  The eta solve's
-    # residual re-check costs the Laplacian left at mu = nu = 0.
+    # old eta, nu a divergence of the old angle's face gradient and one of the
+    # damped flux in the step check.  The eta solve's residual re-check costs the
+    # Laplacian left at mu = nu = 0, and the new angle's flux one divergence, which
+    # the resolvent's re-check and the undamped step check share.
     g, model, eta0, theta0 = setup
     calls = {"laplacian": 0, "div": 0}
     for name in calls:
@@ -146,12 +149,35 @@ def test_zero_damping_weights_skip_their_laplacians(setup, monkeypatch):
             return _method(self, f)
 
         monkeypatch.setattr(Grid, name, counted)
-    for mu, nu, laplacians, divs in ((0.0, 0.0, 1, 3), (0.1, 0.0, 2, 4),
+    for mu, nu, laplacians, divs in ((0.0, 0.0, 1, 2), (0.1, 0.0, 2, 3),
                                      (0.0, 0.1, 1, 4), (0.1, 0.1, 2, 5)):
         calls.update(laplacian=0, div=0)
         params = Parameters(kappa=1.0, epsilon=0.25, T=1.0, dt=1e-3, mu=mu, nu=nu)
         step(SystemState(g, eta0, theta0), model, params, Forcings(g))
         assert (calls["laplacian"], calls["div"]) == (laplacians, divs), (mu, nu)
+
+
+def test_undamped_grain_step_takes_the_angle_flux_divergence_once(monkeypatch):
+    # Two divergences per undamped step: the eta re-check's Laplacian and the new
+    # angle's flux divergence, kept beside the flux for the resolvent's re-check and
+    # the step check.  A grain-boundary step of the benchmark (face 89, eps 2^-6).
+    g = build_grid(1, [128], [1.0])
+    model = reference_model()
+    params = Parameters(kappa=1e-2, epsilon=2.0**-6, T=5e-3, dt=1e-3)
+    theta0 = 0.5 * np.tanh((g.centers(0) - 89 / 128) / 0.01)
+    div, calls = Grid.div, []
+
+    def counted(self, F):
+        calls.append(1)
+        return div(self, F)
+
+    monkeypatch.setattr(Grid, "div", counted)
+    new, _, _ = evolution._advance(SystemState(g, g.constant(1.0), theta0), model, params,
+                                   Forcings(g))
+    assert len(calls) == 2
+    monkeypatch.undo()
+    args = (g, model.alpha(new.eta), new.theta, params.epsilon, params.kappa)
+    assert interfacial_force(*args).tobytes() == g.div(interfacial_flux(*args)).tobytes()
 
 
 def test_eta_step_matches_explicit_euler_oracle(setup):
@@ -275,6 +301,26 @@ def test_run_eta_solve_failure_carries_partial_trajectory(setup, monkeypatch):
     assert str(exc).startswith("eta solve failed at t=0.004 (residual ")
     assert isinstance(exc.__cause__, SolverError) and exc.report is exc.__cause__.report
     assert not exc.report.converged
+    assert len(exc.trajectory.snapshots) == 4   # initial + 3 completed steps
+
+
+def test_run_non_finite_eta_solve_carries_partial_trajectory(setup, monkeypatch):
+    g, model, eta0, theta0 = setup
+    params = Parameters(kappa=1.0, epsilon=0.25, T=0.01, dt=1e-3)
+    factor = elliptic._resolvent_factor
+    calls = {"n": 0}
+
+    def nan_after_three(*args):     # the eta solve of step 4 on is all NaN
+        calls["n"] += 1
+        solve = factor(*args)
+        return solve if calls["n"] <= 3 else (lambda b: np.full(b.shape, np.nan))
+
+    monkeypatch.setattr(elliptic, "_resolvent_factor", nan_after_three)
+    with pytest.raises(StepFailedError) as excinfo:
+        run(SystemState(g, eta0, theta0), model, params, Forcings(g))
+    exc = excinfo.value
+    assert str(exc).startswith("eta solve failed at t=")
+    assert isinstance(exc.__cause__, SolverError) and exc.report is exc.__cause__.report
     assert len(exc.trajectory.snapshots) == 4   # initial + 3 completed steps
 
 

@@ -32,10 +32,22 @@ def test_build_grid_spacing():
     dict(dim=1, cells_per_axis=[3], extents=[1.0]),
     dict(dim=1, cells_per_axis=[8], extents=[-1.0]),
     dict(dim=2, cells_per_axis=[8], extents=[1.0, 1.0]),
+    pytest.param(dict(dim=1, cells_per_axis=[4.5], extents=[1.0]), id="fractional-1d"),
+    pytest.param(dict(dim=2, cells_per_axis=[8, np.float64(9.25)], extents=[1.0, 1.0]),
+                 id="fractional-2d"),
 ])
 def test_build_grid_rejects(bad):
     with pytest.raises(ValueError):
         build_grid(bad["dim"], bad["cells_per_axis"], bad["extents"])
+
+
+def test_build_grid_cell_counts_are_whole_numbers():
+    # Python and numpy integers are counts; a fractional count is not truncated.
+    for n in (8, np.int64(8), np.int32(8), 8.0):
+        g = build_grid(1, [n], [1.0])
+        assert g.cells == (8,) and type(g.cells[0]) is int
+    with pytest.raises(ValueError, match="cells must be whole numbers"):
+        build_grid(1, [4.5], [1.0])
 
 
 def test_grad_of_constant_is_zero(grid):

@@ -6,8 +6,8 @@ import pytest
 from dataclasses import asdict
 
 from kwcflow import (Parameters, build_grid, gamma_eps, grad_gamma_eps,
-                     hess_gamma_eps, interfacial_energy, interfacial_flux, kwc_energy,
-                     reference_model, validate_assumptions)
+                     hess_gamma_eps, interfacial_energy, interfacial_flux, interfacial_force,
+                     kwc_energy, reference_model, validate_assumptions)
 from kwcflow import model as model_module
 from kwcflow.model import ModelFunctions, angle_gradient
 
@@ -262,11 +262,13 @@ def test_memo_hits_are_fresh_bits_and_read_only(dim, cells):
         G = g.grad(theta)
         gc = g.face_to_cell(G)
         F = g.cell_to_face(beta * grad_gamma_eps(gc, eps))
-        return (*G, gc, gamma_eps(gc, eps), *(F[d] + kappa * G[d] for d in range(dim)))
+        flux = tuple(F[d] + kappa * G[d] for d in range(dim))
+        return (*G, gc, gamma_eps(gc, eps), *flux, g.div(flux))
 
     def kept(beta, theta, eps, kappa):
         G, gc, gam = angle_gradient(g, theta, eps)
-        return (*G, gc, gam, *interfacial_flux(g, beta, theta, eps, kappa))
+        return (*G, gc, gam, *interfacial_flux(g, beta, theta, eps, kappa),
+                interfacial_force(g, beta, theta, eps, kappa))
 
     args = [1.0 + rng.random(g.shape), rng.standard_normal(g.shape), 0.3, 0.7]
     first = kept(*args)
