@@ -32,8 +32,8 @@ forms the matrix's one weight per cell without the ``(dim, dim, nc)`` tensor
 and takes a vector's one component where 2D sums over the component axis
 (the same bits), writes the upper band (bandwidth 2, LAPACK's layout) from
 the grid's cell-gradient stencil, and LAPACK's banded Cholesky ``dpbsv``,
-called directly, solves it in place.  In 2D it refills the data array of the fixed
-pattern written from that stencil (:attr:`Grid.jacobian_pattern`), and
+called directly, solves it in place.  In 2D it refills the data array of the
+fixed pattern written from that stencil (:attr:`Grid.jacobian_pattern`), and
 Jacobi-preconditioned CG solves it, which at these sizes is faster than a
 fresh sparse factorization per iteration.  The line search's energy is
 :func:`~kwcflow.model.interfacial_energy` plus ``(m w, w)/2 - (z, w)``.
