@@ -27,23 +27,22 @@ is the exact Hessian.  It stays SPD with smallest eigenvalue at least
 degenerates at small eps on step-like data.  The dual update and the next
 matrix take the cell gradient and ``gamma_eps`` that the accepted trial's
 residual used, and sparse products call scipy's CSR kernel ``csr_matvec``
-directly (what ``A @ x`` runs, without its dispatch).  In 1D an iteration
-forms the matrix's one weight per cell without the ``(dim, dim, nc)`` tensor
-and takes a vector's one component where 2D sums over the component axis
-(the same bits), writes the upper band (bandwidth 2, LAPACK's layout) from
-the grid's cell-gradient stencil, and LAPACK's banded Cholesky ``dpbsv``,
-called directly, solves it in place.  In 2D it refills the data array of the
-fixed pattern written from that stencil (:attr:`Grid.jacobian_pattern`), and
-Jacobi-preconditioned CG solves it, which at these sizes is faster than a
-fresh sparse factorization per iteration.  The line search's energy is
-:func:`~kwcflow.model.interfacial_energy` plus ``(m w, w)/2 - (z, w)``.
-Residuals are re-evaluated from the stencil operators, independent of the
-solver's matrix algebra, and every solve has one outcome: a solution that met
-its tolerance (named once, by the constants below), or a :class:`SolverError`
-with the report attached; a non-finite direct solve of the linear resolvent
-raises before its re-check.  The singular resolvent's re-check takes the
-flux's divergence from :func:`~kwcflow.model.interfacial_force`, which keeps
-it beside the flux: the time stepper's step check at nu = 0 asks for the same.
+directly (what ``A @ x`` runs, without its dispatch).  Each iteration writes
+the matrix's upper diagonals with one sparse product, from the map the grid
+builds from its cell-gradient stencil (:attr:`Grid.newton_diagonals`).  In 1D
+they are LAPACK's band (bandwidth 2), solved in place by the banded Cholesky
+``dpbsv``; in 2D, mirrored into a symmetric DIA matrix, they are solved by
+Jacobi-preconditioned CG, which at these sizes is faster than a direct solve.
+The line search's energy is :func:`~kwcflow.model.interfacial_energy` plus
+``(m w, w)/2 - (z, w)``.  Residuals are re-evaluated from the stencil
+operators, independent of the solver's matrix algebra, and every solve has one
+outcome: a solution that met its tolerance (named once, by the constants
+below), or a :class:`SolverError` with the report attached.  A tolerance or a
+Newton system that is not finite, and a non-finite direct solve of the linear
+resolvent, raise before any re-check.  The singular resolvent's re-check takes
+the flux's divergence from :func:`~kwcflow.model.interfacial_force`, which
+keeps it beside the flux: the time stepper's step check at nu = 0 asks for the
+same.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from scipy.linalg.lapack import dpbsv
 from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import cg, splu
 
-from .grid import Grid, KeepLast, _row_of_entries
+from .grid import Grid, KeepLast
 # grad_gamma_eps is not called here; it stays bound because the benchmark's tracer wraps it by name
 from .model import (_component_sum, gamma_eps, grad_gamma_eps, hess_gamma_eps, interfacial_energy,
                     interfacial_force)
@@ -136,7 +135,7 @@ def _factorize(grid: Grid, lam: float, m: np.ndarray):
     # its CSR arrays are its CSC arrays.
     K = grid.stiffness_matrix
     data = lam * K.data
-    data[K.indices == _row_of_entries(K)] += m.ravel()
+    data[K.indices == np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))] += m.ravel()
     A = sp.csc_matrix((data, K.indices, K.indptr), shape=K.shape)
     # a symmetric ordering: on 2D grids about half the fill of splu's default
     return splu(A, permc_spec="MMD_AT_PLUS_A").solve
@@ -234,20 +233,12 @@ class _SingularSystem:
         self.beta = p.beta.ravel()
         self.m = p.m.ravel()
         self.z = p.z.ravel()
+        offsets, self.coupling, stiffness = g.newton_diagonals
         # kappa_eff*K + diag(m): the part of every system matrix that w leaves alone
-        if self.dim == 1:
-            # LAPACK's upper band form, ab[2 + i - j, j] = A[i, j], in Fortran order
-            diag, upper = g.stiffness_diagonals
-            self.fixed = np.zeros((3, self.nc), order="F")
-            self.fixed[1, 1:] = p.kappa_eff * upper
-            self.fixed[2] = p.kappa_eff * diag + self.m
-            neighbours, weights = g.cell_gradient_stencil
-            self.hi, self.lo = neighbours[0]        # each cell's neighbours on the axis
-            self.a2 = float(weights[0, 0] * weights[0, 0])
-        else:
-            self.pattern = g.jacobian_pattern
-            self.fixed = p.kappa_eff * self.pattern.stiffness_data
-            self.fixed[self.pattern.diagonal] += self.m
+        self.fixed = p.kappa_eff * stiffness
+        self.fixed[-1] += self.m
+        # every diagonal of the symmetric matrix, for the 2D solves' DIA form
+        self.offsets = np.array(offsets + tuple(-o for o in offsets[-2::-1]))
 
     def grad_cells(self, w: np.ndarray) -> np.ndarray:
         return _matvec(self.G, w, np.empty(self.dim * self.nc)).reshape(self.dim, self.nc)
@@ -274,24 +265,24 @@ class _SingularSystem:
         return math.sqrt(self.vol * np.add.reduce(r * r, axis=None))
 
     def matrix(self, B: np.ndarray):
-        """``G^T B G + kappa_eff*K + diag(m)`` for ``B`` of shape ``(dim, dim, nc)``: in
-        2D a CSR matrix on the grid's fixed pattern, in 1D its upper band.
-
-        The band comes from the cell-gradient stencil: cell c's gradient is
-        ``a*(w[hi] - w[lo])``, so ``a^2 B[c]`` enters ``(lo, lo)`` and ``(hi, hi)`` and,
-        negated, ``(lo, hi)``.  Diagonal j collects cells ``lo[j] < hi[j]`` (at a wall,
-        itself and the next cell), lower cell first: the order of the CSR product on
-        the pattern, so the band holds the bits that product gives."""
-        if self.dim == 2:
-            data = _matvec(self.pattern.coupling, B.ravel(), np.empty(self.fixed.size))
-            return self.pattern.matrix(data + self.fixed)
-        aB = self.a2 * B[0, 0]
-        ab = self.fixed.copy(order="F")
-        ab[2] += aB[self.lo] + aB[self.hi]
-        ab[0, 2:] = 0.0 - aB[1:-1]      # interior cells couple their two neighbours
-        ab[1, 1] -= aB[0]               # the wall cells couple themselves and the next
-        ab[1, -1] -= aB[-1]
-        return ab
+        """``G^T B G + kappa_eff*K + diag(m)`` for ``B`` of shape ``(dim, dim, nc)``, its
+        upper diagonals written from :attr:`Grid.newton_diagonals`: in 1D that band
+        (LAPACK's layout), in 2D the symmetric matrix in DIA form.  A system that is
+        not finite raises :class:`SolverError`."""
+        ab = _matvec(self.coupling, B.ravel(), np.empty(self.fixed.size))
+        ab = ab.reshape(self.fixed.shape, order="F")
+        ab += self.fixed
+        if not np.isfinite(ab).all():
+            raise SolverError("singular resolvent: the Newton system is not finite",
+                              SolveReport(0, math.nan, False, method="failed"))
+        if self.dim == 1:
+            return ab
+        k, n = ab.shape
+        data = np.zeros((2 * k - 1, n))
+        data[:k] = ab
+        for row, o in enumerate(self.offsets[:k - 1]):
+            data[-1 - row, :n - o] = ab[row, o:]
+        return sp.dia_matrix((data, self.offsets), shape=(n, n))
 
     def jacobian(self, y: np.ndarray, gam: np.ndarray, p: np.ndarray):
         """Primal-dual Newton matrix: :meth:`matrix` of
@@ -308,8 +299,6 @@ class _SingularSystem:
         """Solve the SPD system with the matrix :meth:`matrix` gives; returns
         (x, cg_iters, ok).  A 1D band is overwritten."""
         if self.dim == 1:    # bandwidth 2: a direct solve is cheapest
-            if not (np.isfinite(A).all() and np.isfinite(b).all()):
-                raise ValueError("array must not contain infs or NaNs")
             _, x, info = dpbsv(A, b, overwrite_ab=1)
             if info < 0:
                 raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
@@ -346,6 +335,9 @@ def singular_resolvent(problem: SingularResolventProblem,
     grid = problem.grid
     sys = _SingularSystem(problem)
     tol = RESIDUAL_RTOL * (grid.norm_h(problem.z) + 1.0) if tol_abs is None else float(tol_abs)
+    if not math.isfinite(tol):
+        raise SolverError(f"singular resolvent: the residual tolerance {tol} is not finite",
+                          SolveReport(0, math.nan, False, method="failed"))
 
     if initial_guess is not None:
         w = grid.check_scalar(np.asarray(initial_guess, dtype=float), "initial_guess").ravel().copy()

@@ -21,9 +21,9 @@ rest of the package rely on.
 The solvers' sparse operators are built on first use and kept on the grid,
 written directly in CSR form with the entries, and their order in each row,
 of the sparse products that define them.  One cell-gradient stencil
-(:attr:`Grid.cell_gradient_stencil`) gives the cell-gradient matrix, the 2D
-Newton matrix pattern (:class:`JacobianPattern`) and the 1D solves' band; a
-1D grid builds no pattern.
+(:attr:`Grid.cell_gradient_stencil`) gives the cell-gradient matrix and the
+map that writes the Newton matrix's upper diagonals
+(:attr:`Grid.newton_diagonals`), in 1D and 2D alike.
 """
 
 from __future__ import annotations
@@ -296,13 +296,6 @@ class Grid:
         return _csr(cols, vals, self.n_cells)
 
     @cached_property
-    def stiffness_diagonals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Main and first upper diagonal of :attr:`stiffness_matrix`, its stored
-        values; on a 1D grid they are all of it above the diagonal."""
-        K = self.stiffness_matrix
-        return K.diagonal(), K.diagonal(1)
-
-    @cached_property
     def cell_gradient_matrix(self) -> sp.csr_matrix:
         """Stacked cell-gradient matrix (dim * n_cells rows) of
         :attr:`cell_gradient_stencil`; entries are stored upper neighbour first."""
@@ -316,47 +309,43 @@ class Grid:
         return self.cell_gradient_matrix.T.tocsr()
 
     @cached_property
-    def jacobian_pattern(self) -> "JacobianPattern":
-        """Fixed sparsity pattern of ``G^T B G + K + I`` (see :class:`JacobianPattern`),
-        which the 2D Newton solves refill."""
+    def newton_diagonals(self) -> tuple[tuple[int, ...], sp.csr_matrix, np.ndarray]:
+        """The upper diagonals of the Newton matrices ``G^T B G + c*K + diag(m)``, with
+        ``G`` the cell-gradient matrix, ``K`` the stiffness matrix and ``B`` a block
+        matrix of diagonal blocks, given as an array of shape ``(dim, dim, n_cells)``.
+
+        Returns ``(offsets, coupling, stiffness)``.  ``offsets`` lists the diagonals'
+        offsets, descending to 0; in an array of shape ``(len(offsets), n_cells)`` row k
+        holds ``A[j - offsets[k], j]`` at column j, which in 1D is LAPACK's upper band.
+        ``coupling @ B.ravel()`` is ``G^T B G`` in that layout flattened in Fortran
+        order, and ``stiffness`` is ``K`` in it.  Cell c's stencil entries (d, i) and
+        (e, j) give the term ``w[d, i]*w[e, j]*B[d, e, c]`` at ``(cols[d, i, c],
+        cols[e, j, c])``; each entry adds its terms lower cell first."""
         n, dim = self.n_cells, self.dim
         cols, w = self.cell_gradient_stencil
-        # Each full-size temporary is deleted after its last use, which keeps
-        # the peak of the build near the size of the pattern it returns.
-        # Cell c's stencil entries (d, i) and (e, j) put w[d, i] * w[e, j] * B[d, e, c]
-        # at entry (cols[d, i, c], cols[e, j, c]): one term per index of ``shape``.
         shape = (dim, 2, dim, 2, n)
         d, i, e, j, c = np.indices(shape, sparse=True)
-        pair_keys = (cols[d, i, c] * n + cols[e, j, c]).ravel()
-        weights = np.broadcast_to(w[d, i] * w[e, j], shape).ravel()
-        source = np.broadcast_to((d * dim + e) * n + c, shape).ravel()
-
-        K = self.stiffness_matrix
-        K_keys = _row_of_entries(K) * n + K.indices
-        diag_keys = np.arange(n, dtype=np.int64) * (n + 1)
-        keys = np.unique(np.concatenate([pair_keys, K_keys, diag_keys]))
-        rows, indices = np.divmod(keys, n)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        del rows
-        pair_slots = np.searchsorted(keys, pair_keys)
-        del pair_keys
+        rows, columns = np.broadcast_arrays(cols[d, i, c], cols[e, j, c])
+        upper = rows <= columns
+        offset, columns = (columns - rows)[upper], columns[upper]
+        # Each full-size term array is masked as it is made, which keeps the build's peak low.
+        source = np.broadcast_to((d * dim + e) * n + c, shape)[upper]
+        weight = np.broadcast_to(w[d, i] * w[e, j], shape)[upper]
+        cell = np.broadcast_to(c, shape)[upper]
+        ascending = np.unique(offset)
+        slot = (ascending.size - 1 - np.searchsorted(ascending, offset)) + ascending.size * columns
+        del offset, columns, upper
         # One entry per (slot, source): no two terms share both, so nothing is summed.
-        order = np.lexsort((source, pair_slots))
+        order = np.lexsort((source, cell, slot))
         coupling = sp.csr_matrix(
-            (weights[order], source[order],
-             np.concatenate([[0], np.cumsum(np.bincount(pair_slots, minlength=keys.size))])),
-            shape=(keys.size, dim * dim * n))
-        del weights, pair_slots, source, order
-        stiffness_data = np.zeros(keys.size)
-        stiffness_data[np.searchsorted(keys, K_keys)] = K.data
-        return JacobianPattern(
-            shape=(n, n), indptr=indptr, indices=indices, coupling=coupling,
-            stiffness_data=stiffness_data, diagonal=np.searchsorted(keys, diag_keys))
-
-
-def _row_of_entries(A: sp.csr_matrix) -> np.ndarray:
-    """Row index of every stored entry of ``A``, in storage order."""
-    return np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(A.indptr))
+            (weight[order], source[order],
+             np.concatenate([[0], np.cumsum(np.bincount(slot, minlength=ascending.size * n))])),
+            shape=(ascending.size * n, dim * dim * n))
+        offsets = tuple(int(o) for o in ascending[::-1])
+        stiffness = np.zeros((len(offsets), n), order="F")
+        for k, o in enumerate(offsets):
+            stiffness[k, o:] = self.stiffness_matrix.diagonal(o)
+        return offsets, coupling, stiffness
 
 
 def _csr(cols: np.ndarray, vals, n_cols: int) -> sp.csr_matrix:
@@ -367,30 +356,6 @@ def _csr(cols: np.ndarray, vals, n_cols: int) -> sp.csr_matrix:
     keep = cols >= 0
     indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
     return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(cols.shape[0], n_cols))
-
-
-@dataclass(frozen=True)
-class JacobianPattern:
-    """Fixed CSR pattern for the matrices ``G^T B G + c*K + diag(m)``.
-
-    ``G`` is the stacked cell-gradient matrix, ``K`` the stiffness matrix and
-    ``B`` a block matrix of diagonal blocks, given as an array of shape
-    ``(dim, dim, n_cells)``.  The data array of such a matrix is
-
-        coupling @ B.ravel() + c * stiffness_data,  plus m at ``diagonal``,
-
-    so a Newton iteration updates one data array instead of assembling.
-    """
-
-    shape: tuple[int, int]
-    indptr: np.ndarray
-    indices: np.ndarray
-    coupling: sp.csr_matrix          # sparse map from B.ravel() to data
-    stiffness_data: np.ndarray       # K on this pattern
-    diagonal: np.ndarray             # positions of the diagonal entries in data
-
-    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
 def build_grid(dim: int, cells_per_axis, extents) -> Grid:

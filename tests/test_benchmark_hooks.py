@@ -34,7 +34,7 @@ def test_one_hessian_evaluation_per_newton_iteration(monkeypatch):
         return hess_gamma_eps(*args, **kwargs)
 
     monkeypatch.setattr(elliptic, "hess_gamma_eps", counted)
-    # the 1D band and the 2D pattern assemble the Newton matrix on separate paths
+    # 1D forms the Newton weight on its own branch of the jacobian, 2D on the generic one
     for g, eps in ((build_grid(1, [128], [1.0]), 2.0**-10),
                    (build_grid(2, [12, 10], [1.0, 0.8]), 2.0**-6)):
         calls.clear()

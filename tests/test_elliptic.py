@@ -1,4 +1,5 @@
-import re
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -281,17 +282,21 @@ def test_check_h2_bound_positive_and_verifies(grid1d):
 
 
 def pattern_matrix(system, B):
-    """``G^T B G + kappa_eff*K + diag(m)`` written on the grid's fixed pattern, as the
-    2D solves assemble it; on a 1D grid it is the reference for the band."""
-    pattern = system.p.grid.jacobian_pattern
-    fixed = system.p.kappa_eff * pattern.stiffness_data
-    fixed[pattern.diagonal] += system.m
-    return pattern.matrix(_matvec(pattern.coupling, B.ravel(), np.empty(fixed.size)) + fixed)
+    """Dense ``G^T B G + kappa_eff*K + diag(m)`` summed entry by entry from the cell-gradient
+    stencil: cell c's stencil entries (d, i) and (e, j) add ``w[d, i]*w[e, j]*B[d, e, c]``
+    at ``(cols[d, i, c], cols[e, j, c])``, each entry from 0.0 and lower cell first, then
+    ``kappa_eff*K + diag(m)`` is added.  That order fixes the bits of the 1D band."""
+    g = system.p.grid
+    cols, w = g.cell_gradient_stencil
+    A = np.zeros((g.n_cells, g.n_cells))
+    for c in range(g.n_cells):
+        for d, i, e, j in itertools.product(range(g.dim), range(2), range(g.dim), range(2)):
+            A[cols[d, i, c], cols[e, j, c]] += (w[d, i] * w[e, j]) * B[d, e, c]
+    return A + (system.p.kappa_eff * g.stiffness_matrix.toarray() + np.diag(system.m))
 
 
-def upper_band(A: sp.csr_matrix) -> np.ndarray:
+def upper_band(A: np.ndarray) -> np.ndarray:
     """LAPACK's upper band form ``ab[2 + i - j, j] = A[i, j]`` of a bandwidth-2 matrix."""
-    A = A.toarray()
     ab = np.zeros((3, A.shape[0]))
     for k in range(3):
         ab[2 - k, k:] = np.diagonal(A, k)
@@ -299,7 +304,7 @@ def upper_band(A: sp.csr_matrix) -> np.ndarray:
 
 
 def dense(A) -> np.ndarray:
-    """Full matrix of a system matrix: a CSR matrix or, in 1D, an upper band."""
+    """Full matrix of a system matrix: a DIA matrix or, in 1D, an upper band."""
     if sp.issparse(A):
         return A.toarray()
     upper = np.diag(A[1, 1:], 1) + np.diag(A[0, 2:], 2)
@@ -307,7 +312,7 @@ def dense(A) -> np.ndarray:
 
 
 def stored(A) -> np.ndarray:
-    """The stored values of a system matrix: CSR data or the band."""
+    """The stored values of a system matrix: DIA data or the band."""
     return A.data if sp.issparse(A) else A
 
 
@@ -379,9 +384,8 @@ def test_direct_csr_product_is_bitwise_the_operator_product(cells, extents):
     # into its output, so a NaN-filled buffer shows that it is zeroed first.
     g = build_grid(len(cells), cells, extents)
     rng = np.random.default_rng(12)
-    pattern = g.jacobian_pattern
     for A in (g.cell_gradient_matrix, g.cell_gradient_transpose, g.stiffness_matrix,
-              pattern.coupling):
+              g.newton_diagonals[1]):
         x = rng.standard_normal(A.shape[1])
         out = np.full(A.shape[0], np.nan)
         assert _matvec(A, x, out) is out
@@ -430,38 +434,59 @@ def test_dual_step_is_bitwise_the_projected_linearized_flux(dim):
     assert _dual_step(p.copy(), y, gam, y_new).tobytes() == expected.tobytes()
 
 
+def random_newton_system(g, rng):
+    """A system on ``g`` with some zero mobilities, and its Newton weight ``B`` at a
+    random cell gradient for a dual flux with |p| < 1 and |p| = 1."""
+    beta = rng.uniform(0.0, 2.0, g.shape)
+    beta.flat[::4] = 0.0
+    eps = 2.0 ** -int(rng.integers(2, 11))
+    system = _SingularSystem(SingularResolventProblem(g, beta, rng.uniform(0.01, 1.0),
+                                                      rng.uniform(0.5, 3.0, g.shape),
+                                                      g.zeros(), eps))
+    y = system.grad_cells(10.0 * rng.standard_normal(g.n_cells))
+    gam = gamma_eps(y, eps)
+    p = rng.uniform(-1.0, 1.0, y.shape)
+    p[:, ::3] /= np.sqrt(np.add.reduce(p[:, ::3] ** 2, axis=0))    # some on the unit sphere
+    return system, y, gam, p
+
+
+@pytest.mark.parametrize("cells", [[4], [5], [37], [128], [12, 10], [5, 7], [4, 9]],
+                         ids=lambda c: "x".join(map(str, c)))
+def test_newton_matrix_matches_the_operator_product(cells):
+    # The diagonals written from the grid's map against G^T bmat(diags(B)) G + kappa*K
+    # + diags(m) from scipy's sparse products, which round differently; the upper
+    # entries are bit for bit those summed entry by entry in the map's order.
+    g = build_grid(len(cells), cells, [0.7, 1.3][:len(cells)])
+    rng = np.random.default_rng(sum(cells))
+    for _ in range(3):
+        system, y, gam, p = random_newton_system(g, rng)
+        B = newton_weight(system, y, gam, p)
+        G = g.cell_gradient_matrix
+        oracle = (G.T @ sp.bmat([[sp.diags(B[d, e]) for e in range(g.dim)] for d in range(g.dim)])
+                  @ G + system.p.kappa_eff * g.stiffness_matrix + sp.diags(system.m)).toarray()
+        A = system.jacobian(y, gam, p)
+        if g.dim == 2:
+            assert isinstance(A, sp.dia_matrix)
+            assert np.array_equal(A.toarray(), A.toarray().T)
+        else:
+            assert A.shape == (3, g.n_cells)
+        assert np.max(np.abs(dense(A) - oracle)) <= 1e-15 * np.max(np.abs(oracle))
+        assert np.triu(dense(A)).tobytes() == np.triu(pattern_matrix(system, B)).tobytes()
+
+
 @pytest.mark.parametrize("n", [4, 5, 37, 128])
 def test_1d_band_is_bitwise_the_band_of_the_pattern_matrix(n):
-    # The 1D band is assembled from the cell-gradient stencil; it must hold the bits
-    # of the upper band of the matrix the fixed pattern gives, for |p| < 1 and |p| = 1.
+    # The 1D band is written from the grid's map; it must hold the bits of the upper
+    # band of the matrix summed entry by entry from the stencil in the map's order,
+    # for |p| < 1 and |p| = 1.
     g = build_grid(1, [n], [0.7])
     rng = np.random.default_rng(n)
     for _ in range(5):
-        beta = rng.uniform(0.0, 2.0, n)
-        beta[::4] = 0.0
-        m = rng.uniform(0.5, 3.0, n)
-        eps = 2.0 ** -int(rng.integers(2, 11))
-        system = _SingularSystem(SingularResolventProblem(g, beta, rng.uniform(0.01, 1.0), m,
-                                                          g.zeros(), eps))
-        y = system.grad_cells(10.0 * rng.standard_normal(n))
-        gam = gamma_eps(y, eps)
-        p = rng.uniform(-1.0, 1.0, y.shape)
-        p[:, ::3] = np.sign(p[:, ::3])          # some on the unit sphere
+        system, y, gam, p = random_newton_system(g, rng)
         band = system.jacobian(y, gam, p)
         assert band.flags.f_contiguous          # dpbsv takes it without a copy
         reference = upper_band(pattern_matrix(system, newton_weight(system, y, gam, p)))
         assert band.tobytes() == reference.tobytes()
-
-
-def test_1d_solves_leave_the_jacobian_pattern_unbuilt():
-    for cells in ([64], [12, 10]):
-        g = build_grid(len(cells), cells, [1.0] * len(cells))
-        x = g.meshgrid()[0]
-        problem = SingularResolventProblem(g, g.constant(1.0), 0.01, g.constant(1.0),
-                                           0.5 * np.tanh((x - 0.5) / 0.05), 2.0**-6)
-        _, report = singular_resolvent(problem)
-        assert report.converged and report.iterations > 0
-        assert ("jacobian_pattern" in vars(g)) == (g.dim == 2)
 
 
 def test_banded_newton_solve_matches_spsolve(grid1d):
@@ -475,7 +500,7 @@ def test_banded_newton_solve_matches_spsolve(grid1d):
     gam, p = gamma_eps(y, 2.0**-8), -grad_gamma_eps(y, 2.0**-8)
     band = system.jacobian(y, gam, p)
     assert band.shape == (3, grid1d.n_cells)
-    x_ref = spsolve(pattern_matrix(system, newton_weight(system, y, gam, p)).tocsc(), b)
+    x_ref = spsolve(sp.csc_matrix(pattern_matrix(system, newton_weight(system, y, gam, p))), b)
     x_banded, n_cg, ok = system.solve(band, b)
     assert ok and n_cg == 0
     assert np.max(np.abs(x_banded - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
@@ -483,7 +508,8 @@ def test_banded_newton_solve_matches_spsolve(grid1d):
 
 def test_direct_banded_solve_matches_solveh_banded(grid1d):
     # The 1D solve calls LAPACK's dpbsv directly; it must behave as the
-    # solveh_banded wrapper did: same bits, failure reported, NaN rejected.
+    # solveh_banded wrapper did: same bits, failure reported, NaN rejected (where
+    # the band is written, before the solve).
     x = grid1d.centers(0)
     problem = SingularResolventProblem(grid1d, 1.0 + 0.5 * np.cos(2 * np.pi * x), 0.01,
                                        grid1d.constant(1e3), grid1d.zeros(), 2.0**-8)
@@ -496,12 +522,52 @@ def test_direct_banded_solve_matches_solveh_banded(grid1d):
     assert ok and n_cg == 0
     assert x_direct.tobytes() == expected.tobytes()
     assert not system.solve(-band, b)[2]
-    bad = band.copy(order="F")
-    bad[1, 2] = np.nan
-    with pytest.raises(ValueError) as wrapper:
-        solveh_banded(bad, b)
-    with pytest.raises(ValueError, match=re.escape(str(wrapper.value))):
-        system.solve(bad, b)
+    B = hess_gamma_eps(y, 2.0**-8) * system.beta
+    B[0, 0, 2] = np.nan
+    with pytest.raises(SolverError, match="the Newton system is not finite"):
+        system.matrix(B)
+
+
+def step_at_half(g, height):
+    """``height`` on the cells past x = 1/2, zero before them."""
+    return np.where(g.meshgrid()[0] > 0.5, height, 0.0)
+
+
+@pytest.mark.parametrize("cells", [[64], [12, 10]])
+def test_singular_resolvent_rejects_a_tolerance_that_is_not_finite(cells):
+    # |z|_H overflows for a finite 1e160 step in z, so the default tolerance is inf,
+    # which any residual meets at once; a tolerance given as inf or NaN is no better.
+    g = build_grid(len(cells), cells, [1.0] * len(cells))
+    z = step_at_half(g, 1e160)
+    problem = SingularResolventProblem(g, g.constant(1.0), 0.1, g.constant(1.0), z, 0.25)
+    for tol_abs in (None, math.inf, math.nan):
+        with pytest.raises(SolverError, match=r"the residual tolerance (inf|nan) is not finite") \
+                as excinfo, np.errstate(over="ignore"):
+            singular_resolvent(problem, tol_abs=tol_abs, initial_guess=z)
+        assert not excinfo.value.report.converged
+
+
+@pytest.mark.parametrize("cells", [[64], [12, 10]])
+def test_prepare_initial_theta_rejects_a_tolerance_that_is_not_finite(cells):
+    g = build_grid(len(cells), cells, [1.0] * len(cells))
+    with pytest.raises(SolverError, match="is not finite"), np.errstate(over="ignore"):
+        evolution.prepare_initial_theta(g, g.constant(1.0), step_at_half(g, 1e160),
+                                        reference_model(), 0.25, 1.0)
+
+
+@pytest.mark.parametrize("cells", [[64], [12, 10]])
+def test_singular_resolvent_raises_on_a_non_finite_newton_system(cells, monkeypatch):
+    # A NaN Newton system fails with the solver's own error in both dimensions, so
+    # that a time step reports it; neither the band solve nor CG sees it.
+    monkeypatch.setattr(elliptic, "hess_gamma_eps",
+                        lambda y, eps: np.full((y.shape[0],) + y.shape, np.nan))
+    g = build_grid(len(cells), cells, [1.0] * len(cells))
+    problem = SingularResolventProblem(g, g.constant(1.0), 0.01, g.constant(1.0),
+                                       step_at_half(g, 0.5), 2.0**-6)
+    with pytest.raises(SolverError, match="^singular resolvent: the Newton system is not "
+                                          "finite$") as excinfo:
+        singular_resolvent(problem)
+    assert excinfo.value.report.method == "failed"
 
 
 @pytest.mark.parametrize("cells", [[64], [12, 10]])

@@ -324,6 +324,28 @@ def test_run_non_finite_eta_solve_carries_partial_trajectory(setup, monkeypatch)
     assert len(exc.trajectory.snapshots) == 4   # initial + 3 completed steps
 
 
+@pytest.mark.parametrize("cells", [[48], [12, 10]])
+def test_run_non_finite_newton_system_carries_partial_trajectory(cells, monkeypatch):
+    g = build_grid(len(cells), cells, [1.0] * len(cells))
+    rng = np.random.default_rng(7)
+    eta0 = random_smooth_field(g, rng, mean=1.0, amplitude=0.25)
+    theta0 = random_smooth_field(g, rng, mean=0.0, amplitude=0.5)
+    hessian, calls = elliptic.hess_gamma_eps, {"n": 0}
+
+    def nan_after_six(y, eps):      # the Newton matrices from the seventh on are all NaN
+        calls["n"] += 1
+        return hessian(y, eps) if calls["n"] <= 6 else np.full((y.shape[0],) + y.shape, np.nan)
+
+    monkeypatch.setattr(elliptic, "hess_gamma_eps", nan_after_six)
+    params = Parameters(kappa=1.0, epsilon=0.25, T=0.01, dt=1e-3)
+    with pytest.raises(StepFailedError, match="the Newton system is not finite") as excinfo:
+        run(SystemState(g, eta0, theta0), reference_model(), params, Forcings(g))
+    exc = excinfo.value
+    assert isinstance(exc.__cause__, SolverError) and exc.report is exc.__cause__.report
+    completed = len(exc.trajectory.solve_reports)
+    assert completed >= 1 and len(exc.trajectory.snapshots) == completed + 1
+
+
 def test_write_timeseries_columns(tmp_path, setup):
     g, model, eta0, theta0 = setup
     params = Parameters(kappa=1.0, epsilon=0.25, T=0.01, dt=1e-3)

@@ -243,13 +243,13 @@ def test_cached_geometry_leaves_grid_identity_alone(grid):
 
 
 def test_jacobian_pattern_build_peak_memory():
-    # The pattern of a 2D 128^2 grid keeps 7.6 MB; a build that held all of its
-    # full-size temporaries at once peaked at 29 MB.
+    # The Newton matrices' fixed pattern is the map Grid.newton_diagonals.  On a 2D
+    # 128^2 grid it keeps 3.3 MB, and its build peaks at about 12 MB.
     g = build_grid(2, [128, 128], [1.0, 1.0])
-    g.cell_gradient_matrix, g.stiffness_matrix
+    g.cell_gradient_stencil, g.stiffness_matrix
     tracemalloc.start()
     try:
-        g.jacobian_pattern
+        g.newton_diagonals
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -257,23 +257,28 @@ def test_jacobian_pattern_build_peak_memory():
 
 
 @pytest.mark.parametrize("cells,extents,digest", [
-    ([4, 4], [1.0, 1.0], "dfb1452c898623d3cbc7fc2e1db4dda2dce14ad362367c31d0c0dea883594ae0"),
-    ([5, 7], [1.0, 0.7], "00e29e6f29b9ca801200ccb2c27177a582ea17731004c1627e6402fe41da2ca4"),
-    ([12, 10], [1.0, 0.8], "2b29b6ccc41da6cd075459214e2561c15d8191588928997c90e521e783ed7d61"),
-    ([48, 48], [1.0, 1.0], "096ee7102282ff6ee3ab8310819123da3bc91c253fb9d0a92fe5d2acb0e61c23"),
+    ([4, 4], [1.0, 1.0], "6f3c133c224054e70552583954dc06db87242820de77e6a981180782b0f2793f"),
+    ([5, 7], [1.0, 0.7], "4045b7114be37c05c6463d3025b4d90b48f77a11b45e64d803a71158345155ce"),
+    ([12, 10], [1.0, 0.8], "aa0ef14183af6a20498aa9565ff91e799b74d8250b7a22dcfbe929b9f627dc53"),
+    ([48, 48], [1.0, 1.0], "991db54fb204819065c1673aaebe1a5821bdb6b9a216a4a4050d886f3db003a9"),
 ], ids=["4x4", "5x7", "12x10", "48x48"])
 def test_jacobian_pattern_bytes_are_pinned(cells, extents, digest):
-    # The 2D Newton matrices are refilled on this pattern, so its arrays fix the bits
-    # of every 2D solve.  They hold only integers and exact products of +-1/(2h), so
-    # the digests (recorded from the pattern built by pairing the gradient matrix's
-    # entries cell by cell) do not depend on BLAS.
-    P = build_grid(2, cells, extents).jacobian_pattern
+    # Every Newton matrix is written from the map Grid.newton_diagonals, so its arrays
+    # fix the bits of every solve.  They hold only integers and exact products of
+    # +-1/(2h) and 1/h, so the digests (recorded from the map, whose matrices match the
+    # sparse operator products) do not depend on BLAS.
+    offsets, coupling, stiffness = build_grid(2, cells, extents).newton_diagonals
     h = hashlib.sha256()
-    for a in (P.indptr, P.indices, P.coupling.data, P.coupling.indices, P.coupling.indptr,
-              P.stiffness_data, P.diagonal):
+    for a in (np.array(offsets), coupling.data, coupling.indices, coupling.indptr, stiffness):
         h.update(f"{a.dtype.str}{a.shape}".encode())
-        h.update(a.tobytes())
+        h.update(a.tobytes(order="A"))
     assert h.hexdigest() == digest
+
+
+def test_newton_diagonals_offsets():
+    # Row k of the layout holds A[j - offsets[k], j]; in 1D that is LAPACK's band.
+    assert build_grid(1, [7], [1.0]).newton_diagonals[0] == (2, 1, 0)
+    assert build_grid(2, [5, 7], [1.0, 0.7]).newton_diagonals[0] == (14, 8, 7, 6, 2, 1, 0)
 
 
 def test_cell_to_face_is_adjoint_of_face_to_cell(grid):

@@ -26,7 +26,8 @@ The cases:
   ``wall_clock_seconds``).
 
 BLAS is pinned to one thread, which fixes the reduction order.  A summary
-(case count, line-search energy evaluations) goes to standard error.
+(case count, line-search energy evaluations, and the Newton and CG iterations
+summed over the solve reports of the recorded runs) goes to standard error.
 """
 
 from __future__ import annotations
@@ -90,10 +91,12 @@ def tree_files(root: str) -> dict:
 
 class Recorder:
     """Wraps ``evolution.run`` and ``evolution._theta_pde_residual`` to keep
-    what a case produced, and counts the singular solver's energy evaluations."""
+    what a case produced, and counts the singular solver's energy evaluations and
+    the recorded runs' Newton and CG iterations."""
 
     def __init__(self, evolution, elliptic):
         self.residuals, self.trajectories, self.energy_calls = [], [], 0
+        self.newton_iterations = self.cg_iterations = 0
         run, residual = evolution.run, evolution._theta_pde_residual
         energy = elliptic._SingularSystem.energy
 
@@ -125,6 +128,11 @@ class Recorder:
             "times": t.times, "energies": t.energies, "reports": t.solve_reports,
             "snapshots": [(s.time, s.eta, s.theta) for s in t.snapshots]}
             for t in self.trajectories]
+        for t in self.trajectories:
+            for step in [] if t is None else t.solve_reports:
+                for report in step.values():
+                    self.newton_iterations += report.iterations
+                    self.cg_iterations += report.inner_iterations
         out = {"trajectories": trajs, "residuals": self.residuals}
         self.residuals, self.trajectories = [], []
         return out
@@ -286,8 +294,9 @@ def main(src: str) -> int:
         for key, value in cases(recorder):
             print(key, digest(value), flush=True)
             count += 1
-    print(f"{count} cases; {recorder.energy_calls} line-search energy evaluations",
-          file=sys.stderr)
+    print(f"{count} cases; {recorder.energy_calls} line-search energy evaluations; "
+          f"{recorder.newton_iterations} Newton and {recorder.cg_iterations} CG iterations "
+          "in the recorded runs", file=sys.stderr)
     return 0
 
 
