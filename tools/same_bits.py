@@ -7,6 +7,21 @@ two trees give the same bits on every case:
     python3 tools/same_bits.py src > new.txt
     diff old.txt new.txt
 
+Where the bits are meant to change, keep each run's counts and final fields
+and compare them key by key:
+
+    python3 tools/same_bits.py old/src --runs old.pkl > old.txt
+    python3 tools/same_bits.py src --runs new.pkl > new.txt
+    python3 tools/same_bits.py --compare old.pkl new.pkl
+
+The comparison prints, per key that ran ``evolution.run``, both sides' Newton
+and CG iterations, the H distance of the final theta and eta, and the sum over
+the steps of the one-step uniqueness bound ``(r_old + r_new)/min m``: each
+theta step minimizes a functional strongly convex with modulus ``min m``, so
+two solves of one step that meet residuals r_old and r_new lie within that
+distance.  The sum is a yardstick for the drift of a whole run, not a proof
+of it, since later steps may amplify an earlier difference.
+
 The cases:
 
 * the benchmark's 40 ops (``perfbench/workloads.py`` of this checkout, only
@@ -15,7 +30,9 @@ The cases:
   the op writes;
 * 1D n=64 and 2D 16x16 runs at mu, nu in {0, 0.1}^2, forced and unforced;
 * 2D circular-grain runs (radius 0.3, tanh width 0.01, kappa 1e-2, eta 1) on
-  32^2 and 48^2 grids, eps 2^-4..2^-10, dt 1e-3 and 1e-2, damped and undamped;
+  32^2 and 48^2 grids, eps 2^-4..2^-10, dt 1e-3 and 1e-2, damped and undamped,
+  3 steps, and undamped 12-step runs on 32^2 at eps 2^-4 and 2^-10, dt 1e-3 and
+  1e-2;
 * damped 1D grain-boundary runs (n=128, the benchmark's step at face 89,
   kappa 1e-2, eta 1) at eps 2^-4 and 2^-10, mu = nu = 0.1, dt 1e-3, 5 steps;
 * the solves outside a step: ``singular_resolvent`` from its own start (no
@@ -28,13 +45,17 @@ The cases:
 BLAS is pinned to one thread, which fixes the reduction order.  A summary
 (case count, line-search energy evaluations, and the Newton and CG iterations
 summed over the solve reports of the recorded runs) goes to standard error.
+The ``--runs`` file is a pickle; read only files you wrote.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import inspect
 import json
 import os
+import pickle
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -97,7 +118,10 @@ class Recorder:
     def __init__(self, evolution, elliptic):
         self.residuals, self.trajectories, self.energy_calls = [], [], 0
         self.newton_iterations = self.cg_iterations = 0
+        self.m_mins = []          # per step checked: min of the theta step's weight m
+        self.runs = None          # what take() kept of the last case's runs, or None
         run, residual = evolution.run, evolution._theta_pde_residual
+        residual_args = inspect.signature(residual)
         energy = elliptic._SingularSystem.energy
 
         def recorded_run(*args, **kwargs):
@@ -112,6 +136,8 @@ class Recorder:
         def recorded_residual(*args, **kwargs):
             value = residual(*args, **kwargs)
             self.residuals.append(value)
+            bound = residual_args.bind(*args, **kwargs).arguments
+            self.m_mins.append(float(bound["alpha0_new"].min()) / bound["dt"])
             return value
 
         def counted_energy(system, w):
@@ -123,18 +149,29 @@ class Recorder:
         elliptic._SingularSystem.energy = counted_energy
 
     def take(self) -> dict:
-        """What was recorded since the last call, as hashable data."""
+        """What was recorded since the last call, as hashable data; the runs'
+        counts, residuals and final fields go to ``self.runs``."""
         trajs = [None if t is None else {
             "times": t.times, "energies": t.energies, "reports": t.solve_reports,
             "snapshots": [(s.time, s.eta, s.theta) for s in t.snapshots]}
             for t in self.trajectories]
-        for t in self.trajectories:
-            for step in [] if t is None else t.solve_reports:
-                for report in step.values():
-                    self.newton_iterations += report.iterations
-                    self.cg_iterations += report.inner_iterations
+        self.runs = None
+        done = [t for t in self.trajectories if t is not None]
+        if done:
+            newton = sum(r.iterations for t in done for step in t.solve_reports
+                         for r in step.values())
+            cg = sum(r.inner_iterations for t in done for step in t.solve_reports
+                     for r in step.values())
+            self.newton_iterations += newton
+            self.cg_iterations += cg
+            last = done[-1].snapshots[-1]
+            self.runs = {"newton": newton, "cg": cg, "eta": last.eta, "theta": last.theta,
+                         "cell_volume": done[-1].grid.cell_volume,
+                         "theta_residuals": [step["theta"].final_residual_h
+                                             for t in done for step in t.solve_reports],
+                         "m_min": self.m_mins}
         out = {"trajectories": trajs, "residuals": self.residuals}
-        self.residuals, self.trajectories = [], []
+        self.residuals, self.trajectories, self.m_mins = [], [], []
         return out
 
 
@@ -193,18 +230,19 @@ def grain_cases(recorder, steps: int = 3):
         params = Parameters(kappa=1e-2, epsilon=2.0**-k, T=5e-3, dt=1e-3, mu=0.1, nu=0.1)
         yield f"grain-1d:128:face=89:eps=2^-{k}:damping=0.1", march(
             recorder, grid, grid.constant(1.0), theta, params, Forcings(grid))
-    for n in (32, 48):
+    runs = [(n, k, dt, damp, steps) for n in (32, 48) for k in (4, 6, 8, 10)
+            for dt in (1e-3, 1e-2) for damp in (0.0, 0.1)]
+    runs += [(32, k, dt, 0.0, 12) for k in (4, 10) for dt in (1e-3, 1e-2)]
+    for n, k, dt, damp, count in runs:
         grid = build_grid(2, [n, n], [1.0, 1.0])
         x, y = grid.meshgrid()
         theta = 0.5 * np.tanh((np.hypot(x - 0.5, y - 0.5) - 0.3) / 0.01)
-        for k in (4, 6, 8, 10):
-            for dt in (1e-3, 1e-2):
-                for damp in (0.0, 0.1):
-                    params = Parameters(kappa=1e-2, epsilon=2.0**-k, T=steps * dt, dt=dt,
-                                        mu=damp, nu=damp)
-                    key = f"grain-2d:{n}x{n}:eps=2^-{k}:dt={dt}:damping={damp}"
-                    yield key, march(recorder, grid, grid.constant(1.0), theta, params,
-                                     Forcings(grid))
+        params = Parameters(kappa=1e-2, epsilon=2.0**-k, T=count * dt, dt=dt,
+                            mu=damp, nu=damp)
+        key = f"grain-2d:{n}x{n}:eps=2^-{k}:dt={dt}:damping={damp}"
+        if count != steps:
+            key += f":steps={count}"
+        yield key, march(recorder, grid, grid.constant(1.0), theta, params, Forcings(grid))
 
 
 def _outcome(call, *args, **kwargs):
@@ -280,7 +318,7 @@ def cli_cases(recorder):
         yield f"cli:{name}", {"exit": code, "manifest": manifest, "files": files}
 
 
-def main(src: str) -> int:
+def main(src: str, runs_path=None) -> int:
     src = os.path.abspath(src)
     sys.path.insert(0, src)
     import kwcflow
@@ -289,18 +327,70 @@ def main(src: str) -> int:
         raise SystemExit(f"imported kwcflow from {kwcflow.__file__}, not from {src}")
     recorder = Recorder(evolution, elliptic)
     count = 0
+    runs = {}
     for cases in (benchmark_cases, damping_cases, grain_cases, resolvent_cases,
                   cli_cases):
         for key, value in cases(recorder):
             print(key, digest(value), flush=True)
             count += 1
+            if recorder.runs is not None:
+                runs[key], recorder.runs = recorder.runs, None
     print(f"{count} cases; {recorder.energy_calls} line-search energy evaluations; "
           f"{recorder.newton_iterations} Newton and {recorder.cg_iterations} CG iterations "
           "in the recorded runs", file=sys.stderr)
+    if runs_path is not None:
+        with open(runs_path, "wb") as fh:
+            pickle.dump(runs, fh)
+    return 0
+
+
+def _h_distance(a: dict, b: dict, name: str) -> float:
+    import numpy as np
+    d = np.asarray(a[name]) - np.asarray(b[name])
+    return float(np.sqrt(a["cell_volume"] * np.sum(d * d)))
+
+
+def compare(old_path: str, new_path: str) -> int:
+    """Print, per run key of both files, the Newton and CG counts, the H distance of
+    the final fields and the summed one-step bound; then the totals."""
+    with open(old_path, "rb") as fh:
+        old = pickle.load(fh)
+    with open(new_path, "rb") as fh:
+        new = pickle.load(fh)
+    print("key newton_old newton_new cg_old cg_new dist_theta_H dist_eta_H step_bound_sum")
+    totals = {"all": [0, 0, 0, 0], "2d": [0, 0, 0, 0]}
+    for key in (k for k in old if k in new):
+        a, b = old[key], new[key]
+        steps = len(a["theta_residuals"])
+        if steps == len(b["theta_residuals"]) and a["theta"].shape == b["theta"].shape:
+            m = [min(ma, mb) for ma, mb in zip(a["m_min"], b["m_min"])]
+            bound = sum((ra + rb) / mk for ra, rb, mk in
+                        zip(a["theta_residuals"], b["theta_residuals"], m))
+            dists = f"{_h_distance(a, b, 'theta'):.3e} {_h_distance(a, b, 'eta'):.3e} {bound:.3e}"
+        else:
+            dists = "- - -"
+        print(key, a["newton"], b["newton"], a["cg"], b["cg"], dists)
+        for group in ("all", "2d") if a["theta"].ndim == 2 else ("all",):
+            for i, value in enumerate((a["newton"], b["newton"], a["cg"], b["cg"])):
+                totals[group][i] += value
+    for group, (na, nb, ca, cb) in totals.items():
+        print(f"total over {group} run keys: Newton {na} -> {nb}, CG {ca} -> {cb}")
+    missing = sorted(set(old) ^ set(new))
+    if missing:
+        print("run keys in one file only:", " ".join(missing))
     return 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        raise SystemExit("usage: python3 tools/same_bits.py <src dir>")
-    raise SystemExit(main(sys.argv[1]))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", nargs="?", help="the source tree to import kwcflow from")
+    parser.add_argument("--runs", metavar="FILE",
+                        help="also keep each run's counts and final fields in FILE")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two --runs files instead of running anything")
+    args = parser.parse_args()
+    if args.compare:
+        raise SystemExit(compare(*args.compare))
+    if args.src is None:
+        parser.error("a source tree or --compare is needed")
+    raise SystemExit(main(args.src, args.runs))
