@@ -324,13 +324,18 @@ def _dual_step(p: np.ndarray, y: np.ndarray, gam: np.ndarray, y_new: np.ndarray)
 def singular_resolvent(problem: SingularResolventProblem,
                        tol_abs: Optional[float] = None,
                        initial_guess: Optional[np.ndarray] = None,
+                       initial_dual: Optional[np.ndarray] = None,
                        ) -> tuple[np.ndarray, SolveReport]:
     """Solve the singular-diffusion resolvent to a tight absolute residual.
 
     The default tolerance is ``RESIDUAL_RTOL * (|z|_H + 1)``, the default start
-    the linear resolvent with ``lam = kappa_eff``.  The solver is primal-dual
-    Newton with an Armijo line search, at most ``MAX_NEWTON`` iterations; if it
-    stalls a :class:`SolverError` is raised with the report attached.
+    the linear resolvent with ``lam = kappa_eff``.  The dual flux starts at
+    ``initial_dual``, of shape ``(dim,) + grid.shape`` and in the unit ball
+    (the Newton matrix is SPD for such a dual), or by default at
+    ``grad_gamma_eps`` of the start's cell gradient.
+    The solver is primal-dual Newton with an Armijo line search, at most
+    ``MAX_NEWTON`` iterations; if it stalls a :class:`SolverError` is raised
+    with the report attached.
     """
     grid = problem.grid
     sys = _SingularSystem(problem)
@@ -346,7 +351,16 @@ def singular_resolvent(problem: SingularResolventProblem,
 
     r, y, gam = sys.residual_parts(w)
     rh = sys.hnorm(r)
-    p = y / gam                      # the dual flux, grad_gamma_eps(y)
+    if initial_dual is None:
+        p = y / gam                  # the dual flux, grad_gamma_eps(y)
+    else:
+        p = np.asarray(initial_dual, dtype=float)
+        if p.shape != (grid.dim,) + grid.shape:
+            raise ValueError(f"initial_dual: expected shape {(grid.dim,) + grid.shape}, "
+                             f"got {p.shape}")
+        if not np.logical_and.reduce(np.isfinite(p), axis=None):
+            raise ValueError("initial_dual: contains non-finite values")
+        p = p.reshape(grid.dim, -1)
     it = inner_total = 0
     while not rh <= tol and it < MAX_NEWTON:
         if it:
@@ -382,7 +396,7 @@ def singular_resolvent(problem: SingularResolventProblem,
         w, r, rh, y_new, gam_new = wt, rt, rht, yt, gamt
         it += 1
     if not rh <= tol:
-        report = SolveReport(MAX_NEWTON, rh, False, method="failed", inner_iterations=inner_total)
+        report = SolveReport(it, rh, False, method="failed", inner_iterations=inner_total)
         raise SolverError(
             f"singular resolvent did not reach residual {tol:.3e} (got {rh:.3e})", report)
     w = w.reshape(grid.shape)

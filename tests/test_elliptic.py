@@ -571,6 +571,43 @@ def test_singular_resolvent_raises_on_a_non_finite_newton_system(cells, monkeypa
 
 
 @pytest.mark.parametrize("cells", [[64], [12, 10]])
+def test_singular_resolvent_failure_reports_the_newton_steps_taken(cells, monkeypatch):
+    # A linear solve that fails at once stops Newton before its first step.
+    monkeypatch.setattr(_SingularSystem, "solve", lambda self, A, b: (b, 0, False))
+    g = build_grid(len(cells), cells, [1.0] * len(cells))
+    problem = SingularResolventProblem(g, g.constant(1.0), 0.01, g.constant(1.0),
+                                       step_at_half(g, 0.5), 2.0**-6)
+    with pytest.raises(SolverError, match="did not reach residual") as excinfo:
+        singular_resolvent(problem)
+    assert excinfo.value.report.iterations == 0
+    assert excinfo.value.report.method == "failed"
+
+
+@pytest.mark.parametrize("cells", [[64], [12, 10]])
+def test_singular_resolvent_initial_dual(cells):
+    g = build_grid(len(cells), cells, [1.0] * len(cells))
+    problem = SingularResolventProblem(g, g.constant(1.0), 0.01, g.constant(1.0),
+                                       step_at_half(g, 0.5), 2.0**-6)
+    start = 0.5 * step_at_half(g, 0.5)
+    w, report = singular_resolvent(problem, initial_guess=start)
+    # the default dual, handed in, gives the same bits
+    y = _SingularSystem(problem).grad_cells(start.ravel())
+    dual = (y / gamma_eps(y, problem.epsilon)).reshape((g.dim,) + g.shape)
+    w_dual, report_dual = singular_resolvent(problem, initial_guess=start, initial_dual=dual)
+    assert w_dual.tobytes() == w.tobytes() and report_dual == report
+    # another dual in the unit ball leads to the same solution up to the residuals
+    w_far, report_far = singular_resolvent(problem, initial_guess=start,
+                                           initial_dual=-0.5 * dual)
+    bound = (report.final_residual_h + report_far.final_residual_h) / problem.m.min()
+    assert g.norm_h(w_far - w) <= bound
+    with pytest.raises(ValueError, match="initial_dual: expected shape"):
+        singular_resolvent(problem, initial_dual=dual[:1, :-1])
+    dual[0].flat[3] = np.nan
+    with pytest.raises(ValueError, match="initial_dual: contains non-finite values"):
+        singular_resolvent(problem, initial_dual=dual)
+
+
+@pytest.mark.parametrize("cells", [[64], [12, 10]])
 def test_linear_resolvent_alternating_factors_stay_fresh(cells):
     g = build_grid(len(cells), cells, [1.0] * len(cells))
     rng = np.random.default_rng(7)

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import re
 
 import numpy as np
@@ -10,7 +11,7 @@ from kwcflow import (Forcings, Parameters, SolverError, SystemState,
                      build_grid, compile_expression,
                      energy_inequality_residual, gamma_eps, initial_velocities,
                      interfacial_flux, interfacial_force, prepare_initial_theta,
-                     reference_model, run, validate_assumptions)
+                     reference_model, run, singular_resolvent, validate_assumptions)
 from kwcflow.evolution import StepFailedError, write_timeseries
 from kwcflow.grid import Grid, KeepLast, random_smooth_field
 
@@ -530,3 +531,112 @@ def test_run_refuses_a_model_that_failed_validation(setup, name, assumption):
     params = Parameters(kappa=1.0, epsilon=0.25, T=2e-3, dt=1e-3)
     with pytest.raises(ValueError, match=re.escape(assumption)):
         run(SystemState(g, eta0, theta0), model, params, Forcings(g))
+
+
+# -- where a theta solve starts ------------------------------------------------------
+
+
+def grain_setup(cells, eps_exponent, dt, steps):
+    """Unforced grain data: a planar step at face 89/128 in 1D, a circle of radius
+    0.3 in 2D; kappa=1e-2, eta0=1."""
+    g = build_grid(len(cells), cells, [1.0] * len(cells))
+    if g.dim == 1:
+        r = g.centers(0) - 89 / 128
+    else:
+        x, y = g.meshgrid()
+        r = np.hypot(x - 0.5, y - 0.5) - 0.3
+    params = Parameters(kappa=1e-2, epsilon=2.0**-eps_exponent, T=steps * dt, dt=dt)
+    return g, SystemState(g, g.constant(1.0), 0.5 * np.tanh(r / 0.01)), params
+
+
+def record_theta_solves(monkeypatch):
+    """Wrap the step's theta solve; returns the list of (problem, kwargs, report)."""
+    calls = []
+    solve = evolution.singular_resolvent
+
+    def recorded(problem, **kwargs):
+        w, report = solve(problem, **kwargs)
+        calls.append((problem, kwargs, report))
+        return w, report
+
+    monkeypatch.setattr(evolution, "singular_resolvent", recorded)
+    return calls
+
+
+def test_theta_solves_start_from_the_extrapolated_angle(monkeypatch):
+    calls = record_theta_solves(monkeypatch)
+    # grain data: every solve takes Newton steps
+    g, state0, params = grain_setup([128], 10, 1e-3, 8)
+    traj = run(state0, reference_model(), params, Forcings(g))
+    thetas = [s.theta for s in traj.snapshots]
+    starts = [kwargs["initial_guess"] for _, kwargs, _ in calls]
+    assert all(report.iterations > 0 for _, _, report in calls)
+    # steps 1 and 2 start from the old angle: no extrapolation through theta0
+    assert starts[0] is thetas[0] and starts[1] is thetas[1]
+    assert np.array_equal(starts[2], thetas[2] + (thetas[2] - thetas[1]))
+    for k in range(4, 9):
+        expected = 3.0 * (thetas[k - 1] - thetas[k - 2]) + thetas[k - 3]
+        assert np.array_equal(starts[k - 1], expected)
+    # the dual always starts at the old angle's
+    for k, (_, kwargs, _) in enumerate(calls):
+        _, gc, gam = evolution.angle_gradient(g, thetas[k], params.epsilon)
+        assert np.array_equal(kwargs["initial_dual"], gc / gam)
+
+    # An angle held by a zero v is stationary until v switches on after step 3; the
+    # step after each solve that took no Newton step starts from the old angle.
+    calls.clear()
+    g = build_grid(1, [64], [1.0])
+    bump = 0.5 * np.cos(np.pi * g.centers(0))
+    params = Parameters(kappa=0.5, epsilon=0.25, T=8e-3, dt=1e-3)
+    forcings = Forcings(g, v=lambda t: bump if t > 3.5e-3 else g.zeros())
+    traj = run(SystemState(g, g.constant(1.0), g.constant(0.25)), reference_model(), params,
+               forcings)
+    thetas = [s.theta for s in traj.snapshots]
+    iterations = [report.iterations for _, _, report in calls]
+    assert iterations[:3] == [0, 0, 0] and min(iterations[3:]) > 0
+    for k in range(1, 5):
+        assert calls[k - 1][1]["initial_guess"] is thetas[k - 1]
+    for k in range(5, 9):
+        expected = 3.0 * (thetas[k - 1] - thetas[k - 2]) + thetas[k - 3]
+        assert np.array_equal(calls[k - 1][1]["initial_guess"], expected)
+
+
+@pytest.mark.parametrize("cells,eps_exponent,dt", [([128], 10, 1e-3), ([32, 32], 10, 1e-2)],
+                         ids=["1d-128", "2d-32x32"])
+def test_extrapolated_starts_take_no_more_newton_steps(monkeypatch, cells, eps_exponent, dt):
+    g, state0, params = grain_setup(cells, eps_exponent, dt, 20)
+
+    def newton_total():
+        traj = run(state0, reference_model(), params, Forcings(g))
+        return sum(reports["theta"].iterations for reports in traj.solve_reports)
+
+    extrapolated = newton_total()
+    advance = evolution._advance
+    monkeypatch.setattr(evolution, "_advance",
+                        lambda state, model, params, forcings, theta_start:
+                        advance(state, model, params, forcings, theta_start=state.theta))
+    assert extrapolated <= newton_total()
+
+
+@pytest.mark.parametrize("eps_exponent", [4, 10])
+@pytest.mark.parametrize("cells", [[128], [48, 48]], ids=["1d-128", "2d-48x48"])
+def test_one_grain_step_is_unique_up_to_its_residuals(monkeypatch, cells, eps_exponent):
+    # The theta step minimizes a functional strongly convex with modulus min m, so two
+    # solves of it that meet residuals r1 and r2 lie within (r1 + r2)/min m in H.
+    calls = record_theta_solves(monkeypatch)
+    g, state0, params = grain_setup(cells, eps_exponent, 1e-3, 4)
+    traj = run(state0, reference_model(), params, Forcings(g))
+    problem, kwargs, _ = calls[-1]            # step 4, started from the prediction
+    thetas = [s.theta for s in traj.snapshots]
+    predicted = 3.0 * (thetas[3] - thetas[2]) + thetas[1]
+    assert np.array_equal(kwargs["initial_guess"], predicted)
+    tol = kwargs["tol_abs"]
+    solutions = [
+        singular_resolvent(problem, tol_abs=tol, initial_guess=thetas[3]),
+        singular_resolvent(problem, tol_abs=tol, initial_guess=predicted,
+                           initial_dual=kwargs["initial_dual"]),
+        singular_resolvent(problem, tol_abs=tol),
+    ]
+    m_min = problem.m.min()
+    for (w1, rep1), (w2, rep2) in itertools.combinations(solutions, 2):
+        assert g.norm_h(w1 - w2) <= (rep1.final_residual_h + rep2.final_residual_h) / m_min
