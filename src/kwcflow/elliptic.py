@@ -20,8 +20,9 @@ time stepper that solves the same matrix every step back-substitutes only.
 
 The nonlinear solve is primal-dual Newton (Chan, Golub & Mulet) with an
 Armijo line search.  Beside ``w`` it carries a dual flux ``p`` (the
-cell-wise ``grad gamma_eps(grad w)``, kept in the unit ball) and solves
-with the linearization of the pair; at ``p = y/gamma_eps(y)`` its matrix
+cell-wise ``grad gamma_eps(grad w)``, kept in the unit ball; it starts at
+the start's own or at one the caller hands in) and solves with the
+linearization of the pair; at ``p = y/gamma_eps(y)`` its matrix
 is the exact Hessian.  It stays SPD with smallest eigenvalue at least
 ``min m`` for every ``|p| <= 1``, also where the primal Hessian
 degenerates at small eps on step-like data.  The dual update and the next

@@ -13,15 +13,15 @@ accepted angles: quadratically, ``3 theta_n - 3 theta_{n-1} + theta_{n-2}``,
 once three exist, linearly, ``2 theta_n - theta_{n-1}``, with two, and from
 the old angle otherwise.  The H^1 regularity in time of the angle, which the
 uniqueness argument rests on, puts the accepted angles on a smooth curve, so
-the prediction saves Newton iterations.  Two kinds of angle are kept out of
-the prediction.  The initial angle is never extrapolated through: the first
-step is an initial layer, in which raw data have no H^1 rate.  And the step
-after a solve that took no Newton iteration starts from the old angle, which
-is then stationary to the tolerance; extrapolation would only add round-off.
-The dual flux always starts at the old angle's, ``grad_gamma_eps`` of its
-cell gradient, which a dual taken at the predicted angle makes worse on 2D
-grain runs.  The solution does not depend on the start beyond the solver's
-tolerance: two solves of one step that meet residuals r1 and r2 lie within
+the prediction saves Newton iterations.  It has two exceptions.  The initial
+angle is never extrapolated through: the first step is an initial layer, in
+which raw data have no H^1 rate.  And the step after a solve that took no
+Newton iteration starts from the old angle, which is stationary to the
+tolerance; extrapolation would only add round-off.  The dual flux always
+starts at the old angle's, ``grad_gamma_eps`` of its cell gradient: the
+predicted angle's own dual cost more Newton and CG iterations on 2D grain
+runs.  The start moves the solution only within the solver's tolerance: two
+solves of one step that meet residuals r1 and r2 lie within
 ``(r1 + r2)/min m`` in the H norm, ``m`` the step's weight.
 
 A run records its snapshots, their energy breakdowns and each step's
