@@ -27,8 +27,10 @@ is the exact Hessian.  It stays SPD with smallest eigenvalue at least
 ``min m`` for every ``|p| <= 1``, also where the primal Hessian
 degenerates at small eps on step-like data.  The dual update and the next
 matrix take the cell gradient and ``gamma_eps`` that the accepted trial's
-residual used, and sparse products call scipy's CSR kernel ``csr_matvec``
-directly (what ``A @ x`` runs, without its dispatch).  Each iteration writes
+residual used.  Sparse products call scipy's kernels directly (what ``A @ x``
+runs, without its dispatch): a residual starts as ``m*w - z``, ``csc_matvec``
+adds ``G^T flux`` from the cell-gradient matrix's CSR arrays (the CSC arrays of
+``G^T``) and ``csr_matvec`` adds ``kappa_eff*K w``.  Each iteration writes
 the matrix's upper diagonals with one sparse product, from the map the grid
 builds from its cell-gradient stencil (:attr:`Grid.newton_diagonals`).  In 1D
 they are LAPACK's band (bandwidth 2), solved in place by the banded Cholesky
@@ -55,7 +57,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbsv
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 from scipy.sparse.linalg import cg, splu
 
 from .grid import Grid, KeepLast
@@ -97,24 +99,20 @@ class SolverError(RuntimeError):
 
 
 def _as_weight(grid: Grid, m) -> np.ndarray:
-    if np.isscalar(m):
-        return grid.constant(float(m))
-    return grid.check_scalar(np.asarray(m, dtype=float), "m")
+    return grid.check_scalar(grid.constant(float(m)) if np.isscalar(m) else m, "m")
 
 
-def _matvec(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``A @ x`` written into ``out``: the CSR kernel that ``@`` calls, without
-    scipy's dispatch around it.  The kernel adds into ``out``, so it is zeroed first;
-    the sizes of ``out`` and ``x`` are the matrix's shape."""
-    out.fill(0.0)
-    csr_matvec(out.size, x.size, A.indptr, A.indices, A.data, x, out)
+def _matvec(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``A @ x`` by the CSR kernel that ``@`` calls, without scipy's dispatch
+    around it.  The kernel adds into its output, which starts zeroed."""
+    out = np.zeros(A.shape[0])
+    csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
     return out
 
 
 def _cg_solve(A: sp.csr_matrix, b: np.ndarray, rtol: float = CG_RTOL):
     """Jacobi-preconditioned CG; returns (x, n_iter, ok)."""
-    diag = A.diagonal()
-    M = sp.diags(1.0 / diag)
+    M = sp.diags(1.0 / A.diagonal())
     count = [0]
 
     def cb(_):
@@ -228,9 +226,10 @@ class _SingularSystem:
         self.dim = g.dim
         self.nc = g.n_cells
         self.vol = g.cell_volume
-        self.G = g.cell_gradient_matrix          # (dim*nc, nc)
-        self.GT = g.cell_gradient_transpose
-        self.Lpos = g.stiffness_matrix           # -laplacian, PSD
+        self.G = G = g.cell_gradient_matrix      # (dim*nc, nc)
+        K = g.stiffness_matrix                   # -laplacian, PSD
+        self.GT_csc = (self.nc, G.shape[0], G.indptr, G.indices, G.data)   # G^T by G's CSR arrays
+        self.kappa_K_csr = (self.nc, self.nc, K.indptr, K.indices, p.kappa_eff * K.data)
         self.beta = p.beta.ravel()
         self.m = p.m.ravel()
         self.z = p.z.ravel()
@@ -242,7 +241,7 @@ class _SingularSystem:
         self.offsets = np.array(offsets + tuple(-o for o in offsets[-2::-1]))
 
     def grad_cells(self, w: np.ndarray) -> np.ndarray:
-        return _matvec(self.G, w, np.empty(self.dim * self.nc)).reshape(self.dim, self.nc)
+        return _matvec(self.G, w).reshape(self.dim, self.nc)
 
     def energy(self, w: np.ndarray) -> float:
         """The minimized functional; :meth:`residual_parts` is its gradient over the cell volume."""
@@ -253,13 +252,14 @@ class _SingularSystem:
 
     def residual_parts(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Residual at ``w`` with the cell gradient ``y`` and ``gam = gamma_eps(y)``
-        it used; ``y/gam`` is the expression ``grad_gamma_eps(y)`` evaluates."""
+        it used; ``y/gam`` is the expression ``grad_gamma_eps(y)`` evaluates.  scipy's CSC
+        and CSR kernels add ``G^T flux`` (bitwise ``G.T @ flux``) and ``kappa_eff*K w`` to ``r``."""
         y = self.grad_cells(w)
         gam = gamma_eps(y, self.p.epsilon)
         flux = self.beta * (y / gam)
-        r = _matvec(self.GT, flux.ravel(), np.empty(self.nc))
-        r += self.p.kappa_eff * _matvec(self.Lpos, w, np.empty(self.nc))
-        r += self.m * w - self.z
+        r = self.m * w - self.z
+        csc_matvec(*self.GT_csc, flux.ravel(), r)
+        csr_matvec(*self.kappa_K_csr, w, r)
         return r, y, gam
 
     def hnorm(self, r: np.ndarray) -> float:
@@ -270,8 +270,7 @@ class _SingularSystem:
         upper diagonals written from :attr:`Grid.newton_diagonals`: in 1D that band
         (LAPACK's layout), in 2D the symmetric matrix in DIA form.  A system that is
         not finite raises :class:`SolverError`."""
-        ab = _matvec(self.coupling, B.ravel(), np.empty(self.fixed.size))
-        ab = ab.reshape(self.fixed.shape, order="F")
+        ab = _matvec(self.coupling, B.ravel()).reshape(self.fixed.shape, order="F")
         ab += self.fixed
         if not np.isfinite(ab).all():
             raise SolverError("singular resolvent: the Newton system is not finite",
@@ -335,8 +334,8 @@ def singular_resolvent(problem: SingularResolventProblem,
     (the Newton matrix is SPD for such a dual), or by default at
     ``grad_gamma_eps`` of the start's cell gradient.
     The solver is primal-dual Newton with an Armijo line search, at most
-    ``MAX_NEWTON`` iterations; if it stalls a :class:`SolverError` is raised
-    with the report attached.
+    ``MAX_NEWTON`` iterations.  A missed tolerance raises :class:`SolverError` with
+    the report attached, naming the loop's exit and the Newton steps taken.
     """
     grid = problem.grid
     sys = _SingularSystem(problem)
@@ -363,6 +362,7 @@ def singular_resolvent(problem: SingularResolventProblem,
             raise ValueError("initial_dual: contains non-finite values")
         p = p.reshape(grid.dim, -1)
     it = inner_total = 0
+    stop = "the cap MAX_NEWTON was reached"    # unless a break below names another exit
     while not rh <= tol and it < MAX_NEWTON:
         if it:
             # Dual step of the last accepted primal step, made here, not after the
@@ -373,33 +373,37 @@ def singular_resolvent(problem: SingularResolventProblem,
         delta, n_cg, ok = sys.solve(sys.jacobian(y, gam, p), -r)
         inner_total += n_cg
         if not ok:
+            stop = "the linear solve failed"
             break
         # Backtracking.  Acceptance is sufficient decrease of either the residual
         # norm or the convex objective; near convergence the energy differences
-        # fall below evaluation noise and the residual test takes over.
-        slope = sys.vol * float(r @ delta)   # directional derivative of the energy
-        e0 = None                            # energy at w, needed only after a rejection
-        t = 1.0
+        # fall below evaluation noise and the residual test takes over.  The energy
+        # at w and its slope along delta are needed only after a rejection.
+        slope = e0 = None
+        t, wt = 1.0, w + delta
         for _ in range(30):
-            wt = w + t * delta
             rt, yt, gamt = sys.residual_parts(wt)
             rht = sys.hnorm(rt)
             if rht <= (1.0 - 1e-4 * t) * rh:
                 break
+            if slope is None:    # the energy's directional derivative
+                slope = sys.vol * float(r @ delta)
             if slope < 0:
                 if e0 is None:
                     e0 = sys.energy(w)
                 if sys.energy(wt) <= e0 + 1e-4 * t * slope:
                     break
             t *= 0.5
-        else:                                # no acceptable step length
+            wt = w + t * delta
+        else:
+            stop = "the line search found no step length"
             break
         w, r, rh, y_new, gam_new = wt, rt, rht, yt, gamt
         it += 1
     if not rh <= tol:
         report = SolveReport(it, rh, False, method="failed", inner_iterations=inner_total)
-        raise SolverError(
-            f"singular resolvent did not reach residual {tol:.3e} (got {rh:.3e})", report)
+        raise SolverError(f"singular resolvent did not reach residual {tol:.3e} (got {rh:.3e}): "
+                          f"{stop} after {it} Newton steps", report)
     w = w.reshape(grid.shape)
     return w, SolveReport(it, _stencil_residual_h(problem, w), True, method="newton",
                           inner_iterations=inner_total)

@@ -23,7 +23,8 @@ written directly in CSR form with the entries, and their order in each row,
 of the sparse products that define them.  One cell-gradient stencil
 (:attr:`Grid.cell_gradient_stencil`) gives the cell-gradient matrix and the
 map that writes the Newton matrix's upper diagonals
-(:attr:`Grid.newton_diagonals`), in 1D and 2D alike.
+(:attr:`Grid.newton_diagonals`), in 1D and 2D alike.  No transpose is kept: scipy's
+CSC kernel on the gradient matrix's CSR arrays gives the bits of ``G.T @ x``.
 """
 
 from __future__ import annotations
@@ -301,12 +302,6 @@ class Grid:
         :attr:`cell_gradient_stencil`; entries are stored upper neighbour first."""
         neighbours, weights = self.cell_gradient_stencil
         return _csr(neighbours.transpose(0, 2, 1), weights[:, None, :], self.n_cells)
-
-    @cached_property
-    def cell_gradient_transpose(self) -> sp.csr_matrix:
-        """``cell_gradient_matrix.T`` in CSR form: ``G.T @ x`` would build a CSC
-        matrix on every call.  The product is bitwise the same (same summation order)."""
-        return self.cell_gradient_matrix.T.tocsr()
 
     @cached_property
     def newton_diagonals(self) -> tuple[tuple[int, ...], sp.csr_matrix, np.ndarray]:

@@ -380,16 +380,13 @@ def test_eta_factor_solves_bitwise_like_the_assembled_matrix(cells, extents):
 
 @pytest.mark.parametrize("cells,extents", [([48], [1.0]), ([6, 5], [1.0, 0.7])])
 def test_direct_csr_product_is_bitwise_the_operator_product(cells, extents):
-    # The solver's products call scipy's CSR kernel directly; the kernel adds
-    # into its output, so a NaN-filled buffer shows that it is zeroed first.
+    # The solver's products call scipy's CSR kernel directly, which adds into a
+    # zeroed output.
     g = build_grid(len(cells), cells, extents)
     rng = np.random.default_rng(12)
-    for A in (g.cell_gradient_matrix, g.cell_gradient_transpose, g.stiffness_matrix,
-              g.newton_diagonals[1]):
+    for A in (g.cell_gradient_matrix, g.stiffness_matrix, g.newton_diagonals[1]):
         x = rng.standard_normal(A.shape[1])
-        out = np.full(A.shape[0], np.nan)
-        assert _matvec(A, x, out) is out
-        assert out.tobytes() == (A @ x).tobytes()
+        assert _matvec(A, x).tobytes() == (A @ x).tobytes()
 
 
 @pytest.mark.parametrize("eps", [2.0**-2, 2.0**-8], ids=["eps=2^-2", "eps=2^-8"])
@@ -583,6 +580,51 @@ def test_singular_resolvent_failure_reports_the_newton_steps_taken(cells, monkey
     assert excinfo.value.report.method == "failed"
 
 
+@pytest.mark.parametrize("exit_", ["linear-solve", "line-search", "cap"])
+@pytest.mark.parametrize("cells", [[64], [12, 10]])
+def test_singular_resolvent_failure_names_the_newton_exit(cells, exit_, monkeypatch):
+    # Each way the Newton loop can end short of the tolerance is named after the
+    # missed residual, with the Newton steps taken.
+    g = build_grid(len(cells), cells, [1.0] * len(cells))
+    problem = SingularResolventProblem(g, g.constant(1.0), 0.01, g.constant(1.0),
+                                       step_at_half(g, 0.5), 2.0**-6)
+    solve, calls, tol_abs = _SingularSystem.solve, [], None
+    if exit_ == "linear-solve":        # the second linear solve fails
+        steps, text = 1, "the linear solve failed"
+
+        def patched(self, A, b):
+            calls.append(b)
+            return solve(self, A, b) if len(calls) == 1 else (b, 0, False)
+    elif exit_ == "line-search":       # an ascent direction: neither residual nor energy falls
+        steps, text = 0, "the line search found no step length"
+
+        def patched(self, A, b):
+            return -b, 0, True
+    else:                              # a tolerance no iterate meets
+        steps, text, patched, tol_abs = 2, "the cap MAX_NEWTON was reached", solve, 0.0
+        monkeypatch.setattr(elliptic, "MAX_NEWTON", 2)
+    monkeypatch.setattr(_SingularSystem, "solve", patched)
+    with pytest.raises(SolverError, match=rf"^singular resolvent did not reach residual \S+ "
+                                          rf"\(got \S+\): {text} after {steps} Newton steps$") as excinfo:
+        singular_resolvent(problem, tol_abs=tol_abs)
+    assert excinfo.value.report.iterations == steps
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("lam", [0.0, 0.5], ids=["lam=0", "lam>0"])
+@pytest.mark.parametrize("kind", ["linear", "singular"])
+def test_non_finite_scalar_weight_is_rejected(kind, lam, weight):
+    # A scalar weight is checked as its constant field is; for the singular
+    # problem lam is the weight of the singular diffusion, beta.
+    g = build_grid(1, [16], [1.0])
+    z = g.constant(1.0)
+    with pytest.raises(ValueError, match="^m: contains non-finite values$"):
+        if kind == "linear":
+            LinearResolventProblem(g, lam, weight, z)
+        else:
+            SingularResolventProblem(g, g.constant(lam), 0.01, weight, z, 2.0**-6)
+
+
 @pytest.mark.parametrize("cells", [[64], [12, 10]])
 def test_singular_resolvent_initial_dual(cells):
     g = build_grid(len(cells), cells, [1.0] * len(cells))
@@ -623,19 +665,34 @@ def test_linear_resolvent_alternating_factors_stay_fresh(cells):
 # -- one theta operator: stencil form and matrix form ---------------------------------
 
 
-@pytest.mark.parametrize("cells,extents", [([32], [1.0]), ([12, 10], [1.0, 0.8])])
-def test_theta_operator_stencil_and_matrix_forms_agree(cells, extents, monkeypatch):
+@pytest.mark.parametrize("cells,extents,grain", [
+    ([32], [1.0], False), ([12, 10], [1.0, 0.8], False),
+    ([128], [1.0], True), ([48, 48], [1.0, 1.0], True),
+], ids=["cells0-extents0", "cells1-extents1", "grain-1d-128", "grain-2d-48x48"])
+def test_theta_operator_stencil_and_matrix_forms_agree(cells, extents, grain, monkeypatch):
+    # Grain inputs (a tanh step of width 0.01 at eps 2^-10) check the forms where
+    # y/gamma saturates at the unit sphere.  In the step's tails the matrix form's
+    # cell gradient, a sum of two rounded products w*(+-1/(2h)), is off by up to an
+    # ulp of |w|/h where the stencil's difference is exact; the flux takes that over
+    # gamma ~ eps and its divergence over h.  Where 1/(2h) is not a power of two
+    # (48 cells) this round-off floor, not the 1e-12 relative bound, separates them.
     g = build_grid(len(cells), cells, extents)
     rng = np.random.default_rng(11)
     beta = rng.uniform(0.5, 1.5, g.shape)
     m = rng.uniform(0.5, 2.0, g.shape)
     z = rng.standard_normal(g.shape)
-    w = rng.standard_normal(g.shape)
-    kappa_eff, eps = 0.7, 0.1
+    if grain:
+        r = np.sqrt(sum((x - 0.5) ** 2 for x in g.meshgrid())) if g.dim == 2 else g.meshgrid()[0]
+        w, kappa_eff, eps = 0.5 * np.tanh((r - (0.3 if g.dim == 2 else 0.5)) / 0.01), 1e-2, 2.0**-10
+    else:
+        w, kappa_eff, eps = rng.standard_normal(g.shape), 0.7, 0.1
     problem = SingularResolventProblem(g, beta, kappa_eff, m, z, eps)
     stencil = -g.div(interfacial_flux(g, beta, w, eps, kappa_eff)) + m * w - z
     matrix = _SingularSystem(problem).residual_parts(w.ravel())[0].reshape(g.shape)
-    assert g.norm_h(stencil - matrix) <= 1e-12 * g.norm_h(matrix)
+    h = min(g.spacing)
+    inexact = grain and any(math.frexp(0.5 / s)[0] != 0.5 for s in g.spacing)
+    floor = beta.max() * np.spacing(np.abs(w).max() / h) / (eps * h) if inexact else 0.0
+    assert g.norm_h(stencil - matrix) <= 1e-12 * g.norm_h(matrix) + floor * g.norm_h(g.constant(1.0))
 
     # The step check of a damped step and the residual of the resolvent problem
     # that _advance hands to the solver are the same equation.

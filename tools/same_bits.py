@@ -20,7 +20,9 @@ the steps of the one-step uniqueness bound ``(r_old + r_new)/min m``: each
 theta step minimizes a functional strongly convex with modulus ``min m``, so
 two solves of one step that meet residuals r_old and r_new lie within that
 distance.  The sum is a yardstick for the drift of a whole run, not a proof
-of it, since later steps may amplify an earlier difference.
+of it, since later steps may amplify an earlier difference.  The comparison
+ends with the largest ratio of the theta distance to that sum, with its key,
+and the keys whose Newton counts differ.
 
 The cases:
 
@@ -54,6 +56,7 @@ import argparse
 import hashlib
 import inspect
 import json
+import math
 import os
 import pickle
 import sys
@@ -352,13 +355,15 @@ def _h_distance(a: dict, b: dict, name: str) -> float:
 
 def compare(old_path: str, new_path: str) -> int:
     """Print, per run key of both files, the Newton and CG counts, the H distance of
-    the final fields and the summed one-step bound; then the totals."""
+    the final fields and the summed one-step bound; then the totals, the largest
+    ratio of the theta distance to the bound and the keys whose Newton counts differ."""
     with open(old_path, "rb") as fh:
         old = pickle.load(fh)
     with open(new_path, "rb") as fh:
         new = pickle.load(fh)
     print("key newton_old newton_new cg_old cg_new dist_theta_H dist_eta_H step_bound_sum")
     totals = {"all": [0, 0, 0, 0], "2d": [0, 0, 0, 0]}
+    worst, newton_moved = (0.0, None), []   # (dist_theta_H / step_bound_sum, key)
     for key in (k for k in old if k in new):
         a, b = old[key], new[key]
         steps = len(a["theta_residuals"])
@@ -366,10 +371,15 @@ def compare(old_path: str, new_path: str) -> int:
             m = [min(ma, mb) for ma, mb in zip(a["m_min"], b["m_min"])]
             bound = sum((ra + rb) / mk for ra, rb, mk in
                         zip(a["theta_residuals"], b["theta_residuals"], m))
-            dists = f"{_h_distance(a, b, 'theta'):.3e} {_h_distance(a, b, 'eta'):.3e} {bound:.3e}"
+            dist = _h_distance(a, b, "theta")
+            dists = f"{dist:.3e} {_h_distance(a, b, 'eta'):.3e} {bound:.3e}"
+            ratio = dist / bound if bound > 0 else (math.inf if dist > 0 else 0.0)
+            worst = max(worst, (ratio, key), key=lambda pair: pair[0])
         else:
             dists = "- - -"
         print(key, a["newton"], b["newton"], a["cg"], b["cg"], dists)
+        if a["newton"] != b["newton"]:
+            newton_moved.append(f"{key} ({a['newton']} -> {b['newton']})")
         for group in ("all", "2d") if a["theta"].ndim == 2 else ("all",):
             for i, value in enumerate((a["newton"], b["newton"], a["cg"], b["cg"])):
                 totals[group][i] += value
@@ -378,6 +388,9 @@ def compare(old_path: str, new_path: str) -> int:
     missing = sorted(set(old) ^ set(new))
     if missing:
         print("run keys in one file only:", " ".join(missing))
+    print(f"largest dist_theta_H / step_bound_sum: {worst[0]:.3g} ({worst[1]})")
+    print(f"run keys whose Newton counts differ ({len(newton_moved)}):",
+          " ".join(newton_moved) or "none")
     return 0
 
 
