@@ -112,7 +112,8 @@ def _matvec(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
 
 def _cg_solve(A: sp.csr_matrix, b: np.ndarray, rtol: float = CG_RTOL):
     """Jacobi-preconditioned CG; returns (x, n_iter, ok)."""
-    M = sp.diags(1.0 / A.diagonal())
+    diag = A.diagonal()
+    M = sp.diags(1.0 / diag)
     count = [0]
 
     def cb(_):
@@ -228,7 +229,7 @@ class _SingularSystem:
         self.vol = g.cell_volume
         self.G = G = g.cell_gradient_matrix      # (dim*nc, nc)
         K = g.stiffness_matrix                   # -laplacian, PSD
-        self.GT_csc = (self.nc, G.shape[0], G.indptr, G.indices, G.data)   # G^T by G's CSR arrays
+        self.GT_csc = (self.nc, G.shape[0], G.indptr, G.indices, G.data)   # G^T's CSC arrays
         self.kappa_K_csr = (self.nc, self.nc, K.indptr, K.indices, p.kappa_eff * K.data)
         self.beta = p.beta.ravel()
         self.m = p.m.ravel()
@@ -252,8 +253,7 @@ class _SingularSystem:
 
     def residual_parts(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Residual at ``w`` with the cell gradient ``y`` and ``gam = gamma_eps(y)``
-        it used; ``y/gam`` is the expression ``grad_gamma_eps(y)`` evaluates.  scipy's CSC
-        and CSR kernels add ``G^T flux`` (bitwise ``G.T @ flux``) and ``kappa_eff*K w`` to ``r``."""
+        it used; ``y/gam`` is the expression ``grad_gamma_eps(y)`` evaluates."""
         y = self.grad_cells(w)
         gam = gamma_eps(y, self.p.epsilon)
         flux = self.beta * (y / gam)
