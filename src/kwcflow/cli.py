@@ -41,12 +41,26 @@ _SOLVER_TOLERANCES = {
 }
 
 
+def _linalg_builds(module) -> dict:
+    """``"name version"`` of the BLAS and of the LAPACK that ``module`` (numpy or
+    scipy) was built with, as its ``show_config`` reports them, offline."""
+    deps = module.show_config(mode="dicts").get("Build Dependencies", {})
+    builds = {}
+    for lib in ("blas", "lapack"):
+        dep = deps.get(lib, {})
+        builds[f"{module.__name__}_{lib}"] = (f"{dep.get('name', 'unknown')} "
+                                              f"{dep.get('version', 'unknown')}")
+    return builds
+
+
 def _versions() -> dict:
     return {
         "kwcflow": __version__,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "python": platform.python_version(),
+        **_linalg_builds(np),
+        **_linalg_builds(scipy),
     }
 
 

@@ -22,12 +22,14 @@ The nonlinear solve is primal-dual Newton (Chan, Golub & Mulet) with an
 Armijo line search.  Beside ``w`` it carries a dual flux ``p`` (the
 cell-wise ``grad gamma_eps(grad w)``, kept in the unit ball; it starts at
 the start's own or at one the caller hands in) and solves with the
-linearization of the pair; at ``p = y/gamma_eps(y)`` its matrix
-is the exact Hessian.  It stays SPD with smallest eigenvalue at least
-``min m`` for every ``|p| <= 1``, also where the primal Hessian
-degenerates at small eps on step-like data.  The dual update and the next
-matrix take the cell gradient and ``gamma_eps`` that the accepted trial's
-residual used.  Sparse products call scipy's kernels directly (what ``A @ x``
+linearization of the pair: its weight ``beta*(I - sym(p y^T)/gam)/gam`` at the
+cell gradient ``y``, ``gam = gamma_eps(y)``, is what
+:func:`~kwcflow.model.hess_gamma_eps` gives for the dual ``p``, one formula for
+1D and 2D.  At ``p = y/gam`` the matrix is the exact Hessian.  It stays SPD
+with smallest eigenvalue at least ``min m`` for every ``|p| <= 1``, also where
+the primal Hessian degenerates at small eps on step-like data.  The dual
+update and the next matrix take the cell gradient and ``gamma_eps`` that the
+accepted trial's residual used.  Sparse products call scipy's kernels directly (what ``A @ x``
 runs, without its dispatch): a residual starts as ``m*w - z``, ``csc_matvec``
 adds ``G^T flux`` from the cell-gradient matrix's CSR arrays (the CSC arrays of
 ``G^T``) and ``csr_matvec`` adds ``kappa_eff*K w``.  Each iteration writes
@@ -42,7 +44,8 @@ operators, independent of the solver's matrix algebra, and every solve has one
 outcome: a solution that met its tolerance (named once, by the constants
 below), or a :class:`SolverError` with the report attached.  A tolerance or a
 Newton system that is not finite, and a non-finite direct solve of the linear
-resolvent, raise before any re-check.  The singular resolvent's re-check takes
+resolvent, raise before any re-check; arrays are tested by
+:func:`~kwcflow.grid.all_finite`.  The singular resolvent's re-check takes
 the flux's divergence from :func:`~kwcflow.model.interfacial_force`, which
 keeps it beside the flux: the time stepper's step check at nu = 0 asks for the
 same.
@@ -60,7 +63,7 @@ from scipy.linalg.lapack import dpbsv
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 from scipy.sparse.linalg import cg, splu
 
-from .grid import Grid, KeepLast
+from .grid import Grid, KeepLast, all_finite
 # grad_gamma_eps is not called here; it stays bound because the benchmark's tracer wraps it by name
 from .model import (_component_sum, gamma_eps, grad_gamma_eps, hess_gamma_eps, interfacial_energy,
                     interfacial_force)
@@ -179,7 +182,7 @@ def linear_resolvent(problem: LinearResolventProblem) -> tuple[np.ndarray, Solve
         res = grid.norm_h(m * w - z)
     else:
         w, method = _resolvent_factor(grid, lam, m)(z.ravel()).reshape(grid.shape), "direct"
-        if not np.isfinite(w).all():
+        if not all_finite(w):
             raise SolverError("linear resolvent: the direct solve is not finite",
                               SolveReport(0, math.nan, False, method="failed"))
         res = grid.norm_h(-lam * grid.laplacian(w) + m * w - z)
@@ -272,7 +275,7 @@ class _SingularSystem:
         not finite raises :class:`SolverError`."""
         ab = _matvec(self.coupling, B.ravel()).reshape(self.fixed.shape, order="F")
         ab += self.fixed
-        if not np.isfinite(ab).all():
+        if not all_finite(ab):
             raise SolverError("singular resolvent: the Newton system is not finite",
                               SolveReport(0, math.nan, False, method="failed"))
         if self.dim == 1:
@@ -284,16 +287,11 @@ class _SingularSystem:
             data[-1 - row, :n - o] = ab[row, o:]
         return sp.dia_matrix((data, self.offsets), shape=(n, n))
 
-    def jacobian(self, y: np.ndarray, gam: np.ndarray, p: np.ndarray):
-        """Primal-dual Newton matrix: :meth:`matrix` of
-        ``B = beta*(hess_gamma_eps(y) + sym((y/gam - p) y^T)/gam^2)`` at cell gradient
-        ``y``, ``gam = gamma_eps(y)`` and dual flux ``p``; the exact Hessian at ``p = y/gam``."""
-        H = hess_gamma_eps(y, self.p.epsilon)                     # (dim, dim, nc)
-        if self.dim == 1:    # the sum below at its one entry, in its order
-            S = ((y[0] / gam - p[0]) / (2.0 * gam * gam)) * y[0]
-            return self.matrix((self.beta * ((H[0, 0] + S) + S))[None, None])
-        S = ((y / gam - p) / (2.0 * gam * gam))[:, None] * y[None, :]
-        return self.matrix(self.beta * (H + S + S.transpose(1, 0, 2)))
+    def jacobian(self, y: np.ndarray, p: np.ndarray):
+        """Primal-dual Newton matrix: :meth:`matrix` of ``B = beta*(I - sym(p y^T)/gam)/gam``
+        at cell gradient ``y``, ``gam = gamma_eps(y)`` and dual flux ``p``, which
+        :func:`~kwcflow.model.hess_gamma_eps` forms; the exact Hessian at ``p = y/gam``."""
+        return self.matrix(self.beta * hess_gamma_eps(y, self.p.epsilon, p))
 
     def solve(self, A, b: np.ndarray):
         """Solve the SPD system with the matrix :meth:`matrix` gives; returns
@@ -358,7 +356,7 @@ def singular_resolvent(problem: SingularResolventProblem,
         if p.shape != (grid.dim,) + grid.shape:
             raise ValueError(f"initial_dual: expected shape {(grid.dim,) + grid.shape}, "
                              f"got {p.shape}")
-        if not np.logical_and.reduce(np.isfinite(p), axis=None):
+        if not all_finite(p):
             raise ValueError("initial_dual: contains non-finite values")
         p = p.reshape(grid.dim, -1)
     it = inner_total = 0
@@ -370,7 +368,7 @@ def singular_resolvent(problem: SingularResolventProblem,
             # are those the accepted trial's residual used.
             p = _dual_step(p, y, gam, y_new)
             y, gam = y_new, gam_new
-        delta, n_cg, ok = sys.solve(sys.jacobian(y, gam, p), -r)
+        delta, n_cg, ok = sys.solve(sys.jacobian(y, p), -r)
         inner_total += n_cg
         if not ok:
             stop = "the linear solve failed"

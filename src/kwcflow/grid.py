@@ -38,6 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
+    "all_finite",
     "Grid",
     "KeepLast",
     "build_grid",
@@ -52,6 +53,20 @@ __all__ = [
 def _along(axis: int, index) -> tuple:
     """Index that applies ``index`` on ``axis`` and keeps every other axis whole."""
     return (slice(None),) * axis + (index,)
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the float array ``a`` is finite.
+
+    A NaN or an infinity makes the sum of squares NaN or infinite, so a finite sum
+    decides at the cost of one dot product.  Finite entries whose squares overflow
+    (``|a|`` past about 1e154) make it infinite too; the element-wise test then
+    decides.  The decision is exact whatever the order of summation.  ``np.vdot``
+    warns of no overflow, unlike ``@`` and ``np.dot``.
+    """
+    flat = a.ravel(order="K")          # a view of any contiguous array
+    return (math.isfinite(np.vdot(flat, flat))
+            or bool(np.logical_and.reduce(np.isfinite(flat), axis=None)))
 
 
 class KeepLast:
@@ -144,7 +159,7 @@ class Grid:
         f = np.asarray(f, dtype=float)
         if f.shape != self.shape:
             raise ValueError(f"{name}: expected shape {self.shape}, got {f.shape}")
-        if not np.logical_and.reduce(np.isfinite(f), axis=None):
+        if not all_finite(f):
             raise ValueError(f"{name}: contains non-finite values")
         return f
 
@@ -164,7 +179,7 @@ class Grid:
             comp = np.asarray(comp, dtype=float)
             if comp.shape != shp:
                 raise ValueError(f"{name}: axis-{d} faces must have shape {shp}, got {comp.shape}")
-            if not np.isfinite(comp).all():
+            if not all_finite(comp):
                 raise ValueError(f"{name}: non-finite values on axis-{d} faces")
             out.append(comp)
         return tuple(out)

@@ -113,8 +113,15 @@ def grad_gamma_eps(y, epsilon: float):
     return y / np.sqrt(epsilon**2 + _component_sum(y * y))
 
 
-def hess_gamma_eps(y, epsilon: float):
+def hess_gamma_eps(y, epsilon: float, dual=None):
     """Hessian (I*(eps^2+|y|^2) - y yT) / (eps^2+|y|^2)^(3/2); SPD for eps > 0.
+
+    With a dual flux ``p`` (the layout of ``y``), the primal-dual linearization
+    ``(I - sym(p yT)/gam)/gam`` with ``gam = gamma_eps(y)`` instead (Chan, Golub &
+    Mulet): the Hessian at ``p = y/gam``, and SPD for every ``|p| <= 1``, with
+    smallest eigenvalue at least ``(1 - |y|/gam)/gam``.  Without a dual the
+    Hessian's formula is kept: it gives the smallest entries, ``eps^2/gam^3``
+    where ``|y| >> eps``, without the cancellation in ``1 - |y|^2/gam^2``.
 
     Returns shape ``(N, N) + batch`` following the axis-0 component layout.
     """
@@ -123,11 +130,20 @@ def hess_gamma_eps(y, epsilon: float):
         raise ValueError("hess_gamma_eps requires epsilon > 0")
     n = y.shape[0]
     s = epsilon**2 + _component_sum(y * y)
-    denom = s ** 1.5
     out = np.empty((n, n) + y.shape[1:])
+    if dual is None:
+        denom = s ** 1.5
+        for i in range(n):
+            for j in range(n):
+                out[i, j] = ((s if i == j else 0.0) - y[i] * y[j]) / denom
+        return out
+    p = _as_vector(dual)
+    gam = np.sqrt(s)
     for i in range(n):
         for j in range(n):
-            out[i, j] = ((s if i == j else 0.0) - y[i] * y[j]) / denom
+            # on the diagonal 0.5*(a + a) is a, bit for bit
+            sym = p[i] * y[i] if i == j else 0.5 * (p[i] * y[j] + p[j] * y[i])
+            out[i, j] = ((1.0 if i == j else 0.0) - sym / gam) / gam
     return out
 
 

@@ -34,7 +34,7 @@ def test_one_hessian_evaluation_per_newton_iteration(monkeypatch):
         return hess_gamma_eps(*args, **kwargs)
 
     monkeypatch.setattr(elliptic, "hess_gamma_eps", counted)
-    # 1D forms the Newton weight on its own branch of the jacobian, 2D on the generic one
+    # one weight formula for 1D and 2D; each Newton iteration evaluates it once
     for g, eps in ((build_grid(1, [128], [1.0]), 2.0**-10),
                    (build_grid(2, [12, 10], [1.0, 0.8]), 2.0**-6)):
         calls.clear()

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
 from kwcflow.cli import main
 from kwcflow.config import ConfigError, parse_config_dict, serialize_config
@@ -125,6 +126,19 @@ def test_cli_run_and_bitwise_rerun(tmp_path):
     assert main(["run", "--config", str(out1 / "manifest.json"),
                  "--out", str(out2)]) == 0
     assert (out1 / "timeseries.csv").read_bytes() == (out2 / "timeseries.csv").read_bytes()
+
+
+def test_manifest_names_the_blas_and_lapack_builds(tmp_path, capsys):
+    # numpy and scipy each report the BLAS and LAPACK they were built with, offline
+    assert main(["run", "--config", run_config(tmp_path), "--out", str(tmp_path / "out")]) == 0
+    versions = json.loads((tmp_path / "out" / "manifest.json").read_text())["versions"]
+    for module in (np, scipy):
+        deps = module.show_config(mode="dicts")["Build Dependencies"]
+        for lib in ("blas", "lapack"):
+            name, version = deps[lib]["name"], deps[lib]["version"]
+            assert versions[f"{module.__name__}_{lib}"] == f"{name} {version}"
+    out = capsys.readouterr().out       # the summary line alone: the query prints nothing
+    assert out.startswith("run finished") and out.count("\n") == 1
 
 
 def test_cli_run_stationary_flat_energy(tmp_path):

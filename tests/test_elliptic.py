@@ -316,11 +316,9 @@ def stored(A) -> np.ndarray:
     return A.data if sp.issparse(A) else A
 
 
-def newton_weight(system, y, gam, p):
+def newton_weight(system, y, p):
     """``B`` of the primal-dual Newton matrix, as :meth:`_SingularSystem.jacobian` forms it."""
-    H = hess_gamma_eps(y, system.p.epsilon)
-    S = ((y / gam - p) / (2.0 * gam * gam))[:, None] * y[None, :]
-    return system.beta * (H + S + S.transpose(1, 0, 2))
+    return system.beta * hess_gamma_eps(y, system.p.epsilon, p)
 
 
 @pytest.mark.parametrize("cells,extents", [([32], [1.0]), ([6, 5], [1.0, 0.7])])
@@ -347,18 +345,19 @@ def test_fixed_pattern_matrices_match_explicit_assembly(cells, extents):
     B_ref = sp.bmat([[sp.diags(beta.ravel() * Bpd[i][j]) for j in range(g.dim)]
                      for i in range(g.dim)])
     explicit = (G.T @ B_ref @ G + rest).toarray()
-    err = np.max(np.abs(dense(system.jacobian(y, gam, p)) - explicit))
+    err = np.max(np.abs(dense(system.jacobian(y, p)) - explicit))
     assert err <= 1e-14 * np.max(np.abs(explicit))
-    # At p = y/gam the primal-dual matrix is the exact Hessian, bit for bit.
-    hessian = stored(system.matrix(beta.ravel() * H))
-    assert np.array_equal(stored(system.jacobian(y, gam, grad_gamma_eps(y, eps))), hessian)
+    # At p = y/gam the primal-dual matrix is the exact Hessian, up to rounding.
+    hessian = dense(system.matrix(beta.ravel() * H))
+    err = np.max(np.abs(dense(system.jacobian(y, grad_gamma_eps(y, eps))) - hessian))
+    assert err <= 1e-14 * np.max(np.abs(hessian))
 
     # SPD with smallest eigenvalue >= min m for any |p| <= 1, down to eps = 2^-11.
     if g.dim == 2:
         for eps_small in (eps, 2.0**-6, 2.0**-11):
             system = _SingularSystem(SingularResolventProblem(g, beta, kappa_eff, m, g.zeros(),
                                                               eps_small))
-            A = system.jacobian(y, gamma_eps(y, eps_small), p).toarray()
+            A = system.jacobian(y, p).toarray()
             assert np.max(np.abs(A - A.T)) <= 1e-14 * np.max(np.abs(A))
             smallest = np.linalg.eigvalsh(0.5 * (A + A.T))[0]
             assert smallest >= np.min(m) - 1e-12 * np.max(np.abs(A))
@@ -432,8 +431,8 @@ def test_dual_step_is_bitwise_the_projected_linearized_flux(dim):
 
 
 def random_newton_system(g, rng):
-    """A system on ``g`` with some zero mobilities, and its Newton weight ``B`` at a
-    random cell gradient for a dual flux with |p| < 1 and |p| = 1."""
+    """A system on ``g`` with some zero mobilities, a random cell gradient, and a
+    dual flux with |p| < 1 and |p| = 1."""
     beta = rng.uniform(0.0, 2.0, g.shape)
     beta.flat[::4] = 0.0
     eps = 2.0 ** -int(rng.integers(2, 11))
@@ -441,10 +440,9 @@ def random_newton_system(g, rng):
                                                       rng.uniform(0.5, 3.0, g.shape),
                                                       g.zeros(), eps))
     y = system.grad_cells(10.0 * rng.standard_normal(g.n_cells))
-    gam = gamma_eps(y, eps)
     p = rng.uniform(-1.0, 1.0, y.shape)
     p[:, ::3] /= np.sqrt(np.add.reduce(p[:, ::3] ** 2, axis=0))    # some on the unit sphere
-    return system, y, gam, p
+    return system, y, p
 
 
 @pytest.mark.parametrize("cells", [[4], [5], [37], [128], [12, 10], [5, 7], [4, 9]],
@@ -456,12 +454,12 @@ def test_newton_matrix_matches_the_operator_product(cells):
     g = build_grid(len(cells), cells, [0.7, 1.3][:len(cells)])
     rng = np.random.default_rng(sum(cells))
     for _ in range(3):
-        system, y, gam, p = random_newton_system(g, rng)
-        B = newton_weight(system, y, gam, p)
+        system, y, p = random_newton_system(g, rng)
+        B = newton_weight(system, y, p)
         G = g.cell_gradient_matrix
         oracle = (G.T @ sp.bmat([[sp.diags(B[d, e]) for e in range(g.dim)] for d in range(g.dim)])
                   @ G + system.p.kappa_eff * g.stiffness_matrix + sp.diags(system.m)).toarray()
-        A = system.jacobian(y, gam, p)
+        A = system.jacobian(y, p)
         if g.dim == 2:
             assert isinstance(A, sp.dia_matrix)
             assert np.array_equal(A.toarray(), A.toarray().T)
@@ -479,10 +477,10 @@ def test_1d_band_is_bitwise_the_band_of_the_pattern_matrix(n):
     g = build_grid(1, [n], [0.7])
     rng = np.random.default_rng(n)
     for _ in range(5):
-        system, y, gam, p = random_newton_system(g, rng)
-        band = system.jacobian(y, gam, p)
+        system, y, p = random_newton_system(g, rng)
+        band = system.jacobian(y, p)
         assert band.flags.f_contiguous          # dpbsv takes it without a copy
-        reference = upper_band(pattern_matrix(system, newton_weight(system, y, gam, p)))
+        reference = upper_band(pattern_matrix(system, newton_weight(system, y, p)))
         assert band.tobytes() == reference.tobytes()
 
 
@@ -494,10 +492,10 @@ def test_banded_newton_solve_matches_spsolve(grid1d):
     system = _SingularSystem(problem)
     y = system.grad_cells(0.5 * np.tanh((x - 0.5) / 0.01))
     b = rng.standard_normal(grid1d.n_cells)
-    gam, p = gamma_eps(y, 2.0**-8), -grad_gamma_eps(y, 2.0**-8)
-    band = system.jacobian(y, gam, p)
+    p = -grad_gamma_eps(y, 2.0**-8)
+    band = system.jacobian(y, p)
     assert band.shape == (3, grid1d.n_cells)
-    x_ref = spsolve(sp.csc_matrix(pattern_matrix(system, newton_weight(system, y, gam, p))), b)
+    x_ref = spsolve(sp.csc_matrix(pattern_matrix(system, newton_weight(system, y, p))), b)
     x_banded, n_cg, ok = system.solve(band, b)
     assert ok and n_cg == 0
     assert np.max(np.abs(x_banded - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
@@ -513,7 +511,7 @@ def test_direct_banded_solve_matches_solveh_banded(grid1d):
     system = _SingularSystem(problem)
     y = system.grad_cells(0.5 * np.tanh((x - 0.5) / 0.01))
     b = np.random.default_rng(13).standard_normal(grid1d.n_cells)
-    band = system.jacobian(y, gamma_eps(y, 2.0**-8), grad_gamma_eps(y, 2.0**-8))
+    band = system.jacobian(y, grad_gamma_eps(y, 2.0**-8))
     expected = solveh_banded(band, b)
     x_direct, n_cg, ok = system.solve(band.copy(order="F"), b)   # the solve overwrites it
     assert ok and n_cg == 0
@@ -557,7 +555,7 @@ def test_singular_resolvent_raises_on_a_non_finite_newton_system(cells, monkeypa
     # A NaN Newton system fails with the solver's own error in both dimensions, so
     # that a time step reports it; neither the band solve nor CG sees it.
     monkeypatch.setattr(elliptic, "hess_gamma_eps",
-                        lambda y, eps: np.full((y.shape[0],) + y.shape, np.nan))
+                        lambda y, eps, dual=None: np.full((y.shape[0],) + y.shape, np.nan))
     g = build_grid(len(cells), cells, [1.0] * len(cells))
     problem = SingularResolventProblem(g, g.constant(1.0), 0.01, g.constant(1.0),
                                        step_at_half(g, 0.5), 2.0**-6)
@@ -565,6 +563,19 @@ def test_singular_resolvent_raises_on_a_non_finite_newton_system(cells, monkeypa
                                           "finite$") as excinfo:
         singular_resolvent(problem)
     assert excinfo.value.report.method == "failed"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("cells", [[64], [12, 10]])
+def test_singular_resolvent_rejects_a_non_finite_initial_dual(cells, value):
+    g = build_grid(len(cells), cells, [1.0] * len(cells))
+    problem = SingularResolventProblem(g, g.constant(1.0), 0.01, g.constant(1.0),
+                                       step_at_half(g, 0.5), 2.0**-6)
+    for index in (0, g.dim * g.n_cells // 2, g.dim * g.n_cells - 1):
+        dual = np.zeros((g.dim,) + g.shape)
+        dual.flat[index] = value
+        with pytest.raises(ValueError, match="^initial_dual: contains non-finite values$"):
+            singular_resolvent(problem, initial_dual=dual)
 
 
 @pytest.mark.parametrize("cells", [[64], [12, 10]])

@@ -333,9 +333,11 @@ def test_run_non_finite_newton_system_carries_partial_trajectory(cells, monkeypa
     theta0 = random_smooth_field(g, rng, mean=0.0, amplitude=0.5)
     hessian, calls = elliptic.hess_gamma_eps, {"n": 0}
 
-    def nan_after_six(y, eps):      # the Newton matrices from the seventh on are all NaN
+    def nan_after_six(y, eps, dual=None):    # the Newton matrices from the seventh on are all NaN
         calls["n"] += 1
-        return hessian(y, eps) if calls["n"] <= 6 else np.full((y.shape[0],) + y.shape, np.nan)
+        if calls["n"] <= 6:
+            return hessian(y, eps, dual)
+        return np.full((y.shape[0],) + y.shape, np.nan)
 
     monkeypatch.setattr(elliptic, "hess_gamma_eps", nan_after_six)
     params = Parameters(kappa=1.0, epsilon=0.25, T=0.01, dt=1e-3)

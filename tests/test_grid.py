@@ -1,5 +1,7 @@
 import hashlib
+import math
 import tracemalloc
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -8,7 +10,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csc_matvec
 
 from kwcflow import build_grid, load_field, save_field
-from kwcflow.grid import Grid, bump_field, cosine_field, random_smooth_field
+from kwcflow.grid import Grid, all_finite, bump_field, cosine_field, random_smooth_field
 
 
 @pytest.fixture(params=[1, 2], ids=["1d", "2d"])
@@ -302,6 +304,47 @@ def test_field_validation(grid):
         grid.check_scalar(bad)
     with pytest.raises(ValueError):
         grid.check_faces(tuple(np.zeros(s) for s in grid.face_shapes())[:-1] + (np.zeros((2, 2)),))
+
+
+def planted(a, value):
+    """Copies of ``a`` with ``value`` at its first, a middle and its last entry."""
+    for index in (0, a.size // 2, a.size - 1):
+        bad = a.copy()
+        bad.flat[index] = value
+        yield bad
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_entries_are_rejected_with_their_messages(grid, value):
+    rng = np.random.default_rng(4)
+    for bad in planted(rng.standard_normal(grid.shape), value):
+        assert not all_finite(bad)
+        with pytest.raises(ValueError, match="^u: contains non-finite values$"):
+            grid.check_scalar(bad, "u")
+    for bad in planted(rng.standard_normal((grid.dim,) + grid.shape), value):
+        assert not all_finite(bad)
+    faces = [rng.standard_normal(shape) for shape in grid.face_shapes()]
+    for d in range(grid.dim):
+        for bad in planted(faces[d], value):
+            F = tuple(bad if e == d else faces[e] for e in range(grid.dim))
+            with pytest.raises(ValueError, match=f"^F: non-finite values on axis-{d} faces$"):
+                grid.check_faces(F, "F")
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-310], ids=["1e200", "subnormal"])
+def test_huge_and_subnormal_fields_are_finite(grid, scale):
+    # squares of 1e200 overflow, so the element-wise test decides; squares of
+    # subnormals vanish; neither warns
+    rng = np.random.default_rng(9)
+    cells = scale * rng.uniform(-1.0, 1.0, grid.shape)
+    vectors = scale * rng.uniform(-1.0, 1.0, (grid.dim,) + grid.shape)
+    faces = tuple(scale * rng.uniform(-1.0, 1.0, shape) for shape in grid.face_shapes())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(np.vdot(cells, cells)) == (scale < 1.0)
+        assert all_finite(cells) and all_finite(vectors)
+        assert grid.check_scalar(cells, "u") is cells
+        assert all(a is b for a, b in zip(grid.check_faces(faces, "F"), faces))
 
 
 def test_snapshot_roundtrip(tmp_path, grid):

@@ -75,6 +75,61 @@ def test_hess_gamma_eps_origin_and_spd():
         assert np.all(eigs > 0)
 
 
+def gradients_and_duals(rng, dim, eps, n=2000):
+    """Cell gradients with |y| from 1e-4 to 1e2, and dual fluxes in the unit ball:
+    some on its sphere and some at ``y/gamma_eps(y)``."""
+    y = rng.standard_normal((dim, n))
+    y *= 10.0 ** rng.uniform(-4.0, 2.0, n) / np.sqrt(np.add.reduce(y * y, axis=0))
+    p = rng.uniform(-1.0, 1.0, (dim, n))
+    p /= np.maximum(1.0, np.sqrt(np.add.reduce(p * p, axis=0)))
+    p[:, 1::3] /= np.sqrt(np.add.reduce(p[:, 1::3] ** 2, axis=0))
+    p[:, ::3] = grad_gamma_eps(y[:, ::3], eps)
+    return y, p
+
+
+EPS_LADDER = [2.0**-k for k in range(2, 11)]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_hess_gamma_eps_without_a_dual_is_bitwise_the_hessian_formula(dim):
+    rng = np.random.default_rng(dim)
+    for eps in EPS_LADDER:
+        y, _ = gradients_and_duals(rng, dim, eps)
+        s = eps**2 + np.add.reduce(y * y, axis=0)
+        expected = (s * np.eye(dim)[:, :, None] - y[:, None] * y[None, :]) / s**1.5
+        assert hess_gamma_eps(y, eps).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_hess_gamma_eps_dual_form_is_the_split_primal_dual_weight(dim):
+    # (I - sym(p y^T)/gam)/gam is the Hessian plus sym((y/gam - p) y^T)/gam^2, the
+    # primal-dual correction; the two forms round differently
+    rng = np.random.default_rng(10 + dim)
+    for eps in EPS_LADDER:
+        y, p = gradients_and_duals(rng, dim, eps)
+        gam = gamma_eps(y, eps)
+        q = (y / gam - p) / gam**2
+        split = hess_gamma_eps(y, eps) + 0.5 * (q[:, None] * y[None, :] + q[None, :] * y[:, None])
+        err = np.max(np.abs(hess_gamma_eps(y, eps, p) - split))
+        assert err <= 1e-15 * np.max(np.abs(split))
+
+
+def test_hess_gamma_eps_dual_form_is_spd_in_the_unit_ball():
+    # sym(p y^T) has eigenvalues (p.y -+ |p||y|)/2, so the smallest eigenvalue of
+    # (I - sym(p y^T)/gam)/gam is at least (1 - |y|/gam)/gam for |p| <= 1
+    rng = np.random.default_rng(7)
+    for eps in EPS_LADDER:
+        y, p = gradients_and_duals(rng, 2, eps)
+        gam = gamma_eps(y, eps)
+        B = hess_gamma_eps(y, eps, p)
+        assert B[0, 1].tobytes() == B[1, 0].tobytes()
+        smallest = np.linalg.eigvalsh(np.moveaxis(B, 2, 0))[:, 0]
+        lower = (1.0 - np.sqrt(np.add.reduce(y * y, axis=0)) / gam) / gam
+        rounding = 4.0 * np.finfo(float).eps / gam
+        assert np.all(smallest >= lower - rounding)
+        assert np.all(smallest > 0)
+
+
 def test_hess_matches_finite_differences():
     y = np.array([0.3, -0.7])
     eps = 0.5
