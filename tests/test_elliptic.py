@@ -311,11 +311,6 @@ def dense(A) -> np.ndarray:
     return np.diag(A[2]) + upper + upper.T
 
 
-def stored(A) -> np.ndarray:
-    """The stored values of a system matrix: DIA data or the band."""
-    return A.data if sp.issparse(A) else A
-
-
 def newton_weight(system, y, p):
     """``B`` of the primal-dual Newton matrix, as :meth:`_SingularSystem.jacobian` forms it."""
     return system.beta * hess_gamma_eps(y, system.p.epsilon, p)
