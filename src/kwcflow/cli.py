@@ -10,7 +10,6 @@ also leave a machine-readable report in the output directory.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -78,15 +77,10 @@ def _load_config(args) -> RunConfig:
     return config
 
 
-def _outdir(args, config: RunConfig, default: str) -> str:
-    out = args.out or config.output_dir or default
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def cmd_run(args) -> int:
     config = _load_config(args)
-    outdir = _outdir(args, config, "kwcflow_out")
+    outdir = args.out or config.output_dir or "kwcflow_out"
+    os.makedirs(outdir, exist_ok=True)
     model = config.model
     report = validate_assumptions(model, tuple(config.raw["model"]["sample_range"]),
                                   config.raw["model"]["n_samples"])
@@ -154,12 +148,11 @@ def cmd_experiment(args) -> int:
         print(f"unknown experiment {name!r}; available: {', '.join(sorted(EXPERIMENTS))}",
               file=sys.stderr)
         return 2
-    outdir = _outdir(args, config, f"kwcflow_{name}")
-    options = dict(config.experiment.get(name, {}))
-    if "seed" in inspect.signature(EXPERIMENTS[name]).parameters:
-        options.setdefault("seed", config.seed)
+    # the study makes outdir with its first table, so a config it refuses leaves none
+    outdir = args.out or config.output_dir or f"kwcflow_{name}"
+    options = config.experiment.get(name, {})
     t0 = time.perf_counter()
-    report = EXPERIMENTS[name](outdir=outdir, **options)
+    report = EXPERIMENTS[name](config, outdir=outdir, **options)
     wall = time.perf_counter() - t0
     payload = {
         "experiment": name,

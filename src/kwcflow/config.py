@@ -22,7 +22,7 @@ from .grid import (Grid, build_grid, bump_field, cosine_field, load_field,
 from .model import ModelFunctions, Parameters, reference_model
 from .evolution import (Forcings, SystemState, check_expression, prepare_initial_theta,
                         run_preconditions)
-from .experiments import EXPERIMENTS
+from .experiments import EXPERIMENTS, PERTURBATIONS
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_dict",
            "serialize_config", "default_config_dict"]
@@ -141,6 +141,24 @@ def _normalize_field_spec(spec, path: str, violations: list, axes):
     out.update({k: v for k, v in spec.items() if k in defaults})
     _check_leaves(out, defaults, path + ".", violations, axes)
     return out
+
+
+def _check_options(opts: dict, study, path: str, violations: list) -> None:
+    """Check a study's options by name and by :func:`_check_leaves` against its
+    keyword defaults after ``config`` and ``outdir``; a tuple default is a ladder and
+    takes a list of two values or more."""
+    defaults = {p.name: list(p.default) if isinstance(p.default, tuple) else p.default
+                for p in list(inspect.signature(study).parameters.values())[2:]}
+    _check_keys(opts, defaults, path, violations)
+    given = {key: default for key, default in defaults.items() if key in opts}
+    _check_leaves(opts, given, path, violations)
+    for key, default in given.items():
+        if isinstance(default, list) and isinstance(opts[key], list) and len(opts[key]) < 2:
+            violations.append(f"{path}{key}: expected a ladder of two values or more, "
+                              f"got {opts[key]!r}")
+    if "perturb" in given and opts["perturb"] not in PERTURBATIONS:
+        violations.append(f"{path}perturb: expected one of {list(PERTURBATIONS)}, "
+                          f"got {opts['perturb']!r}")
 
 
 @dataclass
@@ -294,8 +312,7 @@ def parse_config_dict(doc: dict) -> RunConfig:
             if not isinstance(opts, dict):
                 violations.append(f"experiment.{name}: expected an object of options")
                 continue
-            allowed = set(inspect.signature(EXPERIMENTS[name]).parameters) - {"outdir"}
-            _check_keys(opts, allowed, f"experiment.{name}.", violations)
+            _check_options(opts, EXPERIMENTS[name], f"experiment.{name}.", violations)
 
     for key, expr in (("u", forcings_doc["u"]), ("v", forcings_doc["v"])):
         if expr is not None and not isinstance(expr, (int, float, str)):

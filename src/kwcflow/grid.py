@@ -416,14 +416,16 @@ def load_field(path) -> tuple[Grid, np.ndarray]:
             if len(parts) != grid.dim + 2:
                 raise ValueError(f"{path}: line {row}: expected {grid.dim + 2} columns "
                                  f"(index, coordinates, value), got {len(parts)}")
-            i = int(parts[0])
+            try:
+                i, value = int(parts[0]), float(parts[-1])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {row}: {exc}") from None
             if not 0 <= i < grid.n_cells or seen[i]:
                 raise ValueError(f"{path}: line {row}: cell index {i} is outside "
                                  f"[0, {grid.n_cells}) or repeats an earlier row")
-            flat[i] = float(parts[-1])
-            if not math.isfinite(flat[i]):
+            if not math.isfinite(value):
                 raise ValueError(f"{path}: line {row}: value {parts[-1]} is not finite")
-            seen[i] = True
+            flat[i], seen[i] = value, True
         if not seen.all():
             raise ValueError(f"{path}: expected {grid.n_cells} rows, "
                              f"got {np.count_nonzero(seen)}")

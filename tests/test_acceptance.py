@@ -13,6 +13,7 @@ from kwcflow import (Forcings, LinearResolventProblem, Parameters,
                      SingularResolventProblem, SystemState, build_grid,
                      gamma_eps, grad_gamma_eps, hess_gamma_eps,
                      linear_resolvent, reference_model, run, singular_resolvent)
+from kwcflow.config import parse_config_dict
 from kwcflow.experiments import (exp_continuous_dependence,
                                  exp_energy_dissipation, exp_epsilon_limit,
                                  exp_h2_uniformity,
@@ -41,6 +42,13 @@ class Budget:
         else:
             print(f"ACCEPTANCE {self.number:02d} ({self.label}): FAIL")
         return False
+
+
+def desk_config(cells=None, stepper="parabolic", seed=1234, **params):
+    """The parsed 1D unit-interval config with ``cells`` cells and the given
+    ``params`` entries; everything else keeps its default."""
+    grid = {} if cells is None else {"grid": {"dim": 1, "cells": [cells], "extents": [1.0]}}
+    return parse_config_dict({**grid, "params": params, "stepper": stepper, "seed": seed})
 
 
 def test_criterion_01_gradient_bound():
@@ -153,7 +161,8 @@ def test_criterion_05_singular_resolvent_correctness():
 
 def test_criterion_06_h2_epsilon_uniformity():
     with Budget(6, "H2 bound uniform over the epsilon ladder", 60.0):
-        report = exp_h2_uniformity(cells=128, eps_values=tuple(2.0**-k for k in range(9)),
+        report = exp_h2_uniformity(desk_config(cells=128),
+                                   eps_values=tuple(2.0**-k for k in range(9)),
                                    trajectory_check=False)
         assert report.passed
         for name, spread in report.spread.items():
@@ -164,9 +173,9 @@ def test_criterion_06_h2_epsilon_uniformity():
                                            ("pseudo_parabolic", 0.1, 0.1)])
 def test_criterion_07_energy_dissipation(stepper, mu, nu):
     with Budget(7, f"energy dissipation ({stepper})", 60.0):
-        report = exp_energy_dissipation(dim=1, cells=64, T=1.0, dt=1e-3,
-                                        epsilon=0.25, kappa=1.0, mu=mu, nu=nu,
-                                        stepper=stepper, seed=1234)
+        config = desk_config(cells=64, T=1.0, dt=1e-3, epsilon=0.25, kappa=1.0,
+                             mu=mu, nu=nu, stepper=stepper, seed=1234)
+        report = exp_energy_dissipation(config)
         assert report.monotone
         assert report.max_energy_increase <= 1e-9
         assert report.worst_residual >= -report.fitted_C * 1e-3
@@ -195,9 +204,8 @@ def test_criterion_08_stationary_preservation():
 
 def test_criterion_09_continuous_dependence():
     with Budget(9, "Gronwall continuous-dependence bound", 120.0):
-        report = exp_continuous_dependence(dim=1, cells=64, T=1.0, dt=1e-3,
-                                           epsilon=0.25, kappa=1.0, delta=1e-3,
-                                           perturb="eta", seed=1234)
+        config = desk_config(cells=64, T=1.0, dt=1e-3, epsilon=0.25, kappa=1.0, seed=1234)
+        report = exp_continuous_dependence(config, delta=1e-3, perturb="eta")
         assert np.isfinite(report.C_hat)
         assert report.details["envelope_ok"]
         assert 1.6 <= report.details["delta_scaling_ratio"] <= 2.4
@@ -207,9 +215,8 @@ def test_criterion_09_continuous_dependence():
 
 def test_criterion_10_epsilon_limit():
     with Budget(10, "epsilon-limit convergence tables", 180.0):
-        table = exp_epsilon_limit(dim=1, cells=64, T=1.0, dt=1e-3, kappa=1.0,
-                                  eps_values=(0.5, 0.3, 0.2, 0.15, 0.11),
-                                  eps0=0.1, seed=1234)
+        config = desk_config(cells=64, T=1.0, dt=1e-3, kappa=1.0, seed=1234)
+        table = exp_epsilon_limit(config, eps_values=(0.5, 0.3, 0.2, 0.15, 0.11), eps0=0.1)
         assert all(b < a for a, b in zip(table.errors, table.errors[1:]))
         init = table.extra["init_error_V"]
         assert all(b < a for a, b in zip(init, init[1:]))
@@ -218,9 +225,8 @@ def test_criterion_10_epsilon_limit():
 
 def test_criterion_11_munu_limit():
     with Budget(11, "pseudo-parabolic damping limit", 180.0):
-        table = exp_munu_limit(dim=1, cells=64, T=1.0, dt=1e-3, epsilon=0.25,
-                               kappa=1.0, munu_values=(0.2, 0.1, 0.05, 0.025),
-                               seed=1234)
+        config = desk_config(cells=64, T=1.0, dt=1e-3, epsilon=0.25, kappa=1.0, seed=1234)
+        table = exp_munu_limit(config, munu_values=(0.2, 0.1, 0.05, 0.025))
         assert all(b < a for a, b in zip(table.errors, table.errors[1:]))
         assert table.extra["zero_damping_identical"]
         assert table.passed
@@ -228,7 +234,7 @@ def test_criterion_11_munu_limit():
 
 def test_criterion_12_manufactured_orders():
     with Budget(12, "manufactured-solution convergence orders", 120.0):
-        report = exp_manufactured_convergence()
+        report = exp_manufactured_convergence(desk_config(epsilon=0.25, kappa=1.0))
         for r in report.spatial.extra["ratios"]:
             assert 3.5 <= r <= 4.5
         for r in report.temporal.extra["ratios"]:

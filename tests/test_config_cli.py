@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+import kwcflow
 from kwcflow.cli import main
 from kwcflow.config import ConfigError, parse_config_dict, serialize_config
 from kwcflow.grid import build_grid, save_field
@@ -55,10 +60,15 @@ def test_all_violations_collected():
 
 def test_experiment_options_validated():
     with pytest.raises(ConfigError) as excinfo:
-        parse_config_dict({"experiment": {"energy_dissipation": {"dtt": 1e-3}}})
-    assert any("did you mean 'dt'" in v for v in excinfo.value.violations)
+        parse_config_dict({"experiment": {"epsilon_limit": {"eps_value": [0.5]}}})
+    assert any("did you mean 'eps_values'" in v for v in excinfo.value.violations)
     with pytest.raises(ConfigError):
         parse_config_dict({"experiment": {"enery_dissipation": {}}})
+    # the grid, the parameters and the seed of a study are the config's own sections
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config_dict({"experiment": {"energy_dissipation": {"cells": 32, "seed": 5}}})
+    assert excinfo.value.violations == ["experiment.energy_dissipation.cells: unknown key",
+                                        "experiment.energy_dissipation.seed: unknown key"]
 
 
 def test_initial_field_from_file(tmp_path):
@@ -128,6 +138,35 @@ def test_cli_run_and_bitwise_rerun(tmp_path):
     assert (out1 / "timeseries.csv").read_bytes() == (out2 / "timeseries.csv").read_bytes()
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for two BLAS threads")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="scipy's cg takes its dot products through BLAS, whose threads "
+                   "change the order of summation on a 128x128 grid")
+def test_run_replays_bit_for_bit_under_another_blas_thread_count(tmp_path):
+    # 2 steps of a circular grain (radius 0.3, tanh width 0.01) on a 128x128 grid
+    grid = build_grid(2, [128, 128], [1.0, 1.0])
+    x, y = grid.meshgrid()
+    theta = tmp_path / "theta0.csv"
+    save_field(theta, grid, 0.5 * np.tanh((np.hypot(x - 0.5, y - 0.5) - 0.3) / 0.01))
+    cfg = write_json(tmp_path / "cfg.json", {
+        "grid": {"dim": 2, "cells": [128, 128], "extents": [1.0, 1.0]},
+        "params": {"kappa": 1e-2, "epsilon": 2.0**-6, "T": 2e-3, "dt": 1e-3},
+        "initial": {"eta": {"profile": "constant", "value": 1.0}, "theta": {"file": str(theta)}},
+        "snapshot_stride": 1})
+    src = str(Path(kwcflow.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-m", "kwcflow.cli", "run", "--config", cfg,
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        outputs.append({p.relative_to(out): p.read_bytes()
+                        for p in (out / "snapshots").iterdir()})
+        outputs[-1]["timeseries.csv"] = (out / "timeseries.csv").read_bytes()
+    assert outputs[0] == outputs[1]
+
+
 def test_manifest_names_the_blas_and_lapack_builds(tmp_path, capsys):
     # numpy and scipy each report the BLAS and LAPACK they were built with, offline
     assert main(["run", "--config", run_config(tmp_path), "--out", str(tmp_path / "out")]) == 0
@@ -160,8 +199,8 @@ def test_cli_run_stationary_flat_energy(tmp_path):
 
 def test_cli_experiment(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", {
-        "experiment": {"h2_uniformity": {"cells": 64, "eps_values": [1.0, 0.5],
-                                         "trajectory_check": False}},
+        "grid": {"cells": [64]},
+        "experiment": {"h2_uniformity": {"eps_values": [1.0, 0.5], "trajectory_check": False}},
     })
     out = tmp_path / "exp"
     assert main(["experiment", "h2_uniformity", "--config", cfg,
@@ -222,15 +261,21 @@ def test_cli_seed_override(tmp_path):
     assert tsB == tsC    # same seed reproduces
 
 
+def smoke_config(name, T=0.02, **options):
+    """A smoke-scale config of study ``name``: 32 cells, dt 1e-3, the given options."""
+    return {"grid": {"cells": [32]}, "params": {"T": T, "dt": 1e-3},
+            "experiment": {name: options}}
+
+
 _SMOKE_EXPERIMENTS = {
-    "energy_dissipation": {"T": 0.05, "cells": 32},
-    "epsilon_limit": {"T": 0.02, "cells": 32, "eps_values": [0.5, 0.3], "eps0": 0.2},
-    "munu_limit": {"T": 0.02, "cells": 32, "munu_values": [0.2, 0.1]},
-    "continuous_dependence": {"T": 0.02, "cells": 32},
-    "h2_uniformity": {"cells": 32, "eps_values": [1.0, 0.5], "T": 0.02},
-    "manufactured_convergence": {"spatial_cells": [16, 32], "base_dt": 4e-3,
-                                 "T_spatial": 0.04, "temporal_cells": 32,
-                                 "temporal_dts": [8e-3, 4e-3], "T_temporal": 0.08},
+    "energy_dissipation": smoke_config("energy_dissipation", T=0.05),
+    "epsilon_limit": smoke_config("epsilon_limit", eps_values=[0.5, 0.3], eps0=0.2),
+    "munu_limit": smoke_config("munu_limit", munu_values=[0.2, 0.1]),
+    "continuous_dependence": smoke_config("continuous_dependence"),
+    "h2_uniformity": smoke_config("h2_uniformity", eps_values=[1.0, 0.5]),
+    "manufactured_convergence": smoke_config(
+        "manufactured_convergence", spatial_cells=[16, 32], base_dt=4e-3, T_spatial=0.04,
+        temporal_cells=32, temporal_dts=[8e-3, 4e-3], T_temporal=0.08),
 }
 
 # per experiment: CSV file -> the report columns it holds, in order (None: not read back)
@@ -248,7 +293,7 @@ _ARTIFACT_COLUMNS = {
 
 @pytest.mark.parametrize("name", sorted(_SMOKE_EXPERIMENTS))
 def test_cli_every_experiment_writes_report_and_exact_tables(tmp_path, name):
-    cfg = write_json(tmp_path / "cfg.json", {"experiment": {name: _SMOKE_EXPERIMENTS[name]}})
+    cfg = write_json(tmp_path / "cfg.json", _SMOKE_EXPERIMENTS[name])
     out = tmp_path / "exp"
     code = main(["experiment", name, "--config", cfg, "--out", str(out)])
     payload = json.loads((out / "report.json").read_text())
@@ -261,6 +306,35 @@ def test_cli_every_experiment_writes_report_and_exact_tables(tmp_path, name):
         rows = [line.split(",") for line in (out / filename).read_text().splitlines()[1:]]
         for i, expected in enumerate(columns):
             assert [float(row[i]) for row in rows] == expected
+    # the report records the config the study ran on: fed back, it gives the same tables
+    again = tmp_path / "again"
+    assert main(["experiment", name, "--config", str(out / "report.json"),
+                 "--out", str(again)]) == code
+    for filename in artifacts:
+        assert (again / filename).read_bytes() == (out / filename).read_bytes()
+
+
+def test_experiment_tables_follow_the_config_grid_and_params(tmp_path):
+    base = {"grid": {"cells": [16]}, "params": {"T": 0.02, "dt": 1e-3, "epsilon": 0.25}}
+    docs = {"base": base, "cells": {**base, "grid": {"cells": [24]}},
+            "epsilon": {**base, "params": {**base["params"], "epsilon": 0.5}}}
+    tables = {}
+    for name, doc in docs.items():
+        out = tmp_path / name
+        main(["experiment", "energy_dissipation", "--config",
+              write_json(tmp_path / f"{name}.json", doc), "--out", str(out)])
+        tables[name] = (out / "timeseries.csv").read_bytes()
+    assert tables["cells"] != tables["base"]
+    assert tables["epsilon"] != tables["base"]
+
+
+def test_experiment_refuses_a_config_value_it_cannot_honour(tmp_path, capsys):
+    cfg = run_config(tmp_path, forcings={"u": "0.1*cos(pi*x)", "v": None})
+    out = tmp_path / "out"
+    assert main(["experiment", "energy_dissipation", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "  - forcings.u: energy_dissipation runs unforced" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cells,extents", [([32], [1.0]), ([64], [2.0])])
@@ -281,31 +355,41 @@ def test_wstar_file_on_another_grid_is_a_config_error(tmp_path, capsys, cells, e
             "config: cells (64,), extents (1.0,)") in err
 
 
-def test_field_file_with_a_repeated_row_is_a_config_error(tmp_path, capsys):
+def run_with_broken_field_file(tmp_path, capsys, break_rows):
+    """stderr of a ``run`` whose theta0 file has its rows changed by ``break_rows``,
+    after checking that the run exits 2 and names the file."""
     g = build_grid(1, [32], [1.0])
     theta = tmp_path / "theta0.csv"
     save_field(theta, g, g.constant(0.1))
     rows = theta.read_text().splitlines()
-    theta.write_text("\n".join(rows[:2] + [rows[1]] + rows[3:]) + "\n")   # cell 1 lost
+    theta.write_text("\n".join(break_rows(rows)) + "\n")
     cfg = run_config(tmp_path, initial={"eta": {"profile": "constant", "value": 1.0},
                                         "theta": {"file": str(theta)}})
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert str(theta) in err and "line 3: cell index 0" in err
+    assert str(theta) in err and "Traceback" not in err
+    return err
+
+
+def test_field_file_with_a_repeated_row_is_a_config_error(tmp_path, capsys):
+    err = run_with_broken_field_file(tmp_path, capsys,
+                                     lambda rows: rows[:2] + [rows[1]] + rows[3:])   # cell 1 lost
+    assert "line 3: cell index 0" in err
+
+    def bad_index(rows):
+        rows[3] = "x2" + rows[3][1:]
+        return rows
+    err = run_with_broken_field_file(tmp_path, capsys, bad_index)
+    assert "line 4: invalid literal for int() with base 10: 'x2'" in err
 
 
 def test_field_file_with_a_non_finite_value_is_a_config_error(tmp_path, capsys):
-    g = build_grid(1, [32], [1.0])
-    theta = tmp_path / "theta0.csv"
-    save_field(theta, g, g.constant(0.1))
-    rows = theta.read_text().splitlines()
-    rows[5] = rows[5].rpartition(",")[0] + ",nan"
-    theta.write_text("\n".join(rows) + "\n")
-    cfg = run_config(tmp_path, initial={"eta": {"profile": "constant", "value": 1.0},
-                                        "theta": {"file": str(theta)}})
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert str(theta) in err and "line 6: value nan is not finite" in err
+    for value, message in (("nan", "line 6: value nan is not finite"),
+                           ("abc", "line 6: could not convert string to float: 'abc'")):
+        def bad_value(rows):
+            rows[5] = rows[5].rpartition(",")[0] + "," + value
+            return rows
+        assert message in run_with_broken_field_file(tmp_path, capsys, bad_value)
 
 
 def test_missing_field_file_is_a_config_error(tmp_path, capsys):
@@ -334,10 +418,17 @@ def test_missing_field_file_is_a_config_error(tmp_path, capsys):
     ({"model": {"n_samples": -3}}, "model.n_samples"),
     ({"grid": {"dim": 1, "cells": [4.5], "extents": [1.0]}}, "grid.cells"),
     ({"grid": {"dim": 1, "cells": [4], "extents": ["1.0"]}}, "grid.extents"),
+    ({"experiment": {"epsilon_limit": {"eps_values": "abc"}}},
+     "experiment.epsilon_limit.eps_values"),
+    ({"experiment": {"continuous_dependence": {"perturb": "nothing"}}},
+     "experiment.continuous_dependence.perturb"),
+    ({"experiment": {"h2_uniformity": {"eps_values": []}}}, "experiment.h2_uniformity.eps_values"),
+    ({"experiment": {"munu_limit": {"munu_values": [0.1]}}}, "experiment.munu_limit.munu_values"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_wrong_typed_values_are_config_violations(tmp_path, capsys, doc, key):
     cfg = write_json(tmp_path / "bad.json", doc)
-    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+    out = ["--out", str(tmp_path / "out")]
+    for command in (["validate"], ["run", *out], ["experiment", "continuous_dependence", *out]):
         assert main(command + ["--config", cfg]) == 2
         err = capsys.readouterr().err
         assert f"  - {key}: expected" in err and "Traceback" not in err

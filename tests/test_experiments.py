@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kwcflow import build_grid, reference_model
+from kwcflow.config import ConfigError, parse_config_dict
 from kwcflow.experiments import (EXPERIMENTS, _manufactured_forcings,
                                  estimate_embedding_constant,
                                  exp_continuous_dependence,
@@ -9,8 +10,12 @@ from kwcflow.experiments import (EXPERIMENTS, _manufactured_forcings,
                                  exp_h2_uniformity, exp_munu_limit,
                                  report_to_jsonable)
 
-# Smoke-scale options; the full desk-scale versions run in the acceptance suite.
-SHORT = dict(T=0.05, dt=1e-3, cells=48)
+def config(cells=48, T=0.05, dt=1e-3, dim=1, **top):
+    """A parsed smoke-scale config on the unit square of ``dim`` dimensions; the
+    full desk-scale versions run in the acceptance suite."""
+    return parse_config_dict({
+        "grid": {"dim": dim, "cells": [cells] * dim, "extents": [1.0] * dim},
+        "params": {"T": T, "dt": dt}, **top})
 
 
 def test_embedding_estimate_properties():
@@ -26,7 +31,7 @@ def test_embedding_estimate_properties():
 
 
 def test_energy_dissipation_short():
-    r = exp_energy_dissipation(**SHORT)
+    r = exp_energy_dissipation(config())
     assert r.passed and r.monotone
     assert r.max_energy_increase <= 1e-9
     assert 1.5 <= r.residual_ratio <= 2.5
@@ -35,19 +40,18 @@ def test_energy_dissipation_short():
 def test_energy_dissipation_stationary_residuals():
     # constant initial data is already a minimizer up to the potential term;
     # use an equilibrium state so all residual terms vanish
-    r = exp_energy_dissipation(T=0.02, dt=1e-3, cells=32, seed=99)
+    r = exp_energy_dissipation(config(cells=32, T=0.02, seed=99))
     assert np.isfinite(r.worst_residual)
 
 
 def test_energy_dissipation_2d_smoke():
     # desk-scale 2D smoke run: 32^2 cells, T = 0.25
-    r = exp_energy_dissipation(dim=2, cells=32, T=0.25, dt=1e-3)
+    r = exp_energy_dissipation(config(dim=2, cells=32, T=0.25))
     assert r.passed and r.monotone
 
 
 def test_epsilon_limit_short():
-    table = exp_epsilon_limit(T=0.05, dt=1e-3, cells=48,
-                              eps_values=(0.5, 0.3, 0.2), eps0=0.1)
+    table = exp_epsilon_limit(config(), eps_values=(0.5, 0.3, 0.2), eps0=0.1)
     assert table.passed
     assert all(b < a for a, b in zip(table.errors, table.errors[1:]))
     assert all(b < a for a, b in zip(table.extra["init_error_V"],
@@ -55,22 +59,20 @@ def test_epsilon_limit_short():
 
 
 def test_epsilon_limit_identical_at_eps0():
-    table = exp_epsilon_limit(T=0.02, dt=1e-3, cells=32,
-                              eps_values=(0.3, 0.1), eps0=0.1)
+    table = exp_epsilon_limit(config(cells=32, T=0.02), eps_values=(0.3, 0.1), eps0=0.1)
     # the eps = eps0 member coincides with the reference run exactly
     assert table.errors[-1] == 0.0
     assert table.extra["init_error_V"][-1] == 0.0
 
 
 def test_munu_limit_short():
-    table = exp_munu_limit(T=0.05, dt=1e-3, cells=48,
-                           munu_values=(0.2, 0.1, 0.05))
+    table = exp_munu_limit(config(), munu_values=(0.2, 0.1, 0.05))
     assert table.passed
     assert table.extra["zero_damping_identical"]
 
 
 def test_continuous_dependence_short():
-    r = exp_continuous_dependence(T=0.05, dt=1e-3, cells=48, delta=1e-3)
+    r = exp_continuous_dependence(config(), delta=1e-3)
     assert r.passed
     assert np.isfinite(r.C_hat)
     assert r.details["delta_zero_J_identically_zero"]
@@ -80,7 +82,7 @@ def test_continuous_dependence_short():
 
 
 def test_h2_uniformity_short():
-    r = exp_h2_uniformity(cells=64, eps_values=(1.0, 0.25, 2.0**-8),
+    r = exp_h2_uniformity(config(cells=64), eps_values=(1.0, 0.25, 2.0**-8),
                           trajectory_check=False)
     assert r.passed
     assert r.ratios["constant"] == pytest.approx([1.0, 1.0, 1.0], abs=1e-9)
@@ -88,18 +90,35 @@ def test_h2_uniformity_short():
         assert spread <= 2.0
 
 
+@pytest.mark.parametrize("study,top,options,key", [
+    (exp_energy_dissipation, {"forcings": {"u": "0.1*cos(pi*x)"}}, {}, "forcings.u"),
+    (exp_h2_uniformity, {"forcings": {"v": 0.2}}, {"eps_values": (1.0,)}, "forcings.v"),
+    (exp_epsilon_limit, {"initial": {"prepare_theta": True}}, {}, "initial.prepare_theta"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_config_values_a_study_cannot_honour_are_refused(study, top, options, key):
+    # a forcing would falsify the unforced checks; the epsilon ladder prepares
+    # theta0 itself
+    with pytest.raises(ConfigError) as excinfo:
+        study(config(**top), **options)
+    assert [v.partition(":")[0] for v in excinfo.value.violations] == [key]
+
+
+def test_h2_battery_alone_takes_a_forced_config():
+    r = exp_h2_uniformity(config(cells=32, forcings={"v": 0.2}), eps_values=(1.0, 0.5),
+                          trajectory_check=False)
+    assert r.passed and r.trajectory == {}
+
+
 def test_experiment_registry_and_reports(tmp_path):
     assert EXPERIMENTS["h2_uniformity"] is exp_h2_uniformity
-    EXPERIMENTS["h2_uniformity"](outdir=str(tmp_path), cells=64,
+    EXPERIMENTS["h2_uniformity"](config(cells=64), outdir=str(tmp_path),
                                  eps_values=(1.0, 0.5), trajectory_check=False)
     assert (tmp_path / "h2_ratios.csv").exists()
 
 
 def test_reports_deterministic_given_seed():
-    a = exp_epsilon_limit(T=0.02, dt=1e-3, cells=32, eps_values=(0.3, 0.2),
-                          eps0=0.1, seed=5)
-    b = exp_epsilon_limit(T=0.02, dt=1e-3, cells=32, eps_values=(0.3, 0.2),
-                          eps0=0.1, seed=5)
+    a = exp_epsilon_limit(config(cells=32, T=0.02, seed=5), eps_values=(0.3, 0.2), eps0=0.1)
+    b = exp_epsilon_limit(config(cells=32, T=0.02, seed=5), eps_values=(0.3, 0.2), eps0=0.1)
     assert report_to_jsonable(a) == report_to_jsonable(b)
 
 
@@ -160,7 +179,7 @@ def test_munu_limit_note_names_failed_zero_damping_identity(monkeypatch):
         return traj
 
     monkeypatch.setattr(experiments, "run", nudged_run)
-    table = exp_munu_limit(T=0.05, dt=1e-3, cells=48, munu_values=(0.2, 0.1, 0.05))
+    table = exp_munu_limit(config(), munu_values=(0.2, 0.1, 0.05))
     assert table.extra["zero_damping_identical"] is False
     assert table.passed is False
     assert "zero-damping" in table.notes

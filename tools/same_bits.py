@@ -42,7 +42,10 @@ The cases:
   ``prepare_initial_theta`` on desk data, and ``initial_velocities`` at
   mu, nu in {0, 0.1}^2 (solutions and reports, or the failure text);
 * the output files of ``kwcflow run`` on three configs (manifests without
-  ``wall_clock_seconds``).
+  ``wall_clock_seconds``);
+* the output files of ``kwcflow experiment <name>`` for each study, on a 32-cell
+  1D grid with T 0.02 and dt 1e-3 and the study's smallest ladders
+  (``report.json`` without ``wall_clock_seconds``).
 
 BLAS is pinned to one thread, which fixes the reduction order.  A summary
 (case count, line-search energy evaluations, and the Newton and CG iterations
@@ -305,20 +308,42 @@ CLI_CONFIGS = {
 }
 
 
-def cli_cases(recorder):
+EXPERIMENT_OPTIONS = {
+    "energy_dissipation": {},
+    "epsilon_limit": {"eps_values": [0.5, 0.3], "eps0": 0.2},
+    "munu_limit": {"munu_values": [0.2, 0.1]},
+    "continuous_dependence": {"delta": 1e-3, "perturb": "both"},
+    "h2_uniformity": {"eps_values": [1.0, 0.5]},
+    "manufactured_convergence": {"spatial_cells": [16, 32], "base_dt": 4e-3,
+                                 "T_spatial": 0.04, "temporal_cells": 32,
+                                 "temporal_dts": [8e-3, 4e-3], "T_temporal": 0.08},
+}
+
+
+def cli_outputs(recorder, argv, doc, summary):
+    """Exit code and output files of the CLI command ``argv`` on config ``doc``;
+    the JSON file ``summary`` is kept parsed, without its wall clock."""
     from kwcflow.cli import main
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with redirect_stdout(sys.stderr):     # its summary line shows the wall clock
+            code = main([*argv, "--config", path, "--out", out])
+        files = tree_files(out)
+    parsed = json.loads(files.pop(summary))
+    parsed.pop("wall_clock_seconds", None)
+    recorder.take()
+    return {"exit": code, summary.partition(".")[0]: parsed, "files": files}
+
+
+def cli_cases(recorder):
     for name, doc in CLI_CONFIGS.items():
-        with tempfile.TemporaryDirectory() as tmp:
-            path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
-            with redirect_stdout(sys.stderr):     # its summary line shows the wall clock
-                code = main(["run", "--config", path, "--out", out])
-            files = tree_files(out)
-        manifest = json.loads(files.pop("manifest.json"))
-        manifest.pop("wall_clock_seconds", None)
-        recorder.take()
-        yield f"cli:{name}", {"exit": code, "manifest": manifest, "files": files}
+        yield f"cli:{name}", cli_outputs(recorder, ["run"], doc, "manifest.json")
+    for name, options in EXPERIMENT_OPTIONS.items():
+        doc = {"grid": {"cells": [32]}, "params": {"T": 0.02, "dt": 1e-3},
+               "experiment": {name: options}}
+        yield f"exp:{name}", cli_outputs(recorder, ["experiment", name], doc, "report.json")
 
 
 def main(src: str, runs_path=None) -> int:
