@@ -13,7 +13,7 @@ from __future__ import annotations
 import difflib
 import inspect
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .grid import (Grid, build_grid, bump_field, cosine_field, load_field,
 from .model import ModelFunctions, Parameters, reference_model
 from .evolution import (Forcings, SystemState, check_expression, prepare_initial_theta,
                         run_preconditions)
-from .experiments import EXPERIMENTS, PERTURBATIONS
+from .experiments import EXPERIMENTS, LADDERS, PERTURBATIONS
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_dict",
            "serialize_config", "default_config_dict"]
@@ -143,15 +143,26 @@ def _normalize_field_spec(spec, path: str, violations: list, axes):
     return out
 
 
-def _check_options(opts: dict, study, path: str, violations: list) -> None:
-    """Check a study's options by name and by :func:`_check_leaves` against its
+def _check_options(opts: dict, name: str, params, path: str, violations: list) -> None:
+    """Check study ``name``'s options by name and by :func:`_check_leaves` against its
     keyword defaults after ``config`` and ``outdir``; a tuple default is a ladder and
-    takes a list of two values or more."""
+    takes a list of two values or more.  With valid ``params``, each value of a
+    :data:`~kwcflow.experiments.LADDERS` option replaces its fields in them, and
+    a value that ``Parameters`` rejects is a violation."""
     defaults = {p.name: list(p.default) if isinstance(p.default, tuple) else p.default
-                for p in list(inspect.signature(study).parameters.values())[2:]}
+                for p in list(inspect.signature(EXPERIMENTS[name]).parameters.values())[2:]}
     _check_keys(opts, defaults, path, violations)
     given = {key: default for key, default in defaults.items() if key in opts}
-    _check_leaves(opts, given, path, violations)
+    if _check_leaves(opts, given, path, violations) and params is not None:
+        for key, fields in LADDERS.get(name, {}).items():
+            if key not in opts:
+                continue
+            for value in opts[key] if isinstance(opts[key], list) else [opts[key]]:
+                try:
+                    replace(params, **dict.fromkeys(fields, value))
+                except ValueError as exc:
+                    violations.append(f"{path}{key}: {exc}")
+                    break
     for key, default in given.items():
         if isinstance(default, list) and isinstance(opts[key], list) and len(opts[key]) < 2:
             violations.append(f"{path}{key}: expected a ladder of two values or more, "
@@ -250,6 +261,9 @@ def parse_config_dict(doc: dict) -> RunConfig:
     _check_leaves(init_doc, defaults["initial"], "initial.", violations)
     if not (init_doc["wstar"] is None or isinstance(init_doc["wstar"], str)):
         violations.append(f"initial.wstar: expected null or a path, got {init_doc['wstar']!r}")
+    elif init_doc["wstar"] is not None and init_doc["prepare_theta"] is False:
+        violations.append("initial.wstar: read only when initial.prepare_theta is true; "
+                          "set that or leave wstar null")
 
     if params_doc["dt"] is None:
         try:
@@ -312,7 +326,7 @@ def parse_config_dict(doc: dict) -> RunConfig:
             if not isinstance(opts, dict):
                 violations.append(f"experiment.{name}: expected an object of options")
                 continue
-            _check_options(opts, EXPERIMENTS[name], f"experiment.{name}.", violations)
+            _check_options(opts, name, params, f"experiment.{name}.", violations)
 
     for key, expr in (("u", forcings_doc["u"]), ("v", forcings_doc["v"])):
         if expr is not None and not isinstance(expr, (int, float, str)):

@@ -14,9 +14,11 @@ Two problems are solved here, both with homogeneous Neumann walls:
   operator is exactly the gradient of the discrete energy.
 
 The linear resolvent is solved directly.  Its matrix ``lam*K + diag(m)``
-is factorized by sparse LU and the last factor is kept in a
-:class:`~kwcflow.grid.KeepLast`, keyed on ``(grid, lam, m bytes)``, so a
-time stepper that solves the same matrix every step back-substitutes only.
+is factorized (1D: LAPACK's tridiagonal LDLᵀ, ``dpttrf``; 2D: sparse LU) and
+the last factor is kept in a :class:`~kwcflow.grid.KeepLast`, keyed on
+``(grid, lam, m)``, ``m`` a number or its field's bytes, so a time stepper that
+solves the same matrix every step back-substitutes only.  A number ``m`` stays
+a number: ``+ 1.0`` and ``1.0*w`` give the bits of a field of ones.
 
 The nonlinear solve is primal-dual Newton (Chan, Golub & Mulet) with an
 Armijo line search.  Beside ``w`` it carries a dual flux ``p`` (the
@@ -59,7 +61,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpbsv
+from scipy.linalg.lapack import dpbsv, dpttrf, dpttrs
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 from scipy.sparse.linalg import cg, splu
 
@@ -101,10 +103,6 @@ class SolverError(RuntimeError):
         self.report = report
 
 
-def _as_weight(grid: Grid, m) -> np.ndarray:
-    return grid.check_scalar(grid.constant(float(m)) if np.isscalar(m) else m, "m")
-
-
 def _matvec(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     """``A @ x`` by the CSR kernel that ``@`` calls, without scipy's dispatch
     around it.  The kernel adds into its output, which starts zeroed."""
@@ -130,42 +128,59 @@ def _cg_solve(A: sp.csr_matrix, b: np.ndarray, rtol: float = CG_RTOL):
 # -- linear resolvent ------------------------------------------------------------
 
 
-_last_factor = KeepLast()    # keyed on (grid, lam, m bytes)
+_last_factor = KeepLast()    # keyed on (grid, lam, m or m's bytes)
 
 
-def _factorize(grid: Grid, lam: float, m: np.ndarray):
+def _factorize(grid: Grid, lam: float, m):
+    """Solve function of ``lam*K + diag(m)``, ``m`` a number or a field."""
+    K = grid.stiffness_matrix
+    if grid.dim == 1:    # tridiagonal: LDL^T, solved without BLAS for n >= 2
+        d, e, info = dpttrf(lam * K.diagonal(0) + m, lam * K.diagonal(1),
+                            overwrite_d=1, overwrite_e=1)
+        if info != 0:
+            raise SolverError(f"linear resolvent: the LDL^T factorization (dpttrf) of "
+                              f"lam*K + diag(m) failed with info {info}",
+                              SolveReport(0, math.nan, False, method="failed"))
+        return lambda b: dpttrs(d, e, b)[0]
     # lam*K + diag(m) on the pattern of K, which is symmetric with sorted indices:
     # its CSR arrays are its CSC arrays.
-    K = grid.stiffness_matrix
     data = lam * K.data
-    data[K.indices == np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))] += m.ravel()
+    data[K.indices == np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))] += np.ravel(m)
     A = sp.csc_matrix((data, K.indices, K.indptr), shape=K.shape)
     # a symmetric ordering: on 2D grids about half the fill of splu's default
     return splu(A, permc_spec="MMD_AT_PLUS_A").solve
 
 
-def _resolvent_factor(grid: Grid, lam: float, m: np.ndarray):
+def _resolvent_factor(grid: Grid, lam: float, m):
     """Solve function of ``lam*K + diag(m)``; the last factor is kept and
     reused while the same matrix is asked for again."""
-    return _last_factor.get((grid, lam, m.tobytes()), _factorize, grid, lam, m)
+    key = m if isinstance(m, float) else m.tobytes()
+    return _last_factor.get((grid, lam, key), _factorize, grid, lam, m)
 
 
 @dataclass
 class LinearResolventProblem:
-    """(-lam * lap_N + m) w = z with inf m > 0 and lam >= 0."""
+    """(-lam * lap_N + m) w = z with inf m > 0 and lam >= 0; a number ``m`` is
+    kept as a float."""
 
     grid: Grid
     lam: float
-    m: np.ndarray
+    m: np.ndarray | float
     z: np.ndarray
 
     def __post_init__(self):
-        self.m = _as_weight(self.grid, self.m)
+        if np.isscalar(self.m):
+            self.m = m_min = float(self.m)
+            if not math.isfinite(m_min):
+                raise ValueError("m: contains non-finite values")
+        else:
+            self.m = self.grid.check_scalar(self.m, "m")
+            m_min = self.m.min()
         self.z = self.grid.check_scalar(np.asarray(self.z, dtype=float), "z")
         if self.lam < 0:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
-        if self.m.min() <= 0:
-            raise ValueError(f"inf m must be positive, got {self.m.min()}")
+        if m_min <= 0:
+            raise ValueError(f"inf m must be positive, got {m_min}")
 
 
 def linear_resolvent(problem: LinearResolventProblem) -> tuple[np.ndarray, SolveReport]:
@@ -209,7 +224,9 @@ class SingularResolventProblem:
 
     def __post_init__(self):
         self.beta = self.grid.check_scalar(np.asarray(self.beta, dtype=float), "beta")
-        self.m = _as_weight(self.grid, self.m)
+        # the solver reads m per cell, so a number becomes its field
+        m = self.grid.constant(float(self.m)) if np.isscalar(self.m) else self.m
+        self.m = self.grid.check_scalar(m, "m")
         self.z = self.grid.check_scalar(np.asarray(self.z, dtype=float), "z")
         if np.minimum.reduce(self.beta, axis=None) < 0:
             raise ValueError(f"beta must be nonnegative, min = {self.beta.min()}")

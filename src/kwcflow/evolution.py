@@ -207,7 +207,7 @@ def initial_velocities(state0: SystemState, model: ModelFunctions, params: Param
 
     z_p = (grid.laplacian(state0.eta) - model.g(state0.eta)
            - model.alpha_d1(state0.eta) * gam + forcings.u(0.0))
-    p0, _ = linear_resolvent(LinearResolventProblem(grid, params.mu**2, grid.constant(1.0), z_p))
+    p0, _ = linear_resolvent(LinearResolventProblem(grid, params.mu**2, 1.0, z_p))
 
     z_z = interfacial_force(grid, model.alpha(state0.eta), state0.theta,
                             params.epsilon, params.kappa) + forcings.v(0.0)
@@ -268,8 +268,7 @@ def _advance(state: SystemState, model: ModelFunctions, params: Parameters,
     z_eta = state.eta - damp_eta + dt * (u_new - ghat)
     lam = dt + params.mu**2
     try:
-        eta_new, rep_eta = linear_resolvent(
-            LinearResolventProblem(grid, lam, grid.constant(1.0), z_eta))
+        eta_new, rep_eta = linear_resolvent(LinearResolventProblem(grid, lam, 1.0, z_eta))
     except SolverError as exc:
         raise StepFailedError(f"eta solve failed at t={t_new:.6g} "
                               f"(residual {exc.report.final_residual_h:.3e})", exc.report) from exc

@@ -48,6 +48,7 @@ __all__ = [
     "exp_manufactured_convergence",
     "estimate_embedding_constant",
     "EXPERIMENTS",
+    "LADDERS",
     "PERTURBATIONS",
     "report_to_jsonable",
 ]
@@ -644,6 +645,14 @@ EXPERIMENTS = {
     "continuous_dependence": exp_continuous_dependence,
     "h2_uniformity": exp_h2_uniformity,
     "manufactured_convergence": exp_manufactured_convergence,
+}
+
+# The Parameters fields that each study option replaces, as the study's
+# dataclasses.replace does; config builds every rung so that a value Parameters
+# rejects is a violation naming its option.
+LADDERS = {
+    "epsilon_limit": {"eps_values": ("epsilon",), "eps0": ("epsilon",)},
+    "munu_limit": {"munu_values": ("mu", "nu")},
 }
 
 

@@ -245,6 +245,27 @@ def test_inputs_run_cannot_start_are_config_violations(tmp_path, doc, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc,key,message", [
+    ({"initial": {"wstar": "/nonexistent.csv"}}, "initial.wstar",
+     "read only when initial.prepare_theta is true"),
+    ({"experiment": {"epsilon_limit": {"eps_values": [0.5, 2.0]}}},
+     "experiment.epsilon_limit.eps_values", "epsilon must lie in (0, 1], got 2.0"),
+    ({"experiment": {"epsilon_limit": {"eps0": 0.0}}},
+     "experiment.epsilon_limit.eps0", "epsilon must lie in (0, 1], got 0.0"),
+    ({"experiment": {"munu_limit": {"munu_values": [1.5, 0.1]}}},
+     "experiment.munu_limit.munu_values", "mu must lie in [0, 1), got 1.5"),
+], ids=["wstar", "eps_values", "eps0", "munu_values"])
+def test_values_a_run_or_study_would_drop_or_reject_are_config_violations(
+        tmp_path, capsys, doc, key, message):
+    cfg = write_json(tmp_path / "bad.json", doc)
+    out = ["--out", str(tmp_path / "out")]
+    for command in (["validate"], ["run", *out], ["experiment", "epsilon_limit", *out]):
+        assert main(command + ["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"  - {key}: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_seed_override(tmp_path):
     cfg = run_config(tmp_path, initial={
         "eta": {"profile": "random_smooth", "mean": 1.0, "amplitude": 0.2},

@@ -358,18 +358,56 @@ def test_fixed_pattern_matrices_match_explicit_assembly(cells, extents):
             assert smallest >= np.min(m) - 1e-12 * np.max(np.abs(A))
 
 
-@pytest.mark.parametrize("cells,extents", [([48], [1.0]), ([6, 5], [1.0, 0.7])])
-def test_eta_factor_solves_bitwise_like_the_assembled_matrix(cells, extents):
-    # The factor is made from lam*K + diag(m) written on K's pattern; its solves
-    # must be those of the matrix the sparse sum gives, converted to CSC.
-    g = build_grid(len(cells), cells, extents)
-    rng = np.random.default_rng(13)
-    for lam, m in ((1e-3, g.constant(1.0)), (0.5, rng.uniform(0.5, 2.0, g.shape))):
+def assembled_eta_factors(g, rng, lam_field):
+    """(lam, m, splu solve of lam*K + diag(m) as the sparse sum gives it, in CSC)
+    for the unit weight at lam = 1e-3 and a random weight at ``lam_field``."""
+    for lam, m in ((1e-3, g.constant(1.0)), (lam_field, rng.uniform(0.5, 2.0, g.shape))):
         A = (lam * g.stiffness_matrix + sp.diags(m.ravel())).tocsc()
-        reference = splu(A, permc_spec="MMD_AT_PLUS_A").solve
-        solve = _factorize(g, lam, m)
+        yield lam, m, splu(A, permc_spec="MMD_AT_PLUS_A").solve
+
+
+def test_eta_factor_solves_bitwise_like_the_assembled_matrix():
+    # In 2D the factor is made from lam*K + diag(m) written on K's pattern; its
+    # solves must be those of the assembled matrix.
+    g = build_grid(2, [6, 5], [1.0, 0.7])
+    rng = np.random.default_rng(13)
+    for lam, m, reference in assembled_eta_factors(g, rng, 0.5):
         z = rng.standard_normal(g.n_cells)
-        assert solve(z).tobytes() == reference(z).tobytes()
+        assert _factorize(g, lam, m)(z).tobytes() == reference(z).tobytes()
+
+
+@pytest.mark.parametrize("n", [48, 128])
+def test_eta_factor_in_1d_agrees_with_the_assembled_matrix(n):
+    # In 1D the factor is LAPACK's tridiagonal LDL^T, which rounds otherwise than
+    # the sparse LU of the assembled matrix.  Both are backward stable, so they
+    # differ by about cond(A) ulps; lam stays in the eta step's range, dt <= 1e-2
+    # (at lam = 0.5 and n = 128, cond(A) is 2.5e4 and the gap 1.7e-14).
+    g = build_grid(1, [n], [1.0])
+    rng = np.random.default_rng(13)
+    for lam, m, reference in assembled_eta_factors(g, rng, 1e-2):
+        z = rng.standard_normal(g.n_cells)
+        w, w_ref = _factorize(g, lam, m)(z), reference(z)
+        assert np.max(np.abs(w - w_ref)) <= 1e-14 * np.max(np.abs(w_ref))
+
+
+def test_a_failed_eta_factorization_raises_solver_error(monkeypatch):
+    monkeypatch.setattr(elliptic, "dpttrf", lambda d, e, **kw: (d, e, 3))
+    g = build_grid(1, [16], [1.0])
+    with pytest.raises(SolverError, match=r"LDL\^T factorization \(dpttrf\).* info 3$") as excinfo:
+        linear_resolvent(LinearResolventProblem(g, 0.5, 1.0, g.constant(1.0)))
+    assert not excinfo.value.report.converged and excinfo.value.report.method == "failed"
+
+
+@pytest.mark.parametrize("cells", [[64], [12, 10]])
+def test_a_number_weight_solves_bitwise_like_its_field(cells):
+    # Adding the number 1.0 rounds as adding a field of ones, and 1.0*w is w.
+    g = build_grid(len(cells), cells, [1.0] * len(cells))
+    z = random_smooth_field(g, np.random.default_rng(5), 0.0, 1.0)
+    for lam in (0.0, 1e-3, 0.5):
+        w, report = linear_resolvent(LinearResolventProblem(g, lam, 1.0, z))
+        w_field, report_field = linear_resolvent(LinearResolventProblem(g, lam, g.constant(1.0), z))
+        assert w.tobytes() == w_field.tobytes()
+        assert report.final_residual_h == report_field.final_residual_h
 
 
 @pytest.mark.parametrize("cells,extents", [([48], [1.0]), ([6, 5], [1.0, 0.7])])

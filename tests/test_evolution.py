@@ -255,6 +255,19 @@ def test_run_snapshot_stride(setup):
     assert traj.times[0] == 0.0
 
 
+def test_run_factorizes_the_eta_matrix_once(setup, monkeypatch):
+    # Every step solves the same dt*K + I; its factor is kept, keyed on the number 1.0.
+    g, model, eta0, theta0 = setup
+    monkeypatch.setattr(elliptic, "_last_factor", KeepLast())
+    factorize, calls = elliptic._factorize, []
+    monkeypatch.setattr(elliptic, "_factorize",
+                        lambda *args: calls.append(args[1:]) or factorize(*args))
+    params = Parameters(kappa=1.0, epsilon=0.25, T=0.02, dt=1e-3)
+    traj = run(SystemState(g, eta0, theta0), model, params, Forcings(g))
+    assert len(traj.solve_reports) == 20
+    assert calls == [(1e-3, 1.0)]
+
+
 def test_energy_inequality_residual_nonnegative_up_to_dt(setup):
     g, model, eta0, theta0 = setup
     params = Parameters(kappa=1.0, epsilon=0.25, T=0.1, dt=1e-3)
