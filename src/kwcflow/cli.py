@@ -1,10 +1,14 @@
 """Command-line entry points: run, experiment, validate.
 
 Every command reads a JSON config (``--config``), optionally overridden
-by ``--out`` and ``--seed``.  Runs write a manifest that embeds the full
-normalized config; feeding the manifest back as the config reproduces
-the run bit-for-bit.  Exit code 0 means every assertion passed; failures
-also leave a machine-readable report in the output directory.
+by ``--out`` and ``--seed``, and validates the config's model on the range
+and sample count of its ``model`` section; a study's runs use those bounds.
+Runs write a manifest that embeds the full normalized config; feeding the
+manifest back as the config reproduces the run bit-for-bit.  Exit code 0
+means every assertion passed, 2 a config error.  Exit code 1 is a failed
+model check, step or study assertion; it leaves a machine-readable report in
+the output directory, and a run whose step fails also writes the timeseries
+and snapshots of the steps before it.
 """
 
 from __future__ import annotations
@@ -82,8 +86,7 @@ def cmd_run(args) -> int:
     outdir = args.out or config.output_dir or "kwcflow_out"
     os.makedirs(outdir, exist_ok=True)
     model = config.model
-    report = validate_assumptions(model, tuple(config.raw["model"]["sample_range"]),
-                                  config.raw["model"]["n_samples"])
+    report = validate_assumptions(model)
     failures = list(report.failures)
     manifest = {
         "config": serialize_config(config),
@@ -105,12 +108,9 @@ def cmd_run(args) -> int:
     try:
         traj = run(initial, model, config.params, forcings, stepper=config.stepper,
                    snapshot_stride=config.snapshot_stride)
-    except StepFailedError as exc:
-        manifest["failures"].append(str(exc))
-        manifest["wall_clock_seconds"] = time.perf_counter() - t0
-        _write_json(os.path.join(outdir, "manifest.json"), manifest)
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
+    except StepFailedError as exc:       # the steps before it are written as a run's
+        traj = exc.trajectory
+        failures.append(str(exc))
     wall = time.perf_counter() - t0
 
     write_timeseries(os.path.join(outdir, "timeseries.csv"), traj, model,
@@ -133,9 +133,12 @@ def cmd_run(args) -> int:
         },
         "energy_start": traj.energies[0].total,
         "energy_end": traj.energies[-1].total,
-        "passed": True,
+        "passed": not failures,
     })
     _write_json(os.path.join(outdir, "manifest.json"), manifest)
+    if failures:
+        print(f"run failed: {failures[-1]}", file=sys.stderr)
+        return 1
     print(f"run finished in {wall:.2f}s; energy {manifest['energy_start']:.6g} -> "
           f"{manifest['energy_end']:.6g}; artifacts in {outdir}")
     return 0
@@ -151,29 +154,41 @@ def cmd_experiment(args) -> int:
     # the study makes outdir with its first table, so a config it refuses leaves none
     outdir = args.out or config.output_dir or f"kwcflow_{name}"
     options = config.experiment.get(name, {})
+    # the study's runs read the bounds recorded here
+    failures = validate_assumptions(config.model).failures
+    report = None
     t0 = time.perf_counter()
-    report = EXPERIMENTS[name](config, outdir=outdir, **options)
+    if not failures:
+        try:
+            report = EXPERIMENTS[name](config, outdir=outdir, **options)
+        except StepFailedError as exc:
+            failures = [str(exc)]
     wall = time.perf_counter() - t0
+    passed = not failures and bool(report.passed)
     payload = {
         "experiment": name,
         "options": options,
         "config": serialize_config(config),
         "versions": _versions(),
         "wall_clock_seconds": wall,
-        "passed": bool(report.passed),
-        "report": report_to_jsonable(report),
+        "passed": passed,
     }
+    if failures:
+        payload["failures"] = failures
+    else:
+        payload["report"] = report_to_jsonable(report)
+    os.makedirs(outdir, exist_ok=True)
     _write_json(os.path.join(outdir, "report.json"), payload)
-    status = "PASS" if report.passed else "FAIL"
-    print(f"experiment {name}: {status} ({wall:.1f}s); report in {outdir}")
-    return 0 if report.passed else 1
+    if failures:
+        print(f"experiment {name} failed:", "; ".join(failures), file=sys.stderr)
+    print(f"experiment {name}: {'PASS' if passed else 'FAIL'} ({wall:.1f}s); "
+          f"report in {outdir}")
+    return 0 if passed else 1
 
 
 def cmd_validate(args) -> int:
     config = _load_config(args)
-    report = validate_assumptions(config.model,
-                                  tuple(config.raw["model"]["sample_range"]),
-                                  config.raw["model"]["n_samples"])
+    report = validate_assumptions(config.model)
     for name, ok in report.checks.items():
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
     for msg in report.warnings:

@@ -22,7 +22,7 @@ from .grid import (Grid, build_grid, bump_field, cosine_field, load_field,
 from .model import ModelFunctions, Parameters, reference_model
 from .evolution import (Forcings, SystemState, check_expression, prepare_initial_theta,
                         run_preconditions)
-from .experiments import EXPERIMENTS, LADDERS, PERTURBATIONS
+from .experiments import EXPERIMENTS, PERTURBATIONS, option_problems
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_dict",
            "serialize_config", "default_config_dict"]
@@ -51,7 +51,8 @@ def default_config_dict() -> dict:
                    "mu": 0.0, "nu": 0.0},
         "model": {"name": "reference", "alpha_offset": 0.1, "alpha0_offset": 1.0,
                   "alpha_scale": 1.0, "alpha0_scale": 1.0,
-                  "sample_range": [-10.0, 10.0], "n_samples": 100000},
+                  "sample_range": list(ModelFunctions.sample_range),
+                  "n_samples": ModelFunctions.n_samples},
         "initial": {
             "eta": {"profile": "random_smooth", "mean": 1.0, "amplitude": 0.25,
                     "max_mode": 6, "seed_offset": 0},
@@ -143,33 +144,28 @@ def _normalize_field_spec(spec, path: str, violations: list, axes):
     return out
 
 
-def _check_options(opts: dict, name: str, params, path: str, violations: list) -> None:
+def _check_options(opts: dict, name: str, grid, params, path: str, violations: list) -> None:
     """Check study ``name``'s options by name and by :func:`_check_leaves` against its
     keyword defaults after ``config`` and ``outdir``; a tuple default is a ladder and
-    takes a list of two values or more.  With valid ``params``, each value of a
-    :data:`~kwcflow.experiments.LADDERS` option replaces its fields in them, and
-    a value that ``Parameters`` rejects is a violation."""
+    takes a list of two values or more.  With a valid ``grid`` and ``params``, what
+    :func:`~kwcflow.experiments.option_problems` finds the study's setup would reject
+    is a violation naming its option."""
     defaults = {p.name: list(p.default) if isinstance(p.default, tuple) else p.default
                 for p in list(inspect.signature(EXPERIMENTS[name]).parameters.values())[2:]}
     _check_keys(opts, defaults, path, violations)
     given = {key: default for key, default in defaults.items() if key in opts}
-    if _check_leaves(opts, given, path, violations) and params is not None:
-        for key, fields in LADDERS.get(name, {}).items():
-            if key not in opts:
-                continue
-            for value in opts[key] if isinstance(opts[key], list) else [opts[key]]:
-                try:
-                    replace(params, **dict.fromkeys(fields, value))
-                except ValueError as exc:
-                    violations.append(f"{path}{key}: {exc}")
-                    break
+    ok = _check_leaves(opts, given, path, violations)
     for key, default in given.items():
         if isinstance(default, list) and isinstance(opts[key], list) and len(opts[key]) < 2:
             violations.append(f"{path}{key}: expected a ladder of two values or more, "
                               f"got {opts[key]!r}")
+            ok = False
     if "perturb" in given and opts["perturb"] not in PERTURBATIONS:
         violations.append(f"{path}perturb: expected one of {list(PERTURBATIONS)}, "
                           f"got {opts['perturb']!r}")
+    if ok and grid is not None and params is not None:
+        violations.extend(f"{path}{key}: {msg}"
+                          for key, msg in option_problems(name, grid, params, opts))
 
 
 @dataclass
@@ -292,8 +288,9 @@ def parse_config_dict(doc: dict) -> RunConfig:
                           "(available: 'reference')")
     elif model_leaves_ok:
         try:
-            model = reference_model(**{key: model_doc[key] for key in (
-                "alpha_offset", "alpha0_offset", "alpha_scale", "alpha0_scale")})
+            model = replace(reference_model(**{key: model_doc[key] for key in (
+                "alpha_offset", "alpha0_offset", "alpha_scale", "alpha0_scale")}),
+                sample_range=tuple(lo_hi), n_samples=n_samples)
         except (ValueError, TypeError) as exc:
             violations.append(f"model: {exc}")
 
@@ -326,7 +323,7 @@ def parse_config_dict(doc: dict) -> RunConfig:
             if not isinstance(opts, dict):
                 violations.append(f"experiment.{name}: expected an object of options")
                 continue
-            _check_options(opts, name, params, f"experiment.{name}.", violations)
+            _check_options(opts, name, grid, params, f"experiment.{name}.", violations)
 
     for key, expr in (("u", forcings_doc["u"]), ("v", forcings_doc["v"])):
         if expr is not None and not isinstance(expr, (int, float, str)):

@@ -15,12 +15,18 @@ grid, model, parameters, seeded initial data, forcings and stepper of a
 parsed ``RunConfig`` (a ladder replaces the parameter it varies) and takes
 only its ladders and perturbation as options.  The default config is the
 desk case: 1D, 64 cells, T = 1, dt = 1e-3, seed 1234.  A config value that
-a study cannot honour raises a ``ConfigError`` naming its key.
+a study cannot honour raises a ``ConfigError`` naming its key.  A study whose
+options its runs could reject builds them through its entry in
+:data:`SETUPS`, which :func:`option_problems` also calls at parse time.
+The studies' runs read the model bounds that the command validated on the
+model's own sample range.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field as dc_field, replace
 
@@ -48,8 +54,8 @@ __all__ = [
     "exp_manufactured_convergence",
     "estimate_embedding_constant",
     "EXPERIMENTS",
-    "LADDERS",
     "PERTURBATIONS",
+    "option_problems",
     "report_to_jsonable",
 ]
 
@@ -252,6 +258,11 @@ def exp_energy_dissipation(config, outdir=None) -> DissipationReport:
 # -- epsilon limit ---------------------------------------------------------------------
 
 
+def _epsilon_setup(grid: Grid, params: Parameters, eps_values, eps0: float):
+    """The parameters of the reference run at ``eps0`` and of each rung."""
+    return replace(params, epsilon=eps0), [replace(params, epsilon=eps) for eps in eps_values]
+
+
 def exp_epsilon_limit(config, outdir=None, eps_values=(0.5, 0.3, 0.2, 0.15, 0.11),
                       eps0: float = 0.1) -> ConvergenceTable:
     """Trajectory and prepared-initial-data distances along an epsilon ladder.
@@ -265,18 +276,19 @@ def exp_epsilon_limit(config, outdir=None, eps_values=(0.5, 0.3, 0.2, 0.15, 0.11
             "epsilon_limit prepares theta0 at each epsilon of its ladder")
     grid, model = config.grid, config.model
     raw, forcings = config.make_initial_state(), config.make_forcings()
+    params_ref, rungs = _epsilon_setup(grid, config.params, eps_values, eps0)
 
-    def member(eps: float):
-        params = replace(config.params, epsilon=eps)
-        theta0 = prepare_initial_theta(grid, raw.eta, raw.theta, model, eps, params.kappa)
+    def member(params: Parameters):
+        theta0 = prepare_initial_theta(grid, raw.eta, raw.theta, model, params.epsilon,
+                                       params.kappa)
         traj = run(SystemState(grid, raw.eta, theta0), model, params, forcings,
                    stepper=config.stepper)
         return theta0, traj
 
-    theta0_ref, traj_ref = member(eps0)
+    theta0_ref, traj_ref = member(params_ref)
     init_errs, traj_errs, eta_errs, theta_errs = [], [], [], []
-    for eps in eps_values:
-        theta0_eps, traj_eps = member(eps)
+    for params in rungs:
+        theta0_eps, traj_eps = member(params)
         init_errs.append(grid.norm_v(theta0_eps - theta0_ref))
         de, dth, dc = _sup_h_distance(traj_eps, traj_ref)
         eta_errs.append(de)
@@ -298,11 +310,17 @@ def exp_epsilon_limit(config, outdir=None, eps_values=(0.5, 0.3, 0.2, 0.15, 0.11
 # -- (mu, nu) limit ----------------------------------------------------------------------
 
 
+def _munu_setup(grid: Grid, params: Parameters, munu_values):
+    """The parameters of the undamped reference and of each rung, mu = nu."""
+    params0 = replace(params, mu=0.0, nu=0.0)
+    return params0, [replace(params0, mu=m, nu=m) for m in munu_values]
+
+
 def exp_munu_limit(config, outdir=None,
                    munu_values=(0.2, 0.1, 0.05, 0.025)) -> ConvergenceTable:
     """Pseudo-parabolic runs against the parabolic reference as mu = nu -> 0."""
     model, initial, forcings = config.model, config.make_initial_state(), config.make_forcings()
-    params0 = replace(config.params, mu=0.0, nu=0.0)
+    params0, rungs = _munu_setup(config.grid, config.params, munu_values)
     ref = run(initial, model, params0, forcings, stepper="parabolic")
     # mu = nu = 0 must reproduce the parabolic path exactly
     same = run(initial, model, params0, forcings, stepper="pseudo_parabolic")
@@ -312,9 +330,8 @@ def exp_munu_limit(config, outdir=None,
     )
 
     errors = []
-    for m in munu_values:
-        traj = run(initial, model, replace(params0, mu=m, nu=m), forcings,
-                   stepper="pseudo_parabolic")
+    for params in rungs:
+        traj = run(initial, model, params, forcings, stepper="pseudo_parabolic")
         errors.append(_sup_h_distance(traj, ref)[2])
 
     return _limit_table("mu=nu", munu_values, errors, {"zero_damping_identical": identical},
@@ -482,6 +499,13 @@ def _battery(grid: Grid):
     ]
 
 
+def _h2_setup(grid: Grid, params: Parameters, eps_values) -> dict:
+    """Per battery entry, the unit-weight resolvent problem at each epsilon."""
+    return {name: [SingularResolventProblem(grid, beta, params.kappa, grid.constant(1.0), z, eps)
+                   for eps in eps_values]
+            for name, beta, z in _battery(grid)}
+
+
 def exp_h2_uniformity(config, outdir=None, eps_values=tuple(2.0**-k for k in range(9)),
                       trajectory_check: bool = True) -> H2UniformityReport:
     """Epsilon-uniformity of the resolvent H2 bound, plus a trajectory check.
@@ -498,13 +522,11 @@ def exp_h2_uniformity(config, outdir=None, eps_values=tuple(2.0**-k for k in ran
         _refuse(config, "forcings", ("u", "v"), "h2_uniformity's trajectory check runs unforced")
     ratios, spread = {}, {}
     ok = True
-    for name, beta, z in _battery(grid):
+    for name, problems in _h2_setup(grid, config.params, eps_values).items():
         entry = []
-        for eps in eps_values:
-            problem = SingularResolventProblem(grid, beta, kappa, grid.constant(1.0),
-                                               z, eps)
-            w, _ = singular_resolvent(problem)
-            entry.append(check_h2_bound(grid, w, z, beta, eps, kappa))
+        for p in problems:
+            w, _ = singular_resolvent(p)
+            entry.append(check_h2_bound(grid, w, p.z, p.beta, p.epsilon, kappa))
         ratios[name] = [float(r) for r in entry]
         spread[name] = float(max(entry) / min(entry))
         ok = ok and spread[name] <= 2.0
@@ -575,6 +597,31 @@ def _manufactured_forcings(model: ModelFunctions, epsilon: float, kappa: float,
     return u, v, eta, theta
 
 
+def _params_over(params: Parameters, T: float, dt: float) -> Parameters:
+    """``params``' kappa and epsilon over [0, T] at ``dt`` rounded to divide T;
+    a ``dt`` that gives no step is passed on as it is, for ``Parameters`` to reject."""
+    steps = round(T / dt) if dt > 0 and 1.0 <= T / dt < math.inf else 0
+    return Parameters(kappa=params.kappa, epsilon=params.epsilon, T=T,
+                      dt=T / steps if steps else dt)
+
+
+def _manufactured_setup(grid: Grid, params: Parameters, spatial_cells, base_dt: float,
+                        T_spatial: float, temporal_cells: int, temporal_dts,
+                        T_temporal: float) -> dict:
+    """The grid and parameters of each run of the manufactured study, on its own
+    unit-interval grids: ``spatial``, one pair per rung with dt ~ h^2, and
+    ``temporal``, the fine grid with the reference run's parameters (at the
+    smallest dt over 16) and each rung's."""
+    h0 = 1.0 / spatial_cells[0]
+    spatial = [(build_grid(1, [n], [1.0]),
+                _params_over(params, T_spatial, base_dt * ((1.0 / n) / h0) ** 2))
+               for n in spatial_cells]
+    return {"spatial": spatial,
+            "temporal": (build_grid(1, [temporal_cells], [1.0]),
+                         _params_over(params, T_temporal, min(temporal_dts) / 16.0),
+                         [_params_over(params, T_temporal, dt) for dt in temporal_dts])}
+
+
 def exp_manufactured_convergence(config, outdir=None, spatial_cells=(32, 64, 128),
                                  base_dt: float = 2e-3, T_spatial: float = 0.1,
                                  temporal_cells: int = 128,
@@ -589,6 +636,8 @@ def exp_manufactured_convergence(config, outdir=None, spatial_cells=(32, 64, 128
     grid so the spatial component cancels and the ratio sits near 2.
     """
     model, epsilon, kappa = config.model, config.params.epsilon, config.params.kappa
+    setup = _manufactured_setup(config.grid, config.params, spatial_cells, base_dt, T_spatial,
+                                temporal_cells, temporal_dts, T_temporal)
 
     def manufactured(t: float, x: np.ndarray):
         return _manufactured_forcings(model, epsilon, kappa, t, x)
@@ -596,15 +645,13 @@ def exp_manufactured_convergence(config, outdir=None, spatial_cells=(32, 64, 128
     def exact_state(grid: Grid, t: float) -> tuple[np.ndarray, np.ndarray]:
         return manufactured(t, grid.meshgrid()[0])[2:]
 
-    def final_state(grid: Grid, T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        # dt is rounded to divide T; only the end state is kept
-        steps = int(round(T / dt))
-        params = Parameters(kappa=kappa, epsilon=epsilon, T=T, dt=T / steps)
+    def final_state(grid: Grid, params: Parameters) -> tuple[np.ndarray, np.ndarray]:
+        # only the end state is kept
         x = grid.meshgrid()[0]
         forcings = Forcings(grid, u=lambda tt: manufactured(tt, x)[0],
                             v=lambda tt: manufactured(tt, x)[1])
         traj = run(SystemState(grid, *exact_state(grid, 0.0)), model, params, forcings,
-                   snapshot_stride=steps)
+                   snapshot_stride=int(round(params.T / params.dt)))
         return traj.eta_at(-1), traj.theta_at(-1)
 
     def distance(grid: Grid, a, b) -> float:
@@ -612,19 +659,17 @@ def exp_manufactured_convergence(config, outdir=None, spatial_cells=(32, 64, 128
 
     # spatial ladder, dt ~ h^2
     spatial_errors = []
-    h0 = 1.0 / spatial_cells[0]
-    for n in spatial_cells:
-        grid = build_grid(1, [n], [1.0])
-        end = final_state(grid, T_spatial, base_dt * ((1.0 / n) / h0) ** 2)
+    for grid, params in setup["spatial"]:
+        end = final_state(grid, params)
         spatial_errors.append(distance(grid, end, exact_state(grid, T_spatial)))
     spatial = _order_table("h", [1.0 / n for n in spatial_cells], spatial_errors, (3.5, 4.5),
                            {"dt_scaling": "dt ~ h^2", "base_dt": base_dt})
 
     # temporal ladder at fixed fine grid, reference = dt_min / 16
-    grid = build_grid(1, [temporal_cells], [1.0])
-    reference = final_state(grid, T_temporal, min(temporal_dts) / 16.0)
-    temporal_errors = [distance(grid, final_state(grid, T_temporal, dt), reference)
-                       for dt in temporal_dts]
+    grid, reference_params, rungs = setup["temporal"]
+    reference = final_state(grid, reference_params)
+    temporal_errors = [distance(grid, final_state(grid, params), reference)
+                       for params in rungs]
     temporal = _order_table("dt", list(temporal_dts), temporal_errors, (1.7, 2.3),
                             {"cells": temporal_cells, "reference_dt": min(temporal_dts) / 16.0})
 
@@ -647,13 +692,41 @@ EXPERIMENTS = {
     "manufactured_convergence": exp_manufactured_convergence,
 }
 
-# The Parameters fields that each study option replaces, as the study's
-# dataclasses.replace does; config builds every rung so that a value Parameters
-# rejects is a violation naming its option.
-LADDERS = {
-    "epsilon_limit": {"eps_values": ("epsilon",), "eps0": ("epsilon",)},
-    "munu_limit": {"munu_values": ("mu", "nu")},
+# Per study with options that its runs could reject: the setup that builds, from the
+# config's grid and parameters and those options, the grids, Parameters and problems
+# the study runs on.  The study builds through it, and option_problems calls it.
+SETUPS = {
+    "epsilon_limit": _epsilon_setup,
+    "munu_limit": _munu_setup,
+    "h2_uniformity": _h2_setup,
+    "manufactured_convergence": _manufactured_setup,
 }
+
+
+def option_problems(name: str, grid: Grid, params: Parameters,
+                    options: dict) -> list[tuple[str, str]]:
+    """Why study ``name``'s setup would reject ``options`` (type-checked, ladders of two
+    values or more) on ``grid`` and ``params``, as (option, message) pairs: each option
+    alone on the study's defaults first; when each passes, all of them together, named
+    jointly.  Empty when the study can set up."""
+    setup = SETUPS.get(name)
+    if setup is None:
+        return []
+    study = inspect.signature(EXPERIMENTS[name]).parameters
+    defaults = {key: study[key].default for key in list(inspect.signature(setup).parameters)[2:]}
+    given = [key for key in defaults if key in options]
+
+    def problem(keys):
+        try:
+            setup(grid, params, **{**defaults, **{key: options[key] for key in keys}})
+        except ValueError as exc:
+            return " and ".join(keys), str(exc)
+        return None
+
+    problems = [p for p in (problem([key]) for key in given) if p]
+    if not problems and len(given) > 1:
+        problems = [p for p in [problem(given)] if p]
+    return problems
 
 
 def report_to_jsonable(report):

@@ -381,13 +381,12 @@ def save_field(path, grid: Grid, values: np.ndarray) -> None:
     values = grid.check_scalar(values)
     cells = ",".join(str(n) for n in grid.cells)
     extents = ",".join(repr(L) for L in grid.extents)
-    coords = grid.meshgrid()
-    flat = values.ravel()
+    # the columns as Python floats, whose repr is exact
+    columns = [c.ravel().tolist() for c in grid.meshgrid()] + [values.ravel().tolist()]
+    row = "%d" + ",%r" * len(columns) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# grid dim={grid.dim} cells={cells} extents={extents}\n")
-        for i in range(grid.n_cells):
-            xs = ",".join(repr(float(c.ravel()[i])) for c in coords)
-            fh.write(f"{i},{xs},{float(flat[i])!r}\n")
+        fh.writelines(row % (i, *xs) for i, xs in enumerate(zip(*columns)))
 
 
 def load_field(path) -> tuple[Grid, np.ndarray]:

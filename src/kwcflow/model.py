@@ -16,6 +16,11 @@ energies, and the validator for the standing assumptions:
     (A2) G is a nonnegative primitive of g,
     (A3) alpha is convex and inf alpha0 > 0.
 
+A model carries the range and the number of points on which the validator
+samples it (``ModelFunctions.sample_range`` and ``n_samples``, whose defaults
+are the config's); a run validates a model without recorded bounds on them,
+so every command and study reads the bounds of one range.
+
 Two results are kept: the angle gradient of :func:`angle_gradient` (face
 gradient, cell gradient and ``gamma_eps`` of the cell gradient) and the
 flux of :func:`interfacial_flux` with its divergence
@@ -166,7 +171,8 @@ class ModelBounds:
 
 @dataclass
 class ModelFunctions:
-    """The tuple (g, G, alpha, alpha', alpha'', alpha0, alpha0')."""
+    """The tuple (g, G, alpha, alpha', alpha'', alpha0, alpha0'), with the range
+    and the number of samples on which :func:`validate_assumptions` checks it."""
 
     g: Callable
     G: Callable
@@ -176,13 +182,15 @@ class ModelFunctions:
     alpha0: Callable
     alpha0_d1: Callable
     name: str = "custom"
+    sample_range: tuple[float, float] = (-10.0, 10.0)
+    n_samples: int = 100_000
     bounds: Optional[ModelBounds] = None
 
-    def ensure_bounds(self, sample_range=(-10.0, 10.0), n_samples: int = 100_000) -> ModelBounds:
-        """The recorded bounds; a model without them is validated first, and
-        raises ``ValueError`` naming the failed assumptions."""
+    def ensure_bounds(self) -> ModelBounds:
+        """The recorded bounds; a model without them is validated first on its own
+        range, and raises ``ValueError`` naming the failed assumptions."""
         if self.bounds is None:
-            report = validate_assumptions(self, sample_range, n_samples)
+            report = validate_assumptions(self)
             if not report.passed:
                 raise ValueError("model violates assumptions: " + "; ".join(report.failures))
         return self.bounds
@@ -370,13 +378,14 @@ def _block_extrema(model: ModelFunctions, r: np.ndarray, inner_limit: float) -> 
     }
 
 
-def validate_assumptions(model: ModelFunctions, sample_range=(-10.0, 10.0),
-                         n_samples: int = 100_000) -> AssumptionReport:
+def validate_assumptions(model: ModelFunctions, sample_range=None,
+                         n_samples: Optional[int] = None) -> AssumptionReport:
     """Check (A2)-(A3) by dense sampling and record the sampled bound constants.
 
-    The report carries pass/fail per check.  The sampled sup-norms are
-    stored on ``model.bounds`` when every check passes, and ``model.bounds``
-    is cleared when one fails.  A warning (not a failure) is raised when
+    The samples are ``n_samples`` points spread evenly over ``sample_range``;
+    either left at None is the model's own.  The report carries pass/fail per
+    check.  The sampled sup-norms are stored on ``model.bounds`` when every
+    check passes, and ``model.bounds`` is cleared when one fails.  A warning (not a failure) is raised when
     the sampled |alpha'| keeps growing towards the ends of the range,
     since the estimates downstream treat it as finite.
 
@@ -384,6 +393,8 @@ def validate_assumptions(model: ModelFunctions, sample_range=(-10.0, 10.0),
     Every statistic taken is a minimum or a maximum, which does not depend
     on the blocks (a NaN in any block propagates).
     """
+    sample_range = model.sample_range if sample_range is None else sample_range
+    n_samples = model.n_samples if n_samples is None else n_samples
     lo, hi = float(sample_range[0]), float(sample_range[1])
     if not hi > lo:
         raise ValueError("sample_range must be a nonempty interval")

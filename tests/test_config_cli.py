@@ -9,8 +9,11 @@ import pytest
 import scipy
 
 import kwcflow
+from kwcflow import evolution
 from kwcflow.cli import main
 from kwcflow.config import ConfigError, parse_config_dict, serialize_config
+from kwcflow.elliptic import SolveReport, SolverError
+from kwcflow.experiments import EXPERIMENTS
 from kwcflow.grid import build_grid, save_field
 
 
@@ -254,7 +257,20 @@ def test_inputs_run_cannot_start_are_config_violations(tmp_path, doc, key):
      "experiment.epsilon_limit.eps0", "epsilon must lie in (0, 1], got 0.0"),
     ({"experiment": {"munu_limit": {"munu_values": [1.5, 0.1]}}},
      "experiment.munu_limit.munu_values", "mu must lie in [0, 1), got 1.5"),
-], ids=["wstar", "eps_values", "eps0", "munu_values"])
+    ({"experiment": {"h2_uniformity": {"eps_values": [-1.0, 0.5], "trajectory_check": False}}},
+     "experiment.h2_uniformity.eps_values", "epsilon must be positive, got -1.0"),
+    ({"experiment": {"manufactured_convergence": {"T_spatial": -0.1}}},
+     "experiment.manufactured_convergence.T_spatial", "T must be positive, got -0.1"),
+    ({"experiment": {"manufactured_convergence": {"base_dt": 0.0}}},
+     "experiment.manufactured_convergence.base_dt", "dt must satisfy 0 < dt < T, got dt=0.0"),
+    ({"experiment": {"manufactured_convergence": {"spatial_cells": [2, 4]}}},
+     "experiment.manufactured_convergence.spatial_cells", "need at least 4 cells per axis"),
+    # each value alone sets up, but 0.04 / 0.03 rounds to one step, dt = T
+    ({"experiment": {"manufactured_convergence": {"base_dt": 0.03, "T_spatial": 0.04}}},
+     "experiment.manufactured_convergence.base_dt and T_spatial",
+     "dt must satisfy 0 < dt < T, got dt=0.04, T=0.04"),
+], ids=["wstar", "eps_values", "eps0", "munu_values", "h2_eps_values", "T_spatial", "base_dt",
+        "spatial_cells", "base_dt_and_T_spatial"])
 def test_values_a_run_or_study_would_drop_or_reject_are_config_violations(
         tmp_path, capsys, doc, key, message):
     cfg = write_json(tmp_path / "bad.json", doc)
@@ -264,6 +280,14 @@ def test_values_a_run_or_study_would_drop_or_reject_are_config_violations(
         err = capsys.readouterr().err
         assert f"  - {key}: {message}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_study_values_that_set_up_are_accepted():
+    # h2's resolvent takes any positive epsilon, the limit ladders' Parameters (0, 1]
+    parse_config_dict({"experiment": {
+        "h2_uniformity": {"eps_values": [2.0, 0.5]},
+        "manufactured_convergence": {"base_dt": 0.02, "T_spatial": 0.04, "spatial_cells": [4, 8],
+                                     "temporal_dts": [0.1, 0.05], "T_temporal": 0.2}}})
 
 
 def test_cli_seed_override(tmp_path):
@@ -356,6 +380,93 @@ def test_experiment_refuses_a_config_value_it_cannot_honour(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "  - forcings.u: energy_dissipation runs unforced" in err and "Traceback" not in err
     assert not out.exists()
+
+
+# the reference model's inf alpha0 is 1 + 1/101 on [-10, 10] and 1.2 on [-2, 2]
+NARROW_RANGE = {"grid": {"cells": [16]}, "params": {"T": 0.005, "dt": 0.001},
+                "snapshot_stride": 1, "model": {"sample_range": [-2.0, 2.0], "n_samples": 1000}}
+
+
+def test_run_and_study_validate_the_model_on_the_config_range(tmp_path):
+    cfg = write_json(tmp_path / "cfg.json", NARROW_RANGE)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert main(["experiment", "energy_dissipation", "--config", cfg,
+                 "--out", str(tmp_path / "exp")]) == 0
+    bounds = json.loads((tmp_path / "run" / "manifest.json").read_text())["model_bounds"]
+    assert (bounds["sample_range"], bounds["n_samples"], bounds["delta_alpha"]) == (
+        [-2.0, 2.0], 1000, 1.2)
+    # the slack's delta_alpha is the one of the config's range in both
+    assert ((tmp_path / "run" / "timeseries.csv").read_bytes()
+            == (tmp_path / "exp" / "timeseries.csv").read_bytes())
+
+
+@pytest.mark.parametrize("name", ["energy_dissipation", "continuous_dependence"])
+def test_a_study_samples_the_model_on_the_config_range(name):
+    config = parse_config_dict(NARROW_RANGE)
+    EXPERIMENTS[name](config)
+    bounds = config.model.bounds
+    assert (bounds.sample_range, bounds.n_samples) == ((-2.0, 2.0), 1000)
+
+
+def test_a_model_valid_on_the_config_range_runs_in_every_command(tmp_path):
+    # alpha0_offset -0.05: inf alpha0 is 0.15 on [-2, 2], -0.04 on [-10, 10]
+    cfg = write_json(tmp_path / "cfg.json", {
+        **NARROW_RANGE, "model": {**NARROW_RANGE["model"], "alpha0_offset": -0.05}})
+    assert main(["validate", "--config", cfg]) == 0
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert main(["experiment", "energy_dissipation", "--config", cfg,
+                 "--out", str(tmp_path / "exp")]) == 0
+
+
+def fail_the_theta_solve_from_call(monkeypatch, first):
+    """Make the theta solve of every step from the ``first``-th on raise a SolverError."""
+    original, calls = evolution.singular_resolvent, []
+
+    def flaky(problem, **kwargs):
+        calls.append(1)
+        if len(calls) >= first:
+            raise SolverError("synthetic failure", SolveReport(0, 1.0, False))
+        return original(problem, **kwargs)
+
+    monkeypatch.setattr(evolution, "singular_resolvent", flaky)
+
+
+def test_a_failed_run_writes_the_steps_before_it(tmp_path, monkeypatch, capsys):
+    fail_the_theta_solve_from_call(monkeypatch, 4)
+    out = tmp_path / "out"
+    assert main(["run", "--config", run_config(tmp_path, snapshot_stride=1),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "run failed: theta solve failed at t=0.004: synthetic failure" in err
+    assert "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["passed"] is False
+    assert manifest["failures"] == ["theta solve failed at t=0.004: synthetic failure"]
+    assert manifest["steps"]["count"] == 3
+    rows = (out / "timeseries.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4                # the initial state and three steps
+    assert float(rows[0].split(",")[4]) == manifest["energy_start"]
+    assert float(rows[-1].split(",")[4]) == manifest["energy_end"]
+    assert sorted(p.name for p in (out / "snapshots").iterdir()) == sorted(
+        f"{field}_{k:06d}.csv" for field in ("eta", "theta") for k in range(4))
+
+
+def test_a_failed_study_writes_its_report(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    bad_model = write_json(tmp_path / "bad.json",
+                           {"model": {"alpha0_offset": 0.0, "alpha0_scale": 0.0}})
+    assert main(["experiment", "h2_uniformity", "--config", bad_model,
+                 "--out", str(out)]) == 1
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["passed"] is False and "report" not in payload
+    assert payload["failures"] == ["(A3): inf alpha0 = 0.000e+00 is not positive"]
+    fail_the_theta_solve_from_call(monkeypatch, 2)
+    assert main(["experiment", "energy_dissipation", "--config", run_config(tmp_path),
+                 "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["passed"] is False and "report" not in payload
+    assert payload["failures"] == ["theta solve failed at t=0.002: synthetic failure"]
 
 
 @pytest.mark.parametrize("cells,extents", [([32], [1.0]), ([64], [2.0])])

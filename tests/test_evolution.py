@@ -7,6 +7,7 @@ import pytest
 
 import kwcflow.elliptic as elliptic
 import kwcflow.evolution as evolution
+import kwcflow.model as model_module
 from kwcflow import (Forcings, Parameters, SolverError, SystemState,
                      build_grid, compile_expression,
                      energy_inequality_residual, gamma_eps, initial_velocities,
@@ -217,6 +218,18 @@ def test_theta_shift_invariance(setup):
 
 
 # -- run and trajectory --------------------------------------------------------------
+
+
+def test_run_after_a_validation_does_not_validate_again(setup, monkeypatch):
+    g, model, eta0, theta0 = setup
+    report = validate_assumptions(model, model.sample_range, model.n_samples)
+    calls = []
+    monkeypatch.setattr(model_module, "validate_assumptions",
+                        lambda *args, **kwargs: calls.append(args))
+    params = Parameters(kappa=1.0, epsilon=0.25, T=2e-3, dt=1e-3)
+    traj = run(SystemState(g, eta0, theta0), model, params, Forcings(g))
+    energy_inequality_residual(traj, model, params, Forcings(g))
+    assert calls == [] and model.bounds is report.bounds
 
 
 def test_run_single_step_two_snapshots(setup):

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from kwcflow import (Parameters, build_grid, gamma_eps, grad_gamma_eps,
                      hess_gamma_eps, interfacial_energy, interfacial_flux, interfacial_force,
@@ -302,6 +302,18 @@ def test_a_failed_model_fails_every_ensure_bounds(make_model, assumption):
     for _ in range(2):
         with pytest.raises(ValueError, match=re.escape(assumption)):
             model.ensure_bounds()
+
+
+def test_a_model_is_validated_on_its_own_sample_range():
+    model = replace(reference_model(alpha0_offset=-0.05), sample_range=(-2.0, 2.0),
+                    n_samples=1000)
+    bounds = model.ensure_bounds()      # inf alpha0 is -0.04 on [-10, 10], 0.15 on [-2, 2]
+    assert (bounds.sample_range, bounds.n_samples) == ((-2.0, 2.0), 1000)
+    assert bounds.delta_alpha == pytest.approx(0.15)
+    # an explicit range still overrides the model's own
+    report = validate_assumptions(model, (-10.0, 10.0), 2001)
+    assert not report.passed and model.bounds is None
+    assert validate_assumptions(model).bounds == bounds
 
 
 # -- memos of the angle gradient and the flux ---------------------------------------

@@ -41,11 +41,13 @@ The cases:
   initial guess) on 1D n=64, n=128 and 2D 16x16 grids at eps 2^-2 and 2^-6,
   ``prepare_initial_theta`` on desk data, and ``initial_velocities`` at
   mu, nu in {0, 0.1}^2 (solutions and reports, or the failure text);
-* the output files of ``kwcflow run`` on three configs (manifests without
-  ``wall_clock_seconds``);
+* the output files of ``kwcflow run`` on four configs (manifests without
+  ``wall_clock_seconds``), one of them with the model sampled on [-2, 2] at
+  1000 points;
 * the output files of ``kwcflow experiment <name>`` for each study, on a 32-cell
-  1D grid with T 0.02 and dt 1e-3 and the study's smallest ladders
-  (``report.json`` without ``wall_clock_seconds``).
+  1D grid with T 0.02 and dt 1e-3 and the study's smallest ladders, and of
+  ``energy_dissipation`` on that sample-range config (``report.json`` without
+  ``wall_clock_seconds``).
 
 BLAS is pinned to one thread, which fixes the reduction order.  A summary
 (case count, line-search energy evaluations, and the Newton and CG iterations
@@ -305,6 +307,9 @@ CLI_CONFIGS = {
         "params": {"kappa": 0.2, "epsilon": 2.0**-6, "T": 0.1, "dt": 1e-3, "nu": 0.2},
         "initial": {"theta": {"profile": "cosine", "amplitude": 0.4, "mode": 3}},
         "stepper": "pseudo_parabolic", "snapshot_stride": 20},
+    "sample-range": {
+        "grid": {"cells": [16]}, "params": {"T": 0.005, "dt": 1e-3}, "snapshot_stride": 1,
+        "model": {"sample_range": [-2.0, 2.0], "n_samples": 1000}},
 }
 
 
@@ -344,6 +349,8 @@ def cli_cases(recorder):
         doc = {"grid": {"cells": [32]}, "params": {"T": 0.02, "dt": 1e-3},
                "experiment": {name: options}}
         yield f"exp:{name}", cli_outputs(recorder, ["experiment", name], doc, "report.json")
+    yield "exp:energy_dissipation:sample-range", cli_outputs(
+        recorder, ["experiment", "energy_dissipation"], CLI_CONFIGS["sample-range"], "report.json")
 
 
 def main(src: str, runs_path=None) -> int:
