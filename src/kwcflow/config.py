@@ -165,7 +165,7 @@ def _check_options(opts: dict, name: str, grid, params, path: str, violations: l
                           f"got {opts['perturb']!r}")
     if ok and grid is not None and params is not None:
         violations.extend(f"{path}{key}: {msg}"
-                          for key, msg in option_problems(name, grid, params, opts))
+                          for key, msg in option_problems(name, grid, params, defaults, opts))
 
 
 @dataclass

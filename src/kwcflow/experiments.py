@@ -258,7 +258,7 @@ def exp_energy_dissipation(config, outdir=None) -> DissipationReport:
 # -- epsilon limit ---------------------------------------------------------------------
 
 
-def _epsilon_setup(grid: Grid, params: Parameters, eps_values, eps0: float):
+def _epsilon_setup(params: Parameters, eps_values, eps0: float):
     """The parameters of the reference run at ``eps0`` and of each rung."""
     return replace(params, epsilon=eps0), [replace(params, epsilon=eps) for eps in eps_values]
 
@@ -276,7 +276,7 @@ def exp_epsilon_limit(config, outdir=None, eps_values=(0.5, 0.3, 0.2, 0.15, 0.11
             "epsilon_limit prepares theta0 at each epsilon of its ladder")
     grid, model = config.grid, config.model
     raw, forcings = config.make_initial_state(), config.make_forcings()
-    params_ref, rungs = _epsilon_setup(grid, config.params, eps_values, eps0)
+    params_ref, rungs = _epsilon_setup(config.params, eps_values, eps0)
 
     def member(params: Parameters):
         theta0 = prepare_initial_theta(grid, raw.eta, raw.theta, model, params.epsilon,
@@ -310,7 +310,7 @@ def exp_epsilon_limit(config, outdir=None, eps_values=(0.5, 0.3, 0.2, 0.15, 0.11
 # -- (mu, nu) limit ----------------------------------------------------------------------
 
 
-def _munu_setup(grid: Grid, params: Parameters, munu_values):
+def _munu_setup(params: Parameters, munu_values):
     """The parameters of the undamped reference and of each rung, mu = nu."""
     params0 = replace(params, mu=0.0, nu=0.0)
     return params0, [replace(params0, mu=m, nu=m) for m in munu_values]
@@ -320,7 +320,7 @@ def exp_munu_limit(config, outdir=None,
                    munu_values=(0.2, 0.1, 0.05, 0.025)) -> ConvergenceTable:
     """Pseudo-parabolic runs against the parabolic reference as mu = nu -> 0."""
     model, initial, forcings = config.model, config.make_initial_state(), config.make_forcings()
-    params0, rungs = _munu_setup(config.grid, config.params, munu_values)
+    params0, rungs = _munu_setup(config.params, munu_values)
     ref = run(initial, model, params0, forcings, stepper="parabolic")
     # mu = nu = 0 must reproduce the parabolic path exactly
     same = run(initial, model, params0, forcings, stepper="pseudo_parabolic")
@@ -500,8 +500,10 @@ def _battery(grid: Grid):
 
 
 def _h2_setup(grid: Grid, params: Parameters, eps_values) -> dict:
-    """Per battery entry, the unit-weight resolvent problem at each epsilon."""
-    return {name: [SingularResolventProblem(grid, beta, params.kappa, grid.constant(1.0), z, eps)
+    """Per battery entry, the unit-weight resolvent problem at each epsilon; the
+    problems share their fields, so holding them all costs no field per problem."""
+    m = grid.constant(1.0)
+    return {name: [SingularResolventProblem(grid, beta, params.kappa, m, z, eps)
                    for eps in eps_values]
             for name, beta, z in _battery(grid)}
 
@@ -605,20 +607,19 @@ def _params_over(params: Parameters, T: float, dt: float) -> Parameters:
                       dt=T / steps if steps else dt)
 
 
-def _manufactured_setup(grid: Grid, params: Parameters, spatial_cells, base_dt: float,
-                        T_spatial: float, temporal_cells: int, temporal_dts,
-                        T_temporal: float) -> dict:
+def _manufactured_setup(params: Parameters, spatial_cells, base_dt: float, T_spatial: float,
+                        temporal_cells: int, temporal_dts, T_temporal: float) -> dict:
     """The grid and parameters of each run of the manufactured study, on its own
     unit-interval grids: ``spatial``, one pair per rung with dt ~ h^2, and
     ``temporal``, the fine grid with the reference run's parameters (at the
     smallest dt over 16) and each rung's."""
+    # the grids first: they reject a cell count that h0 below would divide by
+    grids = [build_grid(1, [n], [1.0]) for n in spatial_cells]
+    fine = build_grid(1, [temporal_cells], [1.0])
     h0 = 1.0 / spatial_cells[0]
-    spatial = [(build_grid(1, [n], [1.0]),
-                _params_over(params, T_spatial, base_dt * ((1.0 / n) / h0) ** 2))
-               for n in spatial_cells]
-    return {"spatial": spatial,
-            "temporal": (build_grid(1, [temporal_cells], [1.0]),
-                         _params_over(params, T_temporal, min(temporal_dts) / 16.0),
+    return {"spatial": [(grid, _params_over(params, T_spatial, base_dt * ((1.0 / n) / h0) ** 2))
+                        for grid, n in zip(grids, spatial_cells)],
+            "temporal": (fine, _params_over(params, T_temporal, min(temporal_dts) / 16.0),
                          [_params_over(params, T_temporal, dt) for dt in temporal_dts])}
 
 
@@ -636,7 +637,7 @@ def exp_manufactured_convergence(config, outdir=None, spatial_cells=(32, 64, 128
     grid so the spatial component cancels and the ratio sits near 2.
     """
     model, epsilon, kappa = config.model, config.params.epsilon, config.params.kappa
-    setup = _manufactured_setup(config.grid, config.params, spatial_cells, base_dt, T_spatial,
+    setup = _manufactured_setup(config.params, spatial_cells, base_dt, T_spatial,
                                 temporal_cells, temporal_dts, T_temporal)
 
     def manufactured(t: float, x: np.ndarray):
@@ -692,9 +693,10 @@ EXPERIMENTS = {
     "manufactured_convergence": exp_manufactured_convergence,
 }
 
-# Per study with options that its runs could reject: the setup that builds, from the
-# config's grid and parameters and those options, the grids, Parameters and problems
-# the study runs on.  The study builds through it, and option_problems calls it.
+# Per study with options that its runs could reject: the setup that builds, from those
+# options and the config's parameters (and grid, where it reads one), the grids,
+# Parameters and problems the study runs on.  The study builds through it, and
+# option_problems calls it.
 SETUPS = {
     "epsilon_limit": _epsilon_setup,
     "munu_limit": _munu_setup,
@@ -703,30 +705,36 @@ SETUPS = {
 }
 
 
-def option_problems(name: str, grid: Grid, params: Parameters,
+def option_problems(name: str, grid: Grid, params: Parameters, defaults: dict,
                     options: dict) -> list[tuple[str, str]]:
     """Why study ``name``'s setup would reject ``options`` (type-checked, ladders of two
-    values or more) on ``grid`` and ``params``, as (option, message) pairs: each option
-    alone on the study's defaults first; when each passes, all of them together, named
-    jointly.  Empty when the study can set up."""
+    values or more) over its option ``defaults`` on ``grid`` and ``params``, as
+    (option, message) pairs; empty when the study sets up.  The options are tried
+    together; when they fail, the options without which the failure changes are named
+    jointly, else each that fails alone on the defaults the same way."""
     setup = SETUPS.get(name)
-    if setup is None:
+    arguments = inspect.signature(setup).parameters if setup else {}
+    given = [key for key in arguments if key in options]
+    if not given:
         return []
-    study = inspect.signature(EXPERIMENTS[name]).parameters
-    defaults = {key: study[key].default for key in list(inspect.signature(setup).parameters)[2:]}
-    given = [key for key in defaults if key in options]
 
-    def problem(keys):
+    def failure(keys) -> str | None:
+        values = {"grid": grid, "params": params, **defaults,
+                  **{key: options[key] for key in keys}}
         try:
-            setup(grid, params, **{**defaults, **{key: options[key] for key in keys}})
+            setup(**{key: values[key] for key in arguments})
         except ValueError as exc:
-            return " and ".join(keys), str(exc)
+            return str(exc)
         return None
 
-    problems = [p for p in (problem([key]) for key in given) if p]
-    if not problems and len(given) > 1:
-        problems = [p for p in [problem(given)] if p]
-    return problems
+    joint = failure(given)
+    if joint is None:
+        return []
+    needed = [key for key in given if failure([k for k in given if k != key]) != joint]
+    if needed:
+        return [(" and ".join(needed), joint)]
+    return ([(key, joint) for key in given if failure([key]) == joint]
+            or [(" and ".join(given), joint)])
 
 
 def report_to_jsonable(report):

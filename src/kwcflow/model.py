@@ -385,9 +385,9 @@ def validate_assumptions(model: ModelFunctions, sample_range=None,
     The samples are ``n_samples`` points spread evenly over ``sample_range``;
     either left at None is the model's own.  The report carries pass/fail per
     check.  The sampled sup-norms are stored on ``model.bounds`` when every
-    check passes, and ``model.bounds`` is cleared when one fails.  A warning (not a failure) is raised when
-    the sampled |alpha'| keeps growing towards the ends of the range,
-    since the estimates downstream treat it as finite.
+    check passes, and ``model.bounds`` is cleared when one fails.  A warning
+    (not a failure) is raised when the sampled |alpha'| keeps growing towards
+    the ends of the range, since the estimates downstream treat it as finite.
 
     The samples are evaluated in blocks of ``_VALIDATION_BLOCK`` points.
     Every statistic taken is a minimum or a maximum, which does not depend

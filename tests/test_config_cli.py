@@ -265,12 +265,20 @@ def test_inputs_run_cannot_start_are_config_violations(tmp_path, doc, key):
      "experiment.manufactured_convergence.base_dt", "dt must satisfy 0 < dt < T, got dt=0.0"),
     ({"experiment": {"manufactured_convergence": {"spatial_cells": [2, 4]}}},
      "experiment.manufactured_convergence.spatial_cells", "need at least 4 cells per axis"),
+    ({"experiment": {"manufactured_convergence": {"spatial_cells": [0, 8]}}},
+     "experiment.manufactured_convergence.spatial_cells", "need at least 4 cells per axis"),
     # each value alone sets up, but 0.04 / 0.03 rounds to one step, dt = T
     ({"experiment": {"manufactured_convergence": {"base_dt": 0.03, "T_spatial": 0.04}}},
      "experiment.manufactured_convergence.base_dt and T_spatial",
      "dt must satisfy 0 < dt < T, got dt=0.04, T=0.04"),
+    # an option that sets up is not named with the pair that fails
+    ({"experiment": {"manufactured_convergence": {"base_dt": 0.03, "T_spatial": 0.04,
+                                                  "T_temporal": 1.0}}},
+     "experiment.manufactured_convergence.base_dt and T_spatial",
+     "dt must satisfy 0 < dt < T, got dt=0.04, T=0.04"),
 ], ids=["wstar", "eps_values", "eps0", "munu_values", "h2_eps_values", "T_spatial", "base_dt",
-        "spatial_cells", "base_dt_and_T_spatial"])
+        "spatial_cells", "zero_spatial_cells", "base_dt_and_T_spatial",
+        "base_dt_and_T_spatial_among_others"])
 def test_values_a_run_or_study_would_drop_or_reject_are_config_violations(
         tmp_path, capsys, doc, key, message):
     cfg = write_json(tmp_path / "bad.json", doc)
@@ -282,12 +290,19 @@ def test_values_a_run_or_study_would_drop_or_reject_are_config_violations(
     assert not (tmp_path / "out").exists()
 
 
-def test_study_values_that_set_up_are_accepted():
+@pytest.mark.parametrize("options", [
+    {"base_dt": 0.02, "T_spatial": 0.04, "spatial_cells": [4, 8],
+     "temporal_dts": [0.1, 0.05], "T_temporal": 0.2},
+    # each pair sets up only together: one value alone on the other's default
+    # gives a dt that does not fit below T
+    {"T_spatial": 0.002, "base_dt": 1e-4},
+    {"T_temporal": 0.008, "temporal_dts": [4e-4, 2e-4]},
+    {"temporal_dts": [0.8, 0.4], "T_temporal": 2.0},
+], ids=["small", "T_spatial_and_base_dt", "T_temporal_small", "temporal_dts_large"])
+def test_study_values_that_set_up_are_accepted(options):
     # h2's resolvent takes any positive epsilon, the limit ladders' Parameters (0, 1]
-    parse_config_dict({"experiment": {
-        "h2_uniformity": {"eps_values": [2.0, 0.5]},
-        "manufactured_convergence": {"base_dt": 0.02, "T_spatial": 0.04, "spatial_cells": [4, 8],
-                                     "temporal_dts": [0.1, 0.05], "T_temporal": 0.2}}})
+    parse_config_dict({"experiment": {"h2_uniformity": {"eps_values": [2.0, 0.5]},
+                                      "manufactured_convergence": options}})
 
 
 def test_cli_seed_override(tmp_path):
