@@ -133,9 +133,9 @@ _last_factor = KeepLast()    # keyed on (grid, lam, m or m's bytes)
 
 def _factorize(grid: Grid, lam: float, m):
     """Solve function of ``lam*K + diag(m)``, ``m`` a number or a field."""
-    K = grid.stiffness_matrix
     if grid.dim == 1:    # tridiagonal: LDL^T, solved without BLAS for n >= 2
-        d, e, info = dpttrf(lam * K.diagonal(0) + m, lam * K.diagonal(1),
+        band = grid.newton_diagonals[2]    # K in the Newton band: offsets 2, 1, 0
+        d, e, info = dpttrf(lam * band[2] + m, lam * band[1, 1:],
                             overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise SolverError(f"linear resolvent: the LDL^T factorization (dpttrf) of "
@@ -144,6 +144,7 @@ def _factorize(grid: Grid, lam: float, m):
         return lambda b: dpttrs(d, e, b)[0]
     # lam*K + diag(m) on the pattern of K, which is symmetric with sorted indices:
     # its CSR arrays are its CSC arrays.
+    K = grid.stiffness_matrix
     data = lam * K.data
     data[K.indices == np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))] += np.ravel(m)
     A = sp.csc_matrix((data, K.indices, K.indptr), shape=K.shape)
@@ -200,7 +201,10 @@ def linear_resolvent(problem: LinearResolventProblem) -> tuple[np.ndarray, Solve
         if not all_finite(w):
             raise SolverError("linear resolvent: the direct solve is not finite",
                               SolveReport(0, math.nan, False, method="failed"))
-        res = grid.norm_h(-lam * grid.laplacian(w) + m * w - z)
+        r = m * w            # m*w - lam*lap(w) - z sums as -lam*lap(w) + m*w - z does
+        r -= lam * grid.laplacian(w)
+        r -= z
+        res = grid.norm_h(r)
     tol = RESIDUAL_RTOL * grid.norm_h(z) + LINEAR_RESIDUAL_ATOL
     if not res <= tol:
         raise SolverError(f"linear resolvent did not reach residual {tol:.3e} (got {res:.3e})",
@@ -276,8 +280,10 @@ class _SingularSystem:
         it used; ``y/gam`` is the expression ``grad_gamma_eps(y)`` evaluates."""
         y = self.grad_cells(w)
         gam = gamma_eps(y, self.p.epsilon)
-        flux = self.beta * (y / gam)
-        r = self.m * w - self.z
+        flux = y / gam           # beta*(y/gam), formed in place
+        flux *= self.beta
+        r = self.m * w
+        r -= self.z
         csc_matvec(*self.GT_csc, flux.ravel(), r)
         csr_matvec(*self.kappa_K_csr, w, r)
         return r, y, gam
@@ -304,11 +310,14 @@ class _SingularSystem:
             data[-1 - row, :n - o] = ab[row, o:]
         return sp.dia_matrix((data, self.offsets), shape=(n, n))
 
-    def jacobian(self, y: np.ndarray, p: np.ndarray):
+    def jacobian(self, y: np.ndarray, p: np.ndarray, gam: np.ndarray):
         """Primal-dual Newton matrix: :meth:`matrix` of ``B = beta*(I - sym(p y^T)/gam)/gam``
-        at cell gradient ``y``, ``gam = gamma_eps(y)`` and dual flux ``p``, which
-        :func:`~kwcflow.model.hess_gamma_eps` forms; the exact Hessian at ``p = y/gam``."""
-        return self.matrix(self.beta * hess_gamma_eps(y, self.p.epsilon, p))
+        at cell gradient ``y``, dual flux ``p`` and ``gam = gamma_eps(y)``, which the
+        residual at ``y`` evaluated and :func:`~kwcflow.model.hess_gamma_eps` reads; the
+        exact Hessian at ``p = y/gam``."""
+        B = hess_gamma_eps(y, self.p.epsilon, p, gam)
+        B *= self.beta
+        return self.matrix(B)
 
     def solve(self, A, b: np.ndarray):
         """Solve the SPD system with the matrix :meth:`matrix` gives; returns
@@ -323,8 +332,10 @@ class _SingularSystem:
 
 def _stencil_residual_h(problem: SingularResolventProblem, w: np.ndarray) -> float:
     """Residual of the quasilinear equation, evaluated with the grid stencils."""
-    force = interfacial_force(problem.grid, problem.beta, w, problem.epsilon, problem.kappa_eff)
-    return problem.grid.norm_h(-force + problem.m * w - problem.z)
+    r = problem.m * w        # m*w - force - z sums as -force + m*w - z does
+    r -= interfacial_force(problem.grid, problem.beta, w, problem.epsilon, problem.kappa_eff)
+    r -= problem.z
+    return problem.grid.norm_h(r)
 
 
 def _dual_step(p: np.ndarray, y: np.ndarray, gam: np.ndarray, y_new: np.ndarray) -> np.ndarray:
@@ -385,7 +396,7 @@ def singular_resolvent(problem: SingularResolventProblem,
             # are those the accepted trial's residual used.
             p = _dual_step(p, y, gam, y_new)
             y, gam = y_new, gam_new
-        delta, n_cg, ok = sys.solve(sys.jacobian(y, p), -r)
+        delta, n_cg, ok = sys.solve(sys.jacobian(y, p, gam), -r)
         inner_total += n_cg
         if not ok:
             stop = "the linear solve failed"

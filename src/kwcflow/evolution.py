@@ -354,7 +354,8 @@ def run(initial: SystemState, model: ModelFunctions, params: Parameters,
 
     Solver reports are recorded for every step regardless of stride.  If a
     step fails, the partial trajectory is attached to the raised
-    :class:`StepFailedError` for diagnosis.
+    :class:`StepFailedError` for diagnosis; it ends with the last completed
+    state, a snapshot added to those of the stride when it is not one of them.
     """
     if stepper not in ("parabolic", "pseudo_parabolic"):
         raise ValueError(f"unknown stepper {stepper!r}")
@@ -380,6 +381,10 @@ def run(initial: SystemState, model: ModelFunctions, params: Parameters,
             new_state, rep_eta, rep_theta = _advance(state, model, params, forcings,
                                                      theta_start)
         except StepFailedError as exc:
+            if traj.snapshots[-1] is not state:    # keep the last completed state
+                traj.times.append(state.time)
+                traj.snapshots.append(state)
+                traj.energies.append(kwc_energy(grid, state.eta, state.theta, model, params))
             exc.trajectory = traj
             raise
         traj.solve_reports.append({"eta": rep_eta, "theta": rep_theta})

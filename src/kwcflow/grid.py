@@ -210,18 +210,24 @@ class Grid:
         Boundary-face values of ``F`` are ignored (treated as zero), which
         makes ``div`` the exact negative adjoint of :meth:`grad`.
         """
-        F = self.check_faces(F)
+        return self._div(self.check_faces(F))
+
+    def _div(self, F) -> np.ndarray:
+        """:meth:`div` of checked face components, which it only reads.  Per axis the
+        interior faces are written to their lower cell and subtracted from their upper
+        one, so a wall cell takes ``F[1] - 0.0`` or ``0.0 - F[-2]`` as with zeroed walls."""
         out = np.zeros(self.shape)
-        for h, comp, (_, lo, hi, first, last) in zip(self.spacing, F, self._stencil_index):
-            comp = comp.copy()
-            comp[first] = 0.0
-            comp[last] = 0.0
-            out += (comp[hi] - comp[lo]) / h
+        for h, comp, (inner, lo, hi, _, _) in zip(self.spacing, F, self._stencil_index):
+            d = np.zeros(self.shape)
+            d[lo] = comp[inner]
+            d[hi] -= comp[inner]
+            d /= h
+            out += d
         return out
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Neumann Laplacian ``div(grad(f))``: symmetric, kills constants exactly."""
-        return self.div(self.grad(f))
+        return self._div(self.grad(f))
 
     def face_to_cell(self, F) -> np.ndarray:
         """Average face values back onto cells; shape ``(dim,) + grid.shape``."""
@@ -239,10 +245,11 @@ class Grid:
         comps = []
         for v, shape, (inner, lo, hi, first, last) in zip(V, self._face_shapes,
                                                           self._stencil_index):
-            g = np.zeros(shape)
-            g[inner] = 0.5 * (v[lo] + v[hi])
-            g[first] = 0.5 * v[first]
-            g[last] = 0.5 * v[last]
+            g = np.empty(shape)
+            np.add(v[lo], v[hi], out=g[inner])
+            g[first] = v[first]
+            g[last] = v[last]
+            g *= 0.5
             comps.append(g)
         return tuple(comps)
 
@@ -263,11 +270,14 @@ class Grid:
         """Face pairing with cell-volume weights (matches the adjoint identity)."""
         total = 0.0
         for d in range(self.dim):
-            total += float((np.asarray(F[d]) * np.asarray(G[d])).sum())
+            total += float(np.add.reduce(np.multiply(F[d], G[d]), axis=None))
         return total * self.cell_volume
 
     def norm_h(self, f: np.ndarray) -> float:
-        return math.sqrt(max(self.inner(f, f), 0.0))
+        f = np.asarray(f)
+        if f.shape != self.shape:
+            raise ValueError(f"fields do not share this grid: {f.shape}, {f.shape} vs {self.shape}")
+        return math.sqrt(max(float(np.add.reduce(f * f, axis=None) * self.cell_volume), 0.0))
 
     def norm_v(self, f: np.ndarray) -> float:
         G = self.grad(f)
@@ -287,10 +297,15 @@ class Grid:
         neighbour (a cell on a wall stands in for the one missing across it) and weights
         ``(1/(2h), -1/(2h))``."""
         idx = np.arange(self.n_cells).reshape(self.shape)
-        neighbours = np.array([[np.take(idx, np.clip(np.arange(n) + step, 0, n - 1), axis=d).ravel()
-                                for step in (1, -1)] for d, n in enumerate(self.cells)])
+        neighbours = np.empty((self.dim, 2) + self.shape, dtype=idx.dtype)
+        for (upper, lower), (_, below, above, first, last) in zip(neighbours,
+                                                                  self._stencil_index):
+            upper[below] = idx[above]
+            upper[last] = idx[last]
+            lower[above] = idx[below]
+            lower[first] = idx[first]
         weights = np.array([(0.5 * (1.0 / h), 0.5 * (-1.0 / h)) for h in self.spacing])
-        return neighbours, weights
+        return neighbours.reshape(self.dim, 2, self.n_cells), weights
 
     @cached_property
     def stiffness_matrix(self) -> sp.csr_matrix:
@@ -298,25 +313,29 @@ class Grid:
         axis, ``-1/h^2`` for each neighbour of a cell and ``1/h^2`` on the diagonal for
         each of its interior faces; bit for bit the entries of ``sum_d G_d^T G_d``
         with ``G_d`` the face gradient along axis d."""
-        own = np.arange(self.n_cells)
-        lower, upper, weights, diag = [], [], [], 0.0
-        for (hi, lo), h in zip(self.cell_gradient_stencil[0], self.spacing):
-            s = (1.0 / h) * (1.0 / h)
-            lower.append(np.where(lo != own, lo, -1))
-            upper.append(np.where(hi != own, hi, -1))
-            weights.append(np.full(own.size, -s))
-            diag = diag + ((lo != own).astype(float) + (hi != own)) * s
+        neighbours, _ = self.cell_gradient_stencil
+        n, dim = self.n_cells, self.dim
+        own = np.arange(n)
+        present = neighbours != own                # (dim, 2, n): upper, lower
+        s = np.array([(1.0 / h) * (1.0 / h) for h in self.spacing])
+        # per axis, 1/h^2 for each interior face of a cell (0 + x is x for x > 0)
+        diag = sum(faces * h2 for faces, h2 in zip(present.sum(axis=1), s))
+        entries = np.where(present, neighbours, -1)
         # columns in increasing order: the coarsest axis first below the diagonal
-        cols = np.stack(lower + [own] + upper[::-1], axis=1)
-        vals = np.stack(weights + [diag] + weights[::-1], axis=1)
-        return _csr(cols, vals, self.n_cells)
+        cols = np.concatenate((entries[:, 1], own[None], entries[::-1, 0]))
+        vals = np.empty(cols.shape)
+        vals[:dim] = -s[:, None]
+        vals[dim] = diag
+        vals[dim + 1:] = -s[::-1, None]
+        return _csr(cols.T, vals.T, n)
 
     @cached_property
     def cell_gradient_matrix(self) -> sp.csr_matrix:
         """Stacked cell-gradient matrix (dim * n_cells rows) of
         :attr:`cell_gradient_stencil`; entries are stored upper neighbour first."""
         neighbours, weights = self.cell_gradient_stencil
-        return _csr(neighbours.transpose(0, 2, 1), weights[:, None, :], self.n_cells)
+        return _csr(neighbours.transpose(0, 2, 1).reshape(-1, 2),
+                    np.repeat(weights, self.n_cells, axis=0), self.n_cells)
 
     @cached_property
     def newton_diagonals(self) -> tuple[tuple[int, ...], sp.csr_matrix, np.ndarray]:
@@ -333,24 +352,26 @@ class Grid:
         cols[e, j, c])``; each entry adds its terms lower cell first."""
         n, dim = self.n_cells, self.dim
         cols, w = self.cell_gradient_stencil
-        shape = (dim, 2, dim, 2, n)
-        d, i, e, j, c = np.indices(shape, sparse=True)
-        rows, columns = np.broadcast_arrays(cols[d, i, c], cols[e, j, c])
-        upper = rows <= columns
-        offset, columns = (columns - rows)[upper], columns[upper]
-        # Each full-size term array is masked as it is made, which keeps the build's peak low.
-        source = np.broadcast_to((d * dim + e) * n + c, shape)[upper]
-        weight = np.broadcast_to(w[d, i] * w[e, j], shape)[upper]
-        cell = np.broadcast_to(c, shape)[upper]
-        ascending = np.unique(offset)
-        slot = (ascending.size - 1 - np.searchsorted(ascending, offset)) + ascending.size * columns
-        del offset, columns, upper
+        # the terms of the upper entries, each term's (d, i, e, j, c) in C order
+        d, i, e, j, c = np.nonzero(cols[:, :, None, None, :] <= cols[None, None, :, :, :])
+        row, column = cols[d, i, c], cols[e, j, c]
+        source = (d * dim + e) * n + c
+        weight = w[d, i] * w[e, j]
+        # Each index array is dropped once read, which keeps the build's peak low.
+        del d, i, e, j
+        offset = column - row
+        del row
+        present = np.bincount(offset) > 0
+        ascending = np.flatnonzero(present)
+        rank = np.cumsum(present) - 1              # an offset's place in ascending
+        slot = (ascending.size - 1 - rank[offset]) + ascending.size * column
+        del offset, column
         # One entry per (slot, source): no two terms share both, so nothing is summed.
-        order = np.lexsort((source, cell, slot))
-        coupling = sp.csr_matrix(
-            (weight[order], source[order],
-             np.concatenate([[0], np.cumsum(np.bincount(slot, minlength=ascending.size * n))])),
-            shape=(ascending.size * n, dim * dim * n))
+        order = np.lexsort((source, c, slot))
+        indptr = np.zeros(ascending.size * n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(slot, minlength=ascending.size * n), out=indptr[1:])
+        coupling = _csr_matrix(weight[order], source[order], indptr,
+                               (ascending.size * n, dim * dim * n))
         offsets = tuple(int(o) for o in ascending[::-1])
         stiffness = np.zeros((len(offsets), n), order="F")
         for k, o in enumerate(offsets):
@@ -358,14 +379,24 @@ class Grid:
         return offsets, coupling, stiffness
 
 
-def _csr(cols: np.ndarray, vals, n_cols: int) -> sp.csr_matrix:
-    """CSR matrix with one row per leading index of ``cols``: row i holds the values
-    ``vals[i, k]`` at columns ``cols[i, k] >= 0``, in that order (-1 pads a row)."""
-    vals = np.broadcast_to(vals, cols.shape).reshape(-1, cols.shape[-1])
-    cols = cols.reshape(-1, cols.shape[-1])
+def _csr_matrix(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+                shape: tuple[int, int]) -> sp.csr_matrix:
+    """``sp.csr_matrix((data, indices, indptr), shape=shape)``, with the index arrays
+    handed over as int32 when every index fits: the type the constructor picks then,
+    which spares it the scan that would convert them."""
+    if max(indices.size, *shape) < 2**31:
+        indices, indptr = indices.astype(np.int32), indptr.astype(np.int32)
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
+
+
+def _csr(cols: np.ndarray, vals: np.ndarray, n_cols: int) -> sp.csr_matrix:
+    """CSR matrix with one row per row of the 2D arrays ``cols`` and ``vals``: row i
+    holds the values ``vals[i, k]`` at columns ``cols[i, k] >= 0``, in that order
+    (-1 pads a row)."""
     keep = cols >= 0
-    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
-    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(cols.shape[0], n_cols))
+    indptr = np.zeros(cols.shape[0] + 1, dtype=np.intp)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return _csr_matrix(vals[keep], cols[keep], indptr, (cols.shape[0], n_cols))
 
 
 def build_grid(dim: int, cells_per_axis, extents) -> Grid:

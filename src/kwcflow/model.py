@@ -33,6 +33,7 @@ the flux's divergence once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -73,10 +74,14 @@ class Parameters:
     def __post_init__(self):
         if not self.kappa > 0:
             raise ValueError(f"(A1): kappa must be positive, got {self.kappa}")
+        if not math.isfinite(self.kappa):
+            raise ValueError(f"kappa must be finite, got {self.kappa}")
         if not (0 < self.epsilon <= 1):
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
         if not self.T > 0:
             raise ValueError(f"T must be positive, got {self.T}")
+        if not math.isfinite(self.T):
+            raise ValueError(f"T must be finite, got {self.T}")
         if not (0 < self.dt < self.T):
             raise ValueError(f"dt must satisfy 0 < dt < T, got dt={self.dt}, T={self.T}")
         for name, val in (("mu", self.mu), ("nu", self.nu)):
@@ -118,13 +123,15 @@ def grad_gamma_eps(y, epsilon: float):
     return y / np.sqrt(epsilon**2 + _component_sum(y * y))
 
 
-def hess_gamma_eps(y, epsilon: float, dual=None):
+def hess_gamma_eps(y, epsilon: float, dual=None, gam=None):
     """Hessian (I*(eps^2+|y|^2) - y yT) / (eps^2+|y|^2)^(3/2); SPD for eps > 0.
 
     With a dual flux ``p`` (the layout of ``y``), the primal-dual linearization
     ``(I - sym(p yT)/gam)/gam`` with ``gam = gamma_eps(y)`` instead (Chan, Golub &
     Mulet): the Hessian at ``p = y/gam``, and SPD for every ``|p| <= 1``, with
-    smallest eigenvalue at least ``(1 - |y|/gam)/gam``.  Without a dual the
+    smallest eigenvalue at least ``(1 - |y|/gam)/gam``.  A caller that has
+    ``gamma_eps(y, epsilon)`` at hand passes it as ``gam``, which is then not
+    evaluated again; only the dual's formula reads it.  Without a dual the
     Hessian's formula is kept: it gives the smallest entries, ``eps^2/gam^3``
     where ``|y| >> eps``, without the cancellation in ``1 - |y|^2/gam^2``.
 
@@ -134,16 +141,17 @@ def hess_gamma_eps(y, epsilon: float, dual=None):
     if epsilon <= 0:
         raise ValueError("hess_gamma_eps requires epsilon > 0")
     n = y.shape[0]
-    s = epsilon**2 + _component_sum(y * y)
     out = np.empty((n, n) + y.shape[1:])
     if dual is None:
+        s = epsilon**2 + _component_sum(y * y)
         denom = s ** 1.5
         for i in range(n):
             for j in range(n):
                 out[i, j] = ((s if i == j else 0.0) - y[i] * y[j]) / denom
         return out
     p = _as_vector(dual)
-    gam = np.sqrt(s)
+    if gam is None:
+        gam = gamma_eps(y, epsilon)
     for i in range(n):
         for j in range(n):
             # on the diagonal 0.5*(a + a) is a, bit for bit
@@ -272,8 +280,9 @@ def _interfacial_flux(grid: Grid, beta: np.ndarray, theta: np.ndarray,
                       epsilon: float, kappa: float) -> list:
     G, gc, gam = angle_gradient(grid, theta, epsilon)
     # gc / gam is the expression grad_gamma_eps(gc) evaluates
-    F = grid.cell_to_face(beta * (gc / gam))
-    flux = tuple(F[d] + kappa * G[d] for d in range(grid.dim))
+    flux = grid.cell_to_face(beta * (gc / gam))
+    for f, g in zip(flux, G):
+        f += kappa * g
     _read_only(flux)
     return [flux, None]      # the divergence is taken when it is first asked for
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -236,6 +237,8 @@ def test_cli_config_error_exit_code(tmp_path):
     ({"forcings": {"v": "'abc'"}}, "forcings.v"),
     ({"params": {"T": 0.01, "dt": 0.003}}, "params.dt"),
     ({"params": {"mu": 0.1}, "stepper": "parabolic"}, "stepper"),
+    ({"params": {"T": math.inf, "dt": 0.001}}, "params"),
+    ({"params": {"kappa": math.inf}}, "params"),
 ])
 def test_inputs_run_cannot_start_are_config_violations(tmp_path, doc, key):
     with pytest.raises(ConfigError) as excinfo:
@@ -261,6 +264,8 @@ def test_inputs_run_cannot_start_are_config_violations(tmp_path, doc, key):
      "experiment.h2_uniformity.eps_values", "epsilon must be positive, got -1.0"),
     ({"experiment": {"manufactured_convergence": {"T_spatial": -0.1}}},
      "experiment.manufactured_convergence.T_spatial", "T must be positive, got -0.1"),
+    ({"experiment": {"manufactured_convergence": {"T_temporal": math.inf}}},
+     "experiment.manufactured_convergence.T_temporal", "T must be finite, got inf"),
     ({"experiment": {"manufactured_convergence": {"base_dt": 0.0}}},
      "experiment.manufactured_convergence.base_dt", "dt must satisfy 0 < dt < T, got dt=0.0"),
     ({"experiment": {"manufactured_convergence": {"spatial_cells": [2, 4]}}},
@@ -276,7 +281,8 @@ def test_inputs_run_cannot_start_are_config_violations(tmp_path, doc, key):
                                                   "T_temporal": 1.0}}},
      "experiment.manufactured_convergence.base_dt and T_spatial",
      "dt must satisfy 0 < dt < T, got dt=0.04, T=0.04"),
-], ids=["wstar", "eps_values", "eps0", "munu_values", "h2_eps_values", "T_spatial", "base_dt",
+], ids=["wstar", "eps_values", "eps0", "munu_values", "h2_eps_values", "T_spatial",
+        "infinite_T_temporal", "base_dt",
         "spatial_cells", "zero_spatial_cells", "base_dt_and_T_spatial",
         "base_dt_and_T_spatial_among_others"])
 def test_values_a_run_or_study_would_drop_or_reject_are_config_violations(
@@ -464,6 +470,30 @@ def test_a_failed_run_writes_the_steps_before_it(tmp_path, monkeypatch, capsys):
     assert float(rows[-1].split(",")[4]) == manifest["energy_end"]
     assert sorted(p.name for p in (out / "snapshots").iterdir()) == sorted(
         f"{field}_{k:06d}.csv" for field in ("eta", "theta") for k in range(4))
+
+
+def test_a_run_failing_between_snapshots_keeps_its_last_state(tmp_path, monkeypatch, capsys):
+    # Stride 10 and a failure at step 14: the snapshots are steps 0 and 10 of the
+    # stride and step 13, the last completed one, which a run that ends there writes too.
+    params = {"kappa": 1.0, "epsilon": 0.25, "T": 0.02, "dt": 1e-3}
+    ended = tmp_path / "ended"
+    assert main(["run", "--config", run_config(tmp_path, params=dict(params, T=0.013)),
+                 "--out", str(ended)]) == 0
+    fail_the_theta_solve_from_call(monkeypatch, 14)
+    out = tmp_path / "out"
+    assert main(["run", "--config", run_config(tmp_path, params=params),
+                 "--out", str(out)]) == 1
+    assert "run failed: theta solve failed at t=0.014: synthetic failure" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["steps"]["count"] == 13
+    rows = (out / "timeseries.csv").read_text().splitlines()
+    assert [float(row.split(",")[0]) for row in rows[1:]] == pytest.approx([0.0, 0.01, 0.013])
+    assert float(rows[-1].split(",")[4]) == manifest["energy_end"]
+    assert rows == (ended / "timeseries.csv").read_text().splitlines()
+    names = sorted(f"{field}_{k:06d}.csv" for field in ("eta", "theta") for k in range(3))
+    assert sorted(p.name for p in (out / "snapshots").iterdir()) == names
+    for name in names:
+        assert (out / "snapshots" / name).read_bytes() == (ended / "snapshots" / name).read_bytes()
 
 
 def test_a_failed_study_writes_its_report(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import solveh_banded
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 from scipy.sparse.linalg import splu, spsolve
 
 import kwcflow.elliptic as elliptic
@@ -340,11 +341,11 @@ def test_fixed_pattern_matrices_match_explicit_assembly(cells, extents):
     B_ref = sp.bmat([[sp.diags(beta.ravel() * Bpd[i][j]) for j in range(g.dim)]
                      for i in range(g.dim)])
     explicit = (G.T @ B_ref @ G + rest).toarray()
-    err = np.max(np.abs(dense(system.jacobian(y, p)) - explicit))
+    err = np.max(np.abs(dense(system.jacobian(y, p, gam)) - explicit))
     assert err <= 1e-14 * np.max(np.abs(explicit))
     # At p = y/gam the primal-dual matrix is the exact Hessian, up to rounding.
     hessian = dense(system.matrix(beta.ravel() * H))
-    err = np.max(np.abs(dense(system.jacobian(y, grad_gamma_eps(y, eps))) - hessian))
+    err = np.max(np.abs(dense(system.jacobian(y, grad_gamma_eps(y, eps), gam)) - hessian))
     assert err <= 1e-14 * np.max(np.abs(hessian))
 
     # SPD with smallest eigenvalue >= min m for any |p| <= 1, down to eps = 2^-11.
@@ -352,7 +353,7 @@ def test_fixed_pattern_matrices_match_explicit_assembly(cells, extents):
         for eps_small in (eps, 2.0**-6, 2.0**-11):
             system = _SingularSystem(SingularResolventProblem(g, beta, kappa_eff, m, g.zeros(),
                                                               eps_small))
-            A = system.jacobian(y, p).toarray()
+            A = system.jacobian(y, p, gamma_eps(y, system.p.epsilon)).toarray()
             assert np.max(np.abs(A - A.T)) <= 1e-14 * np.max(np.abs(A))
             smallest = np.linalg.eigvalsh(0.5 * (A + A.T))[0]
             assert smallest >= np.min(m) - 1e-12 * np.max(np.abs(A))
@@ -492,7 +493,7 @@ def test_newton_matrix_matches_the_operator_product(cells):
         G = g.cell_gradient_matrix
         oracle = (G.T @ sp.bmat([[sp.diags(B[d, e]) for e in range(g.dim)] for d in range(g.dim)])
                   @ G + system.p.kappa_eff * g.stiffness_matrix + sp.diags(system.m)).toarray()
-        A = system.jacobian(y, p)
+        A = system.jacobian(y, p, gamma_eps(y, system.p.epsilon))
         if g.dim == 2:
             assert isinstance(A, sp.dia_matrix)
             assert np.array_equal(A.toarray(), A.toarray().T)
@@ -511,7 +512,7 @@ def test_1d_band_is_bitwise_the_band_of_the_pattern_matrix(n):
     rng = np.random.default_rng(n)
     for _ in range(5):
         system, y, p = random_newton_system(g, rng)
-        band = system.jacobian(y, p)
+        band = system.jacobian(y, p, gamma_eps(y, system.p.epsilon))
         assert band.flags.f_contiguous          # dpbsv takes it without a copy
         reference = upper_band(pattern_matrix(system, newton_weight(system, y, p)))
         assert band.tobytes() == reference.tobytes()
@@ -526,7 +527,7 @@ def test_banded_newton_solve_matches_spsolve(grid1d):
     y = system.grad_cells(0.5 * np.tanh((x - 0.5) / 0.01))
     b = rng.standard_normal(grid1d.n_cells)
     p = -grad_gamma_eps(y, 2.0**-8)
-    band = system.jacobian(y, p)
+    band = system.jacobian(y, p, gamma_eps(y, system.p.epsilon))
     assert band.shape == (3, grid1d.n_cells)
     x_ref = spsolve(sp.csc_matrix(pattern_matrix(system, newton_weight(system, y, p))), b)
     x_banded, n_cg, ok = system.solve(band, b)
@@ -544,7 +545,7 @@ def test_direct_banded_solve_matches_solveh_banded(grid1d):
     system = _SingularSystem(problem)
     y = system.grad_cells(0.5 * np.tanh((x - 0.5) / 0.01))
     b = np.random.default_rng(13).standard_normal(grid1d.n_cells)
-    band = system.jacobian(y, grad_gamma_eps(y, 2.0**-8))
+    band = system.jacobian(y, grad_gamma_eps(y, 2.0**-8), gamma_eps(y, system.p.epsilon))
     expected = solveh_banded(band, b)
     x_direct, n_cg, ok = system.solve(band.copy(order="F"), b)   # the solve overwrites it
     assert ok and n_cg == 0
@@ -559,6 +560,72 @@ def test_direct_banded_solve_matches_solveh_banded(grid1d):
 def step_at_half(g, height):
     """``height`` on the cells past x = 1/2, zero before them."""
     return np.where(g.meshgrid()[0] > 0.5, height, 0.0)
+
+
+# -- the residuals and the Newton matrix against their earlier definitions -----------
+# Each was rewritten to evaluate less or copy less; the earlier definitions are kept
+# here as the reference, whose bytes the rewritten ones must give.
+
+
+def old_newton_weight(beta, y, eps, p):
+    """``B`` as the Newton matrix took it before it reused the residual's gamma: the
+    dual linearization with ``s = eps^2 + |y|^2`` and ``gam = sqrt(s)`` evaluated anew."""
+    n = y.shape[0]
+    s = eps**2 + (y[0] * y[0] if n == 1 else np.add.reduce(y * y, axis=0))
+    gam = np.sqrt(s)
+    out = np.empty((n, n) + y.shape[1:])
+    for i in range(n):
+        for j in range(n):
+            sym = p[i] * y[i] if i == j else 0.5 * (p[i] * y[j] + p[j] * y[i])
+            out[i, j] = ((1.0 if i == j else 0.0) - sym / gam) / gam
+    return beta * out
+
+
+def old_residual(system, w):
+    """The Newton residual as :meth:`_SingularSystem.residual_parts` formed it before it
+    formed the flux and ``m*w - z`` in place."""
+    y = system.grad_cells(w)
+    flux = system.beta * (y / gamma_eps(y, system.p.epsilon))
+    r = system.m * w - system.z
+    csc_matvec(*system.GT_csc, flux.ravel(), r)
+    csr_matvec(*system.kappa_K_csr, w, r)
+    return r
+
+
+def matrix_bytes(A) -> bytes:
+    """The bytes of a system matrix: a 1D band, or a DIA matrix's data and offsets."""
+    return A.data.tobytes() + A.offsets.tobytes() if sp.issparse(A) else A.tobytes()
+
+
+@pytest.mark.parametrize("eps", [2.0**-2, 2.0**-10], ids=["eps=2^-2", "eps=2^-10"])
+@pytest.mark.parametrize("cells,extents", [([37], [1.0]), ([128], [1.0]), ([6, 5], [1.0, 0.7])])
+def test_newton_matrix_and_residuals_give_the_bytes_of_their_old_definitions(cells, extents,
+                                                                             eps):
+    g = build_grid(len(cells), cells, extents)
+    rng = np.random.default_rng(14)
+    beta = rng.uniform(0.0, 1.5, g.shape)
+    beta.flat[::4] = 0.0
+    m = rng.uniform(1.0, 2.0, g.shape)
+    z = step_at_half(g, 0.5) + 0.1 * rng.standard_normal(g.shape)
+    problem = SingularResolventProblem(g, beta, 0.01, m, z, eps)
+    system = _SingularSystem(problem)
+    for w in (step_at_half(g, 0.5), step_at_half(g, -0.0), rng.standard_normal(g.shape)):
+        r, y, gam = system.residual_parts(w.ravel())
+        assert r.tobytes() == old_residual(system, w.ravel()).tobytes()
+        p = rng.uniform(-1.0, 1.0, y.shape)
+        p /= np.maximum(1.0, np.linalg.norm(p, axis=0))
+        p[:, ::5] = -0.0
+        assert (hess_gamma_eps(y, eps, p, gam).tobytes()
+                == (old_newton_weight(1.0, y, eps, p)).tobytes())
+        assert (matrix_bytes(system.jacobian(y, p, gam))
+                == matrix_bytes(system.matrix(old_newton_weight(system.beta, y, eps, p))))
+        force = g.div(interfacial_flux(g, beta, w, eps, 0.01))
+        old = g.norm_h(-force + m * w - z)
+        assert np.float64(_stencil_residual_h(problem, w)).tobytes() == np.float64(old).tobytes()
+    for lam, weight in ((0.3, 1.0), (1e-3, m)):
+        w, report = linear_resolvent(LinearResolventProblem(g, lam, weight, z))
+        old = g.norm_h(-lam * g.laplacian(w) + weight * w - z)
+        assert np.float64(report.final_residual_h).tobytes() == np.float64(old).tobytes()
 
 
 @pytest.mark.parametrize("cells", [[64], [12, 10]])
@@ -588,7 +655,8 @@ def test_singular_resolvent_raises_on_a_non_finite_newton_system(cells, monkeypa
     # A NaN Newton system fails with the solver's own error in both dimensions, so
     # that a time step reports it; neither the band solve nor CG sees it.
     monkeypatch.setattr(elliptic, "hess_gamma_eps",
-                        lambda y, eps, dual=None: np.full((y.shape[0],) + y.shape, np.nan))
+                        lambda y, eps, dual=None, gam=None: np.full((y.shape[0],) + y.shape,
+                                                                    np.nan))
     g = build_grid(len(cells), cells, [1.0] * len(cells))
     problem = SingularResolventProblem(g, g.constant(1.0), 0.01, g.constant(1.0),
                                        step_at_half(g, 0.5), 2.0**-6)

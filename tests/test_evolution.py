@@ -140,9 +140,10 @@ def test_zero_damping_weights_skip_their_laplacians(setup, monkeypatch):
     # old eta, nu a divergence of the old angle's face gradient and one of the
     # damped flux in the step check.  The eta solve's residual re-check costs the
     # Laplacian left at mu = nu = 0, and the new angle's flux one divergence, which
-    # the resolvent's re-check and the undamped step check share.
+    # the resolvent's re-check and the undamped step check share.  Every divergence,
+    # a Laplacian's too, is taken by Grid._div, which is counted.
     g, model, eta0, theta0 = setup
-    calls = {"laplacian": 0, "div": 0}
+    calls = {"laplacian": 0, "_div": 0}
     for name in calls:
         method = getattr(Grid, name)
 
@@ -153,27 +154,28 @@ def test_zero_damping_weights_skip_their_laplacians(setup, monkeypatch):
         monkeypatch.setattr(Grid, name, counted)
     for mu, nu, laplacians, divs in ((0.0, 0.0, 1, 2), (0.1, 0.0, 2, 3),
                                      (0.0, 0.1, 1, 4), (0.1, 0.1, 2, 5)):
-        calls.update(laplacian=0, div=0)
+        calls.update(laplacian=0, _div=0)
         params = Parameters(kappa=1.0, epsilon=0.25, T=1.0, dt=1e-3, mu=mu, nu=nu)
         step(SystemState(g, eta0, theta0), model, params, Forcings(g))
-        assert (calls["laplacian"], calls["div"]) == (laplacians, divs), (mu, nu)
+        assert (calls["laplacian"], calls["_div"]) == (laplacians, divs), (mu, nu)
 
 
 def test_undamped_grain_step_takes_the_angle_flux_divergence_once(monkeypatch):
     # Two divergences per undamped step: the eta re-check's Laplacian and the new
     # angle's flux divergence, kept beside the flux for the resolvent's re-check and
-    # the step check.  A grain-boundary step of the benchmark (face 89, eps 2^-6).
+    # the step check.  Every divergence, a Laplacian's too, is taken by Grid._div,
+    # which is counted.  A grain-boundary step of the benchmark (face 89, eps 2^-6).
     g = build_grid(1, [128], [1.0])
     model = reference_model()
     params = Parameters(kappa=1e-2, epsilon=2.0**-6, T=5e-3, dt=1e-3)
     theta0 = 0.5 * np.tanh((g.centers(0) - 89 / 128) / 0.01)
-    div, calls = Grid.div, []
+    div, calls = Grid._div, []
 
     def counted(self, F):
         calls.append(1)
         return div(self, F)
 
-    monkeypatch.setattr(Grid, "div", counted)
+    monkeypatch.setattr(Grid, "_div", counted)
     new, _, _ = evolution._advance(SystemState(g, g.constant(1.0), theta0), model, params,
                                    Forcings(g))
     assert len(calls) == 2
@@ -359,10 +361,10 @@ def test_run_non_finite_newton_system_carries_partial_trajectory(cells, monkeypa
     theta0 = random_smooth_field(g, rng, mean=0.0, amplitude=0.5)
     hessian, calls = elliptic.hess_gamma_eps, {"n": 0}
 
-    def nan_after_six(y, eps, dual=None):    # the Newton matrices from the seventh on are all NaN
+    def nan_after_six(y, eps, dual=None, gam=None):    # the seventh Newton matrix on is NaN
         calls["n"] += 1
         if calls["n"] <= 6:
-            return hessian(y, eps, dual)
+            return hessian(y, eps, dual, gam)
         return np.full((y.shape[0],) + y.shape, np.nan)
 
     monkeypatch.setattr(elliptic, "hess_gamma_eps", nan_after_six)

@@ -262,17 +262,20 @@ def test_jacobian_pattern_build_peak_memory():
 
 
 @pytest.mark.parametrize("cells,extents,digest", [
+    ([4], [1.0], "28bf1029fb1775101a9f4f3eaa698dba6eab7c40e8ca1eb2f5fc9dd63ffd4950"),
+    ([37], [1.3], "8203062670f59766d0f9dd24ede83d4125ba12d223972592ff489368a2caf37e"),
+    ([128], [1.0], "36e4fea475b5fb1c24174345e0917da220b51b217338093e4645f3d6da552c97"),
     ([4, 4], [1.0, 1.0], "6f3c133c224054e70552583954dc06db87242820de77e6a981180782b0f2793f"),
     ([5, 7], [1.0, 0.7], "4045b7114be37c05c6463d3025b4d90b48f77a11b45e64d803a71158345155ce"),
     ([12, 10], [1.0, 0.8], "aa0ef14183af6a20498aa9565ff91e799b74d8250b7a22dcfbe929b9f627dc53"),
     ([48, 48], [1.0, 1.0], "991db54fb204819065c1673aaebe1a5821bdb6b9a216a4a4050d886f3db003a9"),
-], ids=["4x4", "5x7", "12x10", "48x48"])
+], ids=["4", "37", "128", "4x4", "5x7", "12x10", "48x48"])
 def test_jacobian_pattern_bytes_are_pinned(cells, extents, digest):
     # Every Newton matrix is written from the map Grid.newton_diagonals, so its arrays
     # fix the bits of every solve.  They hold only integers and exact products of
     # +-1/(2h) and 1/h, so the digests (recorded from the map, whose matrices match the
     # sparse operator products) do not depend on BLAS.
-    offsets, coupling, stiffness = build_grid(2, cells, extents).newton_diagonals
+    offsets, coupling, stiffness = build_grid(len(cells), cells, extents).newton_diagonals
     h = hashlib.sha256()
     for a in (np.array(offsets), coupling.data, coupling.indices, coupling.indptr, stiffness):
         h.update(f"{a.dtype.str}{a.shape}".encode())
@@ -446,3 +449,86 @@ def test_field_constructors():
     r2 = random_smooth_field(g, np.random.default_rng(0), mean=0.0, amplitude=1.0)
     assert np.array_equal(r1, r2)
     assert np.max(np.abs(r1)) == pytest.approx(1.0)
+
+
+# -- the stencil kernels against their earlier definitions ---------------------------
+# Each kernel was rewritten to copy and wrap less.  The earlier definitions are kept
+# here as the reference; the kernels must give their bytes on every input, signed
+# zeros and subnormals included.
+
+
+def _along(d, index):
+    return (slice(None),) * d + (index,)
+
+
+def old_div(grid, F):
+    F = grid.check_faces(F)
+    out = np.zeros(grid.shape)
+    for d, (h, comp) in enumerate(zip(grid.spacing, F)):
+        comp = comp.copy()
+        comp[_along(d, 0)] = 0.0
+        comp[_along(d, -1)] = 0.0
+        out += (comp[_along(d, slice(1, None))] - comp[_along(d, slice(0, -1))]) / h
+    return out
+
+
+def old_laplacian(grid, f):
+    return old_div(grid, grid.grad(f))
+
+
+def old_cell_to_face(grid, V):
+    comps = []
+    for d, (v, shape) in enumerate(zip(V, grid.face_shapes())):
+        g = np.zeros(shape)
+        g[_along(d, slice(1, grid.cells[d]))] = 0.5 * (v[_along(d, slice(0, -1))]
+                                                       + v[_along(d, slice(1, None))])
+        g[_along(d, 0)] = 0.5 * v[_along(d, 0)]
+        g[_along(d, -1)] = 0.5 * v[_along(d, -1)]
+        comps.append(g)
+    return tuple(comps)
+
+
+def old_norm_h(grid, f):
+    return math.sqrt(max(float(np.add.reduce(f * f, axis=None) * grid.cell_volume), 0.0))
+
+
+def old_inner_faces(grid, F, G):
+    total = 0.0
+    for d in range(grid.dim):
+        total += float((np.asarray(F[d]) * np.asarray(G[d])).sum())
+    return total * grid.cell_volume
+
+
+def signed_zero_field(rng, shape):
+    """Normal values mixed with +-0.0, +-1.0 and +-subnormals, so that differences,
+    halvings and quotients meet every signed-zero and underflow case."""
+    special = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-310, -1e-310])
+    out = rng.standard_normal(shape)
+    pick = rng.random(shape) < 0.6
+    out[pick] = rng.choice(special, size=int(np.count_nonzero(pick)))
+    return out
+
+
+@pytest.mark.parametrize("cells,extents", [([4], [1.0]), ([37], [1.3]), ([16], [5e3]),
+                                           ([4, 5], [1.0, 2.0]), ([12, 9], [1.0, 1.5]),
+                                           ([6, 7], [4e3, 0.5])])
+def test_rewritten_stencil_kernels_give_the_bytes_of_their_old_definitions(cells, extents):
+    g = build_grid(len(cells), cells, extents)
+    rng = np.random.default_rng(21)
+    for trial in range(20):
+        F = tuple(signed_zero_field(rng, shape) for shape in g.face_shapes())
+        G = tuple(signed_zero_field(rng, shape) for shape in g.face_shapes())
+        if trial % 2:            # -0.0 on the wall faces, beside +0.0 inside
+            for d, comp in enumerate(F):
+                comp[...] = 0.0
+                comp[_along(d, 0)] = -0.0
+                comp[_along(d, -1)] = -0.0
+        f = signed_zero_field(rng, g.shape)
+        V = signed_zero_field(rng, (g.dim,) + g.shape)
+        assert g.div(F).tobytes() == old_div(g, F).tobytes()
+        assert g.laplacian(f).tobytes() == old_laplacian(g, f).tobytes()
+        for new, old in zip(g.cell_to_face(V), old_cell_to_face(g, V)):
+            assert new.tobytes() == old.tobytes()
+        assert np.float64(g.norm_h(f)).tobytes() == np.float64(old_norm_h(g, f)).tobytes()
+        assert (np.float64(g.inner_faces(F, G)).tobytes()
+                == np.float64(old_inner_faces(g, F, G)).tobytes())

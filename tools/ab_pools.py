@@ -18,10 +18,17 @@ state made untimed, as ``workloads.run_op`` does them, and no output is
 written.  A failing op (``StepFailedError``) counts its completed steps and the
 time up to the failure.  BLAS is pinned to one thread.
 
+Each step is stamped as perfbench's ``StepClock`` does it: the ``u`` forcing is
+asked for once at the start of every step, so consecutive stamps (and the end
+of the run) bracket one completed step.  That splits each side's time into the
+first step of every op, where a new grid builds its operators, and the steps
+after it.
+
 Printed: each round's steps/s per side and NEW/OLD ratio, the median ratio
-and the rounds NEW won, each side's Newton total over the pool (from the
-``SolveReport`` iterations of its warm-up pass), and how many ops end with
-bitwise equal final angles on the two sides.
+and the rounds NEW won, the median NEW/OLD speed ratio of step 1 and of steps
+2 and later, each side's Newton total over the pool (from the ``SolveReport``
+iterations of its warm-up pass), and how many ops end with bitwise equal final
+angles on the two sides.
 """
 
 from __future__ import annotations
@@ -70,23 +77,29 @@ def load_side(root: str, name: str):
 
 
 def run_once(w, op, workdir: str):
-    """(completed steps, CPU seconds of ``evolution.run``, Newton iterations, final theta)."""
+    """(completed steps, CPU seconds of ``evolution.run``, Newton iterations, final theta,
+    CPU seconds of each completed step)."""
     cfg = w.parse_config_dict(w.op_config(op, workdir))
     report = w.validate_assumptions(cfg.model, tuple(cfg.raw["model"]["sample_range"]),
                                     cfg.raw["model"]["n_samples"])
     if not report.passed:
         raise ValueError("model assumptions failed: " + "; ".join(report.failures))
     initial = cfg.make_initial_state()
-    forcings = w.Forcings(cfg.grid, u=w.u_provider(cfg), v=cfg.raw["forcings"]["v"])
+    step_clock = w.StepClock(w.u_provider(cfg))
+    forcings = w.Forcings(cfg.grid, u=step_clock, v=cfg.raw["forcings"]["v"])
     t0 = clock()
     try:
         traj = w.evolution.run(initial, cfg.model, cfg.params, forcings,
                                stepper=cfg.stepper, snapshot_stride=cfg.snapshot_stride)
     except w.StepFailedError as exc:
         traj = exc.trajectory
-    seconds = clock() - t0
+    t1 = clock()
+    done = len(traj.solve_reports)
+    # the stamps of the completed steps and, after the last, the next step's or the end
+    stamps = (step_clock.stamps + [t1])[:done + 1]
+    steps = [b - a for a, b in zip(stamps, stamps[1:])]
     newton = sum(r.iterations for step in traj.solve_reports for r in step.values())
-    return len(traj.solve_reports), seconds, newton, traj.snapshots[-1].theta
+    return done, t1 - t0, newton, traj.snapshots[-1].theta, steps
 
 
 def main() -> int:
@@ -110,23 +123,32 @@ def main() -> int:
         warm = [[run_once(w, op, workdir) for op in ops] for w in sides]
         newton = [sum(r[2] for r in results) for results in warm]
         equal = sum(a[3].tobytes() == b[3].tobytes() for a, b in zip(*warm))
-        ratios = []
+        ratios, first_ratios, later_ratios = [], [], []
         for rnd in range(args.rounds):
             steps, seconds = [0, 0], [0.0, 0.0]
+            # per side, the CPU seconds of each op's step 1 and of its steps 2 and later
+            first, later = [[], []], [[], []]
             for k, op in enumerate(ops):
                 order = (0, 1) if (k + rnd) % 2 == 0 else (1, 0)
                 for side in order:
-                    done, s, _, _ = run_once(sides[side], op, workdir)
+                    done, s, _, _, per_step = run_once(sides[side], op, workdir)
                     steps[side] += done
                     seconds[side] += s
+                    first[side] += per_step[:1]
+                    later[side] += per_step[1:]
             rate = [n / s for n, s in zip(steps, seconds)]
             ratios.append(rate[1] / rate[0])
+            for (old, new), out in ((first, first_ratios), (later, later_ratios)):
+                out.append((len(new) / sum(new)) / (len(old) / sum(old)))
             print(f"round {rnd + 1}: OLD {rate[0]:.1f} NEW {rate[1]:.1f} steps/s, "
-                  f"NEW/OLD {ratios[-1]:.4f}", flush=True)
+                  f"NEW/OLD {ratios[-1]:.4f} (step 1 {first_ratios[-1]:.4f}, "
+                  f"steps 2.. {later_ratios[-1]:.4f})", flush=True)
 
     label = "A/A" if args.aa else "NEW/OLD"
     print(f"{args.workload}, {len(ops)} ops, {args.rounds} rounds: median {label} "
           f"{statistics.median(ratios):.4f}, NEW won {sum(r > 1.0 for r in ratios)}/{args.rounds}")
+    print(f"median {label} speed of step 1 {statistics.median(first_ratios):.4f}, "
+          f"of steps 2 and later {statistics.median(later_ratios):.4f}")
     print(f"Newton iterations over the pool: OLD {newton[0]}, NEW {newton[1]}")
     print(f"final theta bitwise equal on {equal}/{len(ops)} ops")
     return 0
