@@ -262,8 +262,8 @@ class _SingularSystem:
         # kappa_eff*K + diag(m): the part of every system matrix that w leaves alone
         self.fixed = p.kappa_eff * stiffness
         self.fixed[-1] += self.m
-        # every diagonal of the symmetric matrix, for the 2D solves' DIA form
-        self.offsets = np.array(offsets + tuple(-o for o in offsets[-2::-1]))
+        if self.dim == 2:    # every diagonal of the symmetric matrix, for the DIA form
+            self.offsets = np.array(offsets + tuple(-o for o in offsets[-2::-1]))
 
     def grad_cells(self, w: np.ndarray) -> np.ndarray:
         return _matvec(self.G, w).reshape(self.dim, self.nc)
@@ -413,7 +413,7 @@ def singular_resolvent(problem: SingularResolventProblem,
             if rht <= (1.0 - 1e-4 * t) * rh:
                 break
             if slope is None:    # the energy's directional derivative
-                slope = sys.vol * float(r @ delta)
+                slope = sys.vol * float(np.add.reduce(r * delta))
             if slope < 0:
                 if e0 is None:
                     e0 = sys.energy(w)

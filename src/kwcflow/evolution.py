@@ -25,9 +25,12 @@ solves of one step that meet residuals r1 and r2 lie within
 ``(r1 + r2)/min m`` in the H norm, ``m`` the step's weight.
 
 A run records its snapshots, their energy breakdowns and each step's
-solver reports.  The rates over each snapshot interval, and with them the
-dissipation-inequality residual, are derived afterwards from the stored
-snapshots.
+solver reports.  The state a step makes is not checked again, and its
+energy is taken from the step's own fields: the new eta and theta, the
+theta problem's weight ``alpha(eta)`` and the new angle's kept gradient.  A
+constant forcing is checked once, when the :class:`Forcings` is made.  The
+rates over each snapshot interval, and with them the dissipation-inequality
+residual, are derived afterwards from the stored snapshots.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ import numpy as np
 from .grid import Grid
 # gamma_eps and grad_gamma_eps are not called here; they stay bound because the
 # benchmark's tracer wraps them by name
-from .model import (ModelFunctions, Parameters, angle_gradient, gamma_eps, grad_gamma_eps,
-                    interfacial_flux, interfacial_force, kwc_energy)
+from .model import (ModelFunctions, Parameters, _energy, angle_gradient, gamma_eps,
+                    grad_gamma_eps, interfacial_flux, interfacial_force, kwc_energy)
 from .elliptic import (RESIDUAL_RTOL, LinearResolventProblem, SingularResolventProblem,
                        SolveReport, SolverError, linear_resolvent, singular_resolvent)
 
@@ -68,14 +71,30 @@ THETA_RESIDUAL_TOL = 1e-9
 
 @dataclass
 class SystemState:
+    """The fields at one time, checked when the state is made.  A state that a step
+    made also holds the step's weight ``alpha(eta)`` as ``alpha`` (None otherwise)."""
+
     grid: Grid
     eta: np.ndarray
     theta: np.ndarray
     time: float = 0.0
+    alpha: Optional[np.ndarray] = dc_field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         self.eta = self.grid.check_scalar(np.asarray(self.eta, dtype=float), "eta")
         self.theta = self.grid.check_scalar(np.asarray(self.theta, dtype=float), "theta")
+
+    @classmethod
+    def _of_step(cls, grid: Grid, eta: np.ndarray, theta: np.ndarray, time: float,
+                 alpha: np.ndarray) -> "SystemState":
+        """The state a step made, whose fields the step has checked, so it skips
+        ``__post_init__``'s scans: its eta passed the linear resolvent's finiteness test,
+        its theta met a finite residual, and the theta problem checked ``alpha``."""
+        state = cls.__new__(cls)
+        state.grid, state.eta, state.theta, state.time = grid, eta, theta, time
+        state.alpha = alpha
+        return state
 
 
 # -- forcings --------------------------------------------------------------------
@@ -141,35 +160,38 @@ def compile_expression(expr: str, grid: Grid) -> Callable[[float], np.ndarray]:
 
 class Forcings:
     """Pair of field providers u(t), v(t); accepts None, scalars, arrays,
-    callables, or expression strings."""
+    callables, or expression strings.  A constant field (None, a scalar or an
+    array) is checked once, here; a field computed at t is checked at each call."""
 
     def __init__(self, grid: Grid, u=None, v=None):
         self.grid = grid
-        self._u = self._as_provider(u)
-        self._v = self._as_provider(v)
+        self._u = self._as_provider(u, "u(t)")
+        self._v = self._as_provider(v, "v(t)")
 
-    def _as_provider(self, spec):
+    def _as_provider(self, spec, name: str):
         grid = self.grid
         if spec is None:
-            zero = grid.zeros()
-            return lambda t: zero
-        if isinstance(spec, str):
-            return compile_expression(spec, grid)
-        if np.isscalar(spec):
-            const = grid.constant(float(spec))
-            return lambda t: const
-        if isinstance(spec, np.ndarray):
+            const = grid.zeros()
+        elif isinstance(spec, str):
+            return self._checked(compile_expression(spec, grid), name)
+        elif np.isscalar(spec):
+            const = grid.check_scalar(grid.constant(float(spec)), name)
+        elif isinstance(spec, np.ndarray):
             const = grid.check_scalar(spec)
-            return lambda t: const
-        if callable(spec):
-            return spec
-        raise TypeError(f"cannot interpret forcing spec of type {type(spec).__name__}")
+        elif callable(spec):
+            return self._checked(spec, name)
+        else:
+            raise TypeError(f"cannot interpret forcing spec of type {type(spec).__name__}")
+        return lambda t: const
+
+    def _checked(self, provider, name: str):
+        return lambda t: self.grid.check_scalar(np.asarray(provider(t), dtype=float), name)
 
     def u(self, t: float) -> np.ndarray:
-        return self.grid.check_scalar(np.asarray(self._u(t), dtype=float), "u(t)")
+        return self._u(t)
 
     def v(self, t: float) -> np.ndarray:
-        return self.grid.check_scalar(np.asarray(self._v(t), dtype=float), "v(t)")
+        return self._v(t)
 
 
 # -- initial data ------------------------------------------------------------------
@@ -299,7 +321,8 @@ def _advance(state: SystemState, model: ModelFunctions, params: Parameters,
             f"theta equation residual {res:.3e} exceeds {THETA_RESIDUAL_TOL} at t={t_new:.6g}",
             rep_theta)
 
-    return SystemState(grid, eta_new, theta_new, t_new), rep_eta, rep_theta
+    new_state = SystemState._of_step(grid, eta_new, theta_new, t_new, problem.beta)
+    return new_state, rep_eta, rep_theta
 
 
 def _extrapolated_angle(recent: list) -> Optional[np.ndarray]:
@@ -374,6 +397,13 @@ def run(initial: SystemState, model: ModelFunctions, params: Parameters,
     traj.snapshots.append(state)
     traj.energies.append(kwc_energy(grid, state.eta, state.theta, model, params))
 
+    def snapshot(state):
+        # a state of a step: its energy from the step's checked fields and weight
+        traj.times.append(state.time)
+        traj.snapshots.append(state)
+        traj.energies.append(_energy(grid, state.eta, state.theta, state.alpha, model,
+                                     params))
+
     recent = []            # the last three accepted angles after the initial one
     theta_start = None     # where the next theta solve starts; None: the old angle
     for k in range(1, n_steps + 1):
@@ -382,9 +412,7 @@ def run(initial: SystemState, model: ModelFunctions, params: Parameters,
                                                      theta_start)
         except StepFailedError as exc:
             if traj.snapshots[-1] is not state:    # keep the last completed state
-                traj.times.append(state.time)
-                traj.snapshots.append(state)
-                traj.energies.append(kwc_energy(grid, state.eta, state.theta, model, params))
+                snapshot(state)
             exc.trajectory = traj
             raise
         traj.solve_reports.append({"eta": rep_eta, "theta": rep_theta})
@@ -393,9 +421,7 @@ def run(initial: SystemState, model: ModelFunctions, params: Parameters,
         # an angle that took no Newton step is stationary: start the next solve there
         theta_start = _extrapolated_angle(recent) if rep_theta.iterations else None
         if k % stride == 0 or k == n_steps:
-            traj.times.append(state.time)
-            traj.snapshots.append(state)
-            traj.energies.append(kwc_energy(grid, state.eta, state.theta, model, params))
+            snapshot(state)
     return traj
 
 

@@ -195,7 +195,10 @@ class Grid:
 
     def grad(self, f: np.ndarray) -> tuple[np.ndarray, ...]:
         """Face-valued gradient; boundary faces are exactly zero (mirror ghosts)."""
-        f = self.check_scalar(f)
+        return self._grad(self.check_scalar(f))
+
+    def _grad(self, f: np.ndarray) -> tuple[np.ndarray, ...]:
+        """:meth:`grad` of a checked field."""
         comps = []
         for h, shape, (inner, lo, hi, _, _) in zip(self.spacing, self._face_shapes,
                                                    self._stencil_index):
@@ -231,7 +234,10 @@ class Grid:
 
     def face_to_cell(self, F) -> np.ndarray:
         """Average face values back onto cells; shape ``(dim,) + grid.shape``."""
-        F = self.check_faces(F)
+        return self._face_to_cell(self.check_faces(F))
+
+    def _face_to_cell(self, F) -> np.ndarray:
+        """:meth:`face_to_cell` of checked face components."""
         out = np.zeros((self.dim,) + self.shape)
         for d, (_, lo, hi, _, _) in enumerate(self._stencil_index):
             out[d] = 0.5 * (F[d][lo] + F[d][hi])
@@ -255,7 +261,7 @@ class Grid:
 
     def grad_cell(self, f: np.ndarray) -> np.ndarray:
         """Cell-valued gradient: face gradient averaged back onto cells."""
-        return self.face_to_cell(self.grad(f))
+        return self._face_to_cell(self.grad(f))
 
     # -- inner products and norms --------------------------------------------
 

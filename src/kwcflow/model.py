@@ -29,6 +29,11 @@ asked for, keyed on the exact bytes of its input arrays (a
 :class:`~kwcflow.grid.KeepLast`).  A time step asks for both of its new
 angle more than once; they are evaluated once, and an undamped step takes
 the flux's divergence once.
+
+The energy has one definition, over checked fields and the checked weight
+``alpha(eta)``: :func:`kwc_energy` checks its inputs and evaluates it, and a
+run evaluates it on the fields of the step that made a snapshot, which the
+step has checked, with the kept gradient of the new angle.
 """
 
 from __future__ import annotations
@@ -240,7 +245,7 @@ def _read_only(arrays) -> None:
 
 def _angle_gradient(grid: Grid, theta: np.ndarray, epsilon: float):
     G = grid.grad(theta)
-    gc = grid.face_to_cell(G)
+    gc = grid._face_to_cell(G)       # G is made from a checked angle
     gam = gamma_eps(gc, epsilon)
     _read_only((*G, gc, gam))
     return G, gc, gam
@@ -266,10 +271,22 @@ def interfacial_energy(grid: Grid, beta: np.ndarray, theta: np.ndarray,
     gradient; the quadratic part uses the face gradient, matching the
     convex functional the implicit theta-step minimizes.
     """
-    beta = grid.check_scalar(beta, "beta")
+    beta = _checked_weight(grid, beta)
     theta = grid.check_scalar(theta, "theta")
+    return _interfacial_energy(grid, beta, theta, epsilon, kappa)
+
+
+def _checked_weight(grid: Grid, beta) -> np.ndarray:
+    """``beta`` checked finite and nonnegative."""
+    beta = grid.check_scalar(beta, "beta")
     if np.minimum.reduce(beta, axis=None) < 0:
         raise ValueError(f"beta must be nonnegative, min = {np.min(beta)}")
+    return beta
+
+
+def _interfacial_energy(grid: Grid, beta: np.ndarray, theta: np.ndarray,
+                        epsilon: float, kappa: float) -> float:
+    """:func:`interfacial_energy` of checked fields."""
     G, _, gam = angle_gradient(grid, theta, epsilon)
     nonlinear = grid.inner(beta, gam)
     quadratic = 0.5 * kappa * grid.inner_faces(G, G)
@@ -328,11 +345,17 @@ def kwc_energy(grid: Grid, eta: np.ndarray, theta: np.ndarray,
     """Free energy split into Dirichlet, potential, and interfacial parts."""
     eta = grid.check_scalar(eta, "eta")
     theta = grid.check_scalar(theta, "theta")
-    Ge = grid.grad(eta)
+    beta = _checked_weight(grid, model.alpha(eta))
+    return _energy(grid, eta, theta, beta, model, params)
+
+
+def _energy(grid: Grid, eta: np.ndarray, theta: np.ndarray, beta: np.ndarray,
+            model: ModelFunctions, params: Parameters) -> EnergyBreakdown:
+    """:func:`kwc_energy` of checked fields, ``beta`` the checked weight ``alpha(eta)``."""
+    Ge = grid._grad(eta)
     dirichlet = 0.5 * grid.inner_faces(Ge, Ge)
     potential = float(np.add.reduce(model.G(eta), axis=None) * grid.cell_volume)
-    interfacial = interfacial_energy(grid, model.alpha(eta), theta,
-                                     params.epsilon, params.kappa)
+    interfacial = _interfacial_energy(grid, beta, theta, params.epsilon, params.kappa)
     return EnergyBreakdown(
         dirichlet=dirichlet,
         potential=potential,

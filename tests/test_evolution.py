@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import re
 
@@ -7,6 +8,7 @@ import pytest
 
 import kwcflow.elliptic as elliptic
 import kwcflow.evolution as evolution
+import kwcflow.grid as grid_module
 import kwcflow.model as model_module
 from kwcflow import (Forcings, Parameters, SolverError, SystemState,
                      build_grid, compile_expression,
@@ -495,8 +497,9 @@ def test_run_evaluates_one_face_gradient_per_new_angle(setup, monkeypatch, mu, n
                                                        fluxes_per_step):
     # The solver's residual, the step check, the snapshot energy and the next eta
     # update share the new angle's gradient; at nu = 0 the check shares the flux too.
+    # Every face-to-cell average runs through the unchecked kernel _face_to_cell.
     g, model, eta0, theta0 = setup
-    calls = {"face_to_cell": 0, "cell_to_face": 0}
+    calls = {"_face_to_cell": 0, "cell_to_face": 0}
     for name in calls:
         method = getattr(Grid, name)
 
@@ -510,7 +513,7 @@ def test_run_evaluates_one_face_gradient_per_new_angle(setup, monkeypatch, mu, n
     traj = run(SystemState(g, eta0, theta0 + 0.125 + mu), model, params, Forcings(g),
                stepper="pseudo_parabolic", snapshot_stride=1)
     assert len(traj.snapshots) == 4
-    assert calls["face_to_cell"] == 3 + 1
+    assert calls["_face_to_cell"] == 3 + 1
     assert calls["cell_to_face"] == 3 * fluxes_per_step
 
 
@@ -550,6 +553,123 @@ def test_trajectories_do_not_depend_on_the_memos(monkeypatch, case):
     kept = bits()
     monkeypatch.setattr(KeepLast, "get", lambda self, key, compute, *args: compute(*args))
     assert bits() == kept
+
+
+# -- snapshot energies and the checks of a step ---------------------------------------
+
+
+def energy_case(case):
+    """(grid, initial state, params, forcings, stepper, stride, failing theta call or None)."""
+    if case == "grain-1d":
+        g = build_grid(1, [128], [1.0])
+        params = Parameters(kappa=1e-2, epsilon=2.0**-8, T=6e-3, dt=1e-3)
+        state = SystemState(g, g.constant(1.0), 0.5 * np.tanh((g.centers(0) - 89 / 128) / 0.01))
+        return g, state, params, Forcings(g), "parabolic", 1, None
+    rng = np.random.default_rng(5)
+    if case == "damped-2d":
+        g = build_grid(2, [12, 12], [1.0, 1.0])
+        params = Parameters(kappa=0.5, epsilon=0.2, T=4e-3, dt=1e-3, mu=0.1, nu=0.1)
+        forcings = Forcings(g, u="0.2*sin(t)*cos(pi*x)", v="0.1*cos(pi*y)")
+        stepper, stride, fail_at = "pseudo_parabolic", 1, None
+    else:
+        g = build_grid(1, [64], [1.0])
+        params = Parameters(kappa=1.0, epsilon=0.25, T=0.03, dt=1e-3)
+        forcings = Forcings(g, u="0.1*sin(t)*cos(pi*x)")
+        # forced at stride 7; the failing run's theta solve fails from its 14th call
+        stepper, stride, fail_at = ("parabolic", 7, None) if case == "forced-1d" else \
+            ("parabolic", 10, 14)
+    state = SystemState(g, random_smooth_field(g, rng, mean=1.0, amplitude=0.25),
+                        random_smooth_field(g, rng, mean=0.0, amplitude=0.5))
+    return g, state, params, forcings, stepper, stride, fail_at
+
+
+@pytest.mark.parametrize("case", ["grain-1d", "damped-2d", "forced-1d", "failing-1d"])
+def test_snapshot_energies_are_the_bits_of_kwc_energy(monkeypatch, case):
+    # A run takes each snapshot's energy from its step's fields; kwc_energy, evaluated
+    # afresh (nothing kept), gives the same bits, the failing run's last state included.
+    g, state, params, forcings, stepper, stride, fail_at = energy_case(case)
+    model = reference_model()
+    if fail_at is None:
+        traj = run(state, model, params, forcings, stepper=stepper, snapshot_stride=stride)
+        expected_times = [k * params.dt for k in range(0, round(params.T / params.dt) + 1)
+                          if k % stride == 0 or k * params.dt == params.T]
+    else:
+        solve, calls = evolution.singular_resolvent, []
+
+        def flaky(problem, **kwargs):
+            calls.append(1)
+            if len(calls) >= fail_at:
+                raise SolverError("synthetic failure", elliptic.SolveReport(0, 1.0, False))
+            return solve(problem, **kwargs)
+
+        monkeypatch.setattr(evolution, "singular_resolvent", flaky)
+        with pytest.raises(StepFailedError) as info:
+            run(state, model, params, forcings, stepper=stepper, snapshot_stride=stride)
+        traj = info.value.trajectory
+        expected_times = [0.0, 10 * params.dt, 13 * params.dt]
+    assert traj.times == pytest.approx(expected_times)
+    monkeypatch.setattr(KeepLast, "get", lambda self, key, compute, *args: compute(*args))
+    for snap, energy in zip(traj.snapshots, traj.energies, strict=True):
+        fresh = evolution.kwc_energy(g, snap.eta, snap.theta, model, params)
+        assert ([float(x).hex() for x in vars(energy).values()]
+                == [float(x).hex() for x in vars(fresh).values()])
+
+
+def grain_step_state(offset):
+    """The 1D grain-boundary state (n=128, step at face 89, eta 1), its angle shifted by
+    ``offset``, with its params (kappa 1e-2, eps 2^-6, dt 1e-3)."""
+    g = build_grid(1, [128], [1.0])
+    theta0 = 0.5 * np.tanh((g.centers(0) - 89 / 128) / 0.01) + offset
+    params = Parameters(kappa=1e-2, epsilon=2.0**-6, T=5e-3, dt=1e-3)
+    return g, SystemState(g, g.constant(1.0), theta0), params
+
+
+def test_every_check_fires_from_its_first_scan(monkeypatch):
+    # Each array is scanned where it is made or enters: a NaN raises its check's message
+    # there, and a state, weight or forcing checked once is not scanned again.
+    g, state, params = grain_step_state(0.0)
+    model = reference_model()
+    nan = g.constant(1.0)
+    nan[5] = np.nan
+
+    def advance(forcings=Forcings(g), model=model, theta_start=None):
+        return evolution._advance(state, model, params, forcings, theta_start)
+
+    # a computed forcing, at each call
+    with pytest.raises(ValueError, match=r"^u\(t\): contains non-finite values$"):
+        advance(Forcings(g, u=lambda t: nan))
+    with pytest.raises(ValueError, match=r"^v\(t\): contains non-finite values$"), \
+            np.errstate(invalid="ignore"):
+        advance(Forcings(g, v="log(x - 0.5)"))
+    # a constant forcing, once, when the Forcings is made
+    with pytest.raises(ValueError, match="^field: contains non-finite values$"):
+        Forcings(g, v=nan)
+    with pytest.raises(ValueError, match=r"^u\(t\): contains non-finite values$"):
+        Forcings(g, u=float("nan"))
+    # the theta problem's weight beta = alpha(eta) and its m = alpha0(eta)/dt
+    for name, message in (("alpha", "beta"), ("alpha0", "m")):
+        broken = dataclasses.replace(model, **{name: lambda r: np.where(r > 0, np.nan, r)})
+        with pytest.raises(ValueError, match=f"^{message}: contains non-finite values$"):
+            advance(model=broken)
+    with pytest.raises(ValueError, match="^initial_guess: contains non-finite values$"):
+        advance(theta_start=nan)
+
+    # The scans of one undamped step from an angle no test has asked for: the problems'
+    # z (eta), beta, m and z (theta); the old and the new angle, each where its gradient
+    # is taken; the eta solve, and the face field of its re-check's Laplacian; the
+    # start and the start's dual of the theta solve; one per Newton band; the new angle's
+    # flux where its divergence is taken.  The constant forcings and the new state are
+    # not scanned, nor is anything by the snapshot energy.
+    g, state, params = grain_step_state(2.0**-7)
+    scans, all_finite = [], grid_module.all_finite
+    for module in (grid_module, elliptic):
+        monkeypatch.setattr(module, "all_finite", lambda a: scans.append(1) or all_finite(a))
+    new_state, _, report = evolution._advance(state, model, params, Forcings(g))
+    assert report.iterations == 5
+    assert len(scans) == 4 + 2 + 2 + 2 + report.iterations + 1
+    scans.clear()
+    evolution._energy(g, new_state.eta, new_state.theta, new_state.alpha, model, params)
+    assert not scans
 
 
 @pytest.mark.parametrize("name,assumption", [("a2_fails", "(A2)"), ("a3_fails", "(A3)")])

@@ -27,8 +27,8 @@ after it.
 Printed: each round's steps/s per side and NEW/OLD ratio, the median ratio
 and the rounds NEW won, the median NEW/OLD speed ratio of step 1 and of steps
 2 and later, each side's Newton total over the pool (from the ``SolveReport``
-iterations of its warm-up pass), and how many ops end with bitwise equal final
-angles on the two sides.
+iterations of its warm-up pass), and how many ops give bitwise equal results on
+the two sides: the final angle, the final eta, and the energies of all snapshots.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import os
 import statistics
 import sys
 import tempfile
+import struct
 import time
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -77,8 +78,9 @@ def load_side(root: str, name: str):
 
 
 def run_once(w, op, workdir: str):
-    """(completed steps, CPU seconds of ``evolution.run``, Newton iterations, final theta,
-    CPU seconds of each completed step)."""
+    """(completed steps, CPU seconds of ``evolution.run``, Newton iterations, the bytes of
+    the final theta, of the final eta and of every snapshot's energies, CPU seconds of each
+    completed step)."""
     cfg = w.parse_config_dict(w.op_config(op, workdir))
     report = w.validate_assumptions(cfg.model, tuple(cfg.raw["model"]["sample_range"]),
                                     cfg.raw["model"]["n_samples"])
@@ -99,7 +101,12 @@ def run_once(w, op, workdir: str):
     stamps = (step_clock.stamps + [t1])[:done + 1]
     steps = [b - a for a, b in zip(stamps, stamps[1:])]
     newton = sum(r.iterations for step in traj.solve_reports for r in step.values())
-    return done, t1 - t0, newton, traj.snapshots[-1].theta, steps
+    last = traj.snapshots[-1]
+    energies = [x for e in traj.energies for x in (e.dirichlet, e.potential, e.interfacial,
+                                                   e.total)]
+    results = (last.theta.tobytes(), last.eta.tobytes(),
+               struct.pack(f"{len(energies)}d", *energies))
+    return done, t1 - t0, newton, results, steps
 
 
 def main() -> int:
@@ -122,7 +129,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         warm = [[run_once(w, op, workdir) for op in ops] for w in sides]
         newton = [sum(r[2] for r in results) for results in warm]
-        equal = sum(a[3].tobytes() == b[3].tobytes() for a, b in zip(*warm))
+        # per result (theta, eta, energies), the ops whose bytes agree on the two sides
+        equal = [sum(a[3][i] == b[3][i] for a, b in zip(*warm)) for i in range(3)]
         ratios, first_ratios, later_ratios = [], [], []
         for rnd in range(args.rounds):
             steps, seconds = [0, 0], [0.0, 0.0]
@@ -150,7 +158,8 @@ def main() -> int:
     print(f"median {label} speed of step 1 {statistics.median(first_ratios):.4f}, "
           f"of steps 2 and later {statistics.median(later_ratios):.4f}")
     print(f"Newton iterations over the pool: OLD {newton[0]}, NEW {newton[1]}")
-    print(f"final theta bitwise equal on {equal}/{len(ops)} ops")
+    print("bitwise equal on the two sides: final theta on {}/{n} ops, final eta on {}/{n}, "
+          "snapshot energies on {}/{n}".format(*equal, n=len(ops)))
     return 0
 
 
