@@ -575,9 +575,9 @@ def energy_case(case):
         g = build_grid(1, [64], [1.0])
         params = Parameters(kappa=1.0, epsilon=0.25, T=0.03, dt=1e-3)
         forcings = Forcings(g, u="0.1*sin(t)*cos(pi*x)")
-        # forced at stride 7; the failing run's theta solve fails from its 14th call
-        stepper, stride, fail_at = ("parabolic", 7, None) if case == "forced-1d" else \
-            ("parabolic", 10, 14)
+        # forced at stride 7; the failing run, at stride 10, fails from its 14th theta solve
+        stepper = "parabolic"
+        stride, fail_at = (7, None) if case == "forced-1d" else (10, 14)
     state = SystemState(g, random_smooth_field(g, rng, mean=1.0, amplitude=0.25),
                         random_smooth_field(g, rng, mean=0.0, amplitude=0.5))
     return g, state, params, forcings, stepper, stride, fail_at
