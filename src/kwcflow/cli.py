@@ -126,10 +126,8 @@ def cmd_run(args) -> int:
         "wall_clock_seconds": wall,
         "steps": {
             "count": len(reports),
-            "eta_iterations": [r["eta"].iterations for r in reports],
             "theta_iterations": [r["theta"].iterations for r in reports],
             "theta_residuals": [r["theta"].final_residual_h for r in reports],
-            "theta_methods": sorted({r["theta"].method for r in reports}),
         },
         "energy_start": traj.energies[0].total,
         "energy_end": traj.energies[-1].total,

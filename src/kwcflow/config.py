@@ -43,14 +43,17 @@ _PROFILE_DEFAULTS = {
     "bump": {"center": 0.5, "width": 0.1, "amplitude": 1.0, "baseline": 0.0},
 }
 
+# reference_model's numeric overrides and their defaults, in its signature's order
+_REFERENCE_DEFAULTS = {name: parameter.default for name, parameter
+                       in inspect.signature(reference_model).parameters.items()}
+
 
 def default_config_dict() -> dict:
     return {
         "grid": {"dim": 1, "cells": [64], "extents": [1.0]},
         "params": {"kappa": 1.0, "epsilon": 0.25, "T": 1.0, "dt": None,
                    "mu": 0.0, "nu": 0.0},
-        "model": {"name": "reference", "alpha_offset": 0.1, "alpha0_offset": 1.0,
-                  "alpha_scale": 1.0, "alpha0_scale": 1.0,
+        "model": {"name": "reference", **_REFERENCE_DEFAULTS,
                   "sample_range": list(ModelFunctions.sample_range),
                   "n_samples": ModelFunctions.n_samples},
         "initial": {
@@ -288,9 +291,8 @@ def parse_config_dict(doc: dict) -> RunConfig:
                           "(available: 'reference')")
     elif model_leaves_ok:
         try:
-            model = replace(reference_model(**{key: model_doc[key] for key in (
-                "alpha_offset", "alpha0_offset", "alpha_scale", "alpha0_scale")}),
-                sample_range=tuple(lo_hi), n_samples=n_samples)
+            model = replace(reference_model(**{key: model_doc[key] for key in _REFERENCE_DEFAULTS}),
+                            sample_range=tuple(lo_hi), n_samples=n_samples)
         except (ValueError, TypeError) as exc:
             violations.append(f"model: {exc}")
 

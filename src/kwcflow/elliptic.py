@@ -36,18 +36,20 @@ runs, without its dispatch): a residual starts as ``m*w - z``, ``csc_matvec``
 adds ``G^T flux`` from the cell-gradient matrix's CSR arrays (the CSC arrays of
 ``G^T``) and ``csr_matvec`` adds ``kappa_eff*K w``.  Each iteration writes
 the matrix's upper diagonals with one sparse product, from the map the grid
-builds from its cell-gradient stencil (:attr:`Grid.newton_diagonals`).  In 1D
-they are LAPACK's band (bandwidth 2), solved in place by the banded Cholesky
-``dpbsv``; in 2D, mirrored into a symmetric DIA matrix, they are solved by
-Jacobi-preconditioned CG, which at these sizes is faster than a direct solve.
-The line search's energy is :func:`~kwcflow.model.interfacial_energy` plus
-``(m w, w)/2 - (z, w)``.  Residuals are re-evaluated from the stencil
-operators, independent of the solver's matrix algebra, and every solve has one
-outcome: a solution that met its tolerance (named once, by the constants
-below), or a :class:`SolverError` with the report attached.  A tolerance or a
-Newton system that is not finite, and a non-finite direct solve of the linear
-resolvent, raise before any re-check; arrays are tested by
-:func:`~kwcflow.grid.all_finite`.  The singular resolvent's re-check takes
+builds from its cell-gradient stencil (:attr:`Grid.newton_diagonals`), in 1D
+and 2D alike; only the solve reads the dimension.  In 1D they are LAPACK's
+band (bandwidth 2), solved in place by the banded Cholesky ``dpbsv``; in 2D,
+mirrored into a symmetric DIA matrix, they are solved by CG preconditioned by
+their main diagonal, which at these sizes is faster than a direct solve.
+The line search's energy is the model's interfacial energy of the checked
+``beta`` plus ``(m w, w)/2 - (z, w)``.  Residuals are re-evaluated from the
+stencil operators, independent of the solver's matrix algebra, and every solve
+has one outcome: a solution that met its tolerance (named once, by the
+constants below), or a :class:`SolverError` with the report attached.  A
+tolerance or a Newton system that is not finite, and a non-finite direct solve
+of the linear resolvent, raise before any re-check, with the report of no
+iterations; arrays are tested by :func:`~kwcflow.grid.all_finite`, each
+weight once, where its problem is made.  The singular resolvent's re-check takes
 the flux's divergence from :func:`~kwcflow.model.interfacial_force`, which
 keeps it beside the flux: the time stepper's step check at nu = 0 asks for the
 same.
@@ -67,8 +69,8 @@ from scipy.sparse.linalg import cg, splu
 
 from .grid import Grid, KeepLast, all_finite
 # grad_gamma_eps is not called here; it stays bound because the benchmark's tracer wraps it by name
-from .model import (_component_sum, gamma_eps, grad_gamma_eps, hess_gamma_eps, interfacial_energy,
-                    interfacial_force)
+from .model import (_checked_weight, _component_sum, _interfacial_energy, gamma_eps, grad_gamma_eps,
+                    hess_gamma_eps, interfacial_force)
 
 __all__ = [
     "SolveReport",
@@ -96,11 +98,11 @@ class SolveReport:
 
 
 class SolverError(RuntimeError):
-    """Raised when a solve fails to reach its residual tolerance."""
+    """Raised when a solve fails; without a report, it carries that of no iterations."""
 
-    def __init__(self, message: str, report: SolveReport):
+    def __init__(self, message: str, report: Optional[SolveReport] = None):
         super().__init__(message)
-        self.report = report
+        self.report = SolveReport(0, math.nan, False, method="failed") if report is None else report
 
 
 def _matvec(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
@@ -111,9 +113,8 @@ def _matvec(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cg_solve(A: sp.csr_matrix, b: np.ndarray, rtol: float = CG_RTOL):
-    """Jacobi-preconditioned CG; returns (x, n_iter, ok)."""
-    diag = A.diagonal()
+def _cg_solve(A: sp.spmatrix, b: np.ndarray, diag: np.ndarray):
+    """CG to ``CG_RTOL``, preconditioned by ``A``'s diagonal ``diag``; returns (x, n_iter, ok)."""
     M = sp.diags(1.0 / diag)
     count = [0]
 
@@ -121,7 +122,7 @@ def _cg_solve(A: sp.csr_matrix, b: np.ndarray, rtol: float = CG_RTOL):
         count[0] += 1
 
     maxiter = max(1000, A.shape[0])
-    x, info = cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=M, callback=cb)
+    x, info = cg(A, b, rtol=CG_RTOL, atol=0.0, maxiter=maxiter, M=M, callback=cb)
     return x, count[0], info == 0
 
 
@@ -139,8 +140,7 @@ def _factorize(grid: Grid, lam: float, m):
                             overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise SolverError(f"linear resolvent: the LDL^T factorization (dpttrf) of "
-                              f"lam*K + diag(m) failed with info {info}",
-                              SolveReport(0, math.nan, False, method="failed"))
+                              f"lam*K + diag(m) failed with info {info}")
         return lambda b: dpttrs(d, e, b)[0]
     # lam*K + diag(m) on the pattern of K, which is symmetric with sorted indices:
     # its CSR arrays are its CSC arrays.
@@ -159,6 +159,17 @@ def _resolvent_factor(grid: Grid, lam: float, m):
     return _last_factor.get((grid, lam, key), _factorize, grid, lam, m)
 
 
+def _positive_weight(grid: Grid, m):
+    """``m`` checked finite with inf m > 0; a number stays a float."""
+    m = float(m) if np.isscalar(m) else grid.check_scalar(m, "m")
+    m_min = m if isinstance(m, float) else np.minimum.reduce(m, axis=None)
+    if not math.isfinite(m_min):      # a number; a field was checked
+        raise ValueError("m: contains non-finite values")
+    if m_min <= 0:
+        raise ValueError(f"inf m must be positive, got {m_min}")
+    return m
+
+
 @dataclass
 class LinearResolventProblem:
     """(-lam * lap_N + m) w = z with inf m > 0 and lam >= 0; a number ``m`` is
@@ -170,18 +181,10 @@ class LinearResolventProblem:
     z: np.ndarray
 
     def __post_init__(self):
-        if np.isscalar(self.m):
-            self.m = m_min = float(self.m)
-            if not math.isfinite(m_min):
-                raise ValueError("m: contains non-finite values")
-        else:
-            self.m = self.grid.check_scalar(self.m, "m")
-            m_min = self.m.min()
+        self.m = _positive_weight(self.grid, self.m)
         self.z = self.grid.check_scalar(np.asarray(self.z, dtype=float), "z")
         if self.lam < 0:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
-        if m_min <= 0:
-            raise ValueError(f"inf m must be positive, got {m_min}")
 
 
 def linear_resolvent(problem: LinearResolventProblem) -> tuple[np.ndarray, SolveReport]:
@@ -199,8 +202,7 @@ def linear_resolvent(problem: LinearResolventProblem) -> tuple[np.ndarray, Solve
     else:
         w, method = _resolvent_factor(grid, lam, m)(z.ravel()).reshape(grid.shape), "direct"
         if not all_finite(w):
-            raise SolverError("linear resolvent: the direct solve is not finite",
-                              SolveReport(0, math.nan, False, method="failed"))
+            raise SolverError("linear resolvent: the direct solve is not finite")
         r = m * w            # m*w - lam*lap(w) - z sums as -lam*lap(w) + m*w - z does
         r -= lam * grid.laplacian(w)
         r -= z
@@ -227,17 +229,13 @@ class SingularResolventProblem:
     epsilon: float
 
     def __post_init__(self):
-        self.beta = self.grid.check_scalar(np.asarray(self.beta, dtype=float), "beta")
+        self.beta = _checked_weight(self.grid, self.beta)
         # the solver reads m per cell, so a number becomes its field
         m = self.grid.constant(float(self.m)) if np.isscalar(self.m) else self.m
-        self.m = self.grid.check_scalar(m, "m")
+        self.m = _positive_weight(self.grid, m)
         self.z = self.grid.check_scalar(np.asarray(self.z, dtype=float), "z")
-        if np.minimum.reduce(self.beta, axis=None) < 0:
-            raise ValueError(f"beta must be nonnegative, min = {self.beta.min()}")
         if not self.kappa_eff > 0:
             raise ValueError(f"kappa_eff must be positive, got {self.kappa_eff}")
-        if np.minimum.reduce(self.m, axis=None) <= 0:
-            raise ValueError(f"inf m must be positive, got {self.m.min()}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
@@ -258,12 +256,10 @@ class _SingularSystem:
         self.beta = p.beta.ravel()
         self.m = p.m.ravel()
         self.z = p.z.ravel()
-        offsets, self.coupling, stiffness = g.newton_diagonals
+        self.offsets, self.coupling, stiffness = g.newton_diagonals
         # kappa_eff*K + diag(m): the part of every system matrix that w leaves alone
         self.fixed = p.kappa_eff * stiffness
         self.fixed[-1] += self.m
-        if self.dim == 2:    # every diagonal of the symmetric matrix, for the DIA form
-            self.offsets = np.array(offsets + tuple(-o for o in offsets[-2::-1]))
 
     def grad_cells(self, w: np.ndarray) -> np.ndarray:
         return _matvec(self.G, w).reshape(self.dim, self.nc)
@@ -272,7 +268,7 @@ class _SingularSystem:
         """The minimized functional; :meth:`residual_parts` is its gradient over the cell volume."""
         p, g = self.p, self.p.grid
         w = w.reshape(g.shape)
-        return (interfacial_energy(g, p.beta, w, p.epsilon, p.kappa_eff)
+        return (_interfacial_energy(g, p.beta, w, p.epsilon, p.kappa_eff)
                 + 0.5 * g.inner(p.m * w, w) - g.inner(p.z, w))
 
     def residual_parts(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -291,24 +287,16 @@ class _SingularSystem:
     def hnorm(self, r: np.ndarray) -> float:
         return math.sqrt(self.vol * np.add.reduce(r * r, axis=None))
 
-    def matrix(self, B: np.ndarray):
-        """``G^T B G + kappa_eff*K + diag(m)`` for ``B`` of shape ``(dim, dim, nc)``, its
-        upper diagonals written from :attr:`Grid.newton_diagonals`: in 1D that band
-        (LAPACK's layout), in 2D the symmetric matrix in DIA form.  A system that is
-        not finite raises :class:`SolverError`."""
+    def matrix(self, B: np.ndarray) -> np.ndarray:
+        """``G^T B G + kappa_eff*K + diag(m)`` for ``B`` of shape ``(dim, dim, nc)``: its
+        upper diagonals at :attr:`offsets`, written from :attr:`Grid.newton_diagonals`
+        (in 1D, LAPACK's upper band).  A system that is not finite raises
+        :class:`SolverError`."""
         ab = _matvec(self.coupling, B.ravel()).reshape(self.fixed.shape, order="F")
         ab += self.fixed
         if not all_finite(ab):
-            raise SolverError("singular resolvent: the Newton system is not finite",
-                              SolveReport(0, math.nan, False, method="failed"))
-        if self.dim == 1:
-            return ab
-        k, n = ab.shape
-        data = np.zeros((2 * k - 1, n))
-        data[:k] = ab
-        for row, o in enumerate(self.offsets[:k - 1]):
-            data[-1 - row, :n - o] = ab[row, o:]
-        return sp.dia_matrix((data, self.offsets), shape=(n, n))
+            raise SolverError("singular resolvent: the Newton system is not finite")
+        return ab
 
     def jacobian(self, y: np.ndarray, p: np.ndarray, gam: np.ndarray):
         """Primal-dual Newton matrix: :meth:`matrix` of ``B = beta*(I - sym(p y^T)/gam)/gam``
@@ -319,15 +307,26 @@ class _SingularSystem:
         B *= self.beta
         return self.matrix(B)
 
-    def solve(self, A, b: np.ndarray):
-        """Solve the SPD system with the matrix :meth:`matrix` gives; returns
+    def solve(self, A: np.ndarray, b: np.ndarray):
+        """Solve the SPD system whose upper band :meth:`matrix` gives; returns
         (x, cg_iters, ok).  A 1D band is overwritten."""
         if self.dim == 1:    # bandwidth 2: a direct solve is cheapest
             _, x, info = dpbsv(A, b, overwrite_ab=1)
             if info < 0:
                 raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
             return (x, 0, True) if info == 0 else (b, 0, False)
-        return _cg_solve(A, b)
+        return _cg_solve(_symmetric_dia(A, self.offsets), b, A[-1])
+
+
+def _symmetric_dia(ab: np.ndarray, offsets: tuple[int, ...]) -> sp.dia_matrix:
+    """The symmetric matrix whose upper diagonals at ``offsets`` (descending to 0)
+    ``ab`` holds in the layout of :attr:`Grid.newton_diagonals`, in DIA form."""
+    k, n = ab.shape
+    data = np.zeros((2 * k - 1, n))
+    data[:k] = ab
+    for row, o in enumerate(offsets[:-1]):
+        data[-1 - row, :n - o] = ab[row, o:]
+    return sp.dia_matrix((data, offsets + tuple(-o for o in offsets[-2::-1])), shape=(n, n))
 
 
 def _stencil_residual_h(problem: SingularResolventProblem, w: np.ndarray) -> float:
@@ -367,8 +366,7 @@ def singular_resolvent(problem: SingularResolventProblem,
     sys = _SingularSystem(problem)
     tol = RESIDUAL_RTOL * (grid.norm_h(problem.z) + 1.0) if tol_abs is None else float(tol_abs)
     if not math.isfinite(tol):
-        raise SolverError(f"singular resolvent: the residual tolerance {tol} is not finite",
-                          SolveReport(0, math.nan, False, method="failed"))
+        raise SolverError(f"singular resolvent: the residual tolerance {tol} is not finite")
 
     if initial_guess is not None:
         w = grid.check_scalar(np.asarray(initial_guess, dtype=float), "initial_guess").ravel().copy()
@@ -445,13 +443,11 @@ def check_h2_bound(grid: Grid, w: np.ndarray, z: np.ndarray, beta: np.ndarray,
     against passing a stale field.
     """
     w = grid.check_scalar(np.asarray(w, dtype=float), "w")
-    z = grid.check_scalar(np.asarray(z, dtype=float), "z")
-    beta = grid.check_scalar(np.asarray(beta, dtype=float), "beta")
     problem = SingularResolventProblem(grid, beta, kappa, grid.constant(1.0), z, epsilon)
     res = _stencil_residual_h(problem, w)
-    if res > 1e-6 * (grid.norm_h(z) + 1.0):
+    if res > 1e-6 * (grid.norm_h(problem.z) + 1.0):
         raise ValueError(f"w does not solve the resolvent problem (residual {res:.3e})")
-    denom = grid.norm_h(z) ** 2 + grid.norm_v(beta) ** 2
+    denom = grid.norm_h(problem.z) ** 2 + grid.norm_v(problem.beta) ** 2
     if denom == 0.0:
         raise ValueError("z and beta are both identically zero")
     return grid.norm_h2(w) ** 2 / denom

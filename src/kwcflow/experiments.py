@@ -347,9 +347,9 @@ def estimate_embedding_constant(grid: Grid, n_samples: int = 1000, seed: int = 0
                                 safety: float = 1.5) -> EmbeddingEstimate:
     """Sampled lower bound (times a safety factor) for the discrete V-to-L4 constant.
 
-    Maximizes |f|_L4 / |f|_V over seeded band-limited fields plus a family
-    of localized bumps; the constant witness pins the ratio at 1 on the
-    unit domain.
+    Maximizes |f|_L4 / |f|_V over the constant field, seeded band-limited
+    fields and a family of localized bumps.  The constant's ratio is
+    |Omega|^(-1/4), 1 on a domain of measure 1.
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
@@ -358,7 +358,8 @@ def estimate_embedding_constant(grid: Grid, n_samples: int = 1000, seed: int = 0
     def l4(f):
         return float(np.sum(f**4) * grid.cell_volume) ** 0.25
 
-    best, witness = 1.0, "constant"   # |1|_L4 / |1|_V on the unit domain
+    one = grid.constant(1.0)
+    best, witness = l4(one) / grid.norm_v(one), "constant"
     for i in range(n_samples):
         f = random_smooth_field(grid, rng, mean=rng.uniform(-1, 1),
                                 amplitude=rng.uniform(0.1, 2.0))

@@ -282,7 +282,7 @@ class Grid:
     def norm_h(self, f: np.ndarray) -> float:
         f = np.asarray(f)
         if f.shape != self.shape:
-            raise ValueError(f"fields do not share this grid: {f.shape}, {f.shape} vs {self.shape}")
+            raise ValueError(f"fields do not share this grid: {f.shape} vs {self.shape}")
         return math.sqrt(max(float(np.add.reduce(f * f, axis=None) * self.cell_volume), 0.0))
 
     def norm_v(self, f: np.ndarray) -> float:

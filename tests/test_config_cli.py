@@ -464,6 +464,10 @@ def test_a_failed_run_writes_the_steps_before_it(tmp_path, monkeypatch, capsys):
     assert manifest["passed"] is False
     assert manifest["failures"] == ["theta solve failed at t=0.004: synthetic failure"]
     assert manifest["steps"]["count"] == 3
+    # the step fields that can vary from run to run; each list has one entry per step
+    assert sorted(manifest["steps"]) == ["count", "theta_iterations", "theta_residuals"]
+    assert len(manifest["steps"]["theta_iterations"]) == 3
+    assert len(manifest["steps"]["theta_residuals"]) == 3
     rows = (out / "timeseries.csv").read_text().splitlines()[1:]
     assert len(rows) == 4                # the initial state and three steps
     assert float(rows[0].split(",")[4]) == manifest["energy_start"]

@@ -16,7 +16,7 @@ from kwcflow import (Forcings, LinearResolventProblem, Parameters,
                      interfacial_flux, linear_resolvent, reference_model,
                      singular_resolvent)
 from kwcflow.elliptic import (_dual_step, _factorize, _matvec, _SingularSystem,
-                              _stencil_residual_h)
+                              _stencil_residual_h, _symmetric_dia)
 from kwcflow.grid import Grid, random_smooth_field
 
 
@@ -152,11 +152,19 @@ def test_linear_resolvent_pointwise_overflow_raises(grid1d):
     assert excinfo.value.report.final_residual_h == np.inf
 
 
+def dipped(grid, value, at=5):
+    """A field of twos with ``value`` at cell ``at``."""
+    f = grid.constant(2.0)
+    f.flat[at] = value
+    return f
+
+
 def test_linear_resolvent_problem_validation(grid1d):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^lambda must be nonnegative, got -0.1$"):
         LinearResolventProblem(grid1d, -0.1, 1.0, grid1d.zeros())
-    with pytest.raises(ValueError):
-        LinearResolventProblem(grid1d, 0.1, 0.0, grid1d.zeros())
+    for m, least in ((0.0, "0.0"), (dipped(grid1d, -0.5), "-0.5")):
+        with pytest.raises(ValueError, match=rf"^inf m must be positive, got {least}$"):
+            LinearResolventProblem(grid1d, 0.1, m, grid1d.zeros())
 
 
 def test_singular_resolvent_constant_fixed_points(grid1d):
@@ -248,15 +256,26 @@ def test_singular_resolvent_2d():
 
 
 def test_singular_resolvent_validation(grid1d):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^beta must be nonnegative, min = -1.0$"):
         SingularResolventProblem(grid1d, grid1d.constant(-1.0), 1.0,
                                  grid1d.constant(1.0), grid1d.zeros(), 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^kappa_eff must be positive, got 0.0$"):
         SingularResolventProblem(grid1d, grid1d.zeros(), 0.0,
                                  grid1d.constant(1.0), grid1d.zeros(), 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^epsilon must be positive, got 0.0$"):
         SingularResolventProblem(grid1d, grid1d.zeros(), 1.0,
                                  grid1d.constant(1.0), grid1d.zeros(), 0.0)
+    for m, least in ((0.0, "0.0"), (dipped(grid1d, -0.5), "-0.5")):
+        with pytest.raises(ValueError, match=rf"^inf m must be positive, got {least}$"):
+            SingularResolventProblem(grid1d, grid1d.zeros(), 1.0, m, grid1d.zeros(), 0.5)
+    # check_h2_bound checks z and beta through the problem it builds
+    with pytest.raises(ValueError, match=r"^beta must be nonnegative, min = -0.25$"):
+        check_h2_bound(grid1d, grid1d.zeros(), grid1d.zeros(), dipped(grid1d, -0.25), 0.5, 1.0)
+    for k, name in enumerate(("w", "z", "beta")):
+        fields = [grid1d.zeros() for _ in range(3)]
+        fields[k][2] = np.inf
+        with pytest.raises(ValueError, match=rf"^{name}: contains non-finite values$"):
+            check_h2_bound(grid1d, *fields, 0.5, 1.0)
 
 
 def test_check_h2_bound_constant_case(grid1d):
@@ -304,12 +323,10 @@ def upper_band(A: np.ndarray) -> np.ndarray:
     return ab
 
 
-def dense(A) -> np.ndarray:
-    """Full matrix of a system matrix: a DIA matrix or, in 1D, an upper band."""
-    if sp.issparse(A):
-        return A.toarray()
-    upper = np.diag(A[1, 1:], 1) + np.diag(A[0, 2:], 2)
-    return np.diag(A[2]) + upper + upper.T
+def dense(system, A) -> np.ndarray:
+    """Full matrix of a system matrix: the upper diagonals at ``system.offsets``."""
+    upper = sum(np.diag(A[k, o:], o) for k, o in enumerate(system.offsets[:-1]))
+    return np.diag(A[-1]) + upper + upper.T
 
 
 def newton_weight(system, y, p):
@@ -341,11 +358,12 @@ def test_fixed_pattern_matrices_match_explicit_assembly(cells, extents):
     B_ref = sp.bmat([[sp.diags(beta.ravel() * Bpd[i][j]) for j in range(g.dim)]
                      for i in range(g.dim)])
     explicit = (G.T @ B_ref @ G + rest).toarray()
-    err = np.max(np.abs(dense(system.jacobian(y, p, gam)) - explicit))
+    err = np.max(np.abs(dense(system, system.jacobian(y, p, gam)) - explicit))
     assert err <= 1e-14 * np.max(np.abs(explicit))
     # At p = y/gam the primal-dual matrix is the exact Hessian, up to rounding.
-    hessian = dense(system.matrix(beta.ravel() * H))
-    err = np.max(np.abs(dense(system.jacobian(y, grad_gamma_eps(y, eps), gam)) - hessian))
+    hessian = dense(system, system.matrix(beta.ravel() * H))
+    err = np.max(np.abs(dense(system, system.jacobian(y, grad_gamma_eps(y, eps), gam))
+                        - hessian))
     assert err <= 1e-14 * np.max(np.abs(hessian))
 
     # SPD with smallest eigenvalue >= min m for any |p| <= 1, down to eps = 2^-11.
@@ -353,7 +371,8 @@ def test_fixed_pattern_matrices_match_explicit_assembly(cells, extents):
         for eps_small in (eps, 2.0**-6, 2.0**-11):
             system = _SingularSystem(SingularResolventProblem(g, beta, kappa_eff, m, g.zeros(),
                                                               eps_small))
-            A = system.jacobian(y, p, gamma_eps(y, system.p.epsilon)).toarray()
+            band = system.jacobian(y, p, gamma_eps(y, system.p.epsilon))
+            A = _symmetric_dia(band, system.offsets).toarray()    # what the 2D solve takes
             assert np.max(np.abs(A - A.T)) <= 1e-14 * np.max(np.abs(A))
             smallest = np.linalg.eigvalsh(0.5 * (A + A.T))[0]
             assert smallest >= np.min(m) - 1e-12 * np.max(np.abs(A))
@@ -494,13 +513,15 @@ def test_newton_matrix_matches_the_operator_product(cells):
         oracle = (G.T @ sp.bmat([[sp.diags(B[d, e]) for e in range(g.dim)] for d in range(g.dim)])
                   @ G + system.p.kappa_eff * g.stiffness_matrix + sp.diags(system.m)).toarray()
         A = system.jacobian(y, p, gamma_eps(y, system.p.epsilon))
-        if g.dim == 2:
-            assert isinstance(A, sp.dia_matrix)
-            assert np.array_equal(A.toarray(), A.toarray().T)
-        else:
-            assert A.shape == (3, g.n_cells)
-        assert np.max(np.abs(dense(A) - oracle)) <= 1e-15 * np.max(np.abs(oracle))
-        assert np.triu(dense(A)).tobytes() == np.triu(pattern_matrix(system, B)).tobytes()
+        assert A.shape == (len(system.offsets), g.n_cells)
+        if g.dim == 2:    # the 2D solve takes the band mirrored into a symmetric DIA matrix
+            mirrored = _symmetric_dia(A, system.offsets)
+            assert isinstance(mirrored, sp.dia_matrix)
+            assert np.array_equal(mirrored.toarray(), mirrored.toarray().T)
+            assert mirrored.toarray().tobytes() == dense(system, A).tobytes()
+        assert np.max(np.abs(dense(system, A) - oracle)) <= 1e-15 * np.max(np.abs(oracle))
+        assert (np.triu(dense(system, A)).tobytes()
+                == np.triu(pattern_matrix(system, B)).tobytes())
 
 
 @pytest.mark.parametrize("n", [4, 5, 37, 128])
@@ -592,11 +613,6 @@ def old_residual(system, w):
     return r
 
 
-def matrix_bytes(A) -> bytes:
-    """The bytes of a system matrix: a 1D band, or a DIA matrix's data and offsets."""
-    return A.data.tobytes() + A.offsets.tobytes() if sp.issparse(A) else A.tobytes()
-
-
 @pytest.mark.parametrize("eps", [2.0**-2, 2.0**-10], ids=["eps=2^-2", "eps=2^-10"])
 @pytest.mark.parametrize("cells,extents", [([37], [1.0]), ([128], [1.0]), ([6, 5], [1.0, 0.7])])
 def test_newton_matrix_and_residuals_give_the_bytes_of_their_old_definitions(cells, extents,
@@ -617,8 +633,8 @@ def test_newton_matrix_and_residuals_give_the_bytes_of_their_old_definitions(cel
         p[:, ::5] = -0.0
         assert (hess_gamma_eps(y, eps, p, gam).tobytes()
                 == (old_newton_weight(1.0, y, eps, p)).tobytes())
-        assert (matrix_bytes(system.jacobian(y, p, gam))
-                == matrix_bytes(system.matrix(old_newton_weight(system.beta, y, eps, p))))
+        assert (system.jacobian(y, p, gam).tobytes()
+                == system.matrix(old_newton_weight(system.beta, y, eps, p)).tobytes())
         force = g.div(interfacial_flux(g, beta, w, eps, 0.01))
         old = g.norm_h(-force + m * w - z)
         assert np.float64(_stencil_residual_h(problem, w)).tobytes() == np.float64(old).tobytes()

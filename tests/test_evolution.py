@@ -355,6 +355,33 @@ def test_run_non_finite_eta_solve_carries_partial_trajectory(setup, monkeypatch)
     assert len(exc.trajectory.snapshots) == 4   # initial + 3 completed steps
 
 
+def test_run_step_residual_failure_carries_partial_trajectory(setup, monkeypatch):
+    # A theta solve that met its own tolerance but whose step misses the 1e-9 check
+    # of the backward-difference equation fails the step with that solve's report.
+    g, model, eta0, theta0 = setup
+    params = Parameters(kappa=1.0, epsilon=0.25, T=0.01, dt=1e-3)
+    residual, solve, reports = evolution._theta_pde_residual, evolution.singular_resolvent, []
+
+    def kept(problem, **kwargs):
+        w, report = solve(problem, **kwargs)
+        reports.append(report)
+        return w, report
+
+    def off_from_step_four(*args):
+        return residual(*args) if len(reports) <= 3 else 2.5e-9
+
+    monkeypatch.setattr(evolution, "singular_resolvent", kept)
+    monkeypatch.setattr(evolution, "_theta_pde_residual", off_from_step_four)
+    with pytest.raises(StepFailedError) as excinfo:
+        run(SystemState(g, eta0, theta0), model, params, Forcings(g))
+    exc = excinfo.value
+    assert str(exc) == "theta equation residual 2.500e-09 exceeds 1e-09 at t=0.004"
+    assert exc.__cause__ is None
+    assert len(reports) == 4 and exc.report is reports[-1] and exc.report.converged
+    assert len(exc.trajectory.solve_reports) == 3
+    assert len(exc.trajectory.snapshots) == 4   # initial + 3 completed steps
+
+
 @pytest.mark.parametrize("cells", [[48], [12, 10]])
 def test_run_non_finite_newton_system_carries_partial_trajectory(cells, monkeypatch):
     g = build_grid(len(cells), cells, [1.0] * len(cells))

@@ -21,13 +21,23 @@ def config(cells=48, T=0.05, dt=1e-3, dim=1, **top):
 def test_embedding_estimate_properties():
     g = build_grid(1, [64], [1.0])
     est = estimate_embedding_constant(g, n_samples=1000, seed=0)
-    assert est.raw_max >= 1.0          # the constant field is a witness
+    assert est.raw_max >= 1.0          # the constant field's ratio, 1 on the unit domain
     assert est.c_v_l4 == pytest.approx(1.5 * est.raw_max)
     g2 = build_grid(1, [128], [1.0])
     est2 = estimate_embedding_constant(g2, n_samples=1000, seed=0)
     assert abs(est2.raw_max - est.raw_max) <= 0.1 * est.raw_max
     with pytest.raises(ValueError):
         estimate_embedding_constant(g, n_samples=10)
+
+
+@pytest.mark.parametrize("cells,extents", [([64], [2.0]), ([64], [0.5]), ([12, 10], [1.0, 0.8])])
+def test_embedding_estimate_takes_the_constant_fields_ratio_on_its_domain(cells, extents):
+    # |1|_L4 / |1|_V is |Omega|^(-1/4): below 1 on a domain larger than the unit one,
+    # above it on a smaller one.  On these domains it beats every sampled field.
+    g = build_grid(len(cells), cells, extents)
+    est = estimate_embedding_constant(g, n_samples=1000, seed=0)
+    assert est.best_witness == "constant"
+    assert est.raw_max == pytest.approx(float(np.prod(extents)) ** -0.25, rel=1e-14)
 
 
 def test_energy_dissipation_short():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 import warnings
 from functools import cached_property
@@ -307,6 +308,9 @@ def test_field_validation(grid):
         grid.check_scalar(bad)
     with pytest.raises(ValueError):
         grid.check_faces(tuple(np.zeros(s) for s in grid.face_shapes())[:-1] + (np.zeros((2, 2)),))
+    with pytest.raises(ValueError, match=rf"^fields do not share this grid: \(3,\) vs "
+                                         rf"{re.escape(str(grid.shape))}$"):
+        grid.norm_h(np.zeros(3))
 
 
 def planted(a, value):
