@@ -49,10 +49,13 @@ constants below), or a :class:`SolverError` with the report attached.  A
 tolerance or a Newton system that is not finite, and a non-finite direct solve
 of the linear resolvent, raise before any re-check, with the report of no
 iterations; arrays are tested by :func:`~kwcflow.grid.all_finite`, each
-weight once, where its problem is made.  The singular resolvent's re-check takes
-the flux's divergence from :func:`~kwcflow.model.interfacial_force`, which
-keeps it beside the flux: the time stepper's step check at nu = 0 asks for the
-same.
+weight once, where its problem is made.  The re-checks take the grid's
+unchecked kernels on the arrays the solve has made: the linear resolvent's
+the divergence of the solution's face gradient (kept for the snapshot
+energy of a time step), the singular resolvent's the flux's divergence from
+the model's unchecked ``_interfacial_force``, which keeps it beside the flux:
+the time stepper's step check at nu = 0 asks for the same.  ``kappa_eff*K``,
+as the CSR kernel's entries and as a band, is kept per ``(grid, kappa_eff)``.
 """
 
 from __future__ import annotations
@@ -68,9 +71,11 @@ from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 from scipy.sparse.linalg import cg, splu
 
 from .grid import Grid, KeepLast, all_finite
-# grad_gamma_eps is not called here; it stays bound because the benchmark's tracer wraps it by name
-from .model import (_checked_weight, _component_sum, _interfacial_energy, gamma_eps, grad_gamma_eps,
-                    hess_gamma_eps, interfacial_force)
+# gamma_eps and grad_gamma_eps are not called here; they stay bound because the benchmark's
+# tracer wraps them by name
+from .model import (_checked_weight, _component_sum, _face_gradient, _interfacial_energy,
+                    _interfacial_force, angle_gradient, gamma_eps, grad_gamma_eps,
+                    hess_gamma_eps)
 
 __all__ = [
     "SolveReport",
@@ -103,14 +108,6 @@ class SolverError(RuntimeError):
     def __init__(self, message: str, report: Optional[SolveReport] = None):
         super().__init__(message)
         self.report = SolveReport(0, math.nan, False, method="failed") if report is None else report
-
-
-def _matvec(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """``A @ x`` by the CSR kernel that ``@`` calls, without scipy's dispatch
-    around it.  The kernel adds into its output, which starts zeroed."""
-    out = np.zeros(A.shape[0])
-    csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
-    return out
 
 
 def _cg_solve(A: sp.spmatrix, b: np.ndarray, diag: np.ndarray):
@@ -204,7 +201,7 @@ def linear_resolvent(problem: LinearResolventProblem) -> tuple[np.ndarray, Solve
         if not all_finite(w):
             raise SolverError("linear resolvent: the direct solve is not finite")
         r = m * w            # m*w - lam*lap(w) - z sums as -lam*lap(w) + m*w - z does
-        r -= lam * grid.laplacian(w)
+        r -= lam * grid._div(_face_gradient(grid, w))     # w was tested finite
         r -= z
         res = grid.norm_h(r)
     tol = RESIDUAL_RTOL * grid.norm_h(z) + LINEAR_RESIDUAL_ATOL
@@ -240,6 +237,18 @@ class SingularResolventProblem:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
+_last_scaled_stiffness = KeepLast()    # keyed on (grid, kappa_eff)
+
+
+def _scaled_stiffness(grid: Grid, kappa_eff: float):
+    """The CSR kernel's arguments for ``kappa_eff*K`` and the band of ``kappa_eff*K``
+    in the layout of :attr:`Grid.newton_diagonals`, both read-only."""
+    K = grid.stiffness_matrix
+    data, band = kappa_eff * K.data, kappa_eff * grid.newton_diagonals[2]
+    data.flags.writeable = band.flags.writeable = False
+    return (grid.n_cells, grid.n_cells, K.indptr, K.indices, data), band
+
+
 class _SingularSystem:
     """Flat-vector view of the discrete convex functional and its derivatives."""
 
@@ -249,33 +258,40 @@ class _SingularSystem:
         self.dim = g.dim
         self.nc = g.n_cells
         self.vol = g.cell_volume
-        self.G = G = g.cell_gradient_matrix      # (dim*nc, nc)
-        K = g.stiffness_matrix                   # -laplacian, PSD
+        self.eps2 = p.epsilon**2
+        G = g.cell_gradient_matrix               # (dim*nc, nc)
+        self.G_csr = (G.shape[0], self.nc, G.indptr, G.indices, G.data)
         self.GT_csc = (self.nc, G.shape[0], G.indptr, G.indices, G.data)   # G^T's CSC arrays
-        self.kappa_K_csr = (self.nc, self.nc, K.indptr, K.indices, p.kappa_eff * K.data)
+        # kappa_eff*K, K = -laplacian (PSD), kept while the grid and kappa_eff are
+        self.kappa_K_csr, kappa_band = _last_scaled_stiffness.get(
+            (g, p.kappa_eff), _scaled_stiffness, g, p.kappa_eff)
         self.beta = p.beta.ravel()
         self.m = p.m.ravel()
         self.z = p.z.ravel()
-        self.offsets, self.coupling, stiffness = g.newton_diagonals
+        self.offsets, C, _ = g.newton_diagonals
+        self.coupling_csr = (C.shape[0], C.shape[1], C.indptr, C.indices, C.data)
         # kappa_eff*K + diag(m): the part of every system matrix that w leaves alone
-        self.fixed = p.kappa_eff * stiffness
+        self.fixed = kappa_band.copy(order="F")
         self.fixed[-1] += self.m
 
     def grad_cells(self, w: np.ndarray) -> np.ndarray:
-        return _matvec(self.G, w).reshape(self.dim, self.nc)
+        y = np.zeros(self.dim * self.nc)    # csr_matvec adds into it, as G @ w does
+        csr_matvec(*self.G_csr, w, y)
+        return y.reshape(self.dim, self.nc)
 
     def energy(self, w: np.ndarray) -> float:
-        """The minimized functional; :meth:`residual_parts` is its gradient over the cell volume."""
+        """The minimized functional; :meth:`residual_parts` is its gradient over the cell
+        volume.  A trial ``w`` is checked when its gradient is not kept."""
         p, g = self.p, self.p.grid
         w = w.reshape(g.shape)
-        return (_interfacial_energy(g, p.beta, w, p.epsilon, p.kappa_eff)
+        return (_interfacial_energy(g, p.beta, angle_gradient(g, w, p.epsilon), p.kappa_eff)
                 + 0.5 * g.inner(p.m * w, w) - g.inner(p.z, w))
 
     def residual_parts(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Residual at ``w`` with the cell gradient ``y`` and ``gam = gamma_eps(y)``
         it used; ``y/gam`` is the expression ``grad_gamma_eps(y)`` evaluates."""
         y = self.grad_cells(w)
-        gam = gamma_eps(y, self.p.epsilon)
+        gam = np.sqrt(self.eps2 + _component_sum(y * y))     # gamma_eps(y)
         flux = y / gam           # beta*(y/gam), formed in place
         flux *= self.beta
         r = self.m * w
@@ -292,7 +308,9 @@ class _SingularSystem:
         upper diagonals at :attr:`offsets`, written from :attr:`Grid.newton_diagonals`
         (in 1D, LAPACK's upper band).  A system that is not finite raises
         :class:`SolverError`."""
-        ab = _matvec(self.coupling, B.ravel()).reshape(self.fixed.shape, order="F")
+        ab = np.zeros(self.fixed.size)     # csr_matvec adds into it, as A @ x does
+        csr_matvec(*self.coupling_csr, B.ravel(), ab)
+        ab = ab.reshape(self.fixed.shape, order="F")
         ab += self.fixed
         if not all_finite(ab):
             raise SolverError("singular resolvent: the Newton system is not finite")
@@ -332,7 +350,7 @@ def _symmetric_dia(ab: np.ndarray, offsets: tuple[int, ...]) -> sp.dia_matrix:
 def _stencil_residual_h(problem: SingularResolventProblem, w: np.ndarray) -> float:
     """Residual of the quasilinear equation, evaluated with the grid stencils."""
     r = problem.m * w        # m*w - force - z sums as -force + m*w - z does
-    r -= interfacial_force(problem.grid, problem.beta, w, problem.epsilon, problem.kappa_eff)
+    r -= _interfacial_force(problem.grid, problem.beta, w, problem.epsilon, problem.kappa_eff)
     r -= problem.z
     return problem.grid.norm_h(r)
 
@@ -445,7 +463,7 @@ def check_h2_bound(grid: Grid, w: np.ndarray, z: np.ndarray, beta: np.ndarray,
     w = grid.check_scalar(np.asarray(w, dtype=float), "w")
     problem = SingularResolventProblem(grid, beta, kappa, grid.constant(1.0), z, epsilon)
     res = _stencil_residual_h(problem, w)
-    if res > 1e-6 * (grid.norm_h(problem.z) + 1.0):
+    if not res <= 1e-6 * (grid.norm_h(problem.z) + 1.0):
         raise ValueError(f"w does not solve the resolvent problem (residual {res:.3e})")
     denom = grid.norm_h(problem.z) ** 2 + grid.norm_v(problem.beta) ** 2
     if denom == 0.0:

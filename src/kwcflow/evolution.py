@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import ast
 import csv
+import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
@@ -45,8 +46,9 @@ import numpy as np
 from .grid import Grid
 # gamma_eps and grad_gamma_eps are not called here; they stay bound because the
 # benchmark's tracer wraps them by name
-from .model import (ModelFunctions, Parameters, _energy, angle_gradient, gamma_eps,
-                    grad_gamma_eps, interfacial_flux, interfacial_force, kwc_energy)
+from .model import (ModelFunctions, Parameters, _angle_gradient, _energy, _interfacial_force,
+                    _kept_flux, angle_gradient, gamma_eps, grad_gamma_eps, interfacial_force,
+                    kwc_energy)
 from .elliptic import (RESIDUAL_RTOL, LinearResolventProblem, SingularResolventProblem,
                        SolveReport, SolverError, linear_resolvent, singular_resolvent)
 
@@ -118,6 +120,11 @@ def check_expression(expr: str, dim: int):
     Only arithmetic, numeric constants, the listed elementary functions,
     and the names t/x/y/pi/e are admitted; anything else is rejected up front.
     """
+    return compile(_checked_tree(expr, dim), "<forcing>", "eval")
+
+
+def _checked_tree(expr: str, dim: int) -> ast.Expression:
+    """The syntax tree of :func:`check_expression`'s expression, checked."""
     tree = ast.parse(expr, mode="eval")
     allowed_names = set(_EXPR_FUNCS) | set(_EXPR_CONSTS) | {"t", "x"}
     if dim == 2:
@@ -133,24 +140,58 @@ def check_expression(expr: str, dim: int):
             not isinstance(node.func, ast.Name) or node.func.id not in _EXPR_FUNCS
         ):
             raise ValueError(f"expression {expr!r}: only {sorted(_EXPR_FUNCS)} may be called")
-    return compile(tree, "<forcing>", "eval")
+    return tree
+
+
+_EVAL_GLOBALS = {"__builtins__": {}}
+
+
+class _FoldConstants(ast.NodeTransformer):
+    """Replaces each largest subtree free of ``t`` that it visits by a name bound in
+    ``namespace`` to the subtree's value.  A subtree whose evaluation raises or warns,
+    floating-point warnings included, is left to be evaluated at each call."""
+
+    def __init__(self, namespace: dict):
+        self.namespace = namespace
+
+    def visit(self, node):
+        if (isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call))
+                and not any(isinstance(n, ast.Name) and n.id == "t" for n in ast.walk(node))):
+            try:
+                with warnings.catch_warnings(), np.errstate(all="raise"):
+                    warnings.simplefilter("error")
+                    value = eval(compile(ast.Expression(node), "<forcing>", "eval"),
+                                 _EVAL_GLOBALS, self.namespace)
+            except Exception:
+                pass
+            else:
+                name = f"_folded{len(self.namespace)}"
+                self.namespace[name] = value
+                return ast.copy_location(ast.Name(name, ast.Load()), node)
+        return self.generic_visit(node)
 
 
 def compile_expression(expr: str, grid: Grid) -> Callable[[float], np.ndarray]:
-    """Field provider of a checked forcing expression on ``grid``."""
-    code = check_expression(expr, grid.dim)
+    """Field provider of a checked forcing expression on ``grid``.
+
+    Each proper subtree free of ``t`` is evaluated once, here, and its value
+    stands in for it (one that raises or warns is left to each call); each
+    call evaluates the rest, with its ``t``, in one namespace made here.
+    """
+    tree = _checked_tree(expr, grid.dim)
     coords = grid.meshgrid()
     namespace = dict(_EXPR_FUNCS)
     namespace.update(_EXPR_CONSTS)
     namespace["x"] = coords[0]
     if grid.dim == 2:
         namespace["y"] = coords[1]
+    # the proper subtrees only: each call returns a new array, as the whole expression does
+    _FoldConstants(namespace).generic_visit(tree.body)
+    code = compile(tree, "<forcing>", "eval")
 
     def provider(t: float) -> np.ndarray:
-        local = dict(namespace)
-        local["t"] = float(t)
-        val = eval(code, {"__builtins__": {}}, local)
-        out = np.asarray(val, dtype=float)
+        namespace["t"] = float(t)
+        out = np.asarray(eval(code, _EVAL_GLOBALS, namespace), dtype=float)
         if out.shape != grid.shape:
             out = np.broadcast_to(out, grid.shape).copy()
         return out
@@ -185,7 +226,7 @@ class Forcings:
         return lambda t: const
 
     def _checked(self, provider, name: str):
-        return lambda t: self.grid.check_scalar(np.asarray(provider(t), dtype=float), name)
+        return lambda t: self.grid.check_scalar(provider(t), name)
 
     def u(self, t: float) -> np.ndarray:
         return self._u(t)
@@ -261,12 +302,13 @@ def _theta_pde_residual(grid: Grid, params: Parameters, theta_old: np.ndarray,
     new eta, ``grad_old`` the old angle's face gradient, which only damping reads."""
     rate = (theta_new - theta_old) / dt
     if params.nu:
-        flux = interfacial_flux(grid, alpha_new, theta_new, params.epsilon, params.kappa)
-        Gn = angle_gradient(grid, theta_new, params.epsilon)[0]
-        force = grid.div(tuple(f + params.nu**2 / dt * (n - o)
-                               for f, n, o in zip(flux, Gn, grad_old)))
+        flux = _kept_flux(grid, alpha_new, theta_new, params.epsilon, params.kappa,
+                          _angle_gradient)[0]
+        Gn = _angle_gradient(grid, theta_new, params.epsilon)[0]
+        force = grid._div(tuple(f + params.nu**2 / dt * (n - o)
+                                for f, n, o in zip(flux, Gn, grad_old)))
     else:    # the divergence the resolvent's re-check took
-        force = interfacial_force(grid, alpha_new, theta_new, params.epsilon, params.kappa)
+        force = _interfacial_force(grid, alpha_new, theta_new, params.epsilon, params.kappa)
     r = alpha0_new * rate - force - v_new
     return grid.norm_h(r)
 
@@ -282,12 +324,13 @@ def _advance(state: SystemState, model: ModelFunctions, params: Parameters,
     u_new = forcings.u(t_new)
     v_new = forcings.v(t_new)
 
-    # eta step: implicit Laplacian (plus damping), explicit nonlinearity
-    G_old, gc_old, gam = angle_gradient(grid, state.theta, params.epsilon)
+    # eta step: implicit Laplacian (plus damping), explicit nonlinearity; the state's
+    # fields were checked where it was made
+    G_old, gc_old, gam = _angle_gradient(grid, state.theta, params.epsilon)
     ghat = model.g(state.eta) + model.alpha_d1(state.eta) * gam
-    # damping terms are computed only when their weight is nonzero (x - 0.0 is x)
-    damp_eta = params.mu**2 * grid.laplacian(state.eta) if params.mu else 0.0
-    z_eta = state.eta - damp_eta + dt * (u_new - ghat)
+    # damping terms are computed only when their weight is nonzero; x - 0.0 is x
+    z_eta = state.eta - params.mu**2 * grid._div(grid._grad(state.eta)) if params.mu else state.eta
+    z_eta = z_eta + dt * (u_new - ghat)
     lam = dt + params.mu**2
     try:
         eta_new, rep_eta = linear_resolvent(LinearResolventProblem(grid, lam, 1.0, z_eta))
@@ -299,9 +342,9 @@ def _advance(state: SystemState, model: ModelFunctions, params: Parameters,
     alpha0_new = model.alpha0(eta_new)
     m = alpha0_new / dt
     kappa_eff = params.kappa + params.nu**2 / dt
-    # the old angle's Laplacian, from the face gradient already in hand
-    damp_theta = (params.nu**2 / dt) * grid.div(G_old) if params.nu else 0.0
-    z_theta = v_new + m * state.theta - damp_theta
+    z_theta = v_new + m * state.theta
+    if params.nu:    # the old angle's Laplacian, from the face gradient already in hand
+        z_theta -= (params.nu**2 / dt) * grid._div(G_old)
     problem = SingularResolventProblem(grid, model.alpha(eta_new), kappa_eff, m,
                                        z_theta, params.epsilon)
     tol = min(RESIDUAL_RTOL * (grid.norm_h(z_theta) + 1.0), 0.5 * THETA_RESIDUAL_TOL)
@@ -316,7 +359,7 @@ def _advance(state: SystemState, model: ModelFunctions, params: Parameters,
 
     res = _theta_pde_residual(grid, params, state.theta, alpha0_new, problem.beta, theta_new,
                               v_new, dt, G_old)
-    if res > THETA_RESIDUAL_TOL:
+    if not res <= THETA_RESIDUAL_TOL:     # NaN included
         raise StepFailedError(
             f"theta equation residual {res:.3e} exceeds {THETA_RESIDUAL_TOL} at t={t_new:.6g}",
             rep_theta)

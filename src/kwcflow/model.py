@@ -30,10 +30,18 @@ asked for, keyed on the exact bytes of its input arrays (a
 angle more than once; they are evaluated once, and an undamped step takes
 the flux's divergence once.
 
+The public functions check what a caller hands them (an angle whose
+gradient is not kept, a flux before its divergence is taken); a time step
+calls their private forms (:func:`_angle_gradient`,
+:func:`_interfacial_force`) on arrays it has made or checked.  Both share
+the kept results, which hold checked arrays only.
+
 The energy has one definition, over checked fields and the checked weight
 ``alpha(eta)``: :func:`kwc_energy` checks its inputs and evaluates it, and a
 run evaluates it on the fields of the step that made a snapshot, which the
-step has checked, with the kept gradient of the new angle.
+step has checked, with the kept gradient of the new angle and the new eta's
+face gradient that the eta solve's re-check took (a third kept result,
+:func:`_face_gradient`).
 """
 
 from __future__ import annotations
@@ -236,6 +244,7 @@ def reference_model(alpha_offset: float = 0.1, alpha0_offset: float = 1.0,
 
 _last_angle_gradient = KeepLast()    # keyed on (grid, epsilon, theta bytes)
 _last_flux = KeepLast()              # keyed on (grid, epsilon, kappa, beta and theta bytes)
+_last_face_gradient = KeepLast()     # keyed on (grid, the checked field's bytes)
 
 
 def _read_only(arrays) -> None:
@@ -243,12 +252,16 @@ def _read_only(arrays) -> None:
         a.flags.writeable = False
 
 
-def _angle_gradient(grid: Grid, theta: np.ndarray, epsilon: float):
-    G = grid.grad(theta)
-    gc = grid._face_to_cell(G)       # G is made from a checked angle
+def _gradients(grid: Grid, theta: np.ndarray, epsilon: float):
+    G = grid._grad(theta)
+    gc = grid._face_to_cell(G)
     gam = gamma_eps(gc, epsilon)
     _read_only((*G, gc, gam))
     return G, gc, gam
+
+
+def _checked_gradients(grid: Grid, theta: np.ndarray, epsilon: float):
+    return _gradients(grid, grid.check_scalar(theta), epsilon)
 
 
 def angle_gradient(grid: Grid, theta: np.ndarray,
@@ -256,11 +269,23 @@ def angle_gradient(grid: Grid, theta: np.ndarray,
     """Face gradient ``G``, cell gradient ``gc`` and ``gamma_eps(gc)`` of ``theta``.
 
     The last result is kept and returned again, read-only, while the same
-    grid, epsilon and bytes of ``theta`` are asked for.
+    grid, epsilon and bytes of ``theta`` are asked for; ``theta`` is checked
+    when it is not.
     """
-    theta = np.asarray(theta, dtype=float)
+    return _angle_gradient(grid, np.asarray(theta, dtype=float), epsilon, _checked_gradients)
+
+
+def _angle_gradient(grid: Grid, theta: np.ndarray, epsilon: float, compute=_gradients):
+    """:func:`angle_gradient` of a checked angle, which it does not check again."""
     key = (grid, epsilon, theta.shape, theta.tobytes())
-    return _last_angle_gradient.get(key, _angle_gradient, grid, theta, epsilon)
+    return _last_angle_gradient.get(key, compute, grid, theta, epsilon)
+
+
+def _face_gradient(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``grid._grad(f)`` of a checked field, kept and returned again while the same grid
+    and bytes of ``f`` are asked for: the eta solve's re-check takes the new eta's
+    gradient, and the step's snapshot energy takes it again.  Its callers only read it."""
+    return _last_face_gradient.get((grid, f.tobytes()), grid._grad, f)
 
 
 def interfacial_energy(grid: Grid, beta: np.ndarray, theta: np.ndarray,
@@ -273,7 +298,7 @@ def interfacial_energy(grid: Grid, beta: np.ndarray, theta: np.ndarray,
     """
     beta = _checked_weight(grid, beta)
     theta = grid.check_scalar(theta, "theta")
-    return _interfacial_energy(grid, beta, theta, epsilon, kappa)
+    return _interfacial_energy(grid, beta, _angle_gradient(grid, theta, epsilon), kappa)
 
 
 def _checked_weight(grid: Grid, beta) -> np.ndarray:
@@ -284,18 +309,18 @@ def _checked_weight(grid: Grid, beta) -> np.ndarray:
     return beta
 
 
-def _interfacial_energy(grid: Grid, beta: np.ndarray, theta: np.ndarray,
-                        epsilon: float, kappa: float) -> float:
-    """:func:`interfacial_energy` of checked fields."""
-    G, _, gam = angle_gradient(grid, theta, epsilon)
+def _interfacial_energy(grid: Grid, beta: np.ndarray, gradients, kappa: float) -> float:
+    """:func:`interfacial_energy` of the checked weight ``beta`` and the angle's
+    ``gradients``, the triple of :func:`angle_gradient`."""
+    G, _, gam = gradients
     nonlinear = grid.inner(beta, gam)
     quadratic = 0.5 * kappa * grid.inner_faces(G, G)
     return nonlinear + quadratic
 
 
 def _interfacial_flux(grid: Grid, beta: np.ndarray, theta: np.ndarray,
-                      epsilon: float, kappa: float) -> list:
-    G, gc, gam = angle_gradient(grid, theta, epsilon)
+                      epsilon: float, kappa: float, gradients) -> list:
+    G, gc, gam = gradients(grid, theta, epsilon)
     # gc / gam is the expression grad_gamma_eps(gc) evaluates
     flux = grid.cell_to_face(beta * (gc / gam))
     for f, g in zip(flux, G):
@@ -304,10 +329,14 @@ def _interfacial_flux(grid: Grid, beta: np.ndarray, theta: np.ndarray,
     return [flux, None]      # the divergence is taken when it is first asked for
 
 
-def _kept_flux(grid: Grid, beta, theta, epsilon: float, kappa: float) -> list:
+def _kept_flux(grid: Grid, beta, theta, epsilon: float, kappa: float,
+               gradients=angle_gradient) -> list:
+    """The kept ``[flux, divergence or None]``; a new flux takes the angle's gradients
+    from ``gradients``, :func:`angle_gradient` (which checks a new angle) or
+    :func:`_angle_gradient` (for a checked one)."""
     beta, theta = np.asarray(beta, dtype=float), np.asarray(theta, dtype=float)
     key = (grid, epsilon, kappa, beta.shape, beta.tobytes(), theta.shape, theta.tobytes())
-    return _last_flux.get(key, _interfacial_flux, grid, beta, theta, epsilon, kappa)
+    return _last_flux.get(key, _interfacial_flux, grid, beta, theta, epsilon, kappa, gradients)
 
 
 def interfacial_flux(grid: Grid, beta: np.ndarray, theta: np.ndarray,
@@ -332,6 +361,17 @@ def interfacial_force(grid: Grid, beta: np.ndarray, theta: np.ndarray,
     return kept[1]
 
 
+def _interfacial_force(grid: Grid, beta: np.ndarray, theta: np.ndarray,
+                       epsilon: float, kappa: float) -> np.ndarray:
+    """:func:`interfacial_force` of a checked weight and angle, whose flux, made from
+    them, it does not check again."""
+    kept = _kept_flux(grid, beta, theta, epsilon, kappa, _angle_gradient)
+    if kept[1] is None:
+        kept[1] = grid._div(kept[0])
+        _read_only((kept[1],))
+    return kept[1]
+
+
 @dataclass
 class EnergyBreakdown:
     dirichlet: float
@@ -352,10 +392,11 @@ def kwc_energy(grid: Grid, eta: np.ndarray, theta: np.ndarray,
 def _energy(grid: Grid, eta: np.ndarray, theta: np.ndarray, beta: np.ndarray,
             model: ModelFunctions, params: Parameters) -> EnergyBreakdown:
     """:func:`kwc_energy` of checked fields, ``beta`` the checked weight ``alpha(eta)``."""
-    Ge = grid._grad(eta)
+    Ge = _face_gradient(grid, eta)
     dirichlet = 0.5 * grid.inner_faces(Ge, Ge)
     potential = float(np.add.reduce(model.G(eta), axis=None) * grid.cell_volume)
-    interfacial = _interfacial_energy(grid, beta, theta, params.epsilon, params.kappa)
+    interfacial = _interfacial_energy(grid, beta, _angle_gradient(grid, theta, params.epsilon),
+                                      params.kappa)
     return EnergyBreakdown(
         dirichlet=dirichlet,
         potential=potential,

@@ -15,7 +15,7 @@ from kwcflow import (Forcings, LinearResolventProblem, Parameters,
                      check_h2_bound, gamma_eps, grad_gamma_eps, hess_gamma_eps,
                      interfacial_flux, linear_resolvent, reference_model,
                      singular_resolvent)
-from kwcflow.elliptic import (_dual_step, _factorize, _matvec, _SingularSystem,
+from kwcflow.elliptic import (_dual_step, _factorize, _SingularSystem,
                               _stencil_residual_h, _symmetric_dia)
 from kwcflow.grid import Grid, random_smooth_field
 
@@ -127,7 +127,8 @@ def test_linear_resolvent_raises_on_a_missed_residual(grid1d, monkeypatch):
 
 
 def test_linear_resolvent_raises_on_a_nan_residual(grid1d, monkeypatch):
-    monkeypatch.setattr(Grid, "laplacian", lambda self, f: np.full(self.shape, np.nan))
+    # the re-check takes the divergence kernel of the solve's face gradient
+    monkeypatch.setattr(Grid, "_div", lambda self, F: np.full(self.shape, np.nan))
     with pytest.raises(SolverError) as excinfo:
         linear_resolvent(LinearResolventProblem(grid1d, 0.7, 1.0, grid1d.constant(1.0)))
     assert np.isnan(excinfo.value.report.final_residual_h)
@@ -276,6 +277,13 @@ def test_singular_resolvent_validation(grid1d):
         fields[k][2] = np.inf
         with pytest.raises(ValueError, match=rf"^{name}: contains non-finite values$"):
             check_h2_bound(grid1d, *fields, 0.5, 1.0)
+
+
+def test_check_h2_bound_rejects_a_nan_residual(grid1d, monkeypatch):
+    monkeypatch.setattr(elliptic, "_stencil_residual_h", lambda problem, w: np.nan)
+    with pytest.raises(ValueError, match=r"^w does not solve the resolvent problem \(residual nan\)$"):
+        check_h2_bound(grid1d, grid1d.constant(1.0), grid1d.constant(1.0), grid1d.zeros(),
+                       0.5, 1.0)
 
 
 def test_check_h2_bound_constant_case(grid1d):
@@ -438,7 +446,9 @@ def test_direct_csr_product_is_bitwise_the_operator_product(cells, extents):
     rng = np.random.default_rng(12)
     for A in (g.cell_gradient_matrix, g.stiffness_matrix, g.newton_diagonals[1]):
         x = rng.standard_normal(A.shape[1])
-        assert _matvec(A, x).tobytes() == (A @ x).tobytes()
+        out = np.zeros(A.shape[0])
+        csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
+        assert out.tobytes() == (A @ x).tobytes()
 
 
 @pytest.mark.parametrize("eps", [2.0**-2, 2.0**-8], ids=["eps=2^-2", "eps=2^-8"])

@@ -51,6 +51,27 @@ def test_expression_forcing_and_safety():
             compile_expression(bad, g)
 
 
+def test_expression_forcing_gives_the_bits_of_the_whole_expression():
+    # The parts free of t are evaluated once, when the provider is made (a part that
+    # warns, as log(x - 0.5) does, at each call); every call gives the bits of the
+    # whole expression evaluated at its t, in a new array.
+    g = build_grid(2, [6, 5], [1.0, 0.8])
+    x, y = g.meshgrid()
+    cases = {
+        "0.1*sin(t)*cos(pi*x)": lambda t: 0.1 * np.sin(t) * np.cos(np.pi * x),
+        "exp(-(x**2 + y**2)) * t + sqrt(2)*y - 3": (
+            lambda t: np.exp(-(x**2 + y**2)) * t + np.sqrt(2) * y - 3),
+        "log(x - 0.5) + t*y": lambda t: np.log(x - 0.5) + t * y,
+        "cos(pi*x)": lambda t: np.cos(np.pi * x),
+    }
+    for expr, direct in cases.items():
+        f = compile_expression(expr, g)
+        for t in (0.0, 0.37, 2.5):
+            with np.errstate(invalid="ignore"):
+                got, again, want = f(t), f(t), direct(t)
+            assert got.tobytes() == want.tobytes() and got is not again, (expr, t)
+
+
 def test_forcings_accept_various_specs():
     g = build_grid(1, [16], [1.0])
     x = g.centers(0)
@@ -143,7 +164,9 @@ def test_zero_damping_weights_skip_their_laplacians(setup, monkeypatch):
     # damped flux in the step check.  The eta solve's residual re-check costs the
     # Laplacian left at mu = nu = 0, and the new angle's flux one divergence, which
     # the resolvent's re-check and the undamped step check share.  Every divergence,
-    # a Laplacian's too, is taken by Grid._div, which is counted.
+    # a Laplacian's too, is taken by the kernel Grid._div, which is counted; the
+    # checking Grid.laplacian is not called, since every field it would take is
+    # one the step has checked or made.
     g, model, eta0, theta0 = setup
     calls = {"laplacian": 0, "_div": 0}
     for name in calls:
@@ -154,8 +177,8 @@ def test_zero_damping_weights_skip_their_laplacians(setup, monkeypatch):
             return _method(self, f)
 
         monkeypatch.setattr(Grid, name, counted)
-    for mu, nu, laplacians, divs in ((0.0, 0.0, 1, 2), (0.1, 0.0, 2, 3),
-                                     (0.0, 0.1, 1, 4), (0.1, 0.1, 2, 5)):
+    for mu, nu, laplacians, divs in ((0.0, 0.0, 0, 2), (0.1, 0.0, 0, 3),
+                                     (0.0, 0.1, 0, 4), (0.1, 0.1, 0, 5)):
         calls.update(laplacian=0, _div=0)
         params = Parameters(kappa=1.0, epsilon=0.25, T=1.0, dt=1e-3, mu=mu, nu=nu)
         step(SystemState(g, eta0, theta0), model, params, Forcings(g))
@@ -380,6 +403,19 @@ def test_run_step_residual_failure_carries_partial_trajectory(setup, monkeypatch
     assert len(reports) == 4 and exc.report is reports[-1] and exc.report.converged
     assert len(exc.trajectory.solve_reports) == 3
     assert len(exc.trajectory.snapshots) == 4   # initial + 3 completed steps
+
+
+def test_a_nan_step_residual_fails_the_step(setup, monkeypatch):
+    # A NaN in the step check's force makes the residual NaN, which fails the 1e-9
+    # check rather than passing it.  The resolvent's own re-check is left alone.
+    g, model, eta0, theta0 = setup
+    params = Parameters(kappa=1.0, epsilon=0.25, T=0.01, dt=1e-3)
+    monkeypatch.setattr(evolution, "_interfacial_force",
+                        lambda grid, *args: np.full(grid.shape, np.nan))
+    with pytest.raises(StepFailedError,
+                       match=r"^theta equation residual nan exceeds 1e-09 at t=0.001$") as excinfo:
+        evolution._advance(SystemState(g, eta0, theta0), model, params, Forcings(g))
+    assert excinfo.value.report.converged
 
 
 @pytest.mark.parametrize("cells", [[48], [12, 10]])
@@ -682,18 +718,19 @@ def test_every_check_fires_from_its_first_scan(monkeypatch):
         advance(theta_start=nan)
 
     # The scans of one undamped step from an angle no test has asked for: the problems'
-    # z (eta), beta, m and z (theta); the old and the new angle, each where its gradient
-    # is taken; the eta solve, and the face field of its re-check's Laplacian; the
-    # start and the start's dual of the theta solve; one per Newton band; the new angle's
-    # flux where its divergence is taken.  The constant forcings and the new state are
-    # not scanned, nor is anything by the snapshot energy.
+    # z (eta), beta, m and z (theta); the eta solve; the start and the start's dual of
+    # the theta solve; one per Newton band.  The state's angles, old and new, are not
+    # scanned where their gradients are taken, nor is the eta solve where its re-check
+    # takes its Laplacian or the new angle's flux where its divergence is taken: each is
+    # an array the step has checked or made from checked ones.  The constant forcings
+    # and the new state are not scanned, nor is anything by the snapshot energy.
     g, state, params = grain_step_state(2.0**-7)
     scans, all_finite = [], grid_module.all_finite
     for module in (grid_module, elliptic):
         monkeypatch.setattr(module, "all_finite", lambda a: scans.append(1) or all_finite(a))
     new_state, _, report = evolution._advance(state, model, params, Forcings(g))
     assert report.iterations == 5
-    assert len(scans) == 4 + 2 + 2 + 2 + report.iterations + 1
+    assert len(scans) == 4 + 1 + 2 + report.iterations
     scans.clear()
     evolution._energy(g, new_state.eta, new_state.theta, new_state.alpha, model, params)
     assert not scans

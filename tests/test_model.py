@@ -5,9 +5,10 @@ import pytest
 
 from dataclasses import asdict, replace
 
-from kwcflow import (Parameters, build_grid, gamma_eps, grad_gamma_eps,
-                     hess_gamma_eps, interfacial_energy, interfacial_flux, interfacial_force,
-                     kwc_energy, reference_model, validate_assumptions)
+from kwcflow import (LinearResolventProblem, Parameters, SingularResolventProblem, build_grid,
+                     gamma_eps, grad_gamma_eps, hess_gamma_eps, interfacial_energy,
+                     interfacial_flux, interfacial_force, kwc_energy, reference_model,
+                     validate_assumptions)
 from kwcflow import model as model_module
 from kwcflow.model import ModelFunctions, angle_gradient
 
@@ -351,3 +352,51 @@ def test_memo_hits_are_fresh_bits_and_read_only(dim, cells):
     for i, changed in ((1, args[1]), (0, 2.0 * args[0]), (2, 0.4), (3, 1.1)):
         args[i] = changed
         assert [a.tobytes() for a in kept(*args)] == [a.tobytes() for a in fresh(*args)]
+
+
+@pytest.mark.parametrize("dim,cells", [(1, [40]), (2, [9, 7])])
+def test_public_functions_check_what_enters(dim, cells):
+    # The package takes the unchecked kernels on arrays it has made or checked; each
+    # public function still checks its caller's arrays, with the message it always gave.
+    g = build_grid(dim, cells, [1.0] * dim)
+    rng = np.random.default_rng(13)
+    beta, theta = 1.0 + rng.random(g.shape), rng.standard_normal(g.shape)
+    nan = g.constant(1.0)
+    nan.flat[3] = np.nan
+    last = dim - 1      # the axis whose faces hold the NaN
+    nan_faces = tuple(np.zeros(s) for s in g.face_shapes())
+    nan_faces[last].flat[3] = np.nan
+    field = "^field: contains non-finite values$"
+    faces = f"^vector field: non-finite values on axis-{last} faces$"
+    calls = [
+        (lambda: g.grad(nan), field),
+        (lambda: g.laplacian(nan), field),
+        (lambda: g.div(nan_faces), faces),
+        (lambda: g.face_to_cell(nan_faces), faces),
+        (lambda: angle_gradient(g, nan, 0.3), field),
+        (lambda: interfacial_flux(g, beta, nan, 0.3, 0.7), field),
+        (lambda: interfacial_force(g, beta, nan, 0.3, 0.7), field),
+        # a NaN weight makes a flux NaN on every axis, whose divergence is checked
+        (lambda: interfacial_force(g, nan, theta, 0.3, 0.7),
+         "^vector field: non-finite values on axis-0 faces$"),
+        (lambda: interfacial_energy(g, nan, theta, 0.3, 0.7), "^beta: contains non-finite values$"),
+        (lambda: interfacial_energy(g, beta, nan, 0.3, 0.7), "^theta: contains non-finite values$"),
+        (lambda: LinearResolventProblem(g, 0.5, nan, theta), "^m: contains non-finite values$"),
+        (lambda: LinearResolventProblem(g, 0.5, np.nan, theta), "^m: contains non-finite values$"),
+        (lambda: LinearResolventProblem(g, 0.5, 1.0, nan), "^z: contains non-finite values$"),
+        (lambda: SingularResolventProblem(g, nan, 0.7, 1.0, theta, 0.3),
+         "^beta: contains non-finite values$"),
+        (lambda: SingularResolventProblem(g, beta, 0.7, nan, theta, 0.3),
+         "^m: contains non-finite values$"),
+        (lambda: SingularResolventProblem(g, beta, 0.7, 1.0, nan, 0.3),
+         "^z: contains non-finite values$"),
+    ]
+    # once with nothing kept, and once after the same functions were asked for the
+    # finite fields, so that the kept results hold checked arrays
+    for warm in (False, True):
+        if warm:
+            interfacial_force(g, beta, theta, 0.3, 0.7)
+            interfacial_energy(g, beta, theta, 0.3, 0.7)
+        for call, message in calls:
+            with pytest.raises(ValueError, match=message), np.errstate(invalid="ignore"):
+                call()

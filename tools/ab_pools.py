@@ -9,12 +9,13 @@ OLD_ROOT and NEW_ROOT are repository roots.  Each tree's ``src/kwcflow`` is
 loaded as a package of its own name (the modules import each other
 relatively), and each side builds its ops from ``perfbench/workloads.py`` of
 its own tree, only imported, with ``kwcflow`` bound to that side's package
-while it loads.  With ``--aa`` OLD_ROOT is loaded twice and timed against
-itself: the spread of that run is the noise a NEW/OLD ratio must clear.
+while it loads.  Three sides are loaded: OLD, a second copy of OLD (the A/A
+side) and NEW; with ``--aa`` only the first two.  The spread of the A/A side
+against OLD is the noise a NEW/OLD ratio must clear.
 
 One warm-up pass runs every op once per side.  Then each round runs every op
-of the pool on both sides, and the side that goes first alternates from op to
-op and from round to round.  Only ``evolution.run`` is timed, on the process
+of the pool on every side, and the side that goes first rotates from op to op
+and from round to round.  Only ``evolution.run`` is timed, on the process
 CPU clock; the config is parsed, the assumptions validated and the initial
 state made untimed, as ``workloads.run_op`` does them, and no output is
 written.  A failing op (``StepFailedError``) counts its completed steps and the
@@ -26,18 +27,18 @@ of the run) bracket one completed step.  That splits each side's time into the
 first step of every op, where a new grid builds its operators, and the steps
 after it.
 
-Printed: each round's steps/s per side and NEW/OLD ratio, the median ratio
-and the rounds NEW won, the median NEW/OLD speed ratio of step 1 and of steps
-2 and later, each side's Newton total over the pool (from the ``SolveReport``
-iterations of its warm-up pass), and how many ops give bitwise equal results on
-the two sides: the final angle, the final eta, and the energies of all snapshots.
+Printed: each round's steps/s per side and each side's speed ratio against
+OLD (>1: faster); then per side its median ratio with the least and largest
+round and the rounds it won, its median ratio of step 1 and of steps 2 and
+later, and on how many ops its results are bitwise OLD's: the final angle, the
+final eta, and the energies of all snapshots; and each side's Newton total
+over the pool (from the ``SolveReport`` iterations of its warm-up pass).
 
 ``--workload 2d`` times the fixed cases of :data:`CASES_2D` instead of a pool:
 the north star's 1D n=64 and 2D 64² and 128² runs on the default config's data
 (kappa 1, eps 0.25, dt 1e-3), and circular grains (radius 0.3, tanh width 0.01,
 kappa 1e-2, eta 1) on 48², 64² and 128² at (eps, dt) = (2^-4, 1e-3) and
-(2^-10, 1e-2).  Three sides are loaded: OLD, a second copy of OLD (the A/A side)
-and NEW; with ``--aa`` only the first two.  Per case, each side makes two warm
+(2^-10, 1e-2).  Per case, each side makes two warm
 steps untimed, then every round runs the case's N steps from that state on each
 side, the side that goes first rotating by round, and ``evolution.run`` is timed
 on the process CPU clock.  Per case it reports each side's median ms/step, the
@@ -236,44 +237,54 @@ def main() -> int:
         parser.error("--rounds must be at least 1")
     if args.workload == "2d":
         return main_2d(args)
-    sides = (load_side(args.old, "kwcflow_old"),
-             load_side(args.old if args.aa else args.new, "kwcflow_new"))
+    labels = ("OLD", "A/A", "NEW")[:2 if args.aa else 3]
+    roots = (args.old, args.old, args.new)
+    sides = [load_side(root, name) for root, name in
+             zip(roots, ("kwcflow_old", "kwcflow_aa", "kwcflow_new"))][:len(labels)]
     ops = sides[0].workload_ops(args.workload)
+    n = len(sides)
 
     with tempfile.TemporaryDirectory() as workdir:
         warm = [[run_once(w, op, workdir) for op in ops] for w in sides]
         newton = [sum(r[2] for r in results) for results in warm]
-        # per result (theta, eta, energies), the ops whose bytes agree on the two sides
-        equal = [sum(a[3][i] == b[3][i] for a, b in zip(*warm)) for i in range(3)]
-        ratios, first_ratios, later_ratios = [], [], []
+        # per side after OLD and per result (theta, eta, energies), the ops whose bytes
+        # agree with OLD's
+        equal = [[sum(a[3][i] == b[3][i] for a, b in zip(warm[0], other)) for i in range(3)]
+                 for other in warm[1:]]
+        # per side after OLD: the speed ratio against OLD of each round, of its steps 1
+        # and of its steps 2 and later
+        ratios, first_ratios, later_ratios = ([[] for _ in sides[1:]] for _ in range(3))
         for rnd in range(args.rounds):
-            steps, seconds = [0, 0], [0.0, 0.0]
+            steps, seconds = [0] * n, [0.0] * n
             # per side, the CPU seconds of each op's step 1 and of its steps 2 and later
-            first, later = [[], []], [[], []]
+            first, later = [[] for _ in sides], [[] for _ in sides]
             for k, op in enumerate(ops):
-                order = (0, 1) if (k + rnd) % 2 == 0 else (1, 0)
-                for side in order:
+                for side in ((k + rnd + j) % n for j in range(n)):
                     done, s, _, _, per_step = run_once(sides[side], op, workdir)
                     steps[side] += done
                     seconds[side] += s
                     first[side] += per_step[:1]
                     later[side] += per_step[1:]
-            rate = [n / s for n, s in zip(steps, seconds)]
-            ratios.append(rate[1] / rate[0])
-            for (old, new), out in ((first, first_ratios), (later, later_ratios)):
-                out.append((len(new) / sum(new)) / (len(old) / sum(old)))
-            print(f"round {rnd + 1}: OLD {rate[0]:.1f} NEW {rate[1]:.1f} steps/s, "
-                  f"NEW/OLD {ratios[-1]:.4f} (step 1 {first_ratios[-1]:.4f}, "
-                  f"steps 2.. {later_ratios[-1]:.4f})", flush=True)
+            rate = [k / s for k, s in zip(steps, seconds)]
+            for side in range(1, n):
+                ratios[side - 1].append(rate[side] / rate[0])
+                for times, out in ((first, first_ratios), (later, later_ratios)):
+                    old, new = times[0], times[side]
+                    out[side - 1].append((len(new) / sum(new)) / (len(old) / sum(old)))
+            print(f"round {rnd + 1}: steps/s " + per_side(dict(zip(labels, rate)), "{:.1f}")
+                  + "; vs OLD " + ", ".join(
+                      f"{label} {r[-1]:.4f} (step 1 {f[-1]:.4f}, steps 2.. {g[-1]:.4f})"
+                      for label, r, f, g in zip(labels[1:], ratios, first_ratios,
+                                                later_ratios)), flush=True)
 
-    label = "A/A" if args.aa else "NEW/OLD"
-    print(f"{args.workload}, {len(ops)} ops, {args.rounds} rounds: median {label} "
-          f"{statistics.median(ratios):.4f}, NEW won {sum(r > 1.0 for r in ratios)}/{args.rounds}")
-    print(f"median {label} speed of step 1 {statistics.median(first_ratios):.4f}, "
-          f"of steps 2 and later {statistics.median(later_ratios):.4f}")
-    print(f"Newton iterations over the pool: OLD {newton[0]}, NEW {newton[1]}")
-    print("bitwise equal on the two sides: final theta on {}/{n} ops, final eta on {}/{n}, "
-          "snapshot energies on {}/{n}".format(*equal, n=len(ops)))
+    print(f"{args.workload}, {len(ops)} ops, {args.rounds} rounds, speed vs OLD (>1: faster):")
+    for label, r, f, g, eq in zip(labels[1:], ratios, first_ratios, later_ratios, equal):
+        print(f"  {label}: median {statistics.median(r):.4f} [{min(r):.4f}, {max(r):.4f}], "
+              f"won {sum(x > 1.0 for x in r)}/{args.rounds}; median of step 1 "
+              f"{statistics.median(f):.4f}, of steps 2 and later {statistics.median(g):.4f}")
+        print("  bitwise equal to OLD: final theta on {}/{n} ops, final eta on {}/{n}, "
+              "snapshot energies on {}/{n}".format(*eq, n=len(ops)))
+    print("Newton iterations over the pool: " + per_side(dict(zip(labels, newton))))
     return 0
 
 
