@@ -35,10 +35,11 @@ accepted trial's residual used.  Sparse products call scipy's kernels directly (
 runs, without its dispatch): a residual starts as ``m*w - z``, ``csc_matvec``
 adds ``G^T flux`` from the cell-gradient matrix's CSR arrays (the CSC arrays of
 ``G^T``) and ``csr_matvec`` adds ``kappa_eff*K w``.  Each iteration writes
-the matrix's upper diagonals with one sparse product, from the map the grid
+the matrix's lower diagonals with one sparse product, from the map the grid
 builds from its cell-gradient stencil (:attr:`Grid.newton_diagonals`), in 1D
 and 2D alike; only the solve reads the dimension.  In 1D they are LAPACK's
-band (bandwidth 2), solved in place by the banded Cholesky ``dpbsv``; in 2D,
+lower band (bandwidth 2), solved in place by the banded Cholesky ``dpbsv``, which
+on the lower band scales and updates each column with unit stride; in 2D,
 mirrored into a symmetric DIA matrix, they are solved by CG preconditioned by
 their main diagonal, which at these sizes is faster than a direct solve.
 The line search's energy is the model's interfacial energy of the checked
@@ -132,8 +133,8 @@ _last_factor = KeepLast()    # keyed on (grid, lam, m or m's bytes)
 def _factorize(grid: Grid, lam: float, m):
     """Solve function of ``lam*K + diag(m)``, ``m`` a number or a field."""
     if grid.dim == 1:    # tridiagonal: LDL^T, solved without BLAS for n >= 2
-        band = grid.newton_diagonals[2]    # K in the Newton band: offsets 2, 1, 0
-        d, e, info = dpttrf(lam * band[2] + m, lam * band[1, 1:],
+        band = grid.newton_diagonals[2]    # K in the Newton band: offsets 0, 1, 2
+        d, e, info = dpttrf(lam * band[0] + m, lam * band[1, :-1],
                             overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise SolverError(f"linear resolvent: the LDL^T factorization (dpttrf) of "
@@ -272,7 +273,7 @@ class _SingularSystem:
         self.coupling_csr = (C.shape[0], C.shape[1], C.indptr, C.indices, C.data)
         # kappa_eff*K + diag(m): the part of every system matrix that w leaves alone
         self.fixed = kappa_band.copy(order="F")
-        self.fixed[-1] += self.m
+        self.fixed[0] += self.m
 
     def grad_cells(self, w: np.ndarray) -> np.ndarray:
         y = np.zeros(self.dim * self.nc)    # csr_matvec adds into it, as G @ w does
@@ -305,8 +306,8 @@ class _SingularSystem:
 
     def matrix(self, B: np.ndarray) -> np.ndarray:
         """``G^T B G + kappa_eff*K + diag(m)`` for ``B`` of shape ``(dim, dim, nc)``: its
-        upper diagonals at :attr:`offsets`, written from :attr:`Grid.newton_diagonals`
-        (in 1D, LAPACK's upper band).  A system that is not finite raises
+        lower diagonals at :attr:`offsets`, written from :attr:`Grid.newton_diagonals`
+        (in 1D, LAPACK's lower band).  A system that is not finite raises
         :class:`SolverError`."""
         ab = np.zeros(self.fixed.size)     # csr_matvec adds into it, as A @ x does
         csr_matvec(*self.coupling_csr, B.ravel(), ab)
@@ -326,25 +327,26 @@ class _SingularSystem:
         return self.matrix(B)
 
     def solve(self, A: np.ndarray, b: np.ndarray):
-        """Solve the SPD system whose upper band :meth:`matrix` gives; returns
+        """Solve the SPD system whose lower band :meth:`matrix` gives; returns
         (x, cg_iters, ok).  A 1D band is overwritten."""
         if self.dim == 1:    # bandwidth 2: a direct solve is cheapest
-            _, x, info = dpbsv(A, b, overwrite_ab=1)
+            _, x, info = dpbsv(A, b, lower=1, overwrite_ab=1)
             if info < 0:
                 raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
             return (x, 0, True) if info == 0 else (b, 0, False)
-        return _cg_solve(_symmetric_dia(A, self.offsets), b, A[-1])
+        return _cg_solve(_symmetric_dia(A, self.offsets), b, A[0])
 
 
 def _symmetric_dia(ab: np.ndarray, offsets: tuple[int, ...]) -> sp.dia_matrix:
-    """The symmetric matrix whose upper diagonals at ``offsets`` (descending to 0)
-    ``ab`` holds in the layout of :attr:`Grid.newton_diagonals`, in DIA form."""
+    """The symmetric matrix whose lower diagonals at ``offsets`` (ascending from 0)
+    ``ab`` holds in the layout of :attr:`Grid.newton_diagonals`, in DIA form: the
+    upper diagonals first, descending, then the main and the lower ones."""
     k, n = ab.shape
     data = np.zeros((2 * k - 1, n))
-    data[:k] = ab
-    for row, o in enumerate(offsets[:-1]):
-        data[-1 - row, :n - o] = ab[row, o:]
-    return sp.dia_matrix((data, offsets + tuple(-o for o in offsets[-2::-1])), shape=(n, n))
+    data[k - 1:] = ab
+    for row, o in enumerate(offsets[1:], start=1):
+        data[k - 1 - row, o:] = ab[row, :n - o]
+    return sp.dia_matrix((data, offsets[:0:-1] + tuple(-o for o in offsets)), shape=(n, n))
 
 
 def _stencil_residual_h(problem: SingularResolventProblem, w: np.ndarray) -> float:

@@ -22,7 +22,7 @@ The solvers' sparse operators are built on first use and kept on the grid,
 written directly in CSR form with the entries, and their order in each row,
 of the sparse products that define them.  One cell-gradient stencil
 (:attr:`Grid.cell_gradient_stencil`) gives the cell-gradient matrix and the
-map that writes the Newton matrix's upper diagonals
+map that writes the Newton matrix's lower diagonals
 (:attr:`Grid.newton_diagonals`), in 1D and 2D alike.  No transpose is kept: scipy's
 CSC kernel on the gradient matrix's CSR arrays gives the bits of ``G.T @ x``.
 """
@@ -345,20 +345,21 @@ class Grid:
 
     @cached_property
     def newton_diagonals(self) -> tuple[tuple[int, ...], sp.csr_matrix, np.ndarray]:
-        """The upper diagonals of the Newton matrices ``G^T B G + c*K + diag(m)``, with
+        """The lower diagonals of the Newton matrices ``G^T B G + c*K + diag(m)``, with
         ``G`` the cell-gradient matrix, ``K`` the stiffness matrix and ``B`` a block
         matrix of diagonal blocks, given as an array of shape ``(dim, dim, n_cells)``.
 
         Returns ``(offsets, coupling, stiffness)``.  ``offsets`` lists the diagonals'
-        offsets, descending to 0; in an array of shape ``(len(offsets), n_cells)`` row k
-        holds ``A[j - offsets[k], j]`` at column j, which in 1D is LAPACK's upper band.
-        ``coupling @ B.ravel()`` is ``G^T B G`` in that layout flattened in Fortran
-        order, and ``stiffness`` is ``K`` in it.  Cell c's stencil entries (d, i) and
-        (e, j) give the term ``w[d, i]*w[e, j]*B[d, e, c]`` at ``(cols[d, i, c],
-        cols[e, j, c])``; each entry adds its terms lower cell first."""
+        offsets, ascending from 0; in an array of shape ``(len(offsets), n_cells)`` row k
+        holds ``A[j + offsets[k], j]`` at column j (zero past the matrix), which in 1D is
+        LAPACK's lower band.  ``coupling @ B.ravel()`` is ``G^T B G`` in that layout
+        flattened in Fortran order, and ``stiffness`` is ``K`` in it.  Cell c's stencil
+        entries (d, i) and (e, j) give the term ``w[d, i]*w[e, j]*B[d, e, c]`` at
+        ``(cols[d, i, c], cols[e, j, c])``; each entry adds its terms lower cell first."""
         n, dim = self.n_cells, self.dim
         cols, w = self.cell_gradient_stencil
-        # the terms of the upper entries, each term's (d, i, e, j, c) in C order
+        # the terms of the entries on and above the diagonal, each term's (d, i, e, j, c)
+        # in C order; the symmetric matrix holds each at its mirror below the diagonal
         d, i, e, j, c = np.nonzero(cols[:, :, None, None, :] <= cols[None, None, :, :, :])
         row, column = cols[d, i, c], cols[e, j, c]
         source = (d * dim + e) * n + c
@@ -366,22 +367,22 @@ class Grid:
         # Each index array is dropped once read, which keeps the build's peak low.
         del d, i, e, j
         offset = column - row
-        del row
+        del column
         present = np.bincount(offset) > 0
         ascending = np.flatnonzero(present)
         rank = np.cumsum(present) - 1              # an offset's place in ascending
-        slot = (ascending.size - 1 - rank[offset]) + ascending.size * column
-        del offset, column
+        slot = rank[offset] + ascending.size * row
+        del offset, row
         # One entry per (slot, source): no two terms share both, so nothing is summed.
         order = np.lexsort((source, c, slot))
         indptr = np.zeros(ascending.size * n + 1, dtype=np.intp)
         np.cumsum(np.bincount(slot, minlength=ascending.size * n), out=indptr[1:])
         coupling = _csr_matrix(weight[order], source[order], indptr,
                                (ascending.size * n, dim * dim * n))
-        offsets = tuple(int(o) for o in ascending[::-1])
+        offsets = tuple(int(o) for o in ascending)
         stiffness = np.zeros((len(offsets), n), order="F")
         for k, o in enumerate(offsets):
-            stiffness[k, o:] = self.stiffness_matrix.diagonal(o)
+            stiffness[k, :n - o] = self.stiffness_matrix.diagonal(o)
         return offsets, coupling, stiffness
 
 

@@ -323,18 +323,25 @@ def pattern_matrix(system, B):
     return A + (system.p.kappa_eff * g.stiffness_matrix.toarray() + np.diag(system.m))
 
 
-def upper_band(A: np.ndarray) -> np.ndarray:
-    """LAPACK's upper band form ``ab[2 + i - j, j] = A[i, j]`` of a bandwidth-2 matrix."""
-    ab = np.zeros((3, A.shape[0]))
+def lower_band(A: np.ndarray) -> np.ndarray:
+    """LAPACK's lower band form ``ab[i - j, j] = A[i, j]`` of a bandwidth-2 matrix."""
+    n = A.shape[0]
+    ab = np.zeros((3, n))
     for k in range(3):
-        ab[2 - k, k:] = np.diagonal(A, k)
+        ab[k, :n - k] = np.diagonal(A, -k)
     return ab
 
 
+def lower_triangle(system, A) -> np.ndarray:
+    """The lower triangle of a system matrix: its lower diagonals at ``system.offsets``."""
+    n = A.shape[1]
+    return sum(np.diag(A[k, :n - o], -o) for k, o in enumerate(system.offsets))
+
+
 def dense(system, A) -> np.ndarray:
-    """Full matrix of a system matrix: the upper diagonals at ``system.offsets``."""
-    upper = sum(np.diag(A[k, o:], o) for k, o in enumerate(system.offsets[:-1]))
-    return np.diag(A[-1]) + upper + upper.T
+    """Full matrix of a system matrix: the lower diagonals at ``system.offsets``."""
+    lower = lower_triangle(system, A)
+    return lower + np.tril(lower, -1).T
 
 
 def newton_weight(system, y, p):
@@ -512,7 +519,7 @@ def random_newton_system(g, rng):
                          ids=lambda c: "x".join(map(str, c)))
 def test_newton_matrix_matches_the_operator_product(cells):
     # The diagonals written from the grid's map against G^T bmat(diags(B)) G + kappa*K
-    # + diags(m) from scipy's sparse products, which round differently; the upper
+    # + diags(m) from scipy's sparse products, which round differently; the lower
     # entries are bit for bit those summed entry by entry in the map's order.
     g = build_grid(len(cells), cells, [0.7, 1.3][:len(cells)])
     rng = np.random.default_rng(sum(cells))
@@ -530,13 +537,60 @@ def test_newton_matrix_matches_the_operator_product(cells):
             assert np.array_equal(mirrored.toarray(), mirrored.toarray().T)
             assert mirrored.toarray().tobytes() == dense(system, A).tobytes()
         assert np.max(np.abs(dense(system, A) - oracle)) <= 1e-15 * np.max(np.abs(oracle))
-        assert (np.triu(dense(system, A)).tobytes()
-                == np.triu(pattern_matrix(system, B)).tobytes())
+        assert (lower_triangle(system, A).tobytes()
+                == np.tril(pattern_matrix(system, B)).tobytes())
+
+
+@pytest.mark.parametrize("cells", [[5], [128], [12, 10], [4, 9]],
+                         ids=lambda c: "x".join(map(str, c)))
+def test_lower_band_expands_bit_for_bit_to_the_lower_triangle(cells):
+    # Any symmetric weight B of diagonal blocks, not only a Newton weight: the lower
+    # diagonals written from the grid's map, put back in place, are the lower triangle
+    # of G^T B G + kappa_eff*K + diag(m) summed entry by entry, bit for bit.
+    g = build_grid(len(cells), cells, [0.7, 1.3][:len(cells)])
+    rng = np.random.default_rng(7 * sum(cells))
+    system = random_newton_system(g, rng)[0]
+    B = rng.standard_normal((g.dim, g.dim, g.n_cells))
+    B = B + B.transpose(1, 0, 2)
+    A = system.matrix(B)
+    assert A.shape == (len(system.offsets), g.n_cells) and system.offsets[0] == 0
+    assert not any(A[k, g.n_cells - o:].any() for k, o in enumerate(system.offsets))
+    assert lower_triangle(system, A).tobytes() == np.tril(pattern_matrix(system, B)).tobytes()
+
+
+def upper_layout_dia(ab: np.ndarray, offsets: tuple[int, ...]) -> sp.dia_matrix:
+    """The DIA matrix the solver built from the upper layout it had before the lower one:
+    ``ab`` moved to rows of offsets descending to 0, row k holding ``A[j - o, j]``, then
+    mirrored as that construction did."""
+    k, n = ab.shape
+    upper = np.zeros_like(ab)
+    for row, o in enumerate(offsets):
+        upper[k - 1 - row, o:] = ab[row, :n - o]
+    offsets = offsets[::-1]
+    data = np.zeros((2 * k - 1, n))
+    data[:k] = upper
+    for row, o in enumerate(offsets[:-1]):
+        data[-1 - row, :n - o] = upper[row, o:]
+    return sp.dia_matrix((data, offsets + tuple(-o for o in offsets[-2::-1])), shape=(n, n))
+
+
+@pytest.mark.parametrize("cells", [[12, 10], [48, 48]], ids=lambda c: "x".join(map(str, c)))
+def test_symmetric_dia_is_bytewise_the_upper_layouts(cells):
+    # The 2D CG solve takes the same DIA data and offsets from the lower band as it
+    # took from the upper one, so its bits do not depend on the layout.
+    g = build_grid(2, cells, [1.0, 0.8])
+    rng = np.random.default_rng(sum(cells))
+    for _ in range(2):
+        system, y, p = random_newton_system(g, rng)
+        A = system.jacobian(y, p, gamma_eps(y, system.p.epsilon))
+        new, old = _symmetric_dia(A, system.offsets), upper_layout_dia(A, system.offsets)
+        assert new.data.tobytes() == old.data.tobytes()
+        assert new.offsets.tobytes() == old.offsets.tobytes()
 
 
 @pytest.mark.parametrize("n", [4, 5, 37, 128])
 def test_1d_band_is_bitwise_the_band_of_the_pattern_matrix(n):
-    # The 1D band is written from the grid's map; it must hold the bits of the upper
+    # The 1D band is written from the grid's map; it must hold the bits of the lower
     # band of the matrix summed entry by entry from the stencil in the map's order,
     # for |p| < 1 and |p| = 1.
     g = build_grid(1, [n], [0.7])
@@ -545,7 +599,7 @@ def test_1d_band_is_bitwise_the_band_of_the_pattern_matrix(n):
         system, y, p = random_newton_system(g, rng)
         band = system.jacobian(y, p, gamma_eps(y, system.p.epsilon))
         assert band.flags.f_contiguous          # dpbsv takes it without a copy
-        reference = upper_band(pattern_matrix(system, newton_weight(system, y, p)))
+        reference = lower_band(pattern_matrix(system, newton_weight(system, y, p)))
         assert band.tobytes() == reference.tobytes()
 
 
@@ -577,7 +631,7 @@ def test_direct_banded_solve_matches_solveh_banded(grid1d):
     y = system.grad_cells(0.5 * np.tanh((x - 0.5) / 0.01))
     b = np.random.default_rng(13).standard_normal(grid1d.n_cells)
     band = system.jacobian(y, grad_gamma_eps(y, 2.0**-8), gamma_eps(y, system.p.epsilon))
-    expected = solveh_banded(band, b)
+    expected = solveh_banded(band, b, lower=True)
     x_direct, n_cg, ok = system.solve(band.copy(order="F"), b)   # the solve overwrites it
     assert ok and n_cg == 0
     assert x_direct.tobytes() == expected.tobytes()

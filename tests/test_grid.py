@@ -263,19 +263,21 @@ def test_jacobian_pattern_build_peak_memory():
 
 
 @pytest.mark.parametrize("cells,extents,digest", [
-    ([4], [1.0], "28bf1029fb1775101a9f4f3eaa698dba6eab7c40e8ca1eb2f5fc9dd63ffd4950"),
-    ([37], [1.3], "8203062670f59766d0f9dd24ede83d4125ba12d223972592ff489368a2caf37e"),
-    ([128], [1.0], "36e4fea475b5fb1c24174345e0917da220b51b217338093e4645f3d6da552c97"),
-    ([4, 4], [1.0, 1.0], "6f3c133c224054e70552583954dc06db87242820de77e6a981180782b0f2793f"),
-    ([5, 7], [1.0, 0.7], "4045b7114be37c05c6463d3025b4d90b48f77a11b45e64d803a71158345155ce"),
-    ([12, 10], [1.0, 0.8], "aa0ef14183af6a20498aa9565ff91e799b74d8250b7a22dcfbe929b9f627dc53"),
-    ([48, 48], [1.0, 1.0], "991db54fb204819065c1673aaebe1a5821bdb6b9a216a4a4050d886f3db003a9"),
+    ([4], [1.0], "6a71d118ddc4656d717e9be320d346e84805fd571d37ef1f35051eb1b0423474"),
+    ([37], [1.3], "3aadd319d851391e883c69869efbe17c71d81fcda1134f446ba39153865c0042"),
+    ([128], [1.0], "b043b99dff111be3f5bfb37761637730253308d5c93e6675bb959f2914fe02f8"),
+    ([4, 4], [1.0, 1.0], "e7c03b8968144a8c7c08b777db0b4adcf15ef9550ca42296a0a77191d90bcc8f"),
+    ([5, 7], [1.0, 0.7], "eb76e43bac42f6f03e1f1fd07f831c987b701b96e1c53762787a30727337c673"),
+    ([12, 10], [1.0, 0.8], "86718032795bf6774d55656768fe27f5ed17440ceb5eee80bddcf23201c0d717"),
+    ([48, 48], [1.0, 1.0], "bedea7ea7d5165354ca3b28617cede6acdc32a42ba02bed6210f6dd33dd533d8"),
 ], ids=["4", "37", "128", "4x4", "5x7", "12x10", "48x48"])
 def test_jacobian_pattern_bytes_are_pinned(cells, extents, digest):
     # Every Newton matrix is written from the map Grid.newton_diagonals, so its arrays
     # fix the bits of every solve.  They hold only integers and exact products of
     # +-1/(2h) and 1/h, so the digests (recorded from the map, whose matrices match the
-    # sparse operator products) do not depend on BLAS.
+    # sparse operator products) do not depend on BLAS.  The maps of the lower layout are
+    # those of the upper layout they replaced, each slot moved to its mirror: the
+    # entry (j, j + o) at column j + o of row K-1-k went to column j of row k.
     offsets, coupling, stiffness = build_grid(len(cells), cells, extents).newton_diagonals
     h = hashlib.sha256()
     for a in (np.array(offsets), coupling.data, coupling.indices, coupling.indptr, stiffness):
@@ -285,9 +287,9 @@ def test_jacobian_pattern_bytes_are_pinned(cells, extents, digest):
 
 
 def test_newton_diagonals_offsets():
-    # Row k of the layout holds A[j - offsets[k], j]; in 1D that is LAPACK's band.
-    assert build_grid(1, [7], [1.0]).newton_diagonals[0] == (2, 1, 0)
-    assert build_grid(2, [5, 7], [1.0, 0.7]).newton_diagonals[0] == (14, 8, 7, 6, 2, 1, 0)
+    # Row k of the layout holds A[j + offsets[k], j]; in 1D that is LAPACK's lower band.
+    assert build_grid(1, [7], [1.0]).newton_diagonals[0] == (0, 1, 2)
+    assert build_grid(2, [5, 7], [1.0, 0.7]).newton_diagonals[0] == (0, 1, 2, 6, 7, 8, 14)
 
 
 def test_cell_to_face_is_adjoint_of_face_to_cell(grid):
