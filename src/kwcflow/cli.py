@@ -56,6 +56,10 @@ def _linalg_builds(module) -> dict:
     return builds
 
 
+# the environment variables that set the thread count of OpenBLAS, OpenMP and MKL
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _versions() -> dict:
     return {
         "kwcflow": __version__,
@@ -64,6 +68,9 @@ def _versions() -> dict:
         "python": platform.python_version(),
         **_linalg_builds(np),
         **_linalg_builds(scipy),
+        # how a BLAS reduction is split over threads, and so its bits, may depend on these
+        "blas_threads": {**{var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
+                         "cpu_count": os.cpu_count()},
     }
 
 

@@ -38,10 +38,11 @@ adds ``G^T flux`` from the cell-gradient matrix's CSR arrays (the CSC arrays of
 the matrix's lower diagonals with one sparse product, from the map the grid
 builds from its cell-gradient stencil (:attr:`Grid.newton_diagonals`), in 1D
 and 2D alike; only the solve reads the dimension.  In 1D they are LAPACK's
-lower band (bandwidth 2), solved in place by the banded Cholesky ``dpbsv``, which
-on the lower band scales and updates each column with unit stride; in 2D,
-mirrored into a symmetric DIA matrix, they are solved by CG preconditioned by
-their main diagonal, which at these sizes is faster than a direct solve.
+lower band (bandwidth 2), solved in place by the banded Cholesky ``dpbsv``,
+which on the lower band scales and updates each column with unit stride (on
+the upper band, with stride LDAB - 1); in 2D, mirrored into a symmetric DIA
+matrix, they are solved by CG preconditioned by their main diagonal, which at
+these sizes is faster than a direct solve.
 The line search's energy is the model's interfacial energy of the checked
 ``beta`` plus ``(m w, w)/2 - (z, w)``.  Residuals are re-evaluated from the
 stencil operators, independent of the solver's matrix algebra, and every solve
@@ -50,7 +51,9 @@ constants below), or a :class:`SolverError` with the report attached.  A
 tolerance or a Newton system that is not finite, and a non-finite direct solve
 of the linear resolvent, raise before any re-check, with the report of no
 iterations; arrays are tested by :func:`~kwcflow.grid.all_finite`, each
-weight once, where its problem is made.  The re-checks take the grid's
+weight once, where its problem is made.  A Newton direction that is not finite
+shows where the line search first needs the energy's slope along it, which is
+then not finite; the solve ends there, naming that exit.  The re-checks take the grid's
 unchecked kernels on the arrays the solve has made: the linear resolvent's
 the divergence of the solution's face gradient (kept for the snapshot
 energy of a time step), the singular resolvent's the flux's divergence from
@@ -159,7 +162,10 @@ def _resolvent_factor(grid: Grid, lam: float, m):
 
 def _positive_weight(grid: Grid, m):
     """``m`` checked finite with inf m > 0; a number stays a float."""
-    m = float(m) if np.isscalar(m) else grid.check_scalar(m, "m")
+    if isinstance(m, np.ndarray) or not np.isscalar(m):    # an array is never a scalar
+        m = grid.check_scalar(m, "m")
+    else:
+        m = float(m)
     m_min = m if isinstance(m, float) else np.minimum.reduce(m, axis=None)
     if not math.isfinite(m_min):      # a number; a field was checked
         raise ValueError("m: contains non-finite values")
@@ -196,7 +202,7 @@ def linear_resolvent(problem: LinearResolventProblem) -> tuple[np.ndarray, Solve
     grid, lam, m, z = problem.grid, problem.lam, problem.m, problem.z
     if lam == 0.0:
         w, method = z / m, "pointwise"
-        res = grid.norm_h(m * w - z)
+        res = grid._norm_h(m * w - z)
     else:
         w, method = _resolvent_factor(grid, lam, m)(z.ravel()).reshape(grid.shape), "direct"
         if not all_finite(w):
@@ -204,8 +210,8 @@ def linear_resolvent(problem: LinearResolventProblem) -> tuple[np.ndarray, Solve
         r = m * w            # m*w - lam*lap(w) - z sums as -lam*lap(w) + m*w - z does
         r -= lam * grid._div(_face_gradient(grid, w))     # w was tested finite
         r -= z
-        res = grid.norm_h(r)
-    tol = RESIDUAL_RTOL * grid.norm_h(z) + LINEAR_RESIDUAL_ATOL
+        res = grid._norm_h(r)
+    tol = RESIDUAL_RTOL * grid._norm_h(z) + LINEAR_RESIDUAL_ATOL
     if not res <= tol:
         raise SolverError(f"linear resolvent did not reach residual {tol:.3e} (got {res:.3e})",
                           SolveReport(0, res, False, method="failed"))
@@ -229,7 +235,9 @@ class SingularResolventProblem:
     def __post_init__(self):
         self.beta = _checked_weight(self.grid, self.beta)
         # the solver reads m per cell, so a number becomes its field
-        m = self.grid.constant(float(self.m)) if np.isscalar(self.m) else self.m
+        m = self.m
+        if not isinstance(m, np.ndarray) and np.isscalar(m):    # an array is never a scalar
+            m = self.grid.constant(float(m))
         self.m = _positive_weight(self.grid, m)
         self.z = self.grid.check_scalar(np.asarray(self.z, dtype=float), "z")
         if not self.kappa_eff > 0:
@@ -354,14 +362,19 @@ def _stencil_residual_h(problem: SingularResolventProblem, w: np.ndarray) -> flo
     r = problem.m * w        # m*w - force - z sums as -force + m*w - z does
     r -= _interfacial_force(problem.grid, problem.beta, w, problem.epsilon, problem.kappa_eff)
     r -= problem.z
-    return problem.grid.norm_h(r)
+    return problem.grid._norm_h(r)
 
 
 def _dual_step(p: np.ndarray, y: np.ndarray, gam: np.ndarray, y_new: np.ndarray) -> np.ndarray:
     """Dual flux after a primal step from cell gradient ``y`` (``gam = gamma_eps(y)``) to
     ``y_new``: ``y/gam`` linearized at the old pair, projected onto the unit ball."""
     # + 0.0 turns a lone -0.0 component into +0.0, as np.add.reduce does
-    p = (y_new - p * ((_component_sum(y * (y_new - y)) + 0.0) / gam)) / gam
+    return _unit_ball((y_new - p * ((_component_sum(y * (y_new - y)) + 0.0) / gam)) / gam)
+
+
+def _unit_ball(p: np.ndarray) -> np.ndarray:
+    """The cell-wise dual flux ``p``, its components on axis 0, projected in place onto
+    the unit ball, where the Newton matrix is SPD."""
     p /= np.maximum(1.0, np.sqrt(_component_sum(p * p)))
     return p
 
@@ -384,7 +397,7 @@ def singular_resolvent(problem: SingularResolventProblem,
     """
     grid = problem.grid
     sys = _SingularSystem(problem)
-    tol = RESIDUAL_RTOL * (grid.norm_h(problem.z) + 1.0) if tol_abs is None else float(tol_abs)
+    tol = RESIDUAL_RTOL * (grid._norm_h(problem.z) + 1.0) if tol_abs is None else float(tol_abs)
     if not math.isfinite(tol):
         raise SolverError(f"singular resolvent: the residual tolerance {tol} is not finite")
 
@@ -406,7 +419,7 @@ def singular_resolvent(problem: SingularResolventProblem,
             raise ValueError("initial_dual: contains non-finite values")
         p = p.reshape(grid.dim, -1)
     it = inner_total = 0
-    stop = "the cap MAX_NEWTON was reached"    # unless a break below names another exit
+    stop = None    # the exit a break below takes; none: the cap MAX_NEWTON was reached
     while not rh <= tol and it < MAX_NEWTON:
         if it:
             # Dual step of the last accepted primal step, made here, not after the
@@ -432,6 +445,9 @@ def singular_resolvent(problem: SingularResolventProblem,
                 break
             if slope is None:    # the energy's directional derivative
                 slope = sys.vol * float(np.add.reduce(r * delta))
+                if not math.isfinite(slope):    # no trial along delta can be measured
+                    stop = "the Newton direction is not finite"
+                    break
             if slope < 0:
                 if e0 is None:
                     e0 = sys.energy(w)
@@ -441,13 +457,15 @@ def singular_resolvent(problem: SingularResolventProblem,
             wt = w + t * delta
         else:
             stop = "the line search found no step length"
+        if stop:
             break
         w, r, rh, y_new, gam_new = wt, rt, rht, yt, gamt
         it += 1
     if not rh <= tol:
         report = SolveReport(it, rh, False, method="failed", inner_iterations=inner_total)
         raise SolverError(f"singular resolvent did not reach residual {tol:.3e} (got {rh:.3e}): "
-                          f"{stop} after {it} Newton steps", report)
+                          f"{stop or 'the cap MAX_NEWTON was reached'} after {it} Newton steps",
+                          report)
     w = w.reshape(grid.shape)
     return w, SolveReport(it, _stencil_residual_h(problem, w), True, method="newton",
                           inner_iterations=inner_total)

@@ -17,11 +17,14 @@ the prediction saves Newton iterations.  It has two exceptions.  The initial
 angle is never extrapolated through: the first step is an initial layer, in
 which raw data have no H^1 rate.  And the step after a solve that took no
 Newton iteration starts from the old angle, which is stationary to the
-tolerance; extrapolation would only add round-off.  The dual flux always
-starts at the old angle's, ``grad_gamma_eps`` of its cell gradient: the
-predicted angle's own dual cost more Newton and CG iterations on 2D grain
-runs.  The start moves the solution only within the solver's tolerance: two
-solves of one step that meet residuals r1 and r2 lie within
+tolerance; extrapolation would only add round-off.  The dual flux starts
+alike, from the duals of the accepted angles, ``p = grad_gamma_eps`` of each
+one's kept cell gradient: ``3(p_n - p_{n-1}) + p_{n-2}`` once three exist,
+``2 p_n - p_{n-1}`` with two, projected cell by cell onto the unit ball, where
+the Newton matrix is SPD; in the two exceptions it starts at the old angle's.
+The predicted angle's own dual would cost more Newton and CG iterations on 2D
+grain runs.  The start moves the solution only within the solver's tolerance:
+two solves of one step that meet residuals r1 and r2 lie within
 ``(r1 + r2)/min m`` in the H norm, ``m`` the step's weight.
 
 A run records its snapshots, their energy breakdowns and each step's
@@ -50,7 +53,8 @@ from .model import (ModelFunctions, Parameters, _angle_gradient, _energy, _inter
                     _kept_flux, angle_gradient, gamma_eps, grad_gamma_eps, interfacial_force,
                     kwc_energy)
 from .elliptic import (RESIDUAL_RTOL, LinearResolventProblem, SingularResolventProblem,
-                       SolveReport, SolverError, linear_resolvent, singular_resolvent)
+                       SolveReport, SolverError, _unit_ball, linear_resolvent,
+                       singular_resolvent)
 
 __all__ = [
     "SystemState",
@@ -310,14 +314,14 @@ def _theta_pde_residual(grid: Grid, params: Parameters, theta_old: np.ndarray,
     else:    # the divergence the resolvent's re-check took
         force = _interfacial_force(grid, alpha_new, theta_new, params.epsilon, params.kappa)
     r = alpha0_new * rate - force - v_new
-    return grid.norm_h(r)
+    return grid._norm_h(r)
 
 
 def _advance(state: SystemState, model: ModelFunctions, params: Parameters,
-             forcings: Forcings, theta_start: Optional[np.ndarray] = None,
+             forcings: Forcings, start: Optional[tuple[np.ndarray, np.ndarray]] = None,
              ) -> tuple[SystemState, SolveReport, SolveReport]:
-    """One step from ``state``; the theta solve starts from ``theta_start``
-    (by default the old angle) with the old angle's dual flux."""
+    """One step from ``state``; the theta solve starts from ``start``, a pair of an
+    angle and a dual flux in the unit ball, by default the old angle and its dual."""
     grid = state.grid
     dt = params.dt
     t_new = state.time + dt
@@ -347,12 +351,11 @@ def _advance(state: SystemState, model: ModelFunctions, params: Parameters,
         z_theta -= (params.nu**2 / dt) * grid._div(G_old)
     problem = SingularResolventProblem(grid, model.alpha(eta_new), kappa_eff, m,
                                        z_theta, params.epsilon)
-    tol = min(RESIDUAL_RTOL * (grid.norm_h(z_theta) + 1.0), 0.5 * THETA_RESIDUAL_TOL)
+    tol = min(RESIDUAL_RTOL * (grid._norm_h(z_theta) + 1.0), 0.5 * THETA_RESIDUAL_TOL)
+    theta_start, dual_start = (state.theta, gc_old / gam) if start is None else start
     try:
-        theta_new, rep_theta = singular_resolvent(
-            problem, tol_abs=tol,
-            initial_guess=state.theta if theta_start is None else theta_start,
-            initial_dual=gc_old / gam)
+        theta_new, rep_theta = singular_resolvent(problem, tol_abs=tol, initial_guess=theta_start,
+                                                  initial_dual=dual_start)
     except SolverError as exc:
         raise StepFailedError(f"theta solve failed at t={t_new:.6g}: {exc}",
                               exc.report) from exc
@@ -368,16 +371,19 @@ def _advance(state: SystemState, model: ModelFunctions, params: Parameters,
     return new_state, rep_eta, rep_theta
 
 
-def _extrapolated_angle(recent: list) -> Optional[np.ndarray]:
-    """The next angle predicted from ``recent``, the last accepted angles, oldest
-    first: quadratic through three, linear through two; None with fewer."""
+def _extrapolated_start(recent: list) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The next theta solve's start predicted from ``recent``, the last accepted
+    (angle, dual flux) pairs, oldest first: both quadratic through three, linear
+    through two, the dual then projected onto the unit ball; None with fewer."""
     if len(recent) == 3:
-        older, old, last = recent
-        return 3.0 * (last - old) + older
-    if len(recent) == 2:
-        old, last = recent
-        return last + (last - old)
-    return None
+        (older, p_older), (old, p_old), (last, p_last) = recent
+        theta, dual = 3.0 * (last - old) + older, 3.0 * (p_last - p_old) + p_older
+    elif len(recent) == 2:
+        (old, p_old), (last, p_last) = recent
+        theta, dual = last + (last - old), p_last + (p_last - p_old)
+    else:
+        return None
+    return theta, _unit_ball(dual)
 
 
 # -- trajectories -------------------------------------------------------------------
@@ -447,12 +453,11 @@ def run(initial: SystemState, model: ModelFunctions, params: Parameters,
         traj.energies.append(_energy(grid, state.eta, state.theta, state.alpha, model,
                                      params))
 
-    recent = []            # the last three accepted angles after the initial one
-    theta_start = None     # where the next theta solve starts; None: the old angle
+    recent = []     # the last three accepted (angle, dual flux) pairs after the initial one
+    start = None    # where the next theta solve starts; None: the old angle and its dual
     for k in range(1, n_steps + 1):
         try:
-            new_state, rep_eta, rep_theta = _advance(state, model, params, forcings,
-                                                     theta_start)
+            new_state, rep_eta, rep_theta = _advance(state, model, params, forcings, start)
         except StepFailedError as exc:
             if traj.snapshots[-1] is not state:    # keep the last completed state
                 snapshot(state)
@@ -460,9 +465,10 @@ def run(initial: SystemState, model: ModelFunctions, params: Parameters,
             raise
         traj.solve_reports.append({"eta": rep_eta, "theta": rep_theta})
         state = new_state
-        recent = recent[-2:] + [state.theta]
+        _, gc, gam = _angle_gradient(grid, state.theta, params.epsilon)    # kept by the step
+        recent = recent[-2:] + [(state.theta, gc / gam)]
         # an angle that took no Newton step is stationary: start the next solve there
-        theta_start = _extrapolated_angle(recent) if rep_theta.iterations else None
+        start = _extrapolated_start(recent) if rep_theta.iterations else None
         if k % stride == 0 or k == n_steps:
             snapshot(state)
     return traj

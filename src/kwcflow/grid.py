@@ -203,7 +203,9 @@ class Grid:
         for h, shape, (inner, lo, hi, _, _) in zip(self.spacing, self._face_shapes,
                                                    self._stencil_index):
             g = np.zeros(shape)
-            g[inner] = (f[hi] - f[lo]) / h
+            interior = g[inner]
+            np.subtract(f[hi], f[lo], out=interior)
+            interior /= h
             comps.append(g)
         return tuple(comps)
 
@@ -218,14 +220,17 @@ class Grid:
     def _div(self, F) -> np.ndarray:
         """:meth:`div` of checked face components, which it only reads.  Per axis the
         interior faces are written to their lower cell and subtracted from their upper
-        one, so a wall cell takes ``F[1] - 0.0`` or ``0.0 - F[-2]`` as with zeroed walls."""
-        out = np.zeros(self.shape)
+        one, so a wall cell takes ``F[1] - 0.0`` or ``0.0 - F[-2]`` as with zeroed walls.
+        Each axis adds the sum before it, the first one ``0.0``, which turns a -0.0 into
+        +0.0 as a sum that starts from zero does."""
+        out = 0.0
         for h, comp, (inner, lo, hi, _, _) in zip(self.spacing, F, self._stencil_index):
             d = np.zeros(self.shape)
             d[lo] = comp[inner]
             d[hi] -= comp[inner]
             d /= h
-            out += d
+            d += out
+            out = d
         return out
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
@@ -238,9 +243,10 @@ class Grid:
 
     def _face_to_cell(self, F) -> np.ndarray:
         """:meth:`face_to_cell` of checked face components."""
-        out = np.zeros((self.dim,) + self.shape)
-        for d, (_, lo, hi, _, _) in enumerate(self._stencil_index):
-            out[d] = 0.5 * (F[d][lo] + F[d][hi])
+        out = np.empty((self.dim,) + self.shape)
+        for comp, cell, (_, lo, hi, _, _) in zip(F, out, self._stencil_index):
+            np.add(comp[lo], comp[hi], out=cell)
+            cell *= 0.5
         return out
 
     def cell_to_face(self, V: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -248,6 +254,10 @@ class Grid:
         V = np.asarray(V, dtype=float)
         if V.shape != (self.dim,) + self.shape:
             raise ValueError(f"expected cell-vector shape {(self.dim,) + self.shape}, got {V.shape}")
+        return self._cell_to_face(V)
+
+    def _cell_to_face(self, V: np.ndarray) -> tuple[np.ndarray, ...]:
+        """:meth:`cell_to_face` of a float array of the cell-vector shape."""
         comps = []
         for v, shape, (inner, lo, hi, first, last) in zip(V, self._face_shapes,
                                                           self._stencil_index):
@@ -283,6 +293,10 @@ class Grid:
         f = np.asarray(f)
         if f.shape != self.shape:
             raise ValueError(f"fields do not share this grid: {f.shape} vs {self.shape}")
+        return self._norm_h(f)
+
+    def _norm_h(self, f: np.ndarray) -> float:
+        """:meth:`norm_h` of an array of the grid's shape."""
         return math.sqrt(max(float(np.add.reduce(f * f, axis=None) * self.cell_volume), 0.0))
 
     def norm_v(self, f: np.ndarray) -> float:

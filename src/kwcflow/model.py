@@ -31,8 +31,8 @@ angle more than once; they are evaluated once, and an undamped step takes
 the flux's divergence once.
 
 The public functions check what a caller hands them (an angle whose
-gradient is not kept, a flux before its divergence is taken); a time step
-calls their private forms (:func:`_angle_gradient`,
+gradient is not kept, the flux's weight, a flux before its divergence is
+taken); a time step calls their private forms (:func:`_angle_gradient`,
 :func:`_interfacial_force`) on arrays it has made or checked.  Both share
 the kept results, which hold checked arrays only.
 
@@ -255,7 +255,7 @@ def _read_only(arrays) -> None:
 def _gradients(grid: Grid, theta: np.ndarray, epsilon: float):
     G = grid._grad(theta)
     gc = grid._face_to_cell(G)
-    gam = gamma_eps(gc, epsilon)
+    gam = np.sqrt(epsilon**2 + _component_sum(gc * gc))     # gamma_eps(gc, epsilon)
     _read_only((*G, gc, gam))
     return G, gc, gam
 
@@ -322,21 +322,28 @@ def _interfacial_flux(grid: Grid, beta: np.ndarray, theta: np.ndarray,
                       epsilon: float, kappa: float, gradients) -> list:
     G, gc, gam = gradients(grid, theta, epsilon)
     # gc / gam is the expression grad_gamma_eps(gc) evaluates
-    flux = grid.cell_to_face(beta * (gc / gam))
+    flux = grid._cell_to_face(beta * (gc / gam))
     for f, g in zip(flux, G):
         f += kappa * g
     _read_only(flux)
     return [flux, None]      # the divergence is taken when it is first asked for
 
 
-def _kept_flux(grid: Grid, beta, theta, epsilon: float, kappa: float,
-               gradients=angle_gradient) -> list:
-    """The kept ``[flux, divergence or None]``; a new flux takes the angle's gradients
-    from ``gradients``, :func:`angle_gradient` (which checks a new angle) or
-    :func:`_angle_gradient` (for a checked one)."""
-    beta, theta = np.asarray(beta, dtype=float), np.asarray(theta, dtype=float)
+def _kept_flux(grid: Grid, beta: np.ndarray, theta: np.ndarray, epsilon: float,
+               kappa: float, gradients) -> list:
+    """The kept ``[flux, divergence or None]`` of the checked weight ``beta`` and the
+    float array ``theta``; a new flux takes the angle's gradients from ``gradients``,
+    :func:`angle_gradient` (which checks a new angle) or :func:`_angle_gradient` (for a
+    checked one)."""
     key = (grid, epsilon, kappa, beta.shape, beta.tobytes(), theta.shape, theta.tobytes())
     return _last_flux.get(key, _interfacial_flux, grid, beta, theta, epsilon, kappa, gradients)
+
+
+def _checked_flux(grid: Grid, beta, theta, epsilon: float, kappa: float) -> list:
+    """:func:`_kept_flux` of a caller's ``beta``, checked here, and ``theta``, checked
+    when its flux is not kept."""
+    return _kept_flux(grid, _checked_weight(grid, beta), np.asarray(theta, dtype=float),
+                      epsilon, kappa, angle_gradient)
 
 
 def interfacial_flux(grid: Grid, beta: np.ndarray, theta: np.ndarray,
@@ -345,16 +352,17 @@ def interfacial_flux(grid: Grid, beta: np.ndarray, theta: np.ndarray,
     divergence is the first variation of :func:`interfacial_energy`.
 
     The last flux is kept and returned again, read-only, while the same grid,
-    epsilon, kappa and bytes of ``beta`` and ``theta`` are asked for.
+    epsilon, kappa and bytes of ``beta`` and ``theta`` are asked for.  ``beta`` is
+    checked as :func:`interfacial_energy` checks it.
     """
-    return _kept_flux(grid, beta, theta, epsilon, kappa)[0]
+    return _checked_flux(grid, beta, theta, epsilon, kappa)[0]
 
 
 def interfacial_force(grid: Grid, beta: np.ndarray, theta: np.ndarray,
                       epsilon: float, kappa: float) -> np.ndarray:
     """``grid.div(interfacial_flux(...))``, kept beside the flux it is taken of and
     returned again, read-only, while that flux is."""
-    kept = _kept_flux(grid, beta, theta, epsilon, kappa)
+    kept = _checked_flux(grid, beta, theta, epsilon, kappa)
     if kept[1] is None:
         kept[1] = grid.div(kept[0])
         _read_only((kept[1],))

@@ -184,6 +184,18 @@ def test_manifest_names_the_blas_and_lapack_builds(tmp_path, capsys):
     assert out.startswith("run finished") and out.count("\n") == 1
 
 
+def test_manifest_records_the_blas_thread_setting(tmp_path, monkeypatch):
+    # Beside the builds: each BLAS thread variable, null where it is unset, and the core
+    # count.  Only the environment is read; no thread is started.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert main(["run", "--config", run_config(tmp_path), "--out", str(tmp_path / "out")]) == 0
+    versions = json.loads((tmp_path / "out" / "manifest.json").read_text())["versions"]
+    assert versions["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+                                        "MKL_NUM_THREADS": None, "cpu_count": os.cpu_count()}
+
+
 def test_cli_run_stationary_flat_energy(tmp_path):
     from kwcflow import reference_model
     model = reference_model()

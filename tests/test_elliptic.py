@@ -647,6 +647,39 @@ def step_at_half(g, height):
     return np.where(g.meshgrid()[0] > 0.5, height, 0.0)
 
 
+def test_a_non_finite_newton_direction_ends_the_solve_with_its_own_exit(monkeypatch):
+    # An infinite direction entry along -r makes the line search's slope -inf.  The solve
+    # ends there with its own exit and report, before the energy of a trial that is not
+    # finite is asked for, and a run's step fails with the partial trajectory.
+    solve = _SingularSystem.solve
+
+    def infinite(self, A, b):
+        x, n_cg, ok = solve(self, A, b)
+        k = np.argmax(np.abs(b))
+        x[k] = math.copysign(math.inf, b[k])
+        return x, n_cg, ok
+
+    monkeypatch.setattr(_SingularSystem, "solve", infinite)
+    g = build_grid(1, [64], [1.0])
+    step = step_at_half(g, 1.0)
+    exit_name = "the Newton direction is not finite after 0 Newton steps$"
+    problem = SingularResolventProblem(g, g.constant(1.0), 1e-2, g.constant(1e3), 1e3 * step,
+                                       2.0**-6)
+    with pytest.raises(SolverError, match=exit_name) as excinfo, np.errstate(invalid="ignore"):
+        singular_resolvent(problem, initial_guess=g.zeros())
+    report = excinfo.value.report
+    assert (report.iterations, report.converged, report.method) == (0, False, "failed")
+
+    params = Parameters(kappa=1e-2, epsilon=2.0**-6, T=3e-3, dt=1e-3)    # kappa_eff 1e-2
+    with pytest.raises(evolution.StepFailedError, match="^theta solve failed at t=0.001: .*"
+                       + exit_name) as excinfo, np.errstate(invalid="ignore"):
+        evolution.run(SystemState(g, g.constant(1.0), step), reference_model(), params,
+                      Forcings(g))
+    assert excinfo.value.report.method == "failed" and excinfo.value.report.iterations == 0
+    trajectory = excinfo.value.trajectory
+    assert trajectory.times == [0.0] and not trajectory.solve_reports
+
+
 # -- the residuals and the Newton matrix against their earlier definitions -----------
 # Each was rewritten to evaluate less or copy less; the earlier definitions are kept
 # here as the reference, whose bytes the rewritten ones must give.

@@ -560,9 +560,10 @@ def test_run_evaluates_one_face_gradient_per_new_angle(setup, monkeypatch, mu, n
                                                        fluxes_per_step):
     # The solver's residual, the step check, the snapshot energy and the next eta
     # update share the new angle's gradient; at nu = 0 the check shares the flux too.
-    # Every face-to-cell average runs through the unchecked kernel _face_to_cell.
+    # Every face-to-cell average, and every cell-to-face one, runs through the unchecked
+    # kernel, _face_to_cell or _cell_to_face.
     g, model, eta0, theta0 = setup
-    calls = {"_face_to_cell": 0, "cell_to_face": 0}
+    calls = {"_face_to_cell": 0, "_cell_to_face": 0}
     for name in calls:
         method = getattr(Grid, name)
 
@@ -577,7 +578,7 @@ def test_run_evaluates_one_face_gradient_per_new_angle(setup, monkeypatch, mu, n
                stepper="pseudo_parabolic", snapshot_stride=1)
     assert len(traj.snapshots) == 4
     assert calls["_face_to_cell"] == 3 + 1
-    assert calls["cell_to_face"] == 3 * fluxes_per_step
+    assert calls["_cell_to_face"] == 3 * fluxes_per_step
 
 
 @pytest.mark.parametrize("case", ["grain-1d", "damped-2d"])
@@ -695,8 +696,8 @@ def test_every_check_fires_from_its_first_scan(monkeypatch):
     nan = g.constant(1.0)
     nan[5] = np.nan
 
-    def advance(forcings=Forcings(g), model=model, theta_start=None):
-        return evolution._advance(state, model, params, forcings, theta_start)
+    def advance(forcings=Forcings(g), model=model, start=None):
+        return evolution._advance(state, model, params, forcings, start)
 
     # a computed forcing, at each call
     with pytest.raises(ValueError, match=r"^u\(t\): contains non-finite values$"):
@@ -714,8 +715,12 @@ def test_every_check_fires_from_its_first_scan(monkeypatch):
         broken = dataclasses.replace(model, **{name: lambda r: np.where(r > 0, np.nan, r)})
         with pytest.raises(ValueError, match=f"^{message}: contains non-finite values$"):
             advance(model=broken)
+    # a start the step is handed: the angle and its dual
+    _, gc, gam = evolution.angle_gradient(g, state.theta, params.epsilon)
     with pytest.raises(ValueError, match="^initial_guess: contains non-finite values$"):
-        advance(theta_start=nan)
+        advance(start=(nan, gc / gam))
+    with pytest.raises(ValueError, match="^initial_dual: contains non-finite values$"):
+        advance(start=(state.theta, nan[None] * (gc / gam)))
 
     # The scans of one undamped step from an angle no test has asked for: the problems'
     # z (eta), beta, m and z (theta); the eta solve; the start and the start's dual of
@@ -777,6 +782,17 @@ def record_theta_solves(monkeypatch):
     return calls
 
 
+def dual_of(g, theta, epsilon):
+    """The dual flux ``grad_gamma_eps`` of the cell gradient of ``theta``."""
+    _, gc, gam = evolution.angle_gradient(g, theta, epsilon)
+    return gc / gam
+
+
+def unit_ball(p):
+    """``p`` projected cell by cell onto the unit ball, as the solver writes it."""
+    return p / np.maximum(1.0, np.sqrt(np.add.reduce(p * p, axis=0)))
+
+
 def test_theta_solves_start_from_the_extrapolated_angle(monkeypatch):
     calls = record_theta_solves(monkeypatch)
     # grain data: every solve takes Newton steps
@@ -791,10 +807,15 @@ def test_theta_solves_start_from_the_extrapolated_angle(monkeypatch):
     for k in range(4, 9):
         expected = 3.0 * (thetas[k - 1] - thetas[k - 2]) + thetas[k - 3]
         assert np.array_equal(starts[k - 1], expected)
-    # the dual always starts at the old angle's
-    for k, (_, kwargs, _) in enumerate(calls):
-        _, gc, gam = evolution.angle_gradient(g, thetas[k], params.epsilon)
-        assert np.array_equal(kwargs["initial_dual"], gc / gam)
+    # the dual starts as the angle does, from the accepted angles' duals, projected
+    duals = [dual_of(g, theta, params.epsilon) for theta in thetas]
+    dual_starts = [kwargs["initial_dual"] for _, kwargs, _ in calls]
+    assert np.array_equal(dual_starts[0], duals[0])
+    assert np.array_equal(dual_starts[1], duals[1])
+    assert np.array_equal(dual_starts[2], unit_ball(duals[2] + (duals[2] - duals[1])))
+    for k in range(4, 9):
+        expected = unit_ball(3.0 * (duals[k - 1] - duals[k - 2]) + duals[k - 3])
+        assert np.array_equal(dual_starts[k - 1], expected)
 
     # An angle held by a zero v is stationary until v switches on after step 3; the
     # step after each solve that took no Newton step starts from the old angle.
@@ -810,9 +831,63 @@ def test_theta_solves_start_from_the_extrapolated_angle(monkeypatch):
     assert iterations[:3] == [0, 0, 0] and min(iterations[3:]) > 0
     for k in range(1, 5):
         assert calls[k - 1][1]["initial_guess"] is thetas[k - 1]
+        assert np.array_equal(calls[k - 1][1]["initial_dual"],
+                              dual_of(g, thetas[k - 1], params.epsilon))
     for k in range(5, 9):
         expected = 3.0 * (thetas[k - 1] - thetas[k - 2]) + thetas[k - 3]
         assert np.array_equal(calls[k - 1][1]["initial_guess"], expected)
+
+
+# The projection divides by the norm, which may round one ulp past 1.
+UNIT_BALL_SLACK = 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_the_extrapolated_dual_is_projected_onto_the_unit_ball(dim):
+    # None before two accepted pairs; then the angle and the dual are extrapolated alike,
+    # linearly through two and quadratically through three, and the dual is projected
+    # cell by cell: a prediction inside the ball is kept bit for bit, one outside it
+    # is scaled back onto the sphere.
+    rng = np.random.default_rng(dim)
+    angles = rng.standard_normal((3, 40))
+    duals = rng.uniform(-1.0, 1.0, (3, dim, 40))
+    duals /= np.maximum(1.0, np.sqrt(np.add.reduce(duals * duals, axis=1)))[:, None]
+    recent = list(zip(angles, duals))
+    assert evolution._extrapolated_start(recent[:1]) is None
+    theta, dual = evolution._extrapolated_start(recent[1:])
+    assert np.array_equal(theta, angles[2] + (angles[2] - angles[1]))
+    assert np.array_equal(dual, unit_ball(duals[2] + (duals[2] - duals[1])))
+    theta, dual = evolution._extrapolated_start(recent)
+    assert np.array_equal(theta, 3.0 * (angles[2] - angles[1]) + angles[0])
+    raw = 3.0 * (duals[2] - duals[1]) + duals[0]
+    outside = np.sqrt(np.add.reduce(raw * raw, axis=0)) > 1.0
+    assert 0 < np.count_nonzero(outside) < raw.shape[1]
+    assert dual[:, ~outside].tobytes() == raw[:, ~outside].tobytes()
+    norm = np.sqrt(np.add.reduce(dual * dual, axis=0))
+    assert np.all(np.abs(norm[outside] - 1.0) <= UNIT_BALL_SLACK)
+    assert np.all(norm <= 1.0 + UNIT_BALL_SLACK)
+
+
+def test_dual_starts_stay_in_the_unit_ball_on_a_2d_grain(monkeypatch):
+    # On a 2D grain the extrapolated duals leave the ball at the boundary's cells, where
+    # the projection brings them back; steps 1 and 2 start from the old angle's dual.
+    calls = record_theta_solves(monkeypatch)
+    g, state0, params = grain_setup([32, 32], 10, 1e-3, 6)
+    traj = run(state0, reference_model(), params, Forcings(g))
+    thetas = [s.theta for s in traj.snapshots]
+    dual_starts = [kwargs["initial_dual"] for _, kwargs, _ in calls]
+    assert all(report.iterations > 0 for _, _, report in calls)
+    for k in (0, 1):
+        assert np.array_equal(dual_starts[k], dual_of(g, thetas[k], params.epsilon))
+    duals = [dual_of(g, theta, params.epsilon) for theta in thetas]
+    projected = 0
+    for k in range(3, 6):
+        raw = 3.0 * (duals[k] - duals[k - 1]) + duals[k - 2]
+        projected += np.count_nonzero(np.add.reduce(raw * raw, axis=0) > 1.0)
+        assert np.array_equal(dual_starts[k], unit_ball(raw))
+    assert projected > 0
+    for dual in dual_starts:
+        assert np.max(np.sqrt(np.add.reduce(dual * dual, axis=0))) <= 1.0 + UNIT_BALL_SLACK
 
 
 @pytest.mark.parametrize("cells,eps_exponent,dt", [([128], 10, 1e-3), ([32, 32], 10, 1e-2)],
@@ -826,9 +901,10 @@ def test_extrapolated_starts_take_no_more_newton_steps(monkeypatch, cells, eps_e
 
     extrapolated = newton_total()
     advance = evolution._advance
+    # every step from the old angle and its dual
     monkeypatch.setattr(evolution, "_advance",
-                        lambda state, model, params, forcings, theta_start:
-                        advance(state, model, params, forcings, theta_start=state.theta))
+                        lambda state, model, params, forcings, start:
+                        advance(state, model, params, forcings, start=None))
     assert extrapolated <= newton_total()
 
 

@@ -482,6 +482,23 @@ def old_laplacian(grid, f):
     return old_div(grid, grid.grad(f))
 
 
+def old_grad(grid, f):
+    comps = []
+    for d, (h, shape) in enumerate(zip(grid.spacing, grid.face_shapes())):
+        g = np.zeros(shape)
+        g[_along(d, slice(1, grid.cells[d]))] = (f[_along(d, slice(1, None))]
+                                                 - f[_along(d, slice(0, -1))]) / h
+        comps.append(g)
+    return tuple(comps)
+
+
+def old_face_to_cell(grid, F):
+    out = np.zeros((grid.dim,) + grid.shape)
+    for d in range(grid.dim):
+        out[d] = 0.5 * (F[d][_along(d, slice(0, -1))] + F[d][_along(d, slice(1, None))])
+    return out
+
+
 def old_cell_to_face(grid, V):
     comps = []
     for d, (v, shape) in enumerate(zip(V, grid.face_shapes())):
@@ -533,8 +550,14 @@ def test_rewritten_stencil_kernels_give_the_bytes_of_their_old_definitions(cells
         V = signed_zero_field(rng, (g.dim,) + g.shape)
         assert g.div(F).tobytes() == old_div(g, F).tobytes()
         assert g.laplacian(f).tobytes() == old_laplacian(g, f).tobytes()
+        for new, old in zip(g.grad(f), old_grad(g, f)):
+            assert new.tobytes() == old.tobytes()
+        assert g.face_to_cell(F).tobytes() == old_face_to_cell(g, F).tobytes()
         for new, old in zip(g.cell_to_face(V), old_cell_to_face(g, V)):
             assert new.tobytes() == old.tobytes()
+        for new, old in zip(g._cell_to_face(V), old_cell_to_face(g, V)):
+            assert new.tobytes() == old.tobytes()
         assert np.float64(g.norm_h(f)).tobytes() == np.float64(old_norm_h(g, f)).tobytes()
+        assert np.float64(g._norm_h(f)).tobytes() == np.float64(old_norm_h(g, f)).tobytes()
         assert (np.float64(g.inner_faces(F, G)).tobytes()
                 == np.float64(old_inner_faces(g, F, G)).tobytes())

@@ -376,9 +376,13 @@ def test_public_functions_check_what_enters(dim, cells):
         (lambda: angle_gradient(g, nan, 0.3), field),
         (lambda: interfacial_flux(g, beta, nan, 0.3, 0.7), field),
         (lambda: interfacial_force(g, beta, nan, 0.3, 0.7), field),
-        # a NaN weight makes a flux NaN on every axis, whose divergence is checked
-        (lambda: interfacial_force(g, nan, theta, 0.3, 0.7),
-         "^vector field: non-finite values on axis-0 faces$"),
+        # the weight, as interfacial_energy checks it
+        (lambda: interfacial_flux(g, nan, theta, 0.3, 0.7), "^beta: contains non-finite values$"),
+        (lambda: interfacial_force(g, nan, theta, 0.3, 0.7), "^beta: contains non-finite values$"),
+        (lambda: interfacial_flux(g, -beta, theta, 0.3, 0.7),
+         r"^beta must be nonnegative, min = -\d"),
+        (lambda: interfacial_force(g, g.constant(-1.0), theta, 0.3, 0.7),
+         r"^beta must be nonnegative, min = -1\.0$"),
         (lambda: interfacial_energy(g, nan, theta, 0.3, 0.7), "^beta: contains non-finite values$"),
         (lambda: interfacial_energy(g, beta, nan, 0.3, 0.7), "^theta: contains non-finite values$"),
         (lambda: LinearResolventProblem(g, 0.5, nan, theta), "^m: contains non-finite values$"),
