@@ -53,13 +53,14 @@ of the linear resolvent, raise before any re-check, with the report of no
 iterations; arrays are tested by :func:`~kwcflow.grid.all_finite`, each
 weight once, where its problem is made.  A Newton direction that is not finite
 shows where the line search first needs the energy's slope along it, which is
-then not finite; the solve ends there, naming that exit.  The re-checks take the grid's
-unchecked kernels on the arrays the solve has made: the linear resolvent's
-the divergence of the solution's face gradient (kept for the snapshot
-energy of a time step), the singular resolvent's the flux's divergence from
-the model's unchecked ``_interfacial_force``, which keeps it beside the flux:
-the time stepper's step check at nu = 0 asks for the same.  ``kappa_eff*K``,
-as the CSR kernel's entries and as a band, is kept per ``(grid, kappa_eff)``.
+then not finite; the solve ends there, naming that exit.  The re-checks take
+the grid's unchecked kernels on the arrays the solve has made: the linear
+resolvent's the divergence of the solution's face gradient (kept for the
+snapshot energy of a time step), the singular resolvent's the flux's
+divergence from the model's unchecked ``_interfacial_force``, which keeps it
+beside the flux: the time stepper's step check at nu = 0 asks for the same.
+``kappa_eff*K``, as the CSR kernel's entries and as a band, is kept per
+``(grid, kappa_eff)``.
 """
 
 from __future__ import annotations
