@@ -869,8 +869,8 @@ def test_the_extrapolated_dual_is_projected_onto_the_unit_ball(dim):
 
 
 def test_dual_starts_stay_in_the_unit_ball_on_a_2d_grain(monkeypatch):
-    # On a 2D grain the extrapolated duals leave the ball at the boundary's cells, where
-    # the projection brings them back; steps 1 and 2 start from the old angle's dual.
+    # On a 2D grain the extrapolated duals leave the ball at cells of the grain boundary;
+    # the projection brings them back.  Steps 1 and 2 start from the old angle's dual.
     calls = record_theta_solves(monkeypatch)
     g, state0, params = grain_setup([32, 32], 10, 1e-3, 6)
     traj = run(state0, reference_model(), params, Forcings(g))
