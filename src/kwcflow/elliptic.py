@@ -55,10 +55,10 @@ weight once, where its problem is made.  A Newton direction that is not finite
 shows where the line search first needs the energy's slope along it, which is
 then not finite; the solve ends there, naming that exit.  The re-checks take
 the grid's unchecked kernels on the arrays the solve has made: the linear
-resolvent's the divergence of the solution's face gradient (kept for the
-snapshot energy of a time step), the singular resolvent's the flux's
-divergence from the model's unchecked ``_interfacial_force``, which keeps it
-beside the flux: the time stepper's step check at nu = 0 asks for the same.
+resolvent's the divergence of the solution's face gradient, the singular
+resolvent's the flux's divergence from the model's unchecked
+``_interfacial_force``, which keeps it beside the flux: the time stepper's
+step check at nu = 0 asks for the same.
 ``kappa_eff*K``, as the CSR kernel's entries and as a band, is kept per
 ``(grid, kappa_eff)``.
 """
@@ -78,9 +78,8 @@ from scipy.sparse.linalg import cg, splu
 from .grid import Grid, KeepLast, all_finite
 # gamma_eps and grad_gamma_eps are not called here; they stay bound because the benchmark's
 # tracer wraps them by name
-from .model import (_checked_weight, _component_sum, _face_gradient, _interfacial_energy,
-                    _interfacial_force, angle_gradient, gamma_eps, grad_gamma_eps,
-                    hess_gamma_eps)
+from .model import (_checked_weight, _component_sum, _interfacial_energy, _interfacial_force,
+                    angle_gradient, gamma_eps, grad_gamma_eps, hess_gamma_eps)
 
 __all__ = [
     "SolveReport",
@@ -177,7 +176,7 @@ def _positive_weight(grid: Grid, m):
 
 @dataclass
 class LinearResolventProblem:
-    """(-lam * lap_N + m) w = z with inf m > 0 and lam >= 0; a number ``m`` is
+    """(-lam * lap_N + m) w = z with inf m > 0 and finite lam >= 0; a number ``m`` is
     kept as a float."""
 
     grid: Grid
@@ -190,6 +189,8 @@ class LinearResolventProblem:
         self.z = self.grid.check_scalar(np.asarray(self.z, dtype=float), "z")
         if self.lam < 0:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lambda must be finite, got {self.lam}")
 
 
 def linear_resolvent(problem: LinearResolventProblem) -> tuple[np.ndarray, SolveReport]:
@@ -209,7 +210,7 @@ def linear_resolvent(problem: LinearResolventProblem) -> tuple[np.ndarray, Solve
         if not all_finite(w):
             raise SolverError("linear resolvent: the direct solve is not finite")
         r = m * w            # m*w - lam*lap(w) - z sums as -lam*lap(w) + m*w - z does
-        r -= lam * grid._div(_face_gradient(grid, w))     # w was tested finite
+        r -= lam * grid._div(grid._grad(w))     # w was tested finite
         r -= z
         res = grid._norm_h(r)
     tol = RESIDUAL_RTOL * grid._norm_h(z) + LINEAR_RESIDUAL_ATOL
@@ -224,7 +225,8 @@ def linear_resolvent(problem: LinearResolventProblem) -> tuple[np.ndarray, Solve
 
 @dataclass
 class SingularResolventProblem:
-    """-div(beta*grad_gamma(grad w) + kappa_eff*grad w) + m w = z, eps > 0."""
+    """-div(beta*grad_gamma(grad w) + kappa_eff*grad w) + m w = z with kappa_eff and
+    eps finite and positive."""
 
     grid: Grid
     beta: np.ndarray
@@ -241,10 +243,11 @@ class SingularResolventProblem:
             m = self.grid.constant(float(m))
         self.m = _positive_weight(self.grid, m)
         self.z = self.grid.check_scalar(np.asarray(self.z, dtype=float), "z")
-        if not self.kappa_eff > 0:
-            raise ValueError(f"kappa_eff must be positive, got {self.kappa_eff}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        for name, value in (("kappa_eff", self.kappa_eff), ("epsilon", self.epsilon)):
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 _last_scaled_stiffness = KeepLast()    # keyed on (grid, kappa_eff)

@@ -31,7 +31,8 @@ A run records its snapshots, their energy breakdowns and each step's
 solver reports.  The state a step makes is not checked again, and its
 energy is taken from the step's own fields: the new eta and theta, the
 theta problem's weight ``alpha(eta)`` and the new angle's kept gradient.  A
-constant forcing is checked once, when the :class:`Forcings` is made.  The
+constant forcing is checked once, when the :class:`Forcings` is made; one
+computed at t that fails there, or is not finite, fails the step.  The
 rates over each snapshot interval, and with them the dissipation-inequality
 residual, are derived afterwards from the stored snapshots.
 """
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import ast
 import csv
-import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
@@ -124,11 +124,6 @@ def check_expression(expr: str, dim: int):
     Only arithmetic, numeric constants, the listed elementary functions,
     and the names t/x/y/pi/e are admitted; anything else is rejected up front.
     """
-    return compile(_checked_tree(expr, dim), "<forcing>", "eval")
-
-
-def _checked_tree(expr: str, dim: int) -> ast.Expression:
-    """The syntax tree of :func:`check_expression`'s expression, checked."""
     tree = ast.parse(expr, mode="eval")
     allowed_names = set(_EXPR_FUNCS) | set(_EXPR_CONSTS) | {"t", "x"}
     if dim == 2:
@@ -144,58 +139,21 @@ def _checked_tree(expr: str, dim: int) -> ast.Expression:
             not isinstance(node.func, ast.Name) or node.func.id not in _EXPR_FUNCS
         ):
             raise ValueError(f"expression {expr!r}: only {sorted(_EXPR_FUNCS)} may be called")
-    return tree
-
-
-_EVAL_GLOBALS = {"__builtins__": {}}
-
-
-class _FoldConstants(ast.NodeTransformer):
-    """Replaces each largest subtree free of ``t`` that it visits by a name bound in
-    ``namespace`` to the subtree's value.  A subtree whose evaluation raises or warns,
-    floating-point warnings included, is left to be evaluated at each call."""
-
-    def __init__(self, namespace: dict):
-        self.namespace = namespace
-
-    def visit(self, node):
-        if (isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call))
-                and not any(isinstance(n, ast.Name) and n.id == "t" for n in ast.walk(node))):
-            try:
-                with warnings.catch_warnings(), np.errstate(all="raise"):
-                    warnings.simplefilter("error")
-                    value = eval(compile(ast.Expression(node), "<forcing>", "eval"),
-                                 _EVAL_GLOBALS, self.namespace)
-            except Exception:
-                pass
-            else:
-                name = f"_folded{len(self.namespace)}"
-                self.namespace[name] = value
-                return ast.copy_location(ast.Name(name, ast.Load()), node)
-        return self.generic_visit(node)
+    return compile(tree, "<forcing>", "eval")
 
 
 def compile_expression(expr: str, grid: Grid) -> Callable[[float], np.ndarray]:
-    """Field provider of a checked forcing expression on ``grid``.
-
-    Each proper subtree free of ``t`` is evaluated once, here, and its value
-    stands in for it (one that raises or warns is left to each call); each
-    call evaluates the rest, with its ``t``, in one namespace made here.
-    """
-    tree = _checked_tree(expr, grid.dim)
+    """Field provider of a checked forcing expression on ``grid``: each call
+    evaluates the whole expression, with its ``t``, in one namespace made here."""
+    code = check_expression(expr, grid.dim)
     coords = grid.meshgrid()
-    namespace = dict(_EXPR_FUNCS)
-    namespace.update(_EXPR_CONSTS)
-    namespace["x"] = coords[0]
+    namespace = {**_EXPR_FUNCS, **_EXPR_CONSTS, "x": coords[0]}
     if grid.dim == 2:
         namespace["y"] = coords[1]
-    # the proper subtrees only: each call returns a new array, as the whole expression does
-    _FoldConstants(namespace).generic_visit(tree.body)
-    code = compile(tree, "<forcing>", "eval")
 
     def provider(t: float) -> np.ndarray:
         namespace["t"] = float(t)
-        out = np.asarray(eval(code, _EVAL_GLOBALS, namespace), dtype=float)
+        out = np.asarray(eval(code, {"__builtins__": {}}, namespace), dtype=float)
         if out.shape != grid.shape:
             out = np.broadcast_to(out, grid.shape).copy()
         return out
@@ -306,8 +264,7 @@ def _theta_pde_residual(grid: Grid, params: Parameters, theta_old: np.ndarray,
     new eta, ``grad_old`` the old angle's face gradient, which only damping reads."""
     rate = (theta_new - theta_old) / dt
     if params.nu:
-        flux = _kept_flux(grid, alpha_new, theta_new, params.epsilon, params.kappa,
-                          _angle_gradient)[0]
+        flux = _kept_flux(grid, alpha_new, theta_new, params.epsilon, params.kappa)[0]
         Gn = _angle_gradient(grid, theta_new, params.epsilon)[0]
         force = grid._div(tuple(f + params.nu**2 / dt * (n - o)
                                 for f, n, o in zip(flux, Gn, grad_old)))
@@ -325,8 +282,10 @@ def _advance(state: SystemState, model: ModelFunctions, params: Parameters,
     grid = state.grid
     dt = params.dt
     t_new = state.time + dt
-    u_new = forcings.u(t_new)
-    v_new = forcings.v(t_new)
+    try:    # a forcing computed at t may fail there, as a step's solve may
+        u_new, v_new = forcings.u(t_new), forcings.v(t_new)
+    except (ValueError, ArithmeticError) as exc:
+        raise StepFailedError(f"forcing failed at t={t_new:.6g}: {exc}") from exc
 
     # eta step: implicit Laplacian (plus damping), explicit nonlinearity; the state's
     # fields were checked where it was made

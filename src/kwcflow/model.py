@@ -21,27 +21,26 @@ samples it (``ModelFunctions.sample_range`` and ``n_samples``, whose defaults
 are the config's); a run validates a model without recorded bounds on them,
 so every command and study reads the bounds of one range.
 
-Two results are kept: the angle gradient of :func:`angle_gradient` (face
-gradient, cell gradient and ``gamma_eps`` of the cell gradient) and the
-flux of :func:`interfacial_flux` with its divergence
-(:func:`interfacial_force`, taken when first asked for), each the last one
-asked for, keyed on the exact bytes of its input arrays (a
-:class:`~kwcflow.grid.KeepLast`).  A time step asks for both of its new
-angle more than once; they are evaluated once, and an undamped step takes
-the flux's divergence once.
+Two results are kept, each the last one asked for, keyed on the exact bytes
+of its input arrays (a :class:`~kwcflow.grid.KeepLast`): the angle gradient
+(face gradient, cell gradient and ``gamma_eps`` of the cell gradient) and
+the interfacial flux with its divergence, taken when first asked for.  A
+time step asks for both of its new angle more than once; they are evaluated
+once, and an undamped step takes the flux's divergence once.
 
-The public functions check what a caller hands them (an angle whose
-gradient is not kept, the flux's weight, a flux before its divergence is
-taken); a time step calls their private forms (:func:`_angle_gradient`,
-:func:`_interfacial_force`) on arrays it has made or checked.  Both share
-the kept results, which hold checked arrays only.
+One rule reaches them.  A public function (:func:`angle_gradient`,
+:func:`interfacial_flux`, :func:`interfacial_energy`, :func:`kwc_energy`)
+checks its caller's arrays at each call, then calls a private form; only
+the private forms, :func:`_angle_gradient`, :func:`_kept_flux` and
+:func:`_interfacial_force`, read or write the kept results, which so hold
+checked arrays only.  A time step calls them on arrays it has made or
+checked.  The public :func:`interfacial_force` is ``grid.div`` of the public
+flux, a new array.
 
 The energy has one definition, over checked fields and the checked weight
 ``alpha(eta)``: :func:`kwc_energy` checks its inputs and evaluates it, and a
 run evaluates it on the fields of the step that made a snapshot, which the
-step has checked, with the kept gradient of the new angle and the new eta's
-face gradient that the eta solve's re-check took (a third kept result,
-:func:`_face_gradient`).
+step has checked, with the kept gradient of the new angle.
 """
 
 from __future__ import annotations
@@ -244,7 +243,6 @@ def reference_model(alpha_offset: float = 0.1, alpha0_offset: float = 1.0,
 
 _last_angle_gradient = KeepLast()    # keyed on (grid, epsilon, theta bytes)
 _last_flux = KeepLast()              # keyed on (grid, epsilon, kappa, beta and theta bytes)
-_last_face_gradient = KeepLast()     # keyed on (grid, the checked field's bytes)
 
 
 def _read_only(arrays) -> None:
@@ -260,32 +258,20 @@ def _gradients(grid: Grid, theta: np.ndarray, epsilon: float):
     return G, gc, gam
 
 
-def _checked_gradients(grid: Grid, theta: np.ndarray, epsilon: float):
-    return _gradients(grid, grid.check_scalar(theta), epsilon)
-
-
 def angle_gradient(grid: Grid, theta: np.ndarray,
                    epsilon: float) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
     """Face gradient ``G``, cell gradient ``gc`` and ``gamma_eps(gc)`` of ``theta``.
 
-    The last result is kept and returned again, read-only, while the same
-    grid, epsilon and bytes of ``theta`` are asked for; ``theta`` is checked
-    when it is not.
+    ``theta`` is checked; the last result is kept and returned again, read-only,
+    while the same grid, epsilon and bytes of ``theta`` are asked for.
     """
-    return _angle_gradient(grid, np.asarray(theta, dtype=float), epsilon, _checked_gradients)
+    return _angle_gradient(grid, grid.check_scalar(theta), epsilon)
 
 
-def _angle_gradient(grid: Grid, theta: np.ndarray, epsilon: float, compute=_gradients):
+def _angle_gradient(grid: Grid, theta: np.ndarray, epsilon: float):
     """:func:`angle_gradient` of a checked angle, which it does not check again."""
     key = (grid, epsilon, theta.shape, theta.tobytes())
-    return _last_angle_gradient.get(key, compute, grid, theta, epsilon)
-
-
-def _face_gradient(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``grid._grad(f)`` of a checked field, kept and returned again while the same grid
-    and bytes of ``f`` are asked for: the eta solve's re-check takes the new eta's
-    gradient, and the step's snapshot energy takes it again.  Its callers only read it."""
-    return _last_face_gradient.get((grid, f.tobytes()), grid._grad, f)
+    return _last_angle_gradient.get(key, _gradients, grid, theta, epsilon)
 
 
 def interfacial_energy(grid: Grid, beta: np.ndarray, theta: np.ndarray,
@@ -319,8 +305,8 @@ def _interfacial_energy(grid: Grid, beta: np.ndarray, gradients, kappa: float) -
 
 
 def _interfacial_flux(grid: Grid, beta: np.ndarray, theta: np.ndarray,
-                      epsilon: float, kappa: float, gradients) -> list:
-    G, gc, gam = gradients(grid, theta, epsilon)
+                      epsilon: float, kappa: float) -> list:
+    G, gc, gam = _angle_gradient(grid, theta, epsilon)
     # gc / gam is the expression grad_gamma_eps(gc) evaluates
     flux = grid._cell_to_face(beta * (gc / gam))
     for f, g in zip(flux, G):
@@ -330,20 +316,10 @@ def _interfacial_flux(grid: Grid, beta: np.ndarray, theta: np.ndarray,
 
 
 def _kept_flux(grid: Grid, beta: np.ndarray, theta: np.ndarray, epsilon: float,
-               kappa: float, gradients) -> list:
-    """The kept ``[flux, divergence or None]`` of the checked weight ``beta`` and the
-    float array ``theta``; a new flux takes the angle's gradients from ``gradients``,
-    :func:`angle_gradient` (which checks a new angle) or :func:`_angle_gradient` (for a
-    checked one)."""
+               kappa: float) -> list:
+    """The kept ``[flux, divergence or None]`` of a checked weight and angle."""
     key = (grid, epsilon, kappa, beta.shape, beta.tobytes(), theta.shape, theta.tobytes())
-    return _last_flux.get(key, _interfacial_flux, grid, beta, theta, epsilon, kappa, gradients)
-
-
-def _checked_flux(grid: Grid, beta, theta, epsilon: float, kappa: float) -> list:
-    """:func:`_kept_flux` of a caller's ``beta``, checked here, and ``theta``, checked
-    when its flux is not kept."""
-    return _kept_flux(grid, _checked_weight(grid, beta), np.asarray(theta, dtype=float),
-                      epsilon, kappa, angle_gradient)
+    return _last_flux.get(key, _interfacial_flux, grid, beta, theta, epsilon, kappa)
 
 
 def interfacial_flux(grid: Grid, beta: np.ndarray, theta: np.ndarray,
@@ -351,29 +327,25 @@ def interfacial_flux(grid: Grid, beta: np.ndarray, theta: np.ndarray,
     """Face flux ``beta*grad_gamma_eps(grad theta) + kappa*grad theta``; minus its
     divergence is the first variation of :func:`interfacial_energy`.
 
-    The last flux is kept and returned again, read-only, while the same grid,
-    epsilon, kappa and bytes of ``beta`` and ``theta`` are asked for.  ``beta`` is
-    checked as :func:`interfacial_energy` checks it.
+    ``beta`` is checked as :func:`interfacial_energy` checks it, then ``theta``; the
+    last flux is kept and returned again, read-only, while the same grid, epsilon,
+    kappa and bytes of ``beta`` and ``theta`` are asked for.
     """
-    return _checked_flux(grid, beta, theta, epsilon, kappa)[0]
+    beta = _checked_weight(grid, beta)
+    return _kept_flux(grid, beta, grid.check_scalar(theta), epsilon, kappa)[0]
 
 
 def interfacial_force(grid: Grid, beta: np.ndarray, theta: np.ndarray,
                       epsilon: float, kappa: float) -> np.ndarray:
-    """``grid.div(interfacial_flux(...))``, kept beside the flux it is taken of and
-    returned again, read-only, while that flux is."""
-    kept = _checked_flux(grid, beta, theta, epsilon, kappa)
-    if kept[1] is None:
-        kept[1] = grid.div(kept[0])
-        _read_only((kept[1],))
-    return kept[1]
+    """``grid.div(interfacial_flux(...))``, a new array at each call."""
+    return grid.div(interfacial_flux(grid, beta, theta, epsilon, kappa))
 
 
 def _interfacial_force(grid: Grid, beta: np.ndarray, theta: np.ndarray,
                        epsilon: float, kappa: float) -> np.ndarray:
-    """:func:`interfacial_force` of a checked weight and angle, whose flux, made from
-    them, it does not check again."""
-    kept = _kept_flux(grid, beta, theta, epsilon, kappa, _angle_gradient)
+    """:func:`interfacial_force` of a checked weight and angle, kept beside their
+    flux, which it does not check, and returned again, read-only, while that flux is."""
+    kept = _kept_flux(grid, beta, theta, epsilon, kappa)
     if kept[1] is None:
         kept[1] = grid._div(kept[0])
         _read_only((kept[1],))
@@ -400,7 +372,7 @@ def kwc_energy(grid: Grid, eta: np.ndarray, theta: np.ndarray,
 def _energy(grid: Grid, eta: np.ndarray, theta: np.ndarray, beta: np.ndarray,
             model: ModelFunctions, params: Parameters) -> EnergyBreakdown:
     """:func:`kwc_energy` of checked fields, ``beta`` the checked weight ``alpha(eta)``."""
-    Ge = _face_gradient(grid, eta)
+    Ge = grid._grad(eta)
     dirichlet = 0.5 * grid.inner_faces(Ge, Ge)
     potential = float(np.add.reduce(model.G(eta), axis=None) * grid.cell_volume)
     interfacial = _interfacial_energy(grid, beta, _angle_gradient(grid, theta, params.epsilon),
@@ -425,10 +397,6 @@ class AssumptionReport:
     bounds: ModelBounds
 
 
-def _central_diff(f, r, h):
-    return (f(r + h) - f(r - h)) / (2.0 * h)
-
-
 # Samples per block of validate_assumptions: a block's temporaries stay in cache.
 _VALIDATION_BLOCK = 8192
 
@@ -444,7 +412,7 @@ def _block_extrema(model: ModelFunctions, r: np.ndarray, inner_limit: float) -> 
     inner = np.abs(r) <= inner_limit
     return {
         "min_G": np.min(model.G(r)),
-        "max_primitive_err": np.max(np.abs(_central_diff(model.G, r, h) - g_vals)
+        "max_primitive_err": np.max(np.abs((model.G(r + h) - model.G(r - h)) / (2.0 * h) - g_vals)
                                     / (1.0 + np.abs(g_vals))),
         "min_alpha_d2": np.min(a2_vals),
         "max_abs_alpha_d2": np.max(np.abs(a2_vals)),
@@ -454,7 +422,7 @@ def _block_extrema(model: ModelFunctions, r: np.ndarray, inner_limit: float) -> 
         "max_abs_alpha_d1": np.max(a1_abs),
         # -inf when no sample of the block is inner
         "max_abs_alpha_d1_inner": np.max(a1_abs[inner]) if np.any(inner) else -np.inf,
-        "max_abs_g_d1": np.max(np.abs(_central_diff(model.g, r, h))),
+        "max_abs_g_d1": np.max(np.abs((model.g(r + h) - model.g(r - h)) / (2.0 * h))),
         "max_abs_alpha0_d1": np.max(np.abs(model.alpha0_d1(r))),
     }
 

@@ -274,6 +274,8 @@ def test_inputs_run_cannot_start_are_config_violations(tmp_path, doc, key):
      "experiment.munu_limit.munu_values", "mu must lie in [0, 1), got 1.5"),
     ({"experiment": {"h2_uniformity": {"eps_values": [-1.0, 0.5], "trajectory_check": False}}},
      "experiment.h2_uniformity.eps_values", "epsilon must be positive, got -1.0"),
+    ({"experiment": {"h2_uniformity": {"eps_values": [math.inf, 0.5]}}},
+     "experiment.h2_uniformity.eps_values", "epsilon must be finite, got inf"),
     ({"experiment": {"manufactured_convergence": {"T_spatial": -0.1}}},
      "experiment.manufactured_convergence.T_spatial", "T must be positive, got -0.1"),
     ({"experiment": {"manufactured_convergence": {"T_temporal": math.inf}}},
@@ -293,8 +295,8 @@ def test_inputs_run_cannot_start_are_config_violations(tmp_path, doc, key):
                                                   "T_temporal": 1.0}}},
      "experiment.manufactured_convergence.base_dt and T_spatial",
      "dt must satisfy 0 < dt < T, got dt=0.04, T=0.04"),
-], ids=["wstar", "eps_values", "eps0", "munu_values", "h2_eps_values", "T_spatial",
-        "infinite_T_temporal", "base_dt",
+], ids=["wstar", "eps_values", "eps0", "munu_values", "h2_eps_values", "infinite_h2_eps_values",
+        "T_spatial", "infinite_T_temporal", "base_dt",
         "spatial_cells", "zero_spatial_cells", "base_dt_and_T_spatial",
         "base_dt_and_T_spatial_among_others"])
 def test_values_a_run_or_study_would_drop_or_reject_are_config_violations(
@@ -510,6 +512,31 @@ def test_a_run_failing_between_snapshots_keeps_its_last_state(tmp_path, monkeypa
     assert sorted(p.name for p in (out / "snapshots").iterdir()) == names
     for name in names:
         assert (out / "snapshots" / name).read_bytes() == (ended / "snapshots" / name).read_bytes()
+
+
+@pytest.mark.parametrize("u,steps,message", [
+    ("log(0.0055 - t)", 5, "forcing failed at t=0.006: u(t): contains non-finite values"),
+    ("t/0", 0, "forcing failed at t=0.001: float division by zero"),
+], ids=["non-finite", "division-by-zero"])
+def test_a_forcing_that_fails_mid_run_fails_its_step(tmp_path, capsys, u, steps, message):
+    # The run writes the steps before the failing one; a study reports the failure.
+    params = {"kappa": 1.0, "epsilon": 0.25, "T": 0.01, "dt": 1e-3}
+    cfg = run_config(tmp_path, params=params, forcings={"u": u}, snapshot_stride=1)
+    out = tmp_path / "out"
+    with np.errstate(invalid="ignore"):
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"run failed: {message}" in err and "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["passed"] is False and manifest["failures"] == [message]
+    assert manifest["steps"]["count"] == steps
+    assert len((out / "timeseries.csv").read_text().splitlines()) == 1 + steps + 1
+    assert len(list((out / "snapshots").iterdir())) == 2 * (steps + 1)
+    study = tmp_path / "study"
+    with np.errstate(invalid="ignore"):
+        assert main(["experiment", "epsilon_limit", "--config", cfg, "--out", str(study)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads((study / "report.json").read_text())["failures"] == [message]
 
 
 def test_a_failed_study_writes_its_report(tmp_path, monkeypatch, capsys):

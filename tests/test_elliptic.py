@@ -163,6 +163,9 @@ def dipped(grid, value, at=5):
 def test_linear_resolvent_problem_validation(grid1d):
     with pytest.raises(ValueError, match=r"^lambda must be nonnegative, got -0.1$"):
         LinearResolventProblem(grid1d, -0.1, 1.0, grid1d.zeros())
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"^lambda must be finite, got {lam}$"):
+            LinearResolventProblem(grid1d, lam, 1.0, grid1d.zeros())
     for m, least in ((0.0, "0.0"), (dipped(grid1d, -0.5), "-0.5")):
         with pytest.raises(ValueError, match=rf"^inf m must be positive, got {least}$"):
             LinearResolventProblem(grid1d, 0.1, m, grid1d.zeros())
@@ -266,6 +269,12 @@ def test_singular_resolvent_validation(grid1d):
     with pytest.raises(ValueError, match=r"^epsilon must be positive, got 0.0$"):
         SingularResolventProblem(grid1d, grid1d.zeros(), 1.0,
                                  grid1d.constant(1.0), grid1d.zeros(), 0.0)
+    for kappa_eff, eps, message in ((math.nan, 0.5, "kappa_eff must be positive, got nan"),
+                                    (math.inf, 0.5, "kappa_eff must be finite, got inf"),
+                                    (1.0, math.inf, "epsilon must be finite, got inf")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SingularResolventProblem(grid1d, grid1d.zeros(), kappa_eff,
+                                     grid1d.constant(1.0), grid1d.zeros(), eps)
     for m, least in ((0.0, "0.0"), (dipped(grid1d, -0.5), "-0.5")):
         with pytest.raises(ValueError, match=rf"^inf m must be positive, got {least}$"):
             SingularResolventProblem(grid1d, grid1d.zeros(), 1.0, m, grid1d.zeros(), 0.5)

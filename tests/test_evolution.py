@@ -405,6 +405,24 @@ def test_run_step_residual_failure_carries_partial_trajectory(setup, monkeypatch
     assert len(exc.trajectory.snapshots) == 4   # initial + 3 completed steps
 
 
+@pytest.mark.parametrize("u,steps,cause,message", [
+    ("log(0.0055 - t)", 5, ValueError, "u(t): contains non-finite values"),
+    ("t/0", 0, ZeroDivisionError, "float division by zero"),
+], ids=["non-finite", "division-by-zero"])
+def test_a_forcing_that_fails_mid_run_fails_its_step(setup, u, steps, cause, message):
+    # A forcing computed at t that raises there, or is not finite, fails the step as a
+    # failed solve does: the run attaches the steps before it.
+    g, model, eta0, theta0 = setup
+    params = Parameters(kappa=1.0, epsilon=0.25, T=0.01, dt=1e-3)
+    with pytest.raises(StepFailedError) as excinfo, np.errstate(invalid="ignore"):
+        run(SystemState(g, eta0, theta0), model, params, Forcings(g, u=u))
+    exc = excinfo.value
+    assert str(exc) == f"forcing failed at t={(steps + 1) / 1000:g}: {message}"
+    assert type(exc.__cause__) is cause and exc.report is None
+    assert len(exc.trajectory.solve_reports) == steps
+    assert len(exc.trajectory.snapshots) == steps + 1
+
+
 def test_a_nan_step_residual_fails_the_step(setup, monkeypatch):
     # A NaN in the step check's force makes the residual NaN, which fails the 1e-9
     # check rather than passing it.  The resolvent's own re-check is left alone.
@@ -699,10 +717,12 @@ def test_every_check_fires_from_its_first_scan(monkeypatch):
     def advance(forcings=Forcings(g), model=model, start=None):
         return evolution._advance(state, model, params, forcings, start)
 
-    # a computed forcing, at each call
-    with pytest.raises(ValueError, match=r"^u\(t\): contains non-finite values$"):
+    # a computed forcing, at each call; its failure fails the step
+    with pytest.raises(StepFailedError,
+                       match=r"^forcing failed at t=0.001: u\(t\): contains non-finite values$"):
         advance(Forcings(g, u=lambda t: nan))
-    with pytest.raises(ValueError, match=r"^v\(t\): contains non-finite values$"), \
+    with pytest.raises(StepFailedError,
+                       match=r"^forcing failed at t=0.001: v\(t\): contains non-finite values$"), \
             np.errstate(invalid="ignore"):
         advance(Forcings(g, v="log(x - 0.5)"))
     # a constant forcing, once, when the Forcings is made

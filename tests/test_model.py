@@ -341,11 +341,15 @@ def test_memo_hits_are_fresh_bits_and_read_only(dim, cells):
     args = [1.0 + rng.random(g.shape), rng.standard_normal(g.shape), 0.3, 0.7]
     first = kept(*args)
     hit = kept(args[0].copy(), args[1].copy(), *args[2:])
-    assert all(a is b for a, b in zip(hit, first))
     for got, want in zip(hit, fresh(*args)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # the gradients and the flux are the kept arrays, read-only; the public force is
+    # taken of the kept flux at each call, a new writable array
+    assert all(a is b for a, b in zip(hit[:-1], first[:-1])) and hit[-1] is not first[-1]
+    for got in hit[:-1]:
         with pytest.raises(ValueError, match="read-only"):
             got[...] = 0.0
+    hit[-1][...] = 0.0
     # Each input is part of the key; the key holds copies of the input bytes, so
     # writing to an input afterwards is a miss too.
     args[1][(0,) * dim] += 1e-3
@@ -366,6 +370,7 @@ def test_public_functions_check_what_enters(dim, cells):
     last = dim - 1      # the axis whose faces hold the NaN
     nan_faces = tuple(np.zeros(s) for s in g.face_shapes())
     nan_faces[last].flat[3] = np.nan
+    step = np.where(g.meshgrid()[0] < 0.5, 1e307, -1e307)
     field = "^field: contains non-finite values$"
     faces = f"^vector field: non-finite values on axis-{last} faces$"
     calls = [
@@ -379,6 +384,9 @@ def test_public_functions_check_what_enters(dim, cells):
         # the weight, as interfacial_energy checks it
         (lambda: interfacial_flux(g, nan, theta, 0.3, 0.7), "^beta: contains non-finite values$"),
         (lambda: interfacial_force(g, nan, theta, 0.3, 0.7), "^beta: contains non-finite values$"),
+        # a finite angle whose face gradient overflows: the force checks the flux's faces
+        (lambda: interfacial_force(g, beta, step, 0.3, 0.7),
+         "^vector field: non-finite values on axis-0 faces$"),
         (lambda: interfacial_flux(g, -beta, theta, 0.3, 0.7),
          r"^beta must be nonnegative, min = -\d"),
         (lambda: interfacial_force(g, g.constant(-1.0), theta, 0.3, 0.7),
@@ -402,5 +410,6 @@ def test_public_functions_check_what_enters(dim, cells):
             interfacial_force(g, beta, theta, 0.3, 0.7)
             interfacial_energy(g, beta, theta, 0.3, 0.7)
         for call, message in calls:
-            with pytest.raises(ValueError, match=message), np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match=message), \
+                    np.errstate(invalid="ignore", over="ignore"):
                 call()

@@ -42,12 +42,13 @@ The cases:
   ``prepare_initial_theta`` on desk data, and ``initial_velocities`` at
   mu, nu in {0, 0.1}^2 (solutions and reports, or the failure text);
 * the output files of ``kwcflow run`` on four configs (manifests without
-  ``wall_clock_seconds``), one of them with the model sampled on [-2, 2] at
-  1000 points;
+  ``wall_clock_seconds`` or ``versions.blas_threads.cpu_count``, so that
+  equal builds on machines with other core counts hash alike), one of them
+  with the model sampled on [-2, 2] at 1000 points;
 * the output files of ``kwcflow experiment <name>`` for each study, on a 32-cell
   1D grid with T 0.02 and dt 1e-3 and the study's smallest ladders, and of
   ``energy_dissipation`` on that sample-range config (``report.json`` without
-  ``wall_clock_seconds``).
+  ``wall_clock_seconds`` or ``cpu_count``).
 
 BLAS is pinned to one thread, which fixes the reduction order.  A summary
 (case count, line-search energy evaluations, and the Newton and CG iterations
@@ -327,7 +328,7 @@ EXPERIMENT_OPTIONS = {
 
 def cli_outputs(recorder, argv, doc, summary):
     """Exit code and output files of the CLI command ``argv`` on config ``doc``;
-    the JSON file ``summary`` is kept parsed, without its wall clock."""
+    the JSON file ``summary`` is kept parsed, without its wall clock or core count."""
     from kwcflow.cli import main
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
@@ -338,6 +339,8 @@ def cli_outputs(recorder, argv, doc, summary):
         files = tree_files(out)
     parsed = json.loads(files.pop(summary))
     parsed.pop("wall_clock_seconds", None)
+    # the machine's core count, which equal builds on other machines do not share
+    parsed.get("versions", {}).get("blas_threads", {}).pop("cpu_count", None)
     recorder.take()
     return {"exit": code, summary.partition(".")[0]: parsed, "files": files}
 
