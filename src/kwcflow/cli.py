@@ -6,7 +6,7 @@ and sample count of its ``model`` section; a study's runs use those bounds.
 Runs write a manifest that embeds the full normalized config; feeding the
 manifest back as the config reproduces the run bit-for-bit.  Exit code 0
 means every assertion passed, 2 a config error.  Exit code 1 is a failed
-model check, step or study assertion; it leaves a machine-readable report in
+model check, solve, step or study assertion; it leaves a machine-readable report in
 the output directory, and a run whose step fails also writes the timeseries
 and snapshots of the steps before it.
 """
@@ -27,7 +27,7 @@ import scipy
 from . import __version__
 from .config import (ConfigError, RunConfig, parse_config, parse_config_dict,
                      serialize_config)
-from .elliptic import CG_RTOL, LINEAR_RESIDUAL_ATOL, RESIDUAL_RTOL
+from .elliptic import CG_RTOL, LINEAR_RESIDUAL_ATOL, RESIDUAL_RTOL, SolverError
 from .evolution import (StepFailedError, THETA_RESIDUAL_TOL, run,
                         write_timeseries)
 from .experiments import EXPERIMENTS, report_to_jsonable
@@ -35,7 +35,7 @@ from .grid import save_field
 from .model import validate_assumptions
 
 _SOLVER_TOLERANCES = {
-    "theta_cg_rtol_2d": CG_RTOL,   # CG runs only on 2D theta systems; other solves are direct
+    "theta_cg_rtol_2d": CG_RTOL,   # the Jacobi-PCG of 2D theta systems; other solves are direct
     "linear_resolvent_residual": f"{RESIDUAL_RTOL!r} * |z|_H + {LINEAR_RESIDUAL_ATOL!r}",
     "singular_resolvent_residual": (f"min({RESIDUAL_RTOL!r} * (|z|_H + 1), "
                                     f"{0.5 * THETA_RESIDUAL_TOL!r}) in a step; "
@@ -104,48 +104,44 @@ def cmd_run(args) -> int:
         "passed": False,
         "failures": failures,
     }
-    if failures:
-        _write_json(os.path.join(outdir, "manifest.json"), manifest)
-        print("model assumptions failed:", "; ".join(failures), file=sys.stderr)
-        return 1
-
-    initial = config.make_initial_state()
-    forcings = config.make_forcings()
-    t0 = time.perf_counter()
-    try:
-        traj = run(initial, model, config.params, forcings, stepper=config.stepper,
-                   snapshot_stride=config.snapshot_stride)
-    except StepFailedError as exc:       # the steps before it are written as a run's
-        traj = exc.trajectory
-        failures.append(str(exc))
-    wall = time.perf_counter() - t0
-
-    write_timeseries(os.path.join(outdir, "timeseries.csv"), traj, model,
-                     config.params, forcings)
-    snapdir = os.path.join(outdir, "snapshots")
-    os.makedirs(snapdir, exist_ok=True)
-    for k, state in enumerate(traj.snapshots):
-        save_field(os.path.join(snapdir, f"eta_{k:06d}.csv"), config.grid, state.eta)
-        save_field(os.path.join(snapdir, f"theta_{k:06d}.csv"), config.grid, state.theta)
-
-    reports = traj.solve_reports
-    manifest.update({
-        "wall_clock_seconds": wall,
-        "steps": {
-            "count": len(reports),
-            "theta_iterations": [r["theta"].iterations for r in reports],
-            "theta_residuals": [r["theta"].final_residual_h for r in reports],
-        },
-        "energy_start": traj.energies[0].total,
-        "energy_end": traj.energies[-1].total,
-        "passed": not failures,
-    })
+    traj = None
+    if not failures:
+        forcings = config.make_forcings()
+        t0 = time.perf_counter()
+        try:
+            traj = run(config.make_initial_state(), model, config.params, forcings,
+                       stepper=config.stepper, snapshot_stride=config.snapshot_stride)
+        except SolverError as exc:       # outside a step, only the prepared theta0 is solved
+            failures.append(f"preparing theta0 failed: {exc}")
+        except StepFailedError as exc:   # the steps before it are written as a run's
+            traj = exc.trajectory
+            failures.append(str(exc))
+        manifest["wall_clock_seconds"] = time.perf_counter() - t0
+    if traj is not None:
+        write_timeseries(os.path.join(outdir, "timeseries.csv"), traj, model,
+                         config.params, forcings)
+        snapdir = os.path.join(outdir, "snapshots")
+        os.makedirs(snapdir, exist_ok=True)
+        for k, state in enumerate(traj.snapshots):
+            save_field(os.path.join(snapdir, f"eta_{k:06d}.csv"), config.grid, state.eta)
+            save_field(os.path.join(snapdir, f"theta_{k:06d}.csv"), config.grid, state.theta)
+        reports = traj.solve_reports
+        manifest.update({
+            "steps": {
+                "count": len(reports),
+                "theta_iterations": [r["theta"].iterations for r in reports],
+                "theta_residuals": [r["theta"].final_residual_h for r in reports],
+            },
+            "energy_start": traj.energies[0].total,
+            "energy_end": traj.energies[-1].total,
+        })
+    manifest["passed"] = not failures
     _write_json(os.path.join(outdir, "manifest.json"), manifest)
     if failures:
-        print(f"run failed: {failures[-1]}", file=sys.stderr)
+        print("run failed:", "; ".join(failures), file=sys.stderr)
         return 1
-    print(f"run finished in {wall:.2f}s; energy {manifest['energy_start']:.6g} -> "
-          f"{manifest['energy_end']:.6g}; artifacts in {outdir}")
+    print(f"run finished in {manifest['wall_clock_seconds']:.2f}s; energy "
+          f"{manifest['energy_start']:.6g} -> {manifest['energy_end']:.6g}; artifacts in {outdir}")
     return 0
 
 
@@ -166,7 +162,7 @@ def cmd_experiment(args) -> int:
     if not failures:
         try:
             report = EXPERIMENTS[name](config, outdir=outdir, **options)
-        except StepFailedError as exc:
+        except (StepFailedError, SolverError) as exc:
             failures = [str(exc)]
     wall = time.perf_counter() - t0
     passed = not failures and bool(report.passed)

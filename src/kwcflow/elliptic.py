@@ -40,9 +40,10 @@ builds from its cell-gradient stencil (:attr:`Grid.newton_diagonals`), in 1D
 and 2D alike; only the solve reads the dimension.  In 1D they are LAPACK's
 lower band (bandwidth 2), solved in place by the banded Cholesky ``dpbsv``,
 which on the lower band scales and updates each column with unit stride (on
-the upper band, with stride LDAB - 1); in 2D, mirrored into a symmetric DIA
-matrix, they are solved by CG preconditioned by their main diagonal, which at
-these sizes is faster than a direct solve.
+the upper band, with stride LDAB - 1); in 2D, mirrored into DIA arrays, they are
+solved by this module's CG, preconditioned by their main diagonal (at these sizes
+faster than a direct solve); its dot products take no BLAS, so a 2D run's bits do
+not depend on the BLAS thread count.
 The line search's energy is the model's interfacial energy of the checked
 ``beta`` plus ``(m w, w)/2 - (z, w)``.  Residuals are re-evaluated from the
 stencil operators, independent of the solver's matrix algebra, and every solve
@@ -72,12 +73,12 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbsv, dpttrf, dpttrs
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec, dia_matvec
 from scipy.sparse.linalg import cg, splu
 
 from .grid import Grid, KeepLast, all_finite
-# gamma_eps and grad_gamma_eps are not called here; they stay bound because the benchmark's
-# tracer wraps them by name
+# cg, gamma_eps and grad_gamma_eps are not called here; they stay bound because the
+# benchmark's tracer wraps them by name
 from .model import (_checked_weight, _component_sum, _interfacial_energy, _interfacial_force,
                     angle_gradient, gamma_eps, grad_gamma_eps, hess_gamma_eps)
 
@@ -112,19 +113,6 @@ class SolverError(RuntimeError):
     def __init__(self, message: str, report: Optional[SolveReport] = None):
         super().__init__(message)
         self.report = SolveReport(0, math.nan, False, method="failed") if report is None else report
-
-
-def _cg_solve(A: sp.spmatrix, b: np.ndarray, diag: np.ndarray):
-    """CG to ``CG_RTOL``, preconditioned by ``A``'s diagonal ``diag``; returns (x, n_iter, ok)."""
-    M = sp.diags(1.0 / diag)
-    count = [0]
-
-    def cb(_):
-        count[0] += 1
-
-    maxiter = max(1000, A.shape[0])
-    x, info = cg(A, b, rtol=CG_RTOL, atol=0.0, maxiter=maxiter, M=M, callback=cb)
-    return x, count[0], info == 0
 
 
 # -- linear resolvent ------------------------------------------------------------
@@ -346,19 +334,40 @@ class _SingularSystem:
             if info < 0:
                 raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
             return (x, 0, True) if info == 0 else (b, 0, False)
-        return _cg_solve(_symmetric_dia(A, self.offsets), b, A[0])
+        return _jacobi_pcg(A, self.offsets, b)
 
 
-def _symmetric_dia(ab: np.ndarray, offsets: tuple[int, ...]) -> sp.dia_matrix:
-    """The symmetric matrix whose lower diagonals at ``offsets`` (ascending from 0)
-    ``ab`` holds in the layout of :attr:`Grid.newton_diagonals`, in DIA form: the
-    upper diagonals first, descending, then the main and the lower ones."""
+def _jacobi_pcg(ab: np.ndarray, offsets: tuple[int, ...], b: np.ndarray):
+    """CG from 0, preconditioned by the main diagonal, on the symmetric matrix whose lower
+    diagonals at ``offsets`` ``ab`` holds (:meth:`_SingularSystem.matrix`), mirrored into
+    DIA arrays, to ``|r|_2 <= CG_RTOL*|b|_2`` or ``max(1000, n)`` iterations; returns
+    (x, iterations, ok).  Its dot products are einsum's, which take no BLAS."""
     k, n = ab.shape
     data = np.zeros((2 * k - 1, n))
     data[k - 1:] = ab
     for row, o in enumerate(offsets[1:], start=1):
         data[k - 1 - row, o:] = ab[row, :n - o]
-    return sp.dia_matrix((data, offsets[:0:-1] + tuple(-o for o in offsets)), shape=(n, n))
+    dia = (n, n, 2 * k - 1, n,
+           np.array(offsets[:0:-1] + tuple(-o for o in offsets), dtype=np.int32), data)
+    inv_diag = 1.0 / ab[0]
+    tol = CG_RTOL * math.sqrt(np.einsum("i,i->", b, b))
+    x, r, p = np.zeros(n), b.copy(), np.zeros(n)
+    z, q, t = np.empty(n), np.empty(n), np.empty(n)
+    rho_old = math.inf       # p = 0*p + z on the first iteration
+    for it in range(max(1000, n)):
+        if math.sqrt(np.einsum("i,i->", r, r)) <= tol:
+            return x, it, True
+        np.multiply(r, inv_diag, out=z)
+        rho = np.einsum("i,i->", r, z)
+        p *= rho / rho_old
+        p += z
+        q.fill(0.0)          # dia_matvec adds into it, as A @ p does
+        dia_matvec(*dia, p, q)
+        alpha = rho / np.einsum("i,i->", p, q)
+        x += np.multiply(p, alpha, out=t)
+        r -= np.multiply(q, alpha, out=t)
+        rho_old = rho
+    return x, max(1000, n), False
 
 
 def _stencil_residual_h(problem: SingularResolventProblem, w: np.ndarray) -> float:

@@ -173,22 +173,25 @@ class Forcings:
 
     def _as_provider(self, spec, name: str):
         grid = self.grid
+        if isinstance(spec, str):
+            spec = compile_expression(spec, grid)
         if spec is None:
             const = grid.zeros()
-        elif isinstance(spec, str):
-            return self._checked(compile_expression(spec, grid), name)
         elif np.isscalar(spec):
             const = grid.check_scalar(grid.constant(float(spec)), name)
         elif isinstance(spec, np.ndarray):
             const = grid.check_scalar(spec)
         elif callable(spec):
-            return self._checked(spec, name)
+            def checked(t):
+                try:    # a failure is named, as the check names a field that is not finite
+                    f = spec(t)
+                except (ValueError, ArithmeticError) as exc:
+                    raise ValueError(f"{name}: {exc}") from exc
+                return grid.check_scalar(f, name)
+            return checked
         else:
             raise TypeError(f"cannot interpret forcing spec of type {type(spec).__name__}")
         return lambda t: const
-
-    def _checked(self, provider, name: str):
-        return lambda t: self.grid.check_scalar(provider(t), name)
 
     def u(self, t: float) -> np.ndarray:
         return self._u(t)

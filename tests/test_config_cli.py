@@ -10,7 +10,7 @@ import pytest
 import scipy
 
 import kwcflow
-from kwcflow import evolution
+from kwcflow import evolution, experiments
 from kwcflow.cli import main
 from kwcflow.config import ConfigError, parse_config_dict, serialize_config
 from kwcflow.elliptic import SolveReport, SolverError
@@ -143,9 +143,6 @@ def test_cli_run_and_bitwise_rerun(tmp_path):
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for two BLAS threads")
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="scipy's cg takes its dot products through BLAS, whose threads "
-                   "change the order of summation on a 128x128 grid")
 def test_run_replays_bit_for_bit_under_another_blas_thread_count(tmp_path):
     # 2 steps of a circular grain (radius 0.3, tanh width 0.01) on a 128x128 grid
     grid = build_grid(2, [128, 128], [1.0, 1.0])
@@ -514,14 +511,15 @@ def test_a_run_failing_between_snapshots_keeps_its_last_state(tmp_path, monkeypa
         assert (out / "snapshots" / name).read_bytes() == (ended / "snapshots" / name).read_bytes()
 
 
-@pytest.mark.parametrize("u,steps,message", [
-    ("log(0.0055 - t)", 5, "forcing failed at t=0.006: u(t): contains non-finite values"),
-    ("t/0", 0, "forcing failed at t=0.001: float division by zero"),
-], ids=["non-finite", "division-by-zero"])
-def test_a_forcing_that_fails_mid_run_fails_its_step(tmp_path, capsys, u, steps, message):
+@pytest.mark.parametrize("forcings,steps,message", [
+    ({"u": "log(0.0055 - t)"}, 5, "forcing failed at t=0.006: u(t): contains non-finite values"),
+    ({"u": "t/0"}, 0, "forcing failed at t=0.001: u(t): float division by zero"),
+    ({"v": "t/0"}, 0, "forcing failed at t=0.001: v(t): float division by zero"),
+], ids=["non-finite", "division-by-zero", "v-division-by-zero"])
+def test_a_forcing_that_fails_mid_run_fails_its_step(tmp_path, capsys, forcings, steps, message):
     # The run writes the steps before the failing one; a study reports the failure.
     params = {"kappa": 1.0, "epsilon": 0.25, "T": 0.01, "dt": 1e-3}
-    cfg = run_config(tmp_path, params=params, forcings={"u": u}, snapshot_stride=1)
+    cfg = run_config(tmp_path, params=params, forcings=forcings, snapshot_stride=1)
     out = tmp_path / "out"
     with np.errstate(invalid="ignore"):
         assert main(["run", "--config", cfg, "--out", str(out)]) == 1
@@ -555,6 +553,34 @@ def test_a_failed_study_writes_its_report(tmp_path, monkeypatch, capsys):
     payload = json.loads((out / "report.json").read_text())
     assert payload["passed"] is False and "report" not in payload
     assert payload["failures"] == ["theta solve failed at t=0.002: synthetic failure"]
+
+
+def test_a_failed_solve_outside_a_step_is_reported(tmp_path, monkeypatch, capsys):
+    # The prepared theta0 of a run, and a study's own resolvent solve, fail with a
+    # SolverError: the run writes its manifest and the study its report, and neither
+    # leaves a traceback.
+    fail_the_theta_solve_from_call(monkeypatch, 1)
+    cfg = run_config(tmp_path, initial={
+        "eta": {"profile": "constant", "value": 1.0},
+        "theta": {"profile": "cosine", "mean": 0.0, "amplitude": 0.3, "mode": 1},
+        "prepare_theta": True})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    message = "preparing theta0 failed: synthetic failure"
+    assert f"run failed: {message}" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["passed"] is False and manifest["failures"] == [message]
+    assert "steps" not in manifest and sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    def failing(problem, **kwargs):
+        raise SolverError("synthetic failure", SolveReport(0, 1.0, False))
+
+    monkeypatch.setattr(experiments, "singular_resolvent", failing)
+    assert main(["experiment", "h2_uniformity", "--config", run_config(tmp_path),
+                 "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["passed"] is False and payload["failures"] == ["synthetic failure"]
 
 
 @pytest.mark.parametrize("cells,extents", [([32], [1.0]), ([64], [2.0])])

@@ -16,7 +16,7 @@ from kwcflow import (Forcings, LinearResolventProblem, Parameters,
                      interfacial_flux, linear_resolvent, reference_model,
                      singular_resolvent)
 from kwcflow.elliptic import (_dual_step, _factorize, _SingularSystem,
-                              _stencil_residual_h, _symmetric_dia)
+                              _stencil_residual_h)
 from kwcflow.grid import Grid, random_smooth_field
 
 
@@ -396,9 +396,8 @@ def test_fixed_pattern_matrices_match_explicit_assembly(cells, extents):
             system = _SingularSystem(SingularResolventProblem(g, beta, kappa_eff, m, g.zeros(),
                                                               eps_small))
             band = system.jacobian(y, p, gamma_eps(y, system.p.epsilon))
-            A = _symmetric_dia(band, system.offsets).toarray()    # what the 2D solve takes
-            assert np.max(np.abs(A - A.T)) <= 1e-14 * np.max(np.abs(A))
-            smallest = np.linalg.eigvalsh(0.5 * (A + A.T))[0]
+            A = dense(system, band)    # the matrix the 2D solve mirrors its band into
+            smallest = np.linalg.eigvalsh(A)[0]
             assert smallest >= np.min(m) - 1e-12 * np.max(np.abs(A))
 
 
@@ -540,11 +539,6 @@ def test_newton_matrix_matches_the_operator_product(cells):
                   @ G + system.p.kappa_eff * g.stiffness_matrix + sp.diags(system.m)).toarray()
         A = system.jacobian(y, p, gamma_eps(y, system.p.epsilon))
         assert A.shape == (len(system.offsets), g.n_cells)
-        if g.dim == 2:    # the 2D solve takes the band mirrored into a symmetric DIA matrix
-            mirrored = _symmetric_dia(A, system.offsets)
-            assert isinstance(mirrored, sp.dia_matrix)
-            assert np.array_equal(mirrored.toarray(), mirrored.toarray().T)
-            assert mirrored.toarray().tobytes() == dense(system, A).tobytes()
         assert np.max(np.abs(dense(system, A) - oracle)) <= 1e-15 * np.max(np.abs(oracle))
         assert (lower_triangle(system, A).tobytes()
                 == np.tril(pattern_matrix(system, B)).tobytes())
@@ -567,34 +561,53 @@ def test_lower_band_expands_bit_for_bit_to_the_lower_triangle(cells):
     assert lower_triangle(system, A).tobytes() == np.tril(pattern_matrix(system, B)).tobytes()
 
 
-def upper_layout_dia(ab: np.ndarray, offsets: tuple[int, ...]) -> sp.dia_matrix:
-    """The DIA matrix the solver built from the upper layout it had before the lower one:
-    ``ab`` moved to rows of offsets descending to 0, row k holding ``A[j - o, j]``, then
-    mirrored as that construction did."""
-    k, n = ab.shape
-    upper = np.zeros_like(ab)
-    for row, o in enumerate(offsets):
-        upper[k - 1 - row, o:] = ab[row, :n - o]
-    offsets = offsets[::-1]
-    data = np.zeros((2 * k - 1, n))
-    data[:k] = upper
-    for row, o in enumerate(offsets[:-1]):
-        data[-1 - row, :n - o] = upper[row, o:]
-    return sp.dia_matrix((data, offsets + tuple(-o for o in offsets[-2::-1])), shape=(n, n))
-
-
 @pytest.mark.parametrize("cells", [[12, 10], [48, 48]], ids=lambda c: "x".join(map(str, c)))
-def test_symmetric_dia_is_bytewise_the_upper_layouts(cells):
-    # The 2D CG solve takes the same DIA data and offsets from the lower band as it
-    # took from the upper one, so its bits do not depend on the layout.
+def test_2d_newton_solve_matches_the_dense_solve(cells):
+    # The 2D solve, Jacobi-PCG on the band mirrored into DIA arrays, against LAPACK's dense
+    # solve of the full matrix: a residual |r|_2 <= CG_RTOL*|b|_2 puts x within
+    # cond(A)*CG_RTOL of it, relative, and cond(A) is at most the largest absolute row
+    # sum (Gershgorin) over min m, the least eigenvalue's bound.  The band is left as it was.
     g = build_grid(2, cells, [1.0, 0.8])
     rng = np.random.default_rng(sum(cells))
-    for _ in range(2):
+    for _ in range(3):
         system, y, p = random_newton_system(g, rng)
         A = system.jacobian(y, p, gamma_eps(y, system.p.epsilon))
-        new, old = _symmetric_dia(A, system.offsets), upper_layout_dia(A, system.offsets)
-        assert new.data.tobytes() == old.data.tobytes()
-        assert new.offsets.tobytes() == old.offsets.tobytes()
+        band, full, b = A.copy(), dense(system, A), rng.standard_normal(g.n_cells)
+        x, n_cg, ok = system.solve(A, b)
+        assert ok and 0 < n_cg < max(1000, g.n_cells)
+        assert A.tobytes() == band.tobytes()
+        assert np.linalg.norm(full @ x - b) <= 2 * elliptic.CG_RTOL * np.linalg.norm(b)
+        x_ref = np.linalg.solve(full, b)
+        cond = np.max(np.add.reduce(np.abs(full), axis=1)) / np.min(system.m)
+        assert np.linalg.norm(x - x_ref) <= 2 * elliptic.CG_RTOL * cond * np.linalg.norm(x_ref)
+
+
+def test_2d_newton_solve_of_zero_is_zero_after_no_iterations():
+    g = build_grid(2, [12, 10], [1.0, 0.8])
+    system, y, p = random_newton_system(g, np.random.default_rng(4))
+    x, n_cg, ok = system.solve(system.jacobian(y, p, gamma_eps(y, system.p.epsilon)),
+                               np.zeros(g.n_cells))
+    assert ok and n_cg == 0 and x.tobytes() == np.zeros(g.n_cells).tobytes()
+
+
+def test_2d_newton_solve_that_misses_its_tolerance_fails_at_its_cap(monkeypatch):
+    # No residual meets a relative tolerance of 0: the solve stops after max(1000, n)
+    # iterations and reports the failure, which ends the Newton loop with its own exit.
+    # Long past convergence the residual underflows and the iterates turn NaN, as scipy's
+    # cg did; the cap still ends the solve.
+    monkeypatch.setattr(elliptic, "CG_RTOL", 0.0)
+    g = build_grid(2, [12, 10], [1.0, 0.8])
+    system, y, p = random_newton_system(g, np.random.default_rng(4))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x, n_cg, ok = system.solve(system.jacobian(y, p, gamma_eps(y, system.p.epsilon)),
+                                   np.ones(g.n_cells))
+    assert not ok and n_cg == 1000
+    problem = SingularResolventProblem(g, g.constant(1.0), 0.01, g.constant(1.0),
+                                       step_at_half(g, 0.5), 2.0**-6)
+    with pytest.raises(SolverError, match=r": the linear solve failed after 0 Newton steps$") \
+            as excinfo, np.errstate(divide="ignore", invalid="ignore"):
+        singular_resolvent(problem)
+    assert excinfo.value.report.inner_iterations == 1000
 
 
 @pytest.mark.parametrize("n", [4, 5, 37, 128])

@@ -405,20 +405,23 @@ def test_run_step_residual_failure_carries_partial_trajectory(setup, monkeypatch
     assert len(exc.trajectory.snapshots) == 4   # initial + 3 completed steps
 
 
-@pytest.mark.parametrize("u,steps,cause,message", [
-    ("log(0.0055 - t)", 5, ValueError, "u(t): contains non-finite values"),
-    ("t/0", 0, ZeroDivisionError, "float division by zero"),
-], ids=["non-finite", "division-by-zero"])
-def test_a_forcing_that_fails_mid_run_fails_its_step(setup, u, steps, cause, message):
+@pytest.mark.parametrize("forcing,steps,cause,message", [
+    ({"u": "log(0.0055 - t)"}, 5, type(None), "u(t): contains non-finite values"),
+    ({"u": "t/0"}, 0, ZeroDivisionError, "u(t): float division by zero"),
+    ({"v": "t/0"}, 0, ZeroDivisionError, "v(t): float division by zero"),
+], ids=["non-finite", "division-by-zero", "v-division-by-zero"])
+def test_a_forcing_that_fails_mid_run_fails_its_step(setup, forcing, steps, cause, message):
     # A forcing computed at t that raises there, or is not finite, fails the step as a
-    # failed solve does: the run attaches the steps before it.
+    # failed solve does: the run attaches the steps before it.  Either failure names
+    # the forcing; the error of the forcing's own evaluation is chained to it.
     g, model, eta0, theta0 = setup
     params = Parameters(kappa=1.0, epsilon=0.25, T=0.01, dt=1e-3)
     with pytest.raises(StepFailedError) as excinfo, np.errstate(invalid="ignore"):
-        run(SystemState(g, eta0, theta0), model, params, Forcings(g, u=u))
+        run(SystemState(g, eta0, theta0), model, params, Forcings(g, **forcing))
     exc = excinfo.value
     assert str(exc) == f"forcing failed at t={(steps + 1) / 1000:g}: {message}"
-    assert type(exc.__cause__) is cause and exc.report is None
+    assert type(exc.__cause__) is ValueError and exc.report is None
+    assert type(exc.__cause__.__cause__) is cause
     assert len(exc.trajectory.solve_reports) == steps
     assert len(exc.trajectory.snapshots) == steps + 1
 
