@@ -3,7 +3,7 @@
 Two problems are solved here, both with homogeneous Neumann walls:
 
 * the linear resolvent ``(-lam * lap + m) w = z`` with a positive weight
-  field ``m`` (pointwise division when ``lam = 0``);
+  field ``m``;
 * the weighted singular-diffusion resolvent
 
       -div( beta * grad_gamma_eps(grad w) + kappa_eff * grad w ) + m w = z,
@@ -174,7 +174,7 @@ class LinearResolventProblem:
 
     def __post_init__(self):
         self.m = _positive_weight(self.grid, self.m)
-        self.z = self.grid.check_scalar(np.asarray(self.z, dtype=float), "z")
+        self.z = self.grid.check_scalar(self.z, "z")
         if self.lam < 0:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
         if not math.isfinite(self.lam):
@@ -184,28 +184,23 @@ class LinearResolventProblem:
 def linear_resolvent(problem: LinearResolventProblem) -> tuple[np.ndarray, SolveReport]:
     """Solve the linear resolvent problem to ``RESIDUAL_RTOL * |z|_H + LINEAR_RESIDUAL_ATOL``.
 
-    For ``lam = 0`` the solution is the pointwise quotient ``z / m``;
-    otherwise it is a direct solve with the cached factor.  The residual is
-    recomputed from the stencil Laplacian; one that misses the tolerance, NaN
-    included, raises :class:`SolverError` with the report attached.
+    A direct solve with the cached factor.  The residual is recomputed from the
+    stencil Laplacian; one that misses the tolerance, NaN included, raises
+    :class:`SolverError` with the report attached.
     """
     grid, lam, m, z = problem.grid, problem.lam, problem.m, problem.z
-    if lam == 0.0:
-        w, method = z / m, "pointwise"
-        res = grid._norm_h(m * w - z)
-    else:
-        w, method = _resolvent_factor(grid, lam, m)(z.ravel()).reshape(grid.shape), "direct"
-        if not all_finite(w):
-            raise SolverError("linear resolvent: the direct solve is not finite")
-        r = m * w            # m*w - lam*lap(w) - z sums as -lam*lap(w) + m*w - z does
-        r -= lam * grid._div(grid._grad(w))     # w was tested finite
-        r -= z
-        res = grid._norm_h(r)
+    w = _resolvent_factor(grid, lam, m)(z.ravel()).reshape(grid.shape)
+    if not all_finite(w):
+        raise SolverError("linear resolvent: the direct solve is not finite")
+    r = m * w            # m*w - lam*lap(w) - z sums as -lam*lap(w) + m*w - z does
+    r -= lam * grid._div(grid._grad(w))     # w was tested finite
+    r -= z
+    res = grid._norm_h(r)
     tol = RESIDUAL_RTOL * grid._norm_h(z) + LINEAR_RESIDUAL_ATOL
     if not res <= tol:
         raise SolverError(f"linear resolvent did not reach residual {tol:.3e} (got {res:.3e})",
                           SolveReport(0, res, False, method="failed"))
-    return w, SolveReport(0, res, True, method=method)
+    return w, SolveReport(0, res, True, method="direct")
 
 
 # -- singular-diffusion resolvent --------------------------------------------------
@@ -225,12 +220,10 @@ class SingularResolventProblem:
 
     def __post_init__(self):
         self.beta = _checked_weight(self.grid, self.beta)
+        m = _positive_weight(self.grid, self.m)
         # the solver reads m per cell, so a number becomes its field
-        m = self.m
-        if not isinstance(m, np.ndarray) and np.isscalar(m):    # an array is never a scalar
-            m = self.grid.constant(float(m))
-        self.m = _positive_weight(self.grid, m)
-        self.z = self.grid.check_scalar(np.asarray(self.z, dtype=float), "z")
+        self.m = self.grid.constant(m) if isinstance(m, float) else m
+        self.z = self.grid.check_scalar(self.z, "z")
         for name, value in (("kappa_eff", self.kappa_eff), ("epsilon", self.epsilon)):
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
@@ -301,9 +294,6 @@ class _SingularSystem:
         csr_matvec(*self.kappa_K_csr, w, r)
         return r, y, gam
 
-    def hnorm(self, r: np.ndarray) -> float:
-        return math.sqrt(self.vol * np.add.reduce(r * r, axis=None))
-
     def matrix(self, B: np.ndarray) -> np.ndarray:
         """``G^T B G + kappa_eff*K + diag(m)`` for ``B`` of shape ``(dim, dim, nc)``: its
         lower diagonals at :attr:`offsets`, written from :attr:`Grid.newton_diagonals`
@@ -341,7 +331,9 @@ def _jacobi_pcg(ab: np.ndarray, offsets: tuple[int, ...], b: np.ndarray):
     """CG from 0, preconditioned by the main diagonal, on the symmetric matrix whose lower
     diagonals at ``offsets`` ``ab`` holds (:meth:`_SingularSystem.matrix`), mirrored into
     DIA arrays, to ``|r|_2 <= CG_RTOL*|b|_2`` or ``max(1000, n)`` iterations; returns
-    (x, iterations, ok).  Its dot products are einsum's, which take no BLAS."""
+    (x, iterations, ok).  A ``p.Ap`` that is not finite and positive, which for an SPD
+    matrix only underflow or overflow gives, ends it as a failure.  Its dot products
+    are einsum's, which take no BLAS."""
     k, n = ab.shape
     data = np.zeros((2 * k - 1, n))
     data[k - 1:] = ab
@@ -363,7 +355,10 @@ def _jacobi_pcg(ab: np.ndarray, offsets: tuple[int, ...], b: np.ndarray):
         p += z
         q.fill(0.0)          # dia_matvec adds into it, as A @ p does
         dia_matvec(*dia, p, q)
-        alpha = rho / np.einsum("i,i->", p, q)
+        pq = np.einsum("i,i->", p, q)
+        if not 0.0 < pq < math.inf:    # breakdown, NaN included
+            return x, it, False
+        alpha = rho / pq
         x += np.multiply(p, alpha, out=t)
         r -= np.multiply(q, alpha, out=t)
         rho_old = rho
@@ -415,12 +410,12 @@ def singular_resolvent(problem: SingularResolventProblem,
         raise SolverError(f"singular resolvent: the residual tolerance {tol} is not finite")
 
     if initial_guess is not None:
-        w = grid.check_scalar(np.asarray(initial_guess, dtype=float), "initial_guess").ravel().copy()
+        w = grid.check_scalar(initial_guess, "initial_guess").ravel().copy()
     else:
         w = _resolvent_factor(grid, problem.kappa_eff, problem.m)(problem.z.ravel())
 
     r, y, gam = sys.residual_parts(w)
-    rh = sys.hnorm(r)
+    rh = grid._norm_h(r)
     if initial_dual is None:
         p = y / gam                  # the dual flux, grad_gamma_eps(y)
     else:
@@ -453,7 +448,7 @@ def singular_resolvent(problem: SingularResolventProblem,
         t, wt = 1.0, w + delta
         for _ in range(30):
             rt, yt, gamt = sys.residual_parts(wt)
-            rht = sys.hnorm(rt)
+            rht = grid._norm_h(rt)
             if rht <= (1.0 - 1e-4 * t) * rh:
                 break
             if slope is None:    # the energy's directional derivative
@@ -493,7 +488,7 @@ def check_h2_bound(grid: Grid, w: np.ndarray, z: np.ndarray, beta: np.ndarray,
     quasilinear residual is re-evaluated and a mismatch raises, guarding
     against passing a stale field.
     """
-    w = grid.check_scalar(np.asarray(w, dtype=float), "w")
+    w = grid.check_scalar(w, "w")
     problem = SingularResolventProblem(grid, beta, kappa, grid.constant(1.0), z, epsilon)
     res = _stencil_residual_h(problem, w)
     if not res <= 1e-6 * (grid.norm_h(problem.z) + 1.0):

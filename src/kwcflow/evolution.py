@@ -88,8 +88,8 @@ class SystemState:
                                            compare=False)
 
     def __post_init__(self):
-        self.eta = self.grid.check_scalar(np.asarray(self.eta, dtype=float), "eta")
-        self.theta = self.grid.check_scalar(np.asarray(self.theta, dtype=float), "theta")
+        self.eta = self.grid.check_scalar(self.eta, "eta")
+        self.theta = self.grid.check_scalar(self.theta, "theta")
 
     @classmethod
     def _of_step(cls, grid: Grid, eta: np.ndarray, theta: np.ndarray, time: float,

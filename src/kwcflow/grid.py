@@ -296,8 +296,8 @@ class Grid:
         return self._norm_h(f)
 
     def _norm_h(self, f: np.ndarray) -> float:
-        """:meth:`norm_h` of an array of the grid's shape."""
-        return math.sqrt(max(float(np.add.reduce(f * f, axis=None) * self.cell_volume), 0.0))
+        """:meth:`norm_h` of an array of the grid's shape or of its flat view."""
+        return math.sqrt(np.add.reduce(f * f, axis=None) * self.cell_volume)
 
     def norm_v(self, f: np.ndarray) -> float:
         G = self.grad(f)

@@ -292,10 +292,13 @@ def test_inputs_run_cannot_start_are_config_violations(tmp_path, doc, key):
                                                   "T_temporal": 1.0}}},
      "experiment.manufactured_convergence.base_dt and T_spatial",
      "dt must satisfy 0 < dt < T, got dt=0.04, T=0.04"),
+    # each value fails alone with the message both give together: each is named apart
+    ({"experiment": {"manufactured_convergence": {"T_spatial": -0.1, "T_temporal": -0.1}}},
+     "experiment.manufactured_convergence.T_spatial", "T must be positive, got -0.1"),
 ], ids=["wstar", "eps_values", "eps0", "munu_values", "h2_eps_values", "infinite_h2_eps_values",
         "T_spatial", "infinite_T_temporal", "base_dt",
         "spatial_cells", "zero_spatial_cells", "base_dt_and_T_spatial",
-        "base_dt_and_T_spatial_among_others"])
+        "base_dt_and_T_spatial_among_others", "T_spatial_apart_from_T_temporal"])
 def test_values_a_run_or_study_would_drop_or_reject_are_config_violations(
         tmp_path, capsys, doc, key, message):
     cfg = write_json(tmp_path / "bad.json", doc)
